@@ -110,7 +110,8 @@ pub struct Explanation {
 }
 
 /// Total load of accepted requests on substrate node `n` at instant `t`
-/// (open-interval activity, matching the verifier's sweep).
+/// (open-interval activity, matching the verifier's sweep). Folds from
+/// `+0.0`: an empty `f64` sum is `-0.0`, which would render as "-0.000000".
 fn node_load_at(instance: &Instance, solution: &TemporalSolution, n: NodeId, t: f64) -> f64 {
     solution
         .scheduled
@@ -118,7 +119,7 @@ fn node_load_at(instance: &Instance, solution: &TemporalSolution, n: NodeId, t: 
         .zip(&instance.requests)
         .filter(|(s, _)| s.accepted && s.start < t && t < s.end)
         .filter_map(|(s, r)| s.embedding.as_ref().map(|e| e.node_allocation(r, n)))
-        .sum()
+        .fold(0.0, |acc, x| acc + x)
 }
 
 /// Total load of accepted requests on substrate link `e` at instant `t`.
@@ -129,7 +130,7 @@ fn edge_load_at(instance: &Instance, solution: &TemporalSolution, e: EdgeId, t: 
         .zip(&instance.requests)
         .filter(|(s, _)| s.accepted && s.start < t && t < s.end)
         .filter_map(|(s, r)| s.embedding.as_ref().map(|emb| emb.edge_allocation(r, e)))
-        .sum()
+        .fold(0.0, |acc, x| acc + x)
 }
 
 /// Probe instants covering the open interval `(lo, hi)`: midpoints of the
@@ -582,6 +583,47 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn blocker_at_an_idle_instant_reports_positive_zero_load() {
+        // 'big' alone needs 1.5 of node 0's capacity 1.0 and nothing else is
+        // accepted, so every blocker falls at an instant with no active
+        // request: the existing load is an empty sum.
+        let s = Substrate::uniform(grid(2, 2), 1.0, 5.0);
+        let g = star(1, StarDirection::AwayFromCenter);
+        let big = Request::new("big", g, vec![1.5, 0.0], vec![0.1], 0.0, 4.0, 2.0);
+        let maps = vec![vec![NodeId(0), NodeId(1)]];
+        let inst = Instance::new(s, vec![big], 10.0, Some(maps));
+        let sol = TemporalSolution {
+            scheduled: vec![ScheduledRequest {
+                accepted: false,
+                start: 0.0,
+                end: 2.0,
+                embedding: None,
+            }],
+            reported_objective: None,
+        };
+        let ex = explain_solution(&inst, &sol);
+        let Fate::Rejected { blockers, .. } = &ex.requests[0].fate else {
+            panic!("big is rejected");
+        };
+        assert!(!blockers.is_empty());
+        for b in blockers {
+            assert_eq!(b.existing_load.to_bits(), 0.0f64.to_bits());
+        }
+        let text = ex.render();
+        assert!(
+            text.contains("existing load 0.000000 + demand 1.500000"),
+            "{text}"
+        );
+        assert!(!text.contains("-0.000000"), "{text}");
+        let parsed = Json::parse(&ex.to_json().pretty()).unwrap();
+        let reqs = parsed.get("requests").unwrap().as_array().unwrap();
+        for b in reqs[0].get("blockers").unwrap().as_array().unwrap() {
+            let load = b.get("existing_load").unwrap().as_f64().unwrap();
+            assert!(load == 0.0 && load.is_sign_positive(), "load {load}");
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! * **Markowitz pivot selection.** At every elimination step the candidate
 //!   pivot `(i, j)` minimizes the fill proxy `(r_i − 1)(c_j − 1)` where
 //!   `r_i`/`c_j` are the active-submatrix row/column nonzero counts, searched
-//!   over the sparsest few active columns.
+//!   over the sparsest few active columns. Those come from a count-bucket
+//!   index (one bitset of active columns per count, after Suhl & Suhl's
+//!   count-indexed column lists) kept current wherever a count changes: a
+//!   step reads `⌈m/64⌉` words per bucket it visits, usually one or two,
+//!   and a count change is two bit flips.
 //! * **Threshold partial pivoting.** A candidate is numerically admissible
 //!   only when `|a_ij| ≥ markowitz_tol · max_i |a_ij|` within its column, so
 //!   sparsity can be traded against growth ([`crate::Params::markowitz_tol`]).
@@ -35,9 +39,10 @@
 use crate::sparse::CscMatrix;
 
 /// How many of the sparsest active columns the Markowitz search inspects per
-/// elimination step before falling back to a full scan. Suhl & Suhl report
-/// tiny candidate sets lose almost nothing on LP bases; four keeps selection
-/// O(candidates · column length) per step.
+/// elimination step before falling back to every active column. Suhl & Suhl
+/// report tiny candidate sets lose almost nothing on LP bases; four keeps
+/// selection O(candidates · column length) per step. The candidates are the
+/// smallest `(count, column)` pairs, read from [`CountBuckets`].
 const MARKOWITZ_CANDIDATES: usize = 4;
 
 /// Pivots smaller than this are never numerically admissible, matching the
@@ -116,7 +121,10 @@ impl LuFactors {
             }
         }
         let mut rcount: Vec<usize> = rows.iter().map(Vec::len).collect();
-        let mut ccount: Vec<usize> = colrows.iter().map(Vec::len).collect();
+        let mut ccount = CountBuckets::new(m);
+        for (c, col) in colrows.iter().enumerate() {
+            ccount.insert(c, col.len());
+        }
         let mut row_active = vec![true; m];
         let mut col_active = vec![true; m];
 
@@ -130,29 +138,14 @@ impl LuFactors {
 
         for _step in 0..m {
             // The sparsest few active columns are the Markowitz candidates.
-            cand_cols.clear();
-            for j in 0..m {
-                if !col_active[j] {
-                    continue;
-                }
-                let pos = cand_cols
-                    .iter()
-                    .position(|&c| ccount[j] < ccount[c])
-                    .unwrap_or(cand_cols.len());
-                if pos < MARKOWITZ_CANDIDATES {
-                    if cand_cols.len() == MARKOWITZ_CANDIDATES {
-                        cand_cols.pop();
-                    }
-                    cand_cols.insert(pos, j);
-                }
-            }
+            ccount.sparsest(MARKOWITZ_CANDIDATES, &mut cand_cols);
             let mut pivot = Self::pick_pivot(
                 &cand_cols,
                 &mut colrows,
                 &rows,
                 &row_active,
                 &rcount,
-                &ccount,
+                &ccount.count,
                 tol,
             );
             if pivot.is_none() && cand_cols.len() == MARKOWITZ_CANDIDATES {
@@ -165,7 +158,7 @@ impl LuFactors {
                     &rows,
                     &row_active,
                     &rcount,
-                    &ccount,
+                    &ccount.count,
                     tol,
                 );
             }
@@ -176,10 +169,11 @@ impl LuFactors {
             // Retire the pivot row and column.
             row_active[pi] = false;
             col_active[pj] = false;
+            ccount.remove(pj);
             let prow = std::mem::take(&mut rows[pi]);
             for &(j, _) in &prow {
                 if col_active[j] {
-                    ccount[j] -= 1;
+                    ccount.dec(j);
                 }
             }
             let k = self.rowperm.len();
@@ -216,7 +210,7 @@ impl LuFactors {
                             } else if cb < ca {
                                 // Fill-in.
                                 merge_tmp.push((cb, -f * vb));
-                                ccount[cb] += 1;
+                                ccount.inc(cb);
                                 colrows[cb].push(r);
                                 b.next();
                             } else {
@@ -224,7 +218,7 @@ impl LuFactors {
                                 if v != 0.0 {
                                     merge_tmp.push((ca, v));
                                 } else {
-                                    ccount[ca] -= 1;
+                                    ccount.dec(ca);
                                 }
                                 a.next();
                                 b.next();
@@ -238,7 +232,7 @@ impl LuFactors {
                         }
                         (None, Some((cb, vb))) => {
                             merge_tmp.push((cb, -f * vb));
-                            ccount[cb] += 1;
+                            ccount.inc(cb);
                             colrows[cb].push(r);
                             b.next();
                         }
@@ -470,6 +464,99 @@ impl LuFactors {
             + self.u_idx.capacity())
             * u
             + (self.l_val.capacity() + self.u_val.capacity() + self.u_diag.capacity()) * f
+    }
+}
+
+/// The active columns of an elimination bucketed by nonzero count, one
+/// bitset over the columns per count, so the Markowitz candidates come out
+/// without scanning every column. [`CountBuckets::sparsest`] walks the
+/// buckets upward from the lowest non-empty one, and each bucket's words in
+/// index order, so ties in count go to the lower column index. A query reads
+/// the words of the buckets it visits (`⌈m/64⌉` each, usually one or two
+/// buckets); a count change is two bit flips. Built per factorization and
+/// sized by the largest count seen.
+struct CountBuckets {
+    /// Active nonzeros per column; stale once the column is removed.
+    count: Vec<usize>,
+    /// `u64` words per bitset.
+    words: usize,
+    /// Bucket `c` is `bits[c * words..(c + 1) * words]`.
+    bits: Vec<u64>,
+    /// Members per bucket.
+    len: Vec<usize>,
+    /// No bucket below this one has a member.
+    min: usize,
+}
+
+impl CountBuckets {
+    fn new(m: usize) -> Self {
+        Self {
+            count: vec![0; m],
+            words: m.div_ceil(64),
+            bits: Vec::new(),
+            len: Vec::new(),
+            min: 0,
+        }
+    }
+
+    /// Adds column `j` with `count` nonzeros.
+    fn insert(&mut self, j: usize, count: usize) {
+        if count >= self.len.len() {
+            self.len.resize(count + 1, 0);
+            self.bits.resize((count + 1) * self.words, 0);
+        }
+        self.count[j] = count;
+        self.bits[count * self.words + j / 64] |= 1 << (j % 64);
+        self.len[count] += 1;
+        self.min = self.min.min(count);
+    }
+
+    /// Drops column `j` from the index.
+    fn remove(&mut self, j: usize) {
+        let c = self.count[j];
+        self.bits[c * self.words + j / 64] &= !(1 << (j % 64));
+        self.len[c] -= 1;
+    }
+
+    /// Column `j` gained a nonzero (fill-in).
+    fn inc(&mut self, j: usize) {
+        self.remove(j);
+        self.insert(j, self.count[j] + 1);
+    }
+
+    /// Column `j` lost a nonzero (row retired or entry cancelled).
+    fn dec(&mut self, j: usize) {
+        self.remove(j);
+        self.insert(j, self.count[j] - 1);
+    }
+
+    /// Writes the (at most) `k` columns with the smallest `(count, column)`
+    /// pairs to `out`, in that order.
+    fn sparsest(&mut self, k: usize, out: &mut Vec<usize>) {
+        out.clear();
+        while self.min < self.len.len() && self.len[self.min] == 0 {
+            self.min += 1;
+        }
+        for c in self.min..self.len.len() {
+            let mut left = self.len[c];
+            for (w, &word) in self.bits[c * self.words..(c + 1) * self.words]
+                .iter()
+                .enumerate()
+            {
+                if left == 0 {
+                    break;
+                }
+                let mut word = word;
+                while word != 0 {
+                    out.push(w * 64 + word.trailing_zeros() as usize);
+                    if out.len() == k {
+                        return;
+                    }
+                    word &= word - 1;
+                    left -= 1;
+                }
+            }
+        }
     }
 }
 
@@ -778,6 +865,60 @@ mod tests {
         assert!(f.factorize(&cols, &basis, 0.1));
         let ratio = f.u_diag_ratio();
         assert!(ratio > 1e5 && ratio < 1e8, "ratio {ratio}");
+    }
+
+    /// splitmix64, the repo-wide test RNG.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn count_buckets_match_a_sorted_brute_force() {
+        let mut rng = 11u64;
+        let mut out = Vec::new();
+        for case in 0..40 {
+            let m = 1 + (splitmix(&mut rng) % 150) as usize;
+            let mut index = CountBuckets::new(m);
+            // The brute-force mirror: each member column's count.
+            let mut member: Vec<Option<usize>> = vec![None; m];
+            for step in 0..10 * m {
+                let j = (splitmix(&mut rng) % m as u64) as usize;
+                let op = splitmix(&mut rng) % 8;
+                member[j] = match member[j] {
+                    None => {
+                        let c = (splitmix(&mut rng) % 6) as usize;
+                        index.insert(j, c);
+                        Some(c)
+                    }
+                    Some(_) if op == 0 => {
+                        index.remove(j);
+                        None
+                    }
+                    Some(c) if op < 4 && c > 0 => {
+                        index.dec(j);
+                        Some(c - 1)
+                    }
+                    Some(c) => {
+                        index.inc(j);
+                        Some(c + 1)
+                    }
+                };
+                let k = 1 + (splitmix(&mut rng) % 6) as usize;
+                index.sparsest(k, &mut out);
+                let mut expect: Vec<(usize, usize)> = member
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, c)| c.map(|c| (c, j)))
+                    .collect();
+                expect.sort_unstable();
+                let expect: Vec<usize> = expect.into_iter().take(k).map(|(_, j)| j).collect();
+                assert_eq!(out, expect, "case {case} (m = {m}) step {step}");
+            }
+        }
     }
 
     #[test]

@@ -118,15 +118,21 @@ fn dense_btran(binv: &[f64], m: usize, c: &[f64]) -> Vec<f64> {
     y
 }
 
-/// Builds a random sparse `m × m` basis with a guaranteed nonzero diagonal
-/// (nonsingular with high probability) plus `extra` random off-diagonals.
-fn random_basis(rng: &mut Rng, m: usize, extra: usize) -> (CscMatrix, Vec<usize>) {
-    let mut entries: Vec<Vec<(usize, f64)>> =
-        (0..m).map(|c| vec![(c, 0.5 + 2.0 * rng.unit())]).collect();
+/// Builds a random sparse `m × m` basis with a nonzero diagonal drawn by
+/// `diag` (nonsingular with high probability) plus `extra` random
+/// off-diagonals drawn by `off`.
+fn sparse_basis(
+    rng: &mut Rng,
+    m: usize,
+    extra: usize,
+    diag: fn(&mut Rng) -> f64,
+    off: fn(&mut Rng) -> f64,
+) -> (CscMatrix, Vec<usize>) {
+    let mut entries: Vec<Vec<(usize, f64)>> = (0..m).map(|c| vec![(c, diag(rng))]).collect();
     for _ in 0..extra {
         let c = rng.range(m);
         let r = rng.range(m);
-        let v = rng.unit() * 4.0 - 2.0;
+        let v = off(rng);
         if v != 0.0 && !entries[c].iter().any(|&(rr, _)| rr == r) {
             entries[c].push((r, v));
         }
@@ -137,6 +143,16 @@ fn random_basis(rng: &mut Rng, m: usize, extra: usize) -> (CscMatrix, Vec<usize>
         cols.push_column(col);
     }
     (cols, (0..m).collect())
+}
+
+fn random_basis(rng: &mut Rng, m: usize, extra: usize) -> (CscMatrix, Vec<usize>) {
+    sparse_basis(
+        rng,
+        m,
+        extra,
+        |r| 0.5 + 2.0 * r.unit(),
+        |r| r.unit() * 4.0 - 2.0,
+    )
 }
 
 fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
@@ -283,4 +299,67 @@ fn slack_heavy_bases_factor_exactly() {
     let expect: Vec<f64> = x.iter().map(|v| -v).collect();
     f.ftran(&mut x);
     assert_eq!(x, expect);
+}
+
+/// Random sparse basis with dyadic entries (±½, ±1, ±2 off the diagonal),
+/// so that `a − f·b` is exact in floating point and rows that line up cancel
+/// to an exact zero during elimination; `extra` off-diagonals make fill-in.
+fn dyadic_basis(rng: &mut Rng, m: usize, extra: usize) -> (CscMatrix, Vec<usize>) {
+    const DIAG: [f64; 4] = [1.0, -1.0, 2.0, 4.0];
+    const OFF: [f64; 6] = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0];
+    sparse_basis(
+        rng,
+        m,
+        extra,
+        |r| DIAG[r.range(DIAG.len())],
+        |r| OFF[r.range(OFF.len())],
+    )
+}
+
+/// FNV-1a over the IEEE bit patterns of `xs`: equal digests mean equal bits.
+fn bits_digest(xs: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in xs {
+        for b in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins the Markowitz pivot sequence. Any change to candidate selection, its
+/// `(count, column)` tie-break or the pivot choice among candidates moves the
+/// fill (`lu_nnz`), the U diagonal, or the rounding of the solves, so these
+/// bases — all four fill in, the last three also cancel entries to exact
+/// zeros — must reproduce the same factor statistics and solve bits. The
+/// expected values were recorded with the original linear candidate scan.
+#[test]
+fn factorization_is_bit_stable_on_golden_bases() {
+    // (m, extra off-diagonals, lu_nnz, u_diag_ratio bits, FTRAN digest,
+    // BTRAN digest)
+    #[rustfmt::skip]
+    const GOLDEN: [(usize, usize, usize, u64, u64, u64); 4] = [
+        (24, 48, 71, 0x4030000000000000, 0x95ee9dfcde57f5bf, 0xad1a0fbd898ed3ba),
+        (40, 100, 195, 0x4076a945fd5a22a7, 0x96a388ba2d3d3dcc, 0xb9880a8cc7e1d2f3),
+        (64, 160, 348, 0x406ce70eb395114d, 0x6f9492048962f172, 0x0ac87b48cfd336c1),
+        (96, 300, 792, 0x4064f4a6bd487e12, 0xe4aa78279e772ee5, 0x1c073be71224bf38),
+    ];
+    let mut rng = Rng(2024);
+    for (case, &(m, extra, nnz, ratio, ftran, btran)) in GOLDEN.iter().enumerate() {
+        let (cols, basis) = dyadic_basis(&mut rng, m, extra);
+        let mut f = BasisFactor::default();
+        assert!(f.factorize(&cols, &basis, 0.1), "case {case}: singular");
+        let mut x: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
+        let mut y: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
+        f.ftran(&mut x);
+        f.btran(&mut y);
+        let got = (
+            f.lu_nnz(),
+            f.u_diag_ratio().to_bits(),
+            bits_digest(&x),
+            bits_digest(&y),
+        );
+        assert!(got.0 > cols.nnz(), "case {case}: no fill-in");
+        assert_eq!(got, (nnz, ratio, ftran, btran), "case {case}");
+    }
 }
