@@ -91,4 +91,72 @@ fn allocator_accounts_for_delta_model_build() {
     let off_probe = MemProbe::start();
     std::hint::black_box(vec![0u8; 1 << 16]);
     assert_eq!(off_probe.finish(), 0);
+
+    // `mem.mip.node_pool_peak_bytes` must count what a waiting node holds:
+    // its bounds box and the packed basis (2 bits per LP column) it
+    // re-solves from. The parallel driver also reports the peak node count,
+    // which yields the per-node size; the sequential driver must use the
+    // same size. What remains after the bounds box and the packed basis is
+    // the fixed node header, equal across models of different sizes.
+    let headers: Vec<usize> = [(1, 2.0), (2, 0.5)]
+        .into_iter()
+        .map(|(seed, flex)| {
+            let inst = generate(&WorkloadConfig::tiny(), seed).with_flexibility_after(flex);
+            node_pool_header_bytes(&build_model(
+                &inst,
+                Formulation::CSigma,
+                Objective::AccessControl,
+                BuildOptions::default_for(Formulation::CSigma),
+            ))
+        })
+        .collect();
+    assert_eq!(
+        headers[0], headers[1],
+        "per-node pool bytes must grow with the model exactly by its \
+         bounds box and packed basis"
+    );
+}
+
+/// Solves `built` at two threads and at one, checks that both drivers
+/// account the same bytes per pooled node, and returns that size minus the
+/// node's bounds box and packed basis.
+fn node_pool_header_bytes(built: &tvnep_core::BuiltModel) -> usize {
+    let lp = built.mip.relaxation_min();
+    let columns = lp.num_vars() + lp.num_rows();
+    let int_vars = built
+        .mip
+        .kinds()
+        .iter()
+        .filter(|k| !matches!(k, tvnep_mip::VarKind::Continuous))
+        .count();
+    let pool_gauges = |threads: usize| {
+        let telemetry = tvnep_telemetry::Telemetry::metrics_only();
+        let opts = tvnep_mip::MipOptions {
+            threads,
+            telemetry: telemetry.clone(),
+            ..tvnep_mip::MipOptions::default()
+        };
+        tvnep_mip::solve_with(&built.mip, &opts);
+        let snap = telemetry.snapshot();
+        (
+            snap.gauge("mem.mip.node_pool_peak_bytes").unwrap() as usize,
+            snap.gauge("par.pool_peak_depth").map(|p| p as usize),
+        )
+    };
+    let (par_bytes, par_peak) = pool_gauges(2);
+    let par_peak = par_peak.expect("parallel driver reports its pool peak");
+    assert!(par_peak >= 1 && par_bytes % par_peak == 0);
+    let node_bytes = par_bytes / par_peak;
+    let (seq_bytes, _) = pool_gauges(1);
+    assert!(
+        seq_bytes >= node_bytes && seq_bytes % node_bytes == 0,
+        "sequential pool peak {seq_bytes} B is not a whole number of \
+         {node_bytes} B nodes"
+    );
+    let payload = int_vars * std::mem::size_of::<(f64, f64)>() + columns.div_ceil(4);
+    assert!(
+        node_bytes > payload,
+        "{node_bytes} B per pooled node < bounds box + packed basis {payload} B"
+    );
+    node_bytes - payload
 }

@@ -673,6 +673,12 @@ impl BasisFactor {
         self.ready
     }
 
+    /// Marks the factors stale (after the basis was replaced wholesale):
+    /// [`BasisFactor::is_ready`] stays false until the next factorization.
+    pub fn invalidate(&mut self) {
+        self.ready = false;
+    }
+
     /// True when a factorization of dimension `m` is available.
     pub fn is_ready(&self, m: usize) -> bool {
         self.ready && self.lu.dim() == m

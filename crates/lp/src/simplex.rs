@@ -22,8 +22,17 @@
 //! After a bound change the old optimal basis stays *dual* feasible (reduced
 //! costs are untouched) while a few basic variables may violate their new
 //! bounds. [`Simplex::solve_warm`] runs the dual simplex from that basis —
-//! typically a handful of pivots per branch-and-bound node — and falls back
-//! to the primal phases whenever dual feasibility does not hold.
+//! typically a handful of pivots per branch-and-bound node. A start that is
+//! not dual feasible is repaired in place where it can be: a nonbasic
+//! variable with two finite bounds whose reduced cost has the wrong sign
+//! moves to its other bound (bound-flipping dual phase 1, Koberstein & Suhl,
+//! "Progress in the dual simplex method for large scale LP problems:
+//! practical dual phase 1 algorithms", COAP 2007), which trades the dual
+//! infeasibility for primal infeasibility the dual simplex then removes.
+//! Only a dual-infeasible variable with an infinite bound sends the solve to
+//! the primal phases. A basis recorded with [`Simplex::save_basis`] and
+//! installed by [`Simplex::load_basis`] is factorized by the next solve, so
+//! each branch-and-bound node can re-solve from its parent's basis.
 //!
 //! # Basis kernel and numerical safety
 //!
@@ -104,11 +113,44 @@ pub enum VarStatus {
     Free,
 }
 
-/// A snapshot of the basis, sufficient to warm-start a later solve.
-#[derive(Debug, Clone)]
+/// A snapshot of the basis, sufficient to warm-start a later solve: the
+/// [`VarStatus`] of every column (structural, then slack), packed 2 bits
+/// each. The basic set is implied — the columns marked basic, taken in index
+/// order — so a snapshot costs `⌈n/4⌉` bytes for `n` columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
-    basis: Vec<usize>,
-    status: Vec<VarStatus>,
+    packed: Box<[u8]>,
+}
+
+impl Basis {
+    fn pack(status: &[VarStatus]) -> Self {
+        let mut packed = vec![0u8; Self::packed_len(status.len())].into_boxed_slice();
+        for (j, s) in status.iter().enumerate() {
+            let code = match s {
+                VarStatus::Basic => 0,
+                VarStatus::AtLower => 1,
+                VarStatus::AtUpper => 2,
+                VarStatus::Free => 3,
+            };
+            packed[j / 4] |= code << (2 * (j % 4));
+        }
+        Self { packed }
+    }
+
+    fn status(&self, j: usize) -> VarStatus {
+        match (self.packed[j / 4] >> (2 * (j % 4))) & 3 {
+            0 => VarStatus::Basic,
+            1 => VarStatus::AtLower,
+            2 => VarStatus::AtUpper,
+            _ => VarStatus::Free,
+        }
+    }
+
+    /// Heap bytes of a snapshot of an LP with `columns` columns
+    /// (structural variables plus one slack per row).
+    pub fn packed_len(columns: usize) -> usize {
+        columns.div_ceil(4)
+    }
 }
 
 /// Solver tolerances and limits.
@@ -565,21 +607,30 @@ impl Simplex {
 
     /// Records the current basis for later [`load_basis`](Self::load_basis).
     pub fn save_basis(&self) -> Basis {
-        Basis {
-            basis: self.basis.clone(),
-            status: self.status.clone(),
-        }
+        Basis::pack(&self.status)
     }
 
-    /// Restores a recorded basis (bounds may have changed since it was saved;
-    /// nonbasic variables are re-clamped to their current bounds).
+    /// Installs a recorded basis. Only the statuses are installed: the
+    /// factors are marked stale, and the next [`solve`](Self::solve) or
+    /// [`solve_warm`](Self::solve_warm) factorizes the basis and re-clamps
+    /// nonbasic variables to the bounds current at that time. Read no values
+    /// before that solve.
     pub fn load_basis(&mut self, b: &Basis) {
-        assert_eq!(b.basis.len(), self.m);
-        assert_eq!(b.status.len(), self.n_total);
-        self.basis = b.basis.clone();
-        self.status = b.status.clone();
-        self.normalize_nonbasic_statuses();
-        self.rebuild_state();
+        assert_eq!(b.packed.len(), Basis::packed_len(self.n_total));
+        self.basis.clear();
+        for j in 0..self.n_total {
+            let s = b.status(j);
+            if s == VarStatus::Basic {
+                self.basis.push(j);
+            }
+            self.status[j] = s;
+        }
+        assert_eq!(
+            self.basis.len(),
+            self.m,
+            "recorded basis has the wrong size"
+        );
+        self.factor.invalidate();
     }
 
     /// Re-clamps nonbasic statuses after bound changes: a status pointing at
@@ -1013,8 +1064,11 @@ impl Simplex {
     fn solve_warm_inner(&mut self) -> LpStatus {
         self.stats.warm_calls += 1;
         self.normalize_nonbasic_statuses();
-        if !self.factor.is_ready(self.m) {
+        // A basis installed by `load_basis` arrives unfactored; factorizing
+        // it here books the cost under this solve's `lp.factor` span.
+        if !self.factor.is_ready(self.m) && !self.refactorize(RefactorCause::Scheduled) {
             self.stats.dual_fallbacks += 1;
+            self.reset_basis();
             return self.solve_inner();
         }
         self.recompute_xb();
@@ -1091,8 +1145,10 @@ impl Simplex {
         c - self.cols.column_dot(j, &self.scratch_y)
     }
 
-    /// The dual simplex loop. Requires a dual-feasible basis; detects and
-    /// reports violations as `Numerical` so callers can fall back.
+    /// The dual simplex loop. A nonbasic variable with two finite bounds
+    /// whose reduced cost has the wrong sign is first moved to its other
+    /// bound (bound-flipping dual phase 1); any other dual infeasibility is
+    /// reported as `Numerical` so callers can fall back.
     fn dual_simplex(&mut self) -> LpStatus {
         let m = self.m;
         // Reduced costs for all nonbasic variables, into the persistent
@@ -1108,8 +1164,10 @@ impl Simplex {
             };
         }
         self.scratch_alpha.iter_mut().for_each(|a| *a = 0.0);
-        // Verify dual feasibility within a loose tolerance.
+        // Verify dual feasibility within a loose tolerance, flipping boxed
+        // violators to the bound their reduced cost favors.
         let dtol = self.params.opt_tol * 100.0;
+        let mut flipped = false;
         for j in 0..self.n_total {
             if self.lo[j] == self.up[j] {
                 continue;
@@ -1121,9 +1179,21 @@ impl Simplex {
                 VarStatus::AtUpper => dj > dtol,
                 VarStatus::Free => dj.abs() > dtol,
             };
-            if bad {
+            if !bad {
+                continue;
+            }
+            if !(self.lo[j].is_finite() && self.up[j].is_finite()) {
                 return LpStatus::Numerical; // caller falls back to primal
             }
+            self.status[j] = if self.status[j] == VarStatus::AtLower {
+                VarStatus::AtUpper
+            } else {
+                VarStatus::AtLower
+            };
+            flipped = true;
+        }
+        if flipped {
+            self.recompute_xb();
         }
 
         let mut degen_run = 0usize;
@@ -1590,18 +1660,20 @@ impl Simplex {
         }
     }
 
-    /// Current value of structural variable `j`.
-    fn var_value(&self, j: usize) -> f64 {
-        match self.status[j] {
-            VarStatus::Basic => {
-                let i = self
-                    .basis
-                    .iter()
-                    .position(|&b| b == j)
-                    .expect("basic var in basis");
-                self.xb[i]
-            }
-            _ => self.nonbasic_value(j),
+    /// Basis position of every basic column (`usize::MAX` for nonbasic).
+    fn basic_positions(&self) -> Vec<usize> {
+        let mut pos = vec![usize::MAX; self.n_total];
+        for (i, &j) in self.basis.iter().enumerate() {
+            pos[j] = i;
+        }
+        pos
+    }
+
+    /// Current value of column `j`, given [`Simplex::basic_positions`].
+    fn value_at(&self, basic_pos: &[usize], j: usize) -> f64 {
+        match basic_pos[j] {
+            usize::MAX => self.nonbasic_value(j),
+            i => self.xb[i],
         }
     }
 
@@ -1640,38 +1712,24 @@ impl Simplex {
         self.health.report()
     }
 
-    /// Objective of the current point (including offset).
+    /// Objective of the current point (including offset); bit-equal to the
+    /// `objective` of [`extract`](Self::extract).
     pub fn objective_value(&self) -> f64 {
+        let pos = self.basic_positions();
         self.obj_offset
             + (0..self.n_struct)
-                .map(|j| self.obj[j] * self.var_value(j))
+                .map(|j| self.obj[j] * self.value_at(&pos, j))
                 .sum::<f64>()
     }
 
     /// Extracts the solution; `status` should be the value returned by
     /// [`solve`](Self::solve).
     pub fn extract(&self, status: LpStatus) -> LpSolution {
-        let mut x = vec![0.0; self.n_struct];
-        let mut basic_pos = vec![usize::MAX; self.n_total];
-        for (i, &j) in self.basis.iter().enumerate() {
-            basic_pos[j] = i;
-        }
-        for (j, xv) in x.iter_mut().enumerate() {
-            *xv = if basic_pos[j] != usize::MAX {
-                self.xb[basic_pos[j]]
-            } else {
-                self.nonbasic_value(j)
-            };
-        }
-        let mut row_activity = vec![0.0; self.m];
-        for (s, act) in row_activity.iter_mut().enumerate() {
-            let j = self.n_struct + s;
-            *act = if basic_pos[j] != usize::MAX {
-                self.xb[basic_pos[j]]
-            } else {
-                self.nonbasic_value(j)
-            };
-        }
+        let pos = self.basic_positions();
+        let x: Vec<f64> = (0..self.n_struct).map(|j| self.value_at(&pos, j)).collect();
+        let row_activity: Vec<f64> = (self.n_struct..self.n_total)
+            .map(|j| self.value_at(&pos, j))
+            .collect();
         let objective =
             self.obj_offset + (0..self.n_struct).map(|j| self.obj[j] * x[j]).sum::<f64>();
         LpSolution {

@@ -178,6 +178,80 @@ fn warm_start_after_bound_tightening() {
     s.load_basis(&basis);
     assert_eq!(s.solve(), LpStatus::Optimal);
     assert!((s.objective_value() - (-1.5)).abs() < 1e-7);
+    // Backtrack again, the way branch and bound pops a queued node: install
+    // the parent basis and re-solve with the dual simplex. The x <= 0 child
+    // needs one dual pivot from the parent basis; it must not fall back.
+    s.set_var_bounds(0, 0.0, 0.0);
+    let before = s.stats;
+    s.load_basis(&basis);
+    // Loading only installs the statuses; the solve factorizes.
+    assert_eq!(s.stats.refactorizations, before.refactorizations);
+    assert_eq!(s.solve_warm(), LpStatus::Optimal);
+    assert!(s.stats.refactorizations > before.refactorizations);
+    assert!((s.objective_value() - (-1.0)).abs() < 1e-7);
+    assert_eq!(s.stats.dual_fallbacks, before.dual_fallbacks);
+    assert_eq!(s.stats.dual_successes, before.dual_successes + 1);
+    // And the x >= 1 child from the same basis.
+    s.set_var_bounds(0, 1.0, 1.0);
+    s.load_basis(&basis);
+    assert_eq!(s.solve_warm(), LpStatus::Optimal);
+    assert!((s.objective_value() - (-1.5)).abs() < 1e-7);
+    assert_eq!(s.stats.dual_fallbacks, before.dual_fallbacks);
+    assert!(s.kkt_violation() < 1e-7);
+    // A recorded basis round-trips: saving right after loading is a no-op.
+    s.load_basis(&basis);
+    assert_eq!(s.save_basis(), basis);
+}
+
+/// A boxed variable that rests at the bound its cost dislikes makes the warm
+/// start dual infeasible. Bound-flipping dual phase 1 moves it to the other
+/// bound and the dual simplex finishes the job, without the primal phases.
+#[test]
+fn dual_infeasible_boxed_start_flips_instead_of_falling_back() {
+    let mut lp = LpProblem::new();
+    let x = lp.add_var(0.0, 1.0, -1.0);
+    let y = lp.add_var(0.0, 1.0, -1.0);
+    lp.add_le(&[(x, 1.0), (y, 1.0)], 1.5);
+    let cold = solve(&lp);
+    assert_eq!(cold.status, LpStatus::Optimal);
+
+    let mut s = Simplex::new(&lp);
+    // Fix x at 0, the bound its cost of -1 dislikes, and solve.
+    s.set_var_bounds(0, 0.0, 0.0);
+    assert_eq!(s.solve(), LpStatus::Optimal);
+    assert!((s.objective_value() - (-1.0)).abs() < 1e-7);
+    // Unfix: x rests at its lower bound with reduced cost -1.
+    s.set_var_bounds(0, 0.0, 1.0);
+    assert_eq!(s.solve_warm(), LpStatus::Optimal);
+    assert!((s.objective_value() - cold.objective).abs() < 1e-7);
+    assert!(s.kkt_violation() < 1e-7);
+    assert_eq!(s.stats.dual_fallbacks, 0);
+    assert_eq!(s.stats.dual_successes, 1);
+}
+
+/// `objective_value` and `extract` add the same terms in the same order, so
+/// the telemetry objective of a solve is bit-equal to the extracted one.
+#[test]
+fn objective_value_matches_extract_bit_for_bit_after_warm_solve() {
+    for case in 0..64u64 {
+        let mut rng = TestRng::new(0x0b1e_0000 + case);
+        let (lp, n) = random_box_lp(&mut rng);
+        let mut s = Simplex::new(&lp);
+        if s.solve() != LpStatus::Optimal {
+            continue;
+        }
+        let j = rng.below(n);
+        s.set_var_bounds(j, 0.0, 2.0 * rng.f64());
+        if s.solve_warm() != LpStatus::Optimal {
+            continue;
+        }
+        let extracted = s.extract(LpStatus::Optimal).objective;
+        assert_eq!(
+            s.objective_value().to_bits(),
+            extracted.to_bits(),
+            "case {case}"
+        );
+    }
 }
 
 #[test]

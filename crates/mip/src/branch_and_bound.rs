@@ -2,10 +2,12 @@
 //!
 //! Classic LP-based branch and bound: best-bound node selection with
 //! depth-first plunging, most-fractional or pseudocost branching, a rounding
-//! heuristic for quick incumbents, and warm-started LP re-solves (the
-//! [`Simplex`] keeps its basis between nodes; only integer-variable bounds
-//! change). Reports the same quantities the paper's Gurobi runs report:
-//! incumbent objective, best bound, relative *objective gap* and node count.
+//! heuristic for quick incumbents, and warm-started LP re-solves. A dive
+//! child re-solves from the basis its parent left in the [`Simplex`]; the
+//! sibling that waits in the best-bound queue carries a copy of that basis
+//! and re-solves from it when popped. Reports the same quantities the
+//! paper's Gurobi runs report: incumbent objective, best bound, relative
+//! *objective gap* and node count.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -15,7 +17,7 @@ use std::time::{Duration, Instant};
 use crate::model::{MipModel, Sense, VarKind};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::{NodeOutcome, SearchTree, TreeNode};
-use tvnep_lp::{LpStatus, Params, Simplex, SolveStats};
+use tvnep_lp::{Basis, LpStatus, Params, Simplex, SolveStats};
 use tvnep_telemetry::{Event, EventKind, FlightHandle, Telemetry};
 
 /// Termination status of a MIP solve.
@@ -264,6 +266,21 @@ pub(crate) struct Node {
     /// (`None` for the root) and the `(model column, went_up)` decision.
     pub(crate) parent: Option<u64>,
     pub(crate) branch: Option<(usize, bool)>,
+    /// The parent's final basis, attached when the node waits in the queue
+    /// instead of being dived into; `None` for the root and dive children.
+    pub(crate) basis: Option<Basis>,
+}
+
+impl Node {
+    /// Bytes one open node takes in a pool for a model with `int_vars`
+    /// integer variables and `columns` LP columns: the node, its bounds box
+    /// and the packed basis a waiting node carries. In-flight dive nodes
+    /// are counted at the same size.
+    pub(crate) fn pool_bytes(int_vars: usize, columns: usize) -> usize {
+        std::mem::size_of::<Node>()
+            + int_vars * std::mem::size_of::<(f64, f64)>()
+            + Basis::packed_len(columns)
+    }
 }
 
 // Min-heap on (bound, seq): BinaryHeap is a max-heap, so invert.
@@ -439,11 +456,10 @@ fn solve_sequential(model: &MipModel, opts: &MipOptions) -> MipResult {
     let mut pseudo = PseudoCosts::new(int_vars.len());
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     // Node-pool accounting: every node carries a bounds box of
-    // `int_vars.len()` pairs, so pool bytes are a pure function of the peak
-    // open-node count (the `+ 1` in the tracker is the in-flight dive node,
-    // which lives outside the heap).
-    let node_bytes =
-        std::mem::size_of::<Node>() + int_vars.len() * std::mem::size_of::<(f64, f64)>();
+    // `int_vars.len()` pairs and a packed basis, so pool bytes are a pure
+    // function of the peak open-node count (the `+ 1` in the tracker is the
+    // in-flight dive node, which lives outside the heap).
+    let node_bytes = Node::pool_bytes(int_vars.len(), lp_min.num_vars() + lp_min.num_rows());
     let pool_peak = std::cell::Cell::new(0usize);
     let note_pool = |heap: &BinaryHeap<Node>| {
         pool_peak.set(pool_peak.get().max(heap.len() + 1));
@@ -463,6 +479,7 @@ fn solve_sequential(model: &MipModel, opts: &MipOptions) -> MipResult {
         pending_pseudo: None,
         parent: None,
         branch: None,
+        basis: None,
     });
     note_pool(&heap);
     seq += 1;
@@ -615,12 +632,17 @@ fn solve_sequential(model: &MipModel, opts: &MipOptions) -> MipResult {
         }
     };
 
-    'outer: while let Some(node) = heap.pop() {
+    'outer: while let Some(mut node) = heap.pop() {
         // Prune against incumbent/cutoff.
         if let Some(beat) = must_beat(&incumbent) {
             if node.bound >= beat - prune_eps(beat) {
                 continue;
             }
+        }
+        // Re-solve from the parent's basis, not from wherever the last dive
+        // left the LP.
+        if let Some(basis) = node.basis.take() {
+            simplex.load_basis(&basis);
         }
 
         // Dive from this node until pruned.
@@ -952,6 +974,7 @@ fn solve_sequential(model: &MipModel, opts: &MipOptions) -> MipResult {
                 pending_pseudo: Some((bk, false, lp_obj, bfrac)),
                 parent: Some(node_id),
                 branch: Some((j, false)),
+                basis: None,
             };
             let up_node = Node {
                 bounds: up_bounds,
@@ -964,15 +987,17 @@ fn solve_sequential(model: &MipModel, opts: &MipOptions) -> MipResult {
                 pending_pseudo: Some((bk, true, lp_obj, bfrac)),
                 parent: Some(node_id),
                 branch: Some((j, true)),
+                basis: None,
             };
 
             // Dive into the child on the nearer side of the fraction; the
-            // sibling joins the best-bound queue.
-            let (dive_node, other) = if bfrac < 0.5 {
+            // sibling joins the best-bound queue with this node's basis.
+            let (dive_node, mut other) = if bfrac < 0.5 {
                 (down, up_node)
             } else {
                 (up_node, down)
             };
+            other.basis = Some(simplex.save_basis());
             heap.push(other);
             note_pool(&heap);
             current = dive_node;

@@ -11,8 +11,10 @@
 //!   sense) is an `AtomicU64` holding a monotone bit-packing of the `f64`,
 //!   so every worker prunes against the global best immediately and
 //!   lock-free; the incumbent point itself sits behind a rarely-taken mutex.
-//! * **Per-worker LP engines** — each worker owns a [`Simplex`] so
-//!   warm-start bases, pseudocosts and LP scratch memory stay thread-local.
+//! * **Per-worker LP engines** — each worker owns a [`Simplex`]; pseudocosts
+//!   and LP scratch memory stay thread-local. A node pushed to the pool
+//!   carries its parent's basis, so whichever worker pops it re-solves from
+//!   that basis rather than from its own last dive.
 //!   Per-worker `SolveStats`/telemetry registries are merged after the
 //!   workers join, so `--metrics-out` and the bench CSV report identical
 //!   quantities regardless of thread count (per-thread LP *timeline* events
@@ -289,6 +291,7 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
         pending_pseudo: None,
         parent: None,
         branch: None,
+        basis: None,
     });
 
     let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
@@ -455,8 +458,7 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
         // scratch summed over all worker simplexes, the peak of the shared
         // open-node pool, and the attached search tree if any.
         telemetry.gauge_set("mem.lp.simplex_bytes", simplex_bytes as f64);
-        let node_bytes =
-            std::mem::size_of::<Node>() + int_vars.len() * std::mem::size_of::<(f64, f64)>();
+        let node_bytes = Node::pool_bytes(int_vars.len(), lp_min.num_vars() + lp_min.num_rows());
         telemetry.gauge_set(
             "mem.mip.node_pool_peak_bytes",
             (pool.peak * node_bytes) as f64,
@@ -564,7 +566,7 @@ fn worker(
             }
         };
 
-    'acquire: while let Some(node) = shared.acquire(wid) {
+    'acquire: while let Some(mut node) = shared.acquire(wid) {
         // Prune against the global incumbent/cutoff.
         if let Some(beat) = shared.must_beat() {
             if node.bound >= beat - prune_eps(beat) {
@@ -572,6 +574,12 @@ fn worker(
                 shared.end_dive(wid);
                 continue 'acquire;
             }
+        }
+        // Re-solve from the parent's basis, whichever worker branched it
+        // (with the dual simplex, even as this worker's first LP).
+        if let Some(basis) = node.basis.take() {
+            simplex.load_basis(&basis);
+            first_lp = false;
         }
 
         // Dive from this node until pruned (thread-local plunging).
@@ -880,6 +888,7 @@ fn worker(
                 pending_pseudo: Some((bk, false, lp_obj, bfrac)),
                 parent: Some(node_id),
                 branch: Some((j, false)),
+                basis: None,
             };
             let up_node = Node {
                 bounds: up_bounds,
@@ -889,19 +898,21 @@ fn worker(
                 pending_pseudo: Some((bk, true, lp_obj, bfrac)),
                 parent: Some(node_id),
                 branch: Some((j, true)),
+                basis: None,
             };
 
             // Dive into the child on the nearer side of the fraction; the
-            // sibling joins the shared best-bound pool.
-            let (mut dive_node, other) = if bfrac < 0.5 {
+            // sibling joins the shared best-bound pool with this node's
+            // basis.
+            let (mut dive_node, mut sibling) = if bfrac < 0.5 {
                 (down, up_node)
             } else {
                 (up_node, down)
             };
+            sibling.basis = Some(simplex.save_basis());
             {
                 let mut pool = shared.pool.lock().unwrap();
                 dive_node.seq = pool.seq;
-                let mut sibling = other;
                 sibling.seq = pool.seq + 1;
                 pool.seq += 2;
                 pool.heap.push(sibling);

@@ -470,3 +470,45 @@ fn timeline_is_well_formed_end_to_end() {
     assert_eq!(snap.counter("mip.nodes"), r.nodes);
     assert!(snap.counter("lp.iterations") > 0);
 }
+
+/// Every queued node re-solves from its parent's basis with the dual
+/// simplex, and a start whose boxed variables rest at the wrong bound is
+/// repaired by bound flips, so no warm solve falls back to the primal
+/// phases — at one thread and when a worker pops a node another branched.
+/// The cell is the campaign's cΣ tiny / seed 1 / +2 h cell.
+#[test]
+fn csigma_node_warm_starts_never_fall_back_to_primal() {
+    use tvnep_core::{build_model, BuildOptions, Formulation, Objective};
+    use tvnep_telemetry::Telemetry;
+    use tvnep_workloads::{generate, WorkloadConfig};
+
+    let inst = generate(&WorkloadConfig::tiny(), 1).with_flexibility_after(2.0);
+    let built = build_model(
+        &inst,
+        Formulation::CSigma,
+        Objective::AccessControl,
+        BuildOptions::default_for(Formulation::CSigma),
+    );
+    for threads in [1, 2] {
+        let telemetry = Telemetry::metrics_only();
+        let opts = MipOptions {
+            threads,
+            telemetry: telemetry.clone(),
+            ..MipOptions::with_time_limit(Duration::from_secs(120))
+        };
+        let r = solve_with(&built.mip, &opts);
+        assert_eq!(r.status, MipStatus::Optimal, "threads {threads}");
+        let obj = r.objective.expect("optimal has an objective");
+        assert!(
+            (obj - 9.516233328673863).abs() < 1e-9,
+            "threads {threads}: objective {obj}"
+        );
+        let snap = telemetry.snapshot();
+        assert!(snap.counter("lp.warm_calls") > 0, "threads {threads}");
+        assert_eq!(
+            snap.counter("lp.dual_fallbacks"),
+            0,
+            "threads {threads}: warm solves fell back to the primal phases"
+        );
+    }
+}
