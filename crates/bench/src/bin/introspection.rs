@@ -156,9 +156,11 @@ fn alloc_ns_per_op() -> f64 {
     t0.elapsed().as_nanos() as f64 / OPS as f64
 }
 
-/// Kernel microbench: ns per FTRAN on a fixed-seed sparse basis, sparse LU
-/// versus the retired dense-inverse algorithm (rebuilt here as the
-/// comparator). Returns a JSON object for the bench document.
+/// Kernel microbench: ns per FTRAN on a fixed-seed sparse basis, through the
+/// entry point the simplex engine uses ([`BasisFactor::ftran_sparse`], which
+/// sweeps this basis's dense `L` whole), versus the retired dense-inverse
+/// algorithm (rebuilt here as the comparator). Returns a JSON object for the
+/// bench document.
 fn kernel_microbench(seed: u64) -> Json {
     const M: usize = 200;
     const OFF_DIAG: usize = 3 * M;
@@ -254,6 +256,7 @@ fn kernel_microbench(seed: u64) -> Json {
     for _ in 0..4 {
         rhs[(unit() * M as f64) as usize % M] = 2.0 * unit() - 1.0;
     }
+    let rhs_rows: Vec<usize> = (0..M).filter(|&r| rhs[r] != 0.0).collect();
 
     const ITERS: usize = 2_000;
     let time_min_ns = |mut body: Box<dyn FnMut() + '_>| -> f64 {
@@ -269,9 +272,10 @@ fn kernel_microbench(seed: u64) -> Json {
     };
 
     let mut x = vec![0.0; M];
+    let mut support = Vec::new();
     let sparse_ns = time_min_ns(Box::new(|| {
         x.copy_from_slice(&rhs);
-        factor.ftran(&mut x);
+        factor.ftran_sparse(&mut x, &rhs_rows, &mut support);
         std::hint::black_box(&x);
     }));
     let mut xd = vec![0.0; M];
@@ -293,7 +297,7 @@ fn kernel_microbench(seed: u64) -> Json {
 
     // Cross-check while we are here: both kernels must agree on the solve.
     x.copy_from_slice(&rhs);
-    factor.ftran(&mut x);
+    factor.ftran_sparse(&mut x, &rhs_rows, &mut support);
     dense_ftran(&mut xd, &binv);
     for (i, (s, d)) in x.iter().zip(&xd).enumerate() {
         assert!(
@@ -303,7 +307,8 @@ fn kernel_microbench(seed: u64) -> Json {
     }
 
     // Basis-update cost: what one pivot adds beyond its FTRAN. The sparse
-    // kernel appends a product-form eta (O(spike nnz)); the dense kernel
+    // kernel appends a product-form eta over the FTRAN's support (O(spike
+    // nnz), as the simplex engine pushes it); the dense kernel
     // rank-one-updated all m columns of B⁻¹ (O(m²)) — the term that made
     // paper-scale pivots quadratic. Updates are measured on clones so the
     // factors used above stay pristine.
@@ -316,8 +321,7 @@ fn kernel_microbench(seed: u64) -> Json {
         .expect("nonempty spike");
     let mut factor_upd = factor.clone();
     let sparse_update_ns = time_min_ns(Box::new(|| {
-        factor_upd.push_eta(pivot_row, &spike);
-        std::hint::black_box(factor_upd.eta_count());
+        std::hint::black_box(factor_upd.push_eta_sparse(pivot_row, &spike, &support));
     }));
     // The eta file grew during timing; drop the clone immediately after.
     drop(factor_upd);

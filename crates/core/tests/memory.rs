@@ -76,14 +76,46 @@ fn allocator_accounts_for_delta_model_build() {
         "solve must grow the reported footprint (factor + pricing weights): \
          fresh {fresh_bytes} B, solved {solved_bytes} B"
     );
-    // Every byte the gauge reports is a live heap block held by the solver,
-    // so the allocator's live counter must have grown by at least that much.
+    // The gauge counts every heap block the solver holds, and nothing else:
+    // the allocator's live counter grew by exactly the reported bytes, so an
+    // array left out of `memory_bytes` fails here.
     let live_with_simplex = alloc::stats().live_bytes;
-    assert!(
-        live_with_simplex >= live_before_simplex + solved_bytes,
-        "live {live_with_simplex} B with solver held < baseline \
-         {live_before_simplex} B + reported {solved_bytes} B"
+    assert_eq!(
+        live_with_simplex - live_before_simplex,
+        solved_bytes,
+        "the solver holds {} B live but reports {solved_bytes} B",
+        live_with_simplex - live_before_simplex
     );
+    drop(simplex);
+
+    // A warm re-solve of an optimal LP allocates nothing, with metrics on as
+    // with telemetry off: the `LpSolveEnd` objective (an O(n) pass with its
+    // own allocation) is computed only when a timeline records the event.
+    let lp = build_model(
+        &inst,
+        Formulation::CSigma,
+        Objective::AccessControl,
+        BuildOptions::default_for(Formulation::CSigma),
+    )
+    .mip
+    .relaxation_min();
+    let mut simplex = tvnep_lp::Simplex::new(&lp);
+    assert_eq!(simplex.solve(), tvnep_lp::LpStatus::Optimal);
+    for (mode, telemetry) in [
+        ("disabled", tvnep_telemetry::Telemetry::disabled()),
+        ("metrics-only", tvnep_telemetry::Telemetry::metrics_only()),
+    ] {
+        simplex.set_telemetry(telemetry);
+        // The first solve registers the metric names.
+        assert_eq!(simplex.solve_warm(), tvnep_lp::LpStatus::Optimal);
+        let allocs = alloc::stats().allocs;
+        assert_eq!(simplex.solve_warm(), tvnep_lp::LpStatus::Optimal);
+        assert_eq!(
+            alloc::stats().allocs - allocs,
+            0,
+            "{mode}: a warm re-solve of an optimal LP allocated"
+        );
+    }
     drop(simplex);
 
     // With counting off the probe reports 0 — callers need no branching.

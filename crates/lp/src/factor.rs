@@ -16,13 +16,26 @@
 //! * **Threshold partial pivoting.** A candidate is numerically admissible
 //!   only when `|a_ij| ≥ markowitz_tol · max_i |a_ij|` within its column, so
 //!   sparsity can be traded against growth ([`crate::Params::markowitz_tol`]).
-//! * **Column-stored triangles.** `L` (unit lower) and `U` are stored
-//!   column-wise in pivot order, which serves all four triangular solves:
-//!   `L`-forward + `U`-backward for FTRAN (`Bx = b`) and `Uᵀ`-forward +
-//!   `Lᵀ`-backward for BTRAN (`Bᵀy = c`). The FTRAN forward/backward passes
-//!   skip work for zero positions of the running right-hand side
-//!   (Suhl–Suhl-style exploit-sparsity solves), so a sparse rhs — the common
-//!   case: entering columns and unit vectors — costs O(fill), not O(m²).
+//! * **Stored triangles.** `L` (unit lower) and `U` are stored column-wise
+//!   in pivot order, and `U` once more by rows (elimination emits it row by
+//!   row). The columns serve FTRAN (`Bx = b`: `L`-forward, then
+//!   `U`-backward, both pushing along columns) and the sweep form of BTRAN
+//!   (`Bᵀy = c`: `Uᵀ`-forward pulling along `U`'s columns, then
+//!   `Lᵀ`-backward); the rows let BTRAN's `Uᵀ` pass push instead.
+//! * **Hypersparse solves** (Hall & McKinnon, "Hyper-sparsity in the
+//!   revised simplex method and how to exploit it", COAP 2005). The simplex
+//!   engine's right-hand sides — an entering column, a unit vector — reach
+//!   few positions, so [`BasisFactor::ftran_sparse`] and
+//!   [`BasisFactor::btran_sparse`] start from the right-hand side's
+//!   nonzeros, walk `L` over its nonempty columns only, and drive the `U`
+//!   pass from a bitset of pending pivot steps (highest first for FTRAN,
+//!   lowest first for BTRAN). Only touched positions are written back, and
+//!   the result's support comes back in ascending order. Every position
+//!   receives its terms in the order of the plain sweep, so the nonzeros are
+//!   bit-identical to it (a zero may differ in sign). When the factors are
+//!   dense — more than `m/10` nonzeros in `L` — the plain sweep runs
+//!   instead and reports every position as the support, so a dense solve
+//!   costs what the sweep costs.
 //! * **Sparse-eta product-form updates.** A basis exchange appends one eta
 //!   vector built from the already-computed FTRAN spike ([`EtaFile`]); a
 //!   pivot therefore costs work proportional to the spike's nonzeros. The
@@ -36,6 +49,7 @@
 //! the health monitor (it bounds `κ∞(B)` from below for the unit-scaled
 //! TVNEP rows, replacing the dense engine's `max|B⁻¹|` scan).
 
+use crate::bitset::BitSet;
 use crate::sparse::CscMatrix;
 
 /// How many of the sparsest active columns the Markowitz search inspects per
@@ -48,6 +62,10 @@ const MARKOWITZ_CANDIDATES: usize = 4;
 /// Pivots smaller than this are never numerically admissible, matching the
 /// dense factorization's singularity cutoff.
 const ABS_PIVOT_MIN: f64 = 1e-12;
+
+/// Factors with more than `m / SWEEP_SHARE` nonzeros in `L` are solved by
+/// the plain sweep instead of the hypersparse walk.
+const SWEEP_SHARE: usize = 10;
 
 /// Sparse LU factors `P B Q = L U` of one basis, stored column-wise in pivot
 /// order. Immutable after [`LuFactors::factorize`]; shared solves only need
@@ -73,10 +91,42 @@ pub struct LuFactors {
     u_ptr: Vec<usize>,
     u_idx: Vec<usize>,
     u_val: Vec<f64>,
+    /// The strict upper triangle again by rows: row `k` holds `(j, u_kj)`
+    /// with `j > k`, for the pushes of BTRAN's `Uᵀ` pass.
+    ur_ptr: Vec<usize>,
+    ur_idx: Vec<usize>,
+    ur_val: Vec<f64>,
+    /// Pivot steps whose `L` column is nonempty, ascending.
+    l_nonempty: Vec<usize>,
     /// `U` diagonal (the pivot values), dense by construction.
     u_diag: Vec<f64>,
     /// `max|u_kk| / min|u_kk|` of the fresh factorization.
     u_diag_ratio: f64,
+}
+
+/// Scratch of the hypersparse solves: the dense pivot-step vector and two
+/// bitsets, all zero between solves.
+#[derive(Debug, Clone, Default)]
+struct SolveWork {
+    work: Vec<f64>,
+    /// Pivot steps that may hold a nonzero during a solve.
+    pending: BitSet,
+    /// Output positions that hold a nonzero.
+    mark: BitSet,
+}
+
+impl SolveWork {
+    fn resize(&mut self, m: usize) {
+        self.work.resize(m, 0.0);
+        self.pending.resize(m);
+        self.mark.resize(m);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.work.capacity() * std::mem::size_of::<f64>()
+            + self.pending.memory_bytes()
+            + self.mark.memory_bytes()
+    }
 }
 
 impl LuFactors {
@@ -97,10 +147,14 @@ impl LuFactors {
         if m == 0 {
             self.l_ptr = vec![0];
             self.u_ptr = vec![0];
+            self.ur_ptr = vec![0];
             self.l_idx.clear();
             self.l_val.clear();
             self.u_idx.clear();
             self.u_val.clear();
+            self.ur_idx.clear();
+            self.ur_val.clear();
+            self.l_nonempty.clear();
             self.u_diag.clear();
             return true;
         }
@@ -262,20 +316,33 @@ impl LuFactors {
             mapped.sort_unstable_by_key(|&(i, _)| i);
             l_cols[k] = mapped;
         }
-        for col in &l_cols {
+        self.l_nonempty.clear();
+        for (k, col) in l_cols.iter().enumerate() {
+            if !col.is_empty() {
+                self.l_nonempty.push(k);
+            }
             for &(i, v) in col {
                 self.l_idx.push(i);
                 self.l_val.push(v);
             }
             self.l_ptr.push(self.l_idx.len());
         }
-        // U rows arrive in elimination (= pivot-row) order, so pushing them
-        // column-by-column yields sorted columns for free.
+        // U rows arrive in elimination (= pivot-row) order: they are stored
+        // as they come, and pushing them column-by-column yields sorted
+        // columns for free.
+        self.ur_ptr.clear();
+        self.ur_ptr.push(0);
+        self.ur_idx.clear();
+        self.ur_val.clear();
         let mut u_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
         for (k, row) in u_stage.into_iter().enumerate() {
             for (c, v) in row {
-                u_cols[self.colpos[c]].push((k, v));
+                let j = self.colpos[c];
+                u_cols[j].push((k, v));
+                self.ur_idx.push(j);
+                self.ur_val.push(v);
             }
+            self.ur_ptr.push(self.ur_idx.len());
         }
         self.u_ptr.clear();
         self.u_ptr.push(0);
@@ -355,11 +422,11 @@ impl LuFactors {
         best.map(|(i, j, v, _, _)| (i, j, v))
     }
 
-    /// Solves `B x = b` in place. On entry `x[r]` is the rhs indexed by
-    /// *original row* `r`; on return `x[i]` is the solution indexed by
-    /// *basis position* `i`. `work` is an `m`-length workspace; contents are
-    /// clobbered. Forward and backward passes skip zero positions of the
-    /// running rhs, so a sparse spike costs O(fill touched).
+    /// Solves `B x = b` in place by the plain sweep over all `m` pivot
+    /// steps. On entry `x[r]` is the rhs indexed by *original row* `r`; on
+    /// return `x[i]` is the solution indexed by *basis position* `i`. `work`
+    /// is an `m`-length workspace, left all zero. Forward and backward
+    /// passes skip zero positions of the running rhs.
     pub fn ftran(&self, x: &mut [f64], work: &mut [f64]) {
         let m = self.m;
         for k in 0..m {
@@ -371,37 +438,122 @@ impl LuFactors {
             if v == 0.0 {
                 continue;
             }
-            for (idx, &i) in self.l_idx[self.l_ptr[k]..self.l_ptr[k + 1]]
-                .iter()
-                .enumerate()
-            {
-                work[i] -= self.l_val[self.l_ptr[k] + idx] * v;
+            let (idx, val) = self.l_column(k);
+            for (&i, &l) in idx.iter().zip(val) {
+                work[i] -= l * v;
             }
         }
-        // U backward, push style.
         for k in (0..m).rev() {
+            self.u_backward_step(work, k, |_| {});
+        }
+        for (k, &c) in self.colperm.iter().enumerate() {
+            x[c] = std::mem::take(&mut work[k]);
+        }
+    }
+
+    /// One `U`-backward push from pivot step `k` (FTRAN): divides by the
+    /// pivot and pushes along column `k`, reporting each target to `touch`.
+    #[inline]
+    fn u_backward_step(&self, work: &mut [f64], k: usize, mut touch: impl FnMut(usize)) {
+        let v = work[k];
+        if v == 0.0 {
+            return;
+        }
+        let v = v / self.u_diag[k];
+        work[k] = v;
+        let (idx, val) = self.u_column(k);
+        for (&i, &u) in idx.iter().zip(val) {
+            work[i] -= u * v;
+            touch(i);
+        }
+    }
+
+    /// One `Uᵀ`-forward push from pivot step `k` (BTRAN): divides by the
+    /// pivot and pushes along row `k`, reporting each target to `touch`.
+    #[inline]
+    fn ut_forward_step(&self, work: &mut [f64], k: usize, mut touch: impl FnMut(usize)) {
+        let v = work[k];
+        if v == 0.0 {
+            return;
+        }
+        let v = v / self.u_diag[k];
+        work[k] = v;
+        let span = self.ur_ptr[k]..self.ur_ptr[k + 1];
+        for (&j, &u) in self.ur_idx[span.clone()].iter().zip(&self.ur_val[span]) {
+            work[j] -= u * v;
+            touch(j);
+        }
+    }
+
+    /// `Lᵀ` backward (unit diagonal) at pivot step `k`, as the sweep pulls
+    /// it: `y_k = x_k − Σ_{i>k} l_ik y_i`. Returns `y_k`.
+    fn lt_backward_step(&self, work: &mut [f64], k: usize) -> f64 {
+        let mut acc = work[k];
+        let (idx, val) = self.l_column(k);
+        for (&i, &l) in idx.iter().zip(val) {
+            acc -= l * work[i];
+        }
+        work[k] = acc;
+        acc
+    }
+
+    /// True when the factors are sparse enough for the hypersparse solves.
+    fn hypersparse(&self) -> bool {
+        self.l_val.len() <= self.m / SWEEP_SHARE
+    }
+
+    /// FTRAN of a right-hand side that is zero outside the original rows
+    /// `rhs`, over the positions it reaches, with the result of
+    /// [`LuFactors::ftran`] up to the sign of zeros. Reads and clears `x` at
+    /// `rhs`, writes only touched basis positions, and marks the nonzero
+    /// ones in `ws.mark`.
+    fn ftran_sparse(&self, x: &mut [f64], rhs: &[usize], ws: &mut SolveWork) {
+        let SolveWork {
+            work,
+            pending,
+            mark,
+        } = ws;
+        for &r in rhs {
+            let v = std::mem::take(&mut x[r]);
+            if v != 0.0 {
+                let k = self.rowpos[r];
+                work[k] = v;
+                pending.insert(k);
+            }
+        }
+        // L forward over its nonempty columns, in the sweep's order.
+        for &k in &self.l_nonempty {
             let v = work[k];
             if v == 0.0 {
                 continue;
             }
-            let v = v / self.u_diag[k];
-            work[k] = v;
-            for (idx, &i) in self.u_idx[self.u_ptr[k]..self.u_ptr[k + 1]]
-                .iter()
-                .enumerate()
-            {
-                work[i] -= self.u_val[self.u_ptr[k] + idx] * v;
+            let (idx, val) = self.l_column(k);
+            for (&i, &l) in idx.iter().zip(val) {
+                work[i] -= l * v;
+                pending.insert(i);
             }
         }
-        for k in 0..m {
-            x[self.colperm[k]] = work[k];
+        // U backward over the pending steps, highest first: a push only
+        // adds steps below the current one.
+        let mut next = pending.last_below(self.m);
+        while let Some(k) = next {
+            self.u_backward_step(work, k, |i| pending.insert(i));
+            next = pending.last_below(k);
         }
+        pending.drain(|k| {
+            let v = std::mem::take(&mut work[k]);
+            if v != 0.0 {
+                x[self.colperm[k]] = v;
+                mark.insert(self.colperm[k]);
+            }
+        });
     }
 
-    /// Solves `Bᵀ y = c` in place. On entry `x[i]` is indexed by *basis
-    /// position* `i`; on return `x[r]` is indexed by *original row* `r`.
-    /// The column-stored triangles make the transposed solves pull-style:
-    /// `Uᵀ` is forward, `Lᵀ` is backward.
+    /// Solves `Bᵀ y = c` in place by the plain sweep over all `m` pivot
+    /// steps. On entry `x[i]` is indexed by *basis position* `i`; on return
+    /// `x[r]` is indexed by *original row* `r`. `work` is an `m`-length
+    /// workspace, left all zero. The column-stored triangles make the
+    /// transposed solves pull-style: `Uᵀ` is forward, `Lᵀ` is backward.
     pub fn btran(&self, x: &mut [f64], work: &mut [f64]) {
         let m = self.m;
         for k in 0..m {
@@ -429,9 +581,55 @@ impl LuFactors {
             }
             work[k] = acc;
         }
-        for k in 0..m {
-            x[self.rowperm[k]] = work[k];
+        for (k, &r) in self.rowperm.iter().enumerate() {
+            x[r] = std::mem::take(&mut work[k]);
         }
+    }
+
+    /// BTRAN of a right-hand side that is zero outside the basis positions
+    /// `rhs` (repeats allowed), over the positions it reaches, with the
+    /// result of [`LuFactors::btran`] up to the sign of zeros. Reads and
+    /// clears `x` at `rhs`, writes only touched original rows, and marks the
+    /// nonzero ones in `ws.mark`.
+    fn btran_sparse(
+        &self,
+        x: &mut [f64],
+        rhs: impl IntoIterator<Item = usize>,
+        ws: &mut SolveWork,
+    ) {
+        let SolveWork {
+            work,
+            pending,
+            mark,
+        } = ws;
+        for i in rhs {
+            let v = std::mem::take(&mut x[i]);
+            if v != 0.0 {
+                let k = self.colpos[i];
+                work[k] = v;
+                pending.insert(k);
+            }
+        }
+        // Uᵀ forward over the pending steps, lowest first, pushing along
+        // U's rows: each step receives its terms in the pull's column order.
+        let mut next = pending.first_from(0);
+        while let Some(k) = next {
+            self.ut_forward_step(work, k, |j| pending.insert(j));
+            next = pending.first_from(k + 1);
+        }
+        // Lᵀ backward over L's nonempty columns, pulled as in the sweep.
+        for &k in self.l_nonempty.iter().rev() {
+            if self.lt_backward_step(work, k) != 0.0 {
+                pending.insert(k);
+            }
+        }
+        pending.drain(|k| {
+            let v = std::mem::take(&mut work[k]);
+            if v != 0.0 {
+                x[self.rowperm[k]] = v;
+                mark.insert(self.rowperm[k]);
+            }
+        });
     }
 
     /// Basis dimension of the stored factorization.
@@ -461,9 +659,45 @@ impl LuFactors {
             + self.l_ptr.capacity()
             + self.l_idx.capacity()
             + self.u_ptr.capacity()
-            + self.u_idx.capacity())
+            + self.u_idx.capacity()
+            + self.ur_ptr.capacity()
+            + self.ur_idx.capacity()
+            + self.l_nonempty.capacity())
             * u
-            + (self.l_val.capacity() + self.u_val.capacity() + self.u_diag.capacity()) * f
+            + (self.l_val.capacity()
+                + self.u_val.capacity()
+                + self.ur_val.capacity()
+                + self.u_diag.capacity())
+                * f
+    }
+
+    /// Original row eliminated at each pivot step (`P`), for cross-checks.
+    pub fn row_perm(&self) -> &[usize] {
+        &self.rowperm
+    }
+
+    /// Basis position eliminated at each pivot step (`Q`), for cross-checks.
+    pub fn col_perm(&self) -> &[usize] {
+        &self.colperm
+    }
+
+    /// Column `k` of the unit lower triangle `L` (diagonal omitted) as
+    /// `(pivot step, value)` slices, for cross-checks.
+    pub fn l_column(&self, k: usize) -> (&[usize], &[f64]) {
+        let span = self.l_ptr[k]..self.l_ptr[k + 1];
+        (&self.l_idx[span.clone()], &self.l_val[span])
+    }
+
+    /// Column `k` of the strict upper triangle of `U` as
+    /// `(pivot step, value)` slices, for cross-checks.
+    pub fn u_column(&self, k: usize) -> (&[usize], &[f64]) {
+        let span = self.u_ptr[k]..self.u_ptr[k + 1];
+        (&self.u_idx[span.clone()], &self.u_val[span])
+    }
+
+    /// The diagonal of `U` (the pivots), for cross-checks.
+    pub fn u_diag(&self) -> &[f64] {
+        &self.u_diag
     }
 }
 
@@ -597,10 +831,24 @@ impl EtaFile {
     /// Records the eta of a pivot at basis row `r` with FTRAN spike `w`
     /// (`w[r]` is the pivot element; caller guarantees it is nonzero).
     pub fn push(&mut self, r: usize, w: &[f64]) {
+        self.push_from(r, w, 0..w.len());
+    }
+
+    /// [`EtaFile::push`] reading `w` only at `positions`, ascending, which
+    /// must hold every nonzero of `w`. Returns `max |w_i|` over them.
+    pub(crate) fn push_from(
+        &mut self,
+        r: usize,
+        w: &[f64],
+        positions: impl IntoIterator<Item = usize>,
+    ) -> f64 {
         if self.ptr.is_empty() {
             self.ptr.push(0);
         }
-        for (i, &wi) in w.iter().enumerate() {
+        let mut w_max = 0.0f64;
+        for i in positions {
+            let wi = w[i];
+            w_max = w_max.max(wi.abs());
             if i != r && wi != 0.0 {
                 self.idx.push(i);
                 self.val.push(wi);
@@ -609,12 +857,19 @@ impl EtaFile {
         self.ptr.push(self.idx.len());
         self.pivot_row.push(r);
         self.inv_piv.push(1.0 / w[r]);
+        w_max
     }
 
     /// Applies the etas in recording order (FTRAN tail): for each eta,
     /// `x_r ← x_r / w_r` then `x_i ← x_i − w_i · x_r` — skipped entirely
     /// when the running `x_r` is zero.
     pub fn apply_ftran(&self, x: &mut [f64]) {
+        self.apply_ftran_with(x, |_| {});
+    }
+
+    /// [`EtaFile::apply_ftran`], reporting every position `x_i` it writes
+    /// besides the pivot positions (which it writes only when nonzero).
+    fn apply_ftran_with(&self, x: &mut [f64], mut touch: impl FnMut(usize)) {
         for e in 0..self.count() {
             let r = self.pivot_row[e];
             let xr = x[r];
@@ -623,8 +878,10 @@ impl EtaFile {
             }
             let t = xr * self.inv_piv[e];
             x[r] = t;
-            for (idx, &i) in self.idx[self.ptr[e]..self.ptr[e + 1]].iter().enumerate() {
-                x[i] -= self.val[self.ptr[e] + idx] * t;
+            for p in self.ptr[e]..self.ptr[e + 1] {
+                let i = self.idx[p];
+                x[i] -= self.val[p] * t;
+                touch(i);
             }
         }
     }
@@ -635,8 +892,8 @@ impl EtaFile {
         for e in (0..self.count()).rev() {
             let r = self.pivot_row[e];
             let mut acc = x[r];
-            for (idx, &i) in self.idx[self.ptr[e]..self.ptr[e + 1]].iter().enumerate() {
-                acc -= self.val[self.ptr[e] + idx] * x[i];
+            for p in self.ptr[e]..self.ptr[e + 1] {
+                acc -= self.val[p] * x[self.idx[p]];
             }
             x[r] = acc * self.inv_piv[e];
         }
@@ -659,7 +916,7 @@ pub struct BasisFactor {
     lu: LuFactors,
     etas: EtaFile,
     ready: bool,
-    work: Vec<f64>,
+    ws: SolveWork,
 }
 
 impl BasisFactor {
@@ -668,7 +925,7 @@ impl BasisFactor {
     /// and [`BasisFactor::is_ready`] turns false.
     pub fn factorize(&mut self, cols: &CscMatrix, basis: &[usize], markowitz_tol: f64) -> bool {
         self.etas.clear();
-        self.work.resize(basis.len(), 0.0);
+        self.ws.resize(basis.len());
         self.ready = self.lu.factorize(cols, basis, markowitz_tol);
         self.ready
     }
@@ -687,8 +944,26 @@ impl BasisFactor {
     /// `x ← B⁻¹ x`: rhs enters indexed by original row, the solution leaves
     /// indexed by basis position (LU solve, then the eta file forward).
     pub fn ftran(&mut self, x: &mut [f64]) {
-        self.lu.ftran(x, &mut self.work);
+        self.lu.ftran(x, &mut self.ws.work);
         self.etas.apply_ftran(x);
+    }
+
+    /// [`BasisFactor::ftran`] of a right-hand side that is zero outside the
+    /// original rows `rhs`, at a cost that follows the positions it reaches.
+    /// `support`, empty or as an earlier solve left it, receives, ascending,
+    /// every basis position of the result that may be nonzero (all of them
+    /// when the factors are dense); `x` is written nowhere else. The
+    /// nonzeros equal those of [`BasisFactor::ftran`] bit for bit.
+    pub fn ftran_sparse(&mut self, x: &mut [f64], rhs: &[usize], support: &mut Vec<usize>) {
+        if !self.lu.hypersparse() {
+            self.ftran(x);
+            return every_position(support, self.lu.dim());
+        }
+        self.lu.ftran_sparse(x, rhs, &mut self.ws);
+        let mark = &mut self.ws.mark;
+        self.etas.apply_ftran_with(x, |i| mark.insert(i));
+        support.clear();
+        mark.drain(|i| support.push(i));
     }
 
     /// `x ← B⁻ᵀ x`: costs enter indexed by basis position, the multipliers
@@ -696,7 +971,28 @@ impl BasisFactor {
     /// the LU transpose solve).
     pub fn btran(&mut self, x: &mut [f64]) {
         self.etas.apply_btran(x);
-        self.lu.btran(x, &mut self.work);
+        self.lu.btran(x, &mut self.ws.work);
+    }
+
+    /// [`BasisFactor::btran`] of a right-hand side that is zero outside the
+    /// basis positions `rhs`, at a cost that follows the positions the LU
+    /// solve reaches (the eta file is replayed whole). `support`, empty or as
+    /// an earlier solve left it, receives, ascending, every original row of
+    /// the result that may be nonzero (all of them when the factors are
+    /// dense); `x` is written nowhere else. The nonzeros equal those of
+    /// [`BasisFactor::btran`] bit for bit.
+    pub fn btran_sparse(&mut self, x: &mut [f64], rhs: &[usize], support: &mut Vec<usize>) {
+        if !self.lu.hypersparse() {
+            self.btran(x);
+            return every_position(support, self.lu.dim());
+        }
+        self.etas.apply_btran(x);
+        // The LU solve reads the right-hand side plus every position the
+        // etas wrote.
+        let reads = rhs.iter().chain(&self.etas.pivot_row).copied();
+        self.lu.btran_sparse(x, reads, &mut self.ws);
+        support.clear();
+        self.ws.mark.drain(|i| support.push(i));
     }
 
     /// `&self` BTRAN against a caller-provided workspace, for verification
@@ -709,6 +1005,14 @@ impl BasisFactor {
     /// Records the eta of a pivot at basis row `r` with FTRAN spike `w`.
     pub fn push_eta(&mut self, r: usize, w: &[f64]) {
         self.etas.push(r, w);
+    }
+
+    /// [`BasisFactor::push_eta`] for a spike whose nonzeros all lie in the
+    /// ascending `support` (as [`BasisFactor::ftran_sparse`] reports it), in
+    /// one pass over the support. Returns `max |w_i|`, the eta growth
+    /// numerator.
+    pub fn push_eta_sparse(&mut self, r: usize, w: &[f64], support: &[usize]) -> f64 {
+        self.etas.push_from(r, w, support.iter().copied())
     }
 
     /// Off-pivot nonzeros currently held in the eta file.
@@ -734,9 +1038,18 @@ impl BasisFactor {
 
     /// Heap bytes held by the factors, the eta file and the workspace.
     pub fn memory_bytes(&self) -> usize {
-        self.lu.memory_bytes()
-            + self.etas.memory_bytes()
-            + self.work.capacity() * std::mem::size_of::<f64>()
+        self.lu.memory_bytes() + self.etas.memory_bytes() + self.ws.memory_bytes()
+    }
+}
+
+/// Sets `support` to every position below `m`, the support a solve over
+/// dense factors reports. A support an earlier solve left with `m` entries
+/// (ascending, distinct, below `m`) is that list already, so repeated dense
+/// solves leave it as it is.
+fn every_position(support: &mut Vec<usize>, m: usize) {
+    if support.len() != m {
+        support.clear();
+        support.extend(0..m);
     }
 }
 

@@ -10,7 +10,7 @@
 //!   composite phase 1, devex pricing, periodic refactorization and warm
 //!   starts from recorded bases;
 //! * [`factor`] — the sparse basis kernel: Markowitz LU factorization with
-//!   threshold partial pivoting, exploit-sparsity triangular solves, and
+//!   threshold partial pivoting, hypersparse triangular solves, and
 //!   product-form eta updates between refactorizations;
 //! * [`simplex::solve`] — one-shot convenience entry point;
 //! * [`health`] — numerical-stability monitoring: refactorization causes,
@@ -30,6 +30,7 @@
 //! assert!((sol.objective - (-12.0)).abs() < 1e-6); // x = 4, y = 0
 //! ```
 
+mod bitset;
 pub mod factor;
 pub mod health;
 mod pricing;

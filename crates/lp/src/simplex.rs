@@ -45,9 +45,21 @@
 //! re-verified after a fresh factorization before being reported. Pricing
 //! uses devex reference weights (primal and dual); prolonged degeneracy
 //! switches to Bland's rule.
+//!
+//! A pivot costs what its nonzeros cost (Hall & McKinnon, "Hyper-sparsity
+//! in the revised simplex method and how to exploit it", COAP 2005). The
+//! FTRAN spike and the unit BTRAN come back with their supports, and the
+//! eta push, the devex row update, the `x_B` updates and the primal ratio
+//! test walk the spike's support. The dual ratio test needs the pivot row
+//! `α = ρᵀA`; a row-wise copy of `A`, built once with the solver, forms it
+//! by scattering each nonzero `ρ_r` along row `r`, rows ascending, so every
+//! `α_j` sums its terms in the order of a column dot product and comes out
+//! bit-equal to one. The ratio test, the reduced-cost update and the reset
+//! of `α` then visit only the nonbasic columns the row touched.
 
 use std::time::{Duration, Instant};
 
+use crate::bitset::BitSet;
 use crate::factor::BasisFactor;
 use crate::health::{HealthMonitor, HealthReport, RefactorCause};
 use crate::pricing::Devex;
@@ -247,6 +259,9 @@ pub struct Simplex {
     n_total: usize,
     /// `m × n_total` matrix: structural columns then `−1`-diagonal slacks.
     cols: CscMatrix,
+    /// The same matrix stored by rows (`cols` transposed), for the dual
+    /// simplex's pivot row.
+    rows: CscMatrix,
     obj: Vec<f64>,
     /// Slightly perturbed costs used for *pricing only*: the TVNEP LPs have
     /// almost entirely zero objectives, making them massively degenerate;
@@ -275,6 +290,9 @@ pub struct Simplex {
     pricing_cursor: usize,
     /// Scratch buffers reused across iterations to avoid allocation.
     scratch_w: Vec<f64>,
+    /// Ascending positions of `scratch_w` that may be nonzero: the support
+    /// of the last FTRAN spike.
+    w_support: Vec<usize>,
     scratch_y: Vec<f64>,
     /// Basic-cost vector consumed by [`Simplex::btran_costs`] (length `m`).
     scratch_cb: Vec<f64>,
@@ -282,8 +300,15 @@ pub struct Simplex {
     scratch_d: Vec<f64>,
     /// Dual-simplex pivot row of `B⁻¹` (length `m`).
     scratch_rho: Vec<f64>,
+    /// Ascending rows of `scratch_rho` that may be nonzero.
+    rho_support: Vec<usize>,
     /// Dual-simplex pivot-row coefficients `ρ'A_j` (length `n_total`).
     scratch_alpha: Vec<f64>,
+    /// Columns the pivot row touched, while it is formed.
+    alpha_touched: BitSet,
+    /// The nonbasic, non-fixed columns of the pivot row, ascending: the
+    /// only columns where `scratch_alpha` may be nonzero.
+    alpha_cols: Vec<usize>,
     /// Right-hand side accumulator for [`Simplex::recompute_xb`].
     scratch_rhs: Vec<f64>,
     /// Devex reference weights for primal entering-column pricing
@@ -440,11 +465,15 @@ impl Simplex {
         lo.extend_from_slice(problem.row_lower());
         up.extend_from_slice(problem.row_upper());
 
+        let rows = cols.transpose();
+        let mut alpha_touched = BitSet::default();
+        alpha_touched.resize(n_total);
         let mut s = Self {
             m,
             n_struct,
             n_total,
             cols,
+            rows,
             obj,
             obj_pert,
             lo,
@@ -460,11 +489,15 @@ impl Simplex {
             params: Params::default(),
             pricing_cursor: 0,
             scratch_w: vec![0.0; m],
+            w_support: Vec::with_capacity(m),
             scratch_y: vec![0.0; m],
             scratch_cb: vec![0.0; m],
             scratch_d: vec![0.0; n_total],
             scratch_rho: vec![0.0; m],
+            rho_support: Vec::with_capacity(m),
             scratch_alpha: vec![0.0; n_total],
+            alpha_touched,
+            alpha_cols: Vec::with_capacity(n_total),
             scratch_rhs: vec![0.0; m],
             primal_devex: Devex::default(),
             dual_devex: Devex::default(),
@@ -530,17 +563,19 @@ impl Simplex {
         self.iterations
     }
 
-    /// Heap bytes held by this solver instance: the constraint matrix, the
-    /// sparse basis factorization (LU triangles + eta file + solve
-    /// workspace), the devex weight arrays, and every scratch vector
-    /// (capacities, not lengths). Exported as the `mem.lp.simplex_bytes`
-    /// gauge — the "LP scratch" line of the paper's model-size discussion.
-    /// Unlike the retired dense kernel (three `m × m` buffers, O(m²)), the
-    /// footprint now scales with basis fill: O(nnz(L) + nnz(U) + eta fill).
+    /// Heap bytes held by this solver instance: the constraint matrix and
+    /// its row-wise copy, the sparse basis factorization (LU triangles + eta
+    /// file + solve workspace), the devex weight arrays, and every scratch
+    /// vector and support list (capacities, not lengths). Exported as the
+    /// `mem.lp.simplex_bytes` gauge — the "LP scratch" line of the paper's
+    /// model-size discussion. Unlike the retired dense kernel (three `m × m`
+    /// buffers, O(m²)), the footprint now scales with basis fill:
+    /// O(nnz(L) + nnz(U) + eta fill).
     pub fn memory_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
         let u = std::mem::size_of::<usize>();
         self.cols.memory_bytes()
+            + self.rows.memory_bytes()
             + self.factor.memory_bytes()
             + self.primal_devex.memory_bytes()
             + self.dual_devex.memory_bytes()
@@ -557,7 +592,12 @@ impl Simplex {
                 + self.scratch_alpha.capacity()
                 + self.scratch_rhs.capacity())
                 * f
-            + self.basis.capacity() * u
+            + (self.basis.capacity()
+                + self.w_support.capacity()
+                + self.rho_support.capacity()
+                + self.alpha_cols.capacity())
+                * u
+            + self.alpha_touched.memory_bytes()
             + self.status.capacity() * std::mem::size_of::<VarStatus>()
     }
 
@@ -748,9 +788,10 @@ impl Simplex {
     }
 
     /// Sampled basis-solve residual `‖B·x̂_B − b‖∞` with `b = −N x_N`
-    /// recomputed fresh. Clobbers `scratch_rhs` and `scratch_rho`; both are
-    /// dead at the call sites (end of [`Simplex::recompute_xb`] and after an
-    /// FTRAN, before the pivot applies).
+    /// recomputed fresh. Clobbers `scratch_rhs` and `scratch_rho` (leaving
+    /// the latter zero, with an empty support); both are dead at the call
+    /// sites (end of [`Simplex::recompute_xb`] and after an FTRAN, before
+    /// the pivot applies).
     fn health_residual_check(&mut self) {
         self.scratch_rhs.iter_mut().for_each(|v| *v = 0.0);
         for j in 0..self.n_total {
@@ -777,6 +818,8 @@ impl Simplex {
             }
         }
         self.health.record_residual(resid);
+        self.scratch_rho.iter_mut().for_each(|v| *v = 0.0);
+        self.rho_support.clear();
     }
 
     fn rebuild_state(&mut self) {
@@ -797,14 +840,20 @@ impl Simplex {
         self.recompute_xb();
     }
 
-    /// `w = B⁻¹ A_q` into `scratch_w` (sparse spike in, exploit-sparsity
-    /// triangular solves + eta replay).
+    /// `w = B⁻¹ A_q` into `scratch_w`, its support into `w_support`
+    /// (hypersparse triangular solves + eta replay). Only the previous
+    /// spike's support is cleared first.
     fn ftran(&mut self, q: usize) {
         let t0 = self.spans_on.then(Instant::now);
-        let m = self.m;
-        self.scratch_w[..m].iter_mut().for_each(|v| *v = 0.0);
+        for &i in &self.w_support {
+            self.scratch_w[i] = 0.0;
+        }
         self.cols.axpy_column(q, 1.0, &mut self.scratch_w);
-        self.factor.ftran(&mut self.scratch_w);
+        self.factor.ftran_sparse(
+            &mut self.scratch_w,
+            self.cols.column(q).0,
+            &mut self.w_support,
+        );
         if let Some(t0) = t0 {
             self.kernels.ftran_ns += t0.elapsed().as_nanos() as u64;
             self.kernels.ftran_calls += 1;
@@ -851,13 +900,17 @@ impl Simplex {
         }
     }
 
-    /// `ρ = B⁻ᵀ e_r` into `scratch_rho` — row `r` of `B⁻¹` via a unit-rhs
-    /// BTRAN (the dual pivot row and the devex update row).
+    /// `ρ = B⁻ᵀ e_r` into `scratch_rho` and its support into `rho_support`
+    /// — row `r` of `B⁻¹` via a unit-rhs BTRAN (the dual pivot row and the
+    /// devex update row). Only the previous row's support is cleared first.
     fn btran_unit(&mut self, r: usize) {
         let t0 = self.spans_on.then(Instant::now);
-        self.scratch_rho.iter_mut().for_each(|v| *v = 0.0);
+        for &i in &self.rho_support {
+            self.scratch_rho[i] = 0.0;
+        }
         self.scratch_rho[r] = 1.0;
-        self.factor.btran(&mut self.scratch_rho);
+        self.factor
+            .btran_sparse(&mut self.scratch_rho, &[r], &mut self.rho_support);
         if let Some(t0) = t0 {
             self.kernels.btran_ns += t0.elapsed().as_nanos() as u64;
             self.kernels.btran_calls += 1;
@@ -865,22 +918,17 @@ impl Simplex {
     }
 
     /// Basis-exchange update after a pivot at row `r` with direction
-    /// `w = B⁻¹ A_q` (in `scratch_w`): appends one sparse eta vector, so the
-    /// update costs O(nnz of the spike) instead of the dense kernel's O(m²).
+    /// `w = B⁻¹ A_q` (in `scratch_w`): appends one sparse eta vector in one
+    /// pass over the spike's support, so the update costs O(nnz of the
+    /// spike) instead of the dense kernel's O(m²).
     fn update_factor(&mut self, r: usize) {
-        let m = self.m;
         let inv_piv = 1.0 / self.scratch_w[r];
+        let eta_max = self
+            .factor
+            .push_eta_sparse(r, &self.scratch_w, &self.w_support);
         // Eta growth estimate `max_i |w_i| / |w_r|`: large eta entries are
         // the classic product-form error-amplification signal.
-        let mut eta_max = 0.0f64;
-        for &w in &self.scratch_w[..m] {
-            let a = w.abs();
-            if a > eta_max {
-                eta_max = a;
-            }
-        }
         self.health.record_eta(eta_max * inv_piv.abs());
-        self.factor.push_eta(r, &self.scratch_w[..m]);
         self.pivots_since_refactor += 1;
     }
 
@@ -980,15 +1028,15 @@ impl Simplex {
         let iters = (self.iterations - iters_before) as u64;
         self.telemetry.counter_add("lp.solves", 1);
         self.telemetry.observe("lp.iters_per_solve", iters as f64);
-        let obj = if status == LpStatus::Optimal {
-            self.objective_value()
-        } else {
-            f64::NAN
-        };
+        // The objective costs an O(n) pass: only a recorded event pays it.
         self.telemetry.event_with(|| Event::LpSolveEnd {
             iters,
             status: status.as_str().to_string(),
-            obj,
+            obj: if status == LpStatus::Optimal {
+                self.objective_value()
+            } else {
+                f64::NAN
+            },
         });
     }
 
@@ -1134,6 +1182,22 @@ impl Simplex {
         false
     }
 
+    /// The dual pivot row `α_j = ρ'A_j` over the nonbasic, non-fixed
+    /// columns, into `scratch_alpha`, with those it touched listed in
+    /// `alpha_cols`; see [`scatter_pivot_row`].
+    fn pivot_row(&mut self) {
+        let (status, lo, up) = (&self.status, &self.lo, &self.up);
+        scatter_pivot_row(
+            &self.rows,
+            &self.scratch_rho,
+            &self.rho_support,
+            |j| status[j] != VarStatus::Basic && lo[j] != up[j],
+            &mut self.scratch_alpha,
+            &mut self.alpha_touched,
+            &mut self.alpha_cols,
+        );
+    }
+
     fn reduced_cost(&self, j: usize, phase1: bool, pert: bool) -> f64 {
         let c = if phase1 {
             0.0
@@ -1249,14 +1313,12 @@ impl Simplex {
 
             // ρ = row r of B⁻¹ (unit-rhs BTRAN); α_j = ρ'A_j for nonbasic j.
             self.btran_unit(r);
-            // Dual ratio test: minimize |d_j| / |α_j| over eligible columns.
+            self.pivot_row();
+            // Dual ratio test: minimize |d_j| / |α_j| over eligible columns
+            // (an untouched column has α_j = 0 and is never eligible).
             let mut best: Option<(usize, f64, f64)> = None; // (var, ratio, |alpha|)
-            for j in 0..self.n_total {
-                if self.status[j] == VarStatus::Basic || self.lo[j] == self.up[j] {
-                    continue;
-                }
-                let a = self.cols.column_dot(j, &self.scratch_rho);
-                self.scratch_alpha[j] = a;
+            for &j in &self.alpha_cols {
+                let a = self.scratch_alpha[j];
                 if a.abs() <= self.params.pivot_tol {
                     continue;
                 }
@@ -1312,7 +1374,7 @@ impl Simplex {
             let price_t0 = self.spans_on.then(Instant::now);
             let delta_r = self.dual_devex.weight(r);
             let inv_wr2 = 1.0 / (w_r * w_r);
-            for i in 0..m {
+            for &i in &self.w_support {
                 if i != r {
                     let wi = self.scratch_w[i];
                     if wi != 0.0 {
@@ -1333,7 +1395,7 @@ impl Simplex {
             let delta_xbr = target - self.xb[r];
             let dx_q = -delta_xbr / w_r;
             // Update basic values: Δx_B = −w · Δx_q.
-            for i in 0..m {
+            for &i in &self.w_support {
                 self.xb[i] -= self.scratch_w[i] * dx_q;
             }
             let entering_value = self.nonbasic_value(q) + dx_q;
@@ -1346,10 +1408,11 @@ impl Simplex {
             self.status[q] = VarStatus::Basic;
             self.xb[r] = entering_value;
 
-            // Incremental reduced-cost update: d'_k = d_k − (d_q/α_q)·α_k.
+            // Incremental reduced-cost update over the pivot row:
+            // d'_k = d_k − (d_q/α_q)·α_k.
             let theta = self.scratch_d[q] / self.scratch_alpha[q];
             if theta != 0.0 {
-                for k in 0..self.n_total {
+                for &k in &self.alpha_cols {
                     if self.status[k] != VarStatus::Basic && self.scratch_alpha[k] != 0.0 {
                         self.scratch_d[k] -= theta * self.scratch_alpha[k];
                     }
@@ -1357,7 +1420,9 @@ impl Simplex {
             }
             self.scratch_d[jl] = -theta;
             self.scratch_d[q] = 0.0;
-            self.scratch_alpha.iter_mut().for_each(|a| *a = 0.0);
+            for &k in &self.alpha_cols {
+                self.scratch_alpha[k] = 0.0;
+            }
 
             self.update_factor(r);
             self.iterations += 1;
@@ -1505,7 +1570,7 @@ impl Simplex {
             let mut best_t = INF;
             let mut best_row: Option<(usize, bool)> = None; // (row, blocks_at_upper)
             let mut best_piv: f64 = 0.0;
-            for i in 0..self.m {
+            for &i in &self.w_support {
                 let w = self.scratch_w[i];
                 if w.abs() <= self.params.pivot_tol {
                     continue;
@@ -1557,7 +1622,7 @@ impl Simplex {
                 }
                 // Bound flip: no basis change.
                 let t = own_limit;
-                for i in 0..self.m {
+                for &i in &self.w_support {
                     self.xb[i] -= sigma * t * self.scratch_w[i];
                 }
                 self.status[q] = match self.status[q] {
@@ -1592,7 +1657,7 @@ impl Simplex {
                 VarStatus::Free => sigma * t,
                 VarStatus::Basic => unreachable!(),
             };
-            for i in 0..self.m {
+            for &i in &self.w_support {
                 self.xb[i] -= sigma * t * self.scratch_w[i];
             }
             self.health.record_pivot(best_piv.abs());
@@ -1742,6 +1807,40 @@ impl Simplex {
     }
 }
 
+/// The pivot row `α_j = ρ'A_j` over the columns `include` admits, formed
+/// from `rows` (`A` stored by rows) by scattering each nonzero `ρ_r` of the
+/// ascending `support` along row `r`. Column `j` then sums its terms in
+/// ascending row order, starting from zero — exactly the order of
+/// [`CscMatrix::column_dot`], so `alpha[j]` is bit-equal to it. `alpha`
+/// must be zero on entry at every admitted column; `cols` receives the
+/// admitted columns the row touched, ascending (`touched` is scratch, left
+/// empty).
+fn scatter_pivot_row(
+    rows: &CscMatrix,
+    rho: &[f64],
+    support: &[usize],
+    include: impl Fn(usize) -> bool,
+    alpha: &mut [f64],
+    touched: &mut BitSet,
+    cols: &mut Vec<usize>,
+) {
+    for &r in support {
+        let p = rho[r];
+        if p == 0.0 {
+            continue;
+        }
+        let (idx, vals) = rows.column(r);
+        for (&j, &v) in idx.iter().zip(vals) {
+            if include(j) {
+                alpha[j] += p * v;
+                touched.insert(j);
+            }
+        }
+    }
+    cols.clear();
+    touched.drain(|j| cols.push(j));
+}
+
 // The parallel branch-and-bound driver moves `Simplex` instances and saved
 // bases into worker threads; keep that property checked at compile time.
 const _: () = {
@@ -1751,3 +1850,89 @@ const _: () = {
     assert_send::<SolveStats>();
     assert_send::<HealthMonitor>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sparse::TripletMatrix;
+
+    /// splitmix64, the repo-wide test RNG.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The pivot row scattered along the rows of `A` equals `column_dot` bit
+    /// for bit. Dyadic values (±½, ±1, ±2, ±3) make partial sums cancel to
+    /// exact zeros; the ±0.1 and ±10¹⁶ entries make sums round, so a
+    /// different summation order would show in the bits.
+    #[test]
+    fn scattered_pivot_row_is_bit_equal_to_column_dots() {
+        const VALS: [f64; 12] = [
+            0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.1, -0.1, 1e16, -1e16,
+        ];
+        let mut rng = 5u64;
+        let mut touched_total = 0usize;
+        for case in 0..200 {
+            let m = 1 + (splitmix(&mut rng) % 40) as usize;
+            let n = 1 + (splitmix(&mut rng) % 80) as usize;
+            let mut t = TripletMatrix::new(m, n);
+            for _ in 0..(splitmix(&mut rng) % (3 * n as u64 + 1)) {
+                let r = (splitmix(&mut rng) % m as u64) as usize;
+                let c = (splitmix(&mut rng) % n as u64) as usize;
+                t.push(r, c, VALS[(splitmix(&mut rng) % 12) as usize]);
+            }
+            let a = t.to_csc();
+            let rows = a.transpose();
+            // A sparse ρ with a few exact zeros inside its support.
+            let mut rho = vec![0.0; m];
+            let mut support = Vec::new();
+            for (r, v) in rho.iter_mut().enumerate() {
+                match splitmix(&mut rng) % 4 {
+                    0 => {
+                        *v = VALS[(splitmix(&mut rng) % 8) as usize];
+                        support.push(r);
+                    }
+                    1 => support.push(r),
+                    _ => {}
+                }
+            }
+            let include = |j: usize| j % 5 != 3;
+            let mut alpha = vec![0.0; n];
+            let mut touched = BitSet::default();
+            touched.resize(n);
+            let mut cols = Vec::new();
+            scatter_pivot_row(
+                &rows,
+                &rho,
+                &support,
+                include,
+                &mut alpha,
+                &mut touched,
+                &mut cols,
+            );
+            assert!(cols.windows(2).all(|w| w[0] < w[1]), "case {case}");
+            for (j, &aj) in alpha.iter().enumerate() {
+                if !include(j) {
+                    assert_eq!(aj.to_bits(), 0, "case {case}: column {j}");
+                    continue;
+                }
+                let dot = a.column_dot(j, &rho);
+                assert_eq!(
+                    aj.to_bits(),
+                    dot.to_bits(),
+                    "case {case}: column {j}: {aj} vs {dot}"
+                );
+                let reached = a.column(j).0.iter().any(|&r| rho[r] != 0.0);
+                assert_eq!(cols.contains(&j), reached, "case {case}: column {j}");
+            }
+            touched_total += cols.len();
+            // The scratch bitset is left empty for the next row.
+            touched.drain(|j| panic!("case {case}: column {j} left marked"));
+        }
+        assert!(touched_total > 1000, "only {touched_total} touched columns");
+    }
+}

@@ -166,6 +166,37 @@ impl CscMatrix {
         self.col_ptr.push(self.row_idx.len());
     }
 
+    /// The transpose, i.e. this matrix stored by rows: column `r` of the
+    /// result holds row `r` of `self` as `(column, value)` pairs in
+    /// ascending column order.
+    pub fn transpose(&self) -> CscMatrix {
+        let mut col_ptr = vec![0usize; self.nrows + 1];
+        for &r in &self.row_idx {
+            col_ptr[r + 1] += 1;
+        }
+        for r in 0..self.nrows {
+            col_ptr[r + 1] += col_ptr[r];
+        }
+        let mut next = col_ptr.clone();
+        let mut row_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for c in 0..self.ncols {
+            let (rows, vals) = self.column(c);
+            for (&r, &v) in rows.iter().zip(vals) {
+                row_idx[next[r]] = c;
+                values[next[r]] = v;
+                next[r] += 1;
+            }
+        }
+        CscMatrix {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
     /// Sparse dot product `y' A_c` of a dense vector with column `c`.
     pub fn column_dot(&self, c: usize, y: &[f64]) -> f64 {
         let (rows, vals) = self.column(c);
@@ -239,6 +270,18 @@ mod tests {
         let y = [1.0, 10.0, 100.0];
         assert_eq!(m.column_dot(0, &y), 301.0);
         assert_eq!(m.column_dot(1, &y), -20.0);
+    }
+
+    #[test]
+    fn transpose_stores_rows_in_column_order() {
+        let mut t = TripletMatrix::new(2, 3);
+        t.push(1, 0, 1.0);
+        t.push(0, 2, 2.0);
+        t.push(1, 2, 3.0);
+        let rows = t.to_csc().transpose();
+        assert_eq!((rows.nrows(), rows.ncols(), rows.nnz()), (3, 2, 3));
+        assert_eq!(rows.column(0), (&[2][..], &[2.0][..]));
+        assert_eq!(rows.column(1), (&[0, 2][..], &[1.0, 3.0][..]));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! FTRAN/BTRAN/refactorize on random bases are compared entry-for-entry
 //! with a dense Gauss–Jordan inverse (the old engine's algorithm, kept here
 //! behind `cfg(test)` as the reference oracle), including after sequences
-//! of eta updates.
+//! of eta updates. The hypersparse solves are held to the plain sweep over
+//! all pivot steps, kept here as the bit-level reference.
 
-use tvnep_lp::factor::BasisFactor;
+use tvnep_lp::factor::{BasisFactor, EtaFile, LuFactors};
 use tvnep_lp::sparse::CscMatrix;
 
 /// Deterministic splitmix64, the repo-wide test RNG.
@@ -362,4 +363,265 @@ fn factorization_is_bit_stable_on_golden_bases() {
         assert!(got.0 > cols.nnz(), "case {case}: no fill-in");
         assert_eq!(got, (nnz, ratio, ftran, btran), "case {case}");
     }
+}
+
+/// The plain sweep FTRAN over all `m` pivot steps — `L` forward, `U`
+/// backward, both pushing along columns and skipping zero positions — then
+/// the eta file: the kernel's solve before it went hypersparse, kept as the
+/// bit-level reference.
+fn sweep_ftran(lu: &LuFactors, etas: &EtaFile, x: &mut [f64]) {
+    let m = lu.dim();
+    let mut work: Vec<f64> = lu.row_perm().iter().map(|&r| x[r]).collect();
+    for k in 0..m {
+        let v = work[k];
+        if v == 0.0 {
+            continue;
+        }
+        let (idx, val) = lu.l_column(k);
+        for (&i, &l) in idx.iter().zip(val) {
+            work[i] -= l * v;
+        }
+    }
+    for k in (0..m).rev() {
+        let v = work[k];
+        if v == 0.0 {
+            continue;
+        }
+        let v = v / lu.u_diag()[k];
+        work[k] = v;
+        let (idx, val) = lu.u_column(k);
+        for (&i, &u) in idx.iter().zip(val) {
+            work[i] -= u * v;
+        }
+    }
+    for (k, &c) in lu.col_perm().iter().enumerate() {
+        x[c] = work[k];
+    }
+    etas.apply_ftran(x);
+}
+
+/// The plain sweep BTRAN: the eta file transposed, then `Uᵀ` forward and
+/// `Lᵀ` backward over all `m` pivot steps, pulling along the columns.
+fn sweep_btran(lu: &LuFactors, etas: &EtaFile, x: &mut [f64]) {
+    etas.apply_btran(x);
+    let m = lu.dim();
+    let mut work: Vec<f64> = lu.col_perm().iter().map(|&c| x[c]).collect();
+    for k in 0..m {
+        let mut acc = work[k];
+        let (idx, val) = lu.u_column(k);
+        for (&i, &u) in idx.iter().zip(val) {
+            acc -= u * work[i];
+        }
+        work[k] = acc / lu.u_diag()[k];
+    }
+    for k in (0..m).rev() {
+        let mut acc = work[k];
+        let (idx, val) = lu.l_column(k);
+        for (&i, &l) in idx.iter().zip(val) {
+            acc -= l * work[i];
+        }
+        work[k] = acc;
+    }
+    for (k, &r) in lu.row_perm().iter().enumerate() {
+        x[r] = work[k];
+    }
+}
+
+fn l_nnz(lu: &LuFactors) -> usize {
+    (0..lu.dim()).map(|k| lu.l_column(k).0.len()).sum()
+}
+
+/// A basis shaped like the TVNEP ones: `−e_i` slack columns on four fifths
+/// of the rows; on the rest, structural columns that also touch a few slack
+/// rows and chain into each other (reaches of dozens of positions, which the
+/// `U` passes follow through their pending bitsets), with a few 2 × 2
+/// blocks and one dense 4 × 4 block that put entries into `L`.
+fn slack_heavy_basis(rng: &mut Rng, m: usize) -> (CscMatrix, Vec<usize>) {
+    // Off-diagonal values stay below the diagonal's: the structural block
+    // is diagonally dominant, so the basis is nonsingular.
+    const VALS: [f64; 6] = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0];
+    const DIAG: [f64; 3] = [4.0, -4.0, 8.0];
+    let first = m - m / 5;
+    let mut cols = CscMatrix::empty(m);
+    for i in 0..first {
+        cols.push_column(&[(i, -1.0)]);
+    }
+    for row in first..m {
+        let mut col = vec![(row, DIAG[rng.range(3)])];
+        if row > first {
+            col.push((row - 1, VALS[rng.range(4)]));
+        }
+        if row % 7 == 3 && row + 1 < m {
+            col.push((row + 1, VALS[rng.range(4)]));
+        }
+        if row + 4 >= m {
+            // The last four rows form a dense block: chains inside `L`.
+            col.extend((m - 4..m).map(|r| (r, VALS[rng.range(4)])));
+        }
+        for _ in 0..2 {
+            col.push((rng.range(first), VALS[rng.range(6)]));
+        }
+        col.sort_unstable_by_key(|&(r, _)| r);
+        col.dedup_by_key(|e| e.0);
+        cols.push_column(&col);
+    }
+    (cols, (0..m).collect())
+}
+
+/// Equal bits, except that `−0.0` and `+0.0` count as equal: the sweep's
+/// pull divides an all-zero accumulator by the pivot, which can give `−0.0`
+/// where a push never writes.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+}
+
+/// Runs one sparse solve on the persistent `x`/`support` scratch (cleared
+/// through the previous support, as the simplex does) and checks it against
+/// `expect` bit for bit, with every nonzero inside the ascending support.
+fn check_sparse_solve(
+    f: &mut BasisFactor,
+    btran: bool,
+    rhs: &[f64],
+    expect: &[f64],
+    x: &mut [f64],
+    support: &mut Vec<usize>,
+    what: &str,
+) {
+    for &i in support.iter() {
+        x[i] = 0.0;
+    }
+    let nz: Vec<usize> = (0..rhs.len()).filter(|&i| rhs[i] != 0.0).collect();
+    for &i in &nz {
+        x[i] = rhs[i];
+    }
+    if btran {
+        f.btran_sparse(x, &nz, support);
+    } else {
+        f.ftran_sparse(x, &nz, support);
+    }
+    assert!(
+        support.windows(2).all(|w| w[0] < w[1]),
+        "{what}: support not ascending"
+    );
+    for (i, (&got, &want)) in x.iter().zip(expect).enumerate() {
+        assert!(
+            same_bits(got, want),
+            "{what}: position {i}: hypersparse {got:e} vs sweep {want:e}"
+        );
+        assert!(
+            got == 0.0 || support.binary_search(&i).is_ok(),
+            "{what}: nonzero at {i} outside the support"
+        );
+    }
+}
+
+/// Every hypersparse FTRAN/BTRAN equals the plain sweep bit for bit, on the
+/// golden bases, a slack-heavy basis (hypersparse, with long reaches) and
+/// a dense-`L` basis (swept whole), with 0 and 3 etas pushed through
+/// the sparse entry points. Right-hand sides are every unit vector and
+/// every basis column; each is solved twice on the same scratch, which
+/// shows the solves leave it zero.
+#[test]
+fn hypersparse_solves_equal_the_sweep_bit_for_bit() {
+    let mut rng = Rng(2024);
+    let mut bases: Vec<(String, CscMatrix, Vec<usize>)> = Vec::new();
+    for (m, extra) in [(24, 48), (40, 100), (64, 160), (96, 300)] {
+        // Reproduces the golden bases (each is followed by 2m draws there).
+        let (cols, basis) = dyadic_basis(&mut rng, m, extra);
+        for _ in 0..2 * m {
+            rng.unit();
+        }
+        bases.push((format!("golden m={m}"), cols, basis));
+    }
+    let mut rng = Rng(99);
+    let (cols, basis) = slack_heavy_basis(&mut rng, 150);
+    bases.push(("slack-heavy".into(), cols, basis));
+    let (cols, basis) = random_basis(&mut rng, 120, 600);
+    bases.push(("dense-L".into(), cols, basis));
+
+    let mut widest_reach = 0usize;
+    for (name, cols, basis) in &bases {
+        let m = basis.len();
+        let mut lu = LuFactors::default();
+        assert!(lu.factorize(cols, basis, 0.1), "{name}: singular");
+        match name.as_str() {
+            "slack-heavy" => assert!((1..=m / 10).contains(&l_nnz(&lu)), "{name}"),
+            "dense-L" => assert!(l_nnz(&lu) > m / 10, "{name}"),
+            _ => {}
+        }
+        for etas_pushed in [0, 3] {
+            let what = format!("{name}, {etas_pushed} etas");
+            let mut cols = cols.clone();
+            let mut basis = basis.clone();
+            let mut f = BasisFactor::default();
+            assert!(f.factorize(&cols, &basis, 0.1));
+            let mut etas = EtaFile::default();
+            let mut x = vec![0.0; m];
+            let mut support = Vec::new();
+            while f.eta_count() < etas_pushed {
+                let mut a = vec![0.0; m];
+                for _ in 0..1 + rng.range(4) {
+                    a[rng.range(m)] = 1.0 + rng.range(3) as f64;
+                }
+                let entries: Vec<(usize, f64)> =
+                    (0..m).filter(|&r| a[r] != 0.0).map(|r| (r, a[r])).collect();
+                cols.push_column(&entries);
+                let mut w = a.clone();
+                sweep_ftran(&lu, &etas, &mut w);
+                check_sparse_solve(&mut f, false, &a, &w, &mut x, &mut support, &what);
+                let (r, wr) = w
+                    .iter()
+                    .enumerate()
+                    .max_by(|p, q| p.1.abs().total_cmp(&q.1.abs()))
+                    .map(|(i, &v)| (i, v))
+                    .unwrap();
+                assert!(wr.abs() > 1e-6, "{what}: no usable pivot");
+                let w_max = f.push_eta_sparse(r, &x, &support);
+                assert_eq!(w_max, wr.abs(), "{what}: eta maximum");
+                etas.push(r, &w);
+                basis[r] = cols.ncols() - 1;
+            }
+            let mut rhs_list: Vec<Vec<f64>> = (0..m)
+                .map(|i| {
+                    let mut e = vec![0.0; m];
+                    e[i] = 1.0;
+                    e
+                })
+                .collect();
+            for &j in &basis {
+                let mut a = vec![0.0; m];
+                cols.axpy_column(j, 1.0, &mut a);
+                rhs_list.push(a);
+            }
+            for (t, rhs) in rhs_list.iter().enumerate() {
+                for btran in [false, true] {
+                    let mut expect = rhs.clone();
+                    if btran {
+                        sweep_btran(&lu, &etas, &mut expect);
+                    } else {
+                        sweep_ftran(&lu, &etas, &mut expect);
+                    }
+                    if name == "slack-heavy" {
+                        let reach = expect.iter().filter(|v| **v != 0.0).count();
+                        widest_reach = widest_reach.max(reach);
+                    }
+                    for pass in 0..2 {
+                        let what = format!("{what}, rhs {t}, btran {btran}, pass {pass}");
+                        check_sparse_solve(
+                            &mut f,
+                            btran,
+                            rhs,
+                            &expect,
+                            &mut x,
+                            &mut support,
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Some slack-heavy results reach past m/10 positions: the pending walks
+    // chained through many pushes there.
+    assert!(widest_reach > 15, "widest slack-heavy reach {widest_reach}");
 }
