@@ -45,12 +45,13 @@ use tvnep_workloads::{generate, WorkloadConfig};
 #[global_allocator]
 static ALLOC: tvnep_telemetry::CountingAlloc = tvnep_telemetry::CountingAlloc;
 
-/// One rung of the solver overhead ladder: a label, whether allocator
-/// counting is live while its samples run, and the option builder.
-struct Rung<'a> {
+/// One rung of an overhead ladder: a label, whether allocator counting is
+/// live while its samples run, and the builder of one sample's input (built
+/// outside the timed region).
+struct Rung<'a, T> {
     label: &'static str,
     counting: bool,
-    make_opts: Box<dyn Fn() -> MipOptions + 'a>,
+    prepare: Box<dyn Fn() -> T + 'a>,
 }
 
 /// Wall-time statistics for one rung: the min and median solve time, the
@@ -64,8 +65,9 @@ struct RungStats {
     overhead_pct: f64,
 }
 
-/// Repeated solves of the cell, one stats entry per rung. Samples are taken
-/// **interleaved** round-robin across all rungs rather than rung-by-rung:
+/// Repeated runs of one workload (`run`, fed each rung's prepared input),
+/// one stats entry per rung. Samples are taken **interleaved** round-robin
+/// across all rungs rather than rung-by-rung:
 /// on a shared host the machine drifts over seconds (other tenants,
 /// frequency scaling), and sequential per-rung measurement turns that drift
 /// into phantom overhead between configurations that execute identical
@@ -75,24 +77,14 @@ struct RungStats {
 /// which cancels both slow patches (hitting all rungs of a round alike)
 /// and isolated outlier samples. The min/median wall times are reported
 /// alongside for scale.
-fn measure_ladder(
-    inst: &tvnep_model::Instance,
+fn measure_ladder<T>(
     per_rung_budget: Duration,
-    rungs: &[Rung],
+    rungs: &[Rung<T>],
+    run: impl Fn(T),
 ) -> Vec<RungStats> {
-    let solve = |opts: MipOptions| {
-        let out = solve_tvnep(
-            inst,
-            Formulation::CSigma,
-            Objective::AccessControl,
-            BuildOptions::default_for(Formulation::CSigma),
-            &opts,
-        );
-        std::hint::black_box(out.mip.nodes)
-    };
     for rung in rungs {
         alloc::set_counting(rung.counting);
-        solve((rung.make_opts)()); // warm-up
+        run((rung.prepare)()); // warm-up
         alloc::set_counting(false);
     }
     let budget = per_rung_budget * rungs.len() as u32;
@@ -100,10 +92,10 @@ fn measure_ladder(
     let start = Instant::now();
     while times[0].len() < 5 || (start.elapsed() < budget && times[0].len() < 500) {
         for (rung, samples) in rungs.iter().zip(&mut times) {
-            let opts = (rung.make_opts)();
+            let input = (rung.prepare)();
             alloc::set_counting(rung.counting);
             let t0 = Instant::now();
-            solve(opts);
+            run(input);
             let dt = t0.elapsed();
             alloc::set_counting(false);
             samples.push(dt);
@@ -370,15 +362,16 @@ fn kernel_microbench(seed: u64) -> Json {
     ])
 }
 
-/// Service-observability ladder (PR-9): the same deterministic admission
-/// stream through [`ServiceCore`] under four configurations. `disabled` and
+/// Service-observability ladder: the same deterministic admission stream
+/// through [`ServiceCore`] under four configurations, sampled round-robin
+/// by [`measure_ladder`] like the solver ladder. `disabled` and
 /// `disabled_2` both run with telemetry off and utilization tracking off —
 /// every observability site in the admission path collapses to one
-/// cached-bool branch — so their delta is the run-to-run noise floor, and
-/// the "<2% when observability is off" budget is asserted on it (the
-/// alloc-off pattern above). `util_off` (metrics-only telemetry, tracker
-/// off) and `util_on` (tracker + per-admit gauge recompute) record the
-/// opt-in feature costs for information.
+/// cached-bool branch — so their paired ratio is the run-to-run noise
+/// floor, and the "<2% when observability is off" budget is asserted on it
+/// (the alloc-off pattern above). `util_off` (metrics-only telemetry,
+/// tracker off) and `util_on` (tracker + per-admit gauge recompute) record
+/// the opt-in feature costs for information.
 fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> Json {
     let substrate = Substrate::uniform(grid(2, 2), 2.0, 5.0);
     // Deterministic contended stream: flexible star requests with rotating
@@ -399,8 +392,8 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
             (r, m)
         })
         .collect();
-    let run_once = |opts: &ServiceOptions| {
-        let mut core = ServiceCore::new(substrate.clone(), 30.0, opts.clone());
+    let run_once = |opts: ServiceOptions| {
+        let mut core = ServiceCore::new(substrate.clone(), 30.0, opts);
         let mut accepted = 0usize;
         for (r, m) in &stream {
             if core
@@ -411,47 +404,39 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
                 accepted += 1;
             }
         }
-        std::hint::black_box(accepted)
+        std::hint::black_box(accepted);
     };
-    let measure = |label: &str, opts: ServiceOptions| -> (Duration, Duration, usize) {
-        run_once(&opts); // warm-up
-        let mut times = Vec::new();
-        let start = Instant::now();
-        while times.len() < 5 || (start.elapsed() < budget && times.len() < 500) {
-            let t0 = Instant::now();
-            run_once(&opts);
-            times.push(t0.elapsed());
-        }
-        times.sort();
-        let (min, median) = (times[0], times[times.len() / 2]);
-        eprintln!(
-            "[introspection] serve/{label:<9} samples={:<4} min={min:.3?} median={median:.3?}",
-            times.len()
-        );
-        (min, median, times.len())
+    let rung = |label: &'static str, telemetry: fn() -> Telemetry, track_util: bool| Rung {
+        label,
+        counting: false,
+        prepare: Box::new(move || ServiceOptions {
+            subproblem: MipOptions {
+                telemetry: telemetry(),
+                ..MipOptions::default()
+            },
+            track_util,
+            ..ServiceOptions::default()
+        }),
     };
-    let opts_with = |telemetry: Telemetry, track_util: bool| ServiceOptions {
-        subproblem: MipOptions {
-            telemetry,
-            ..MipOptions::default()
-        },
-        track_util,
-        ..ServiceOptions::default()
+    eprintln!("[introspection] serve ladder, {} admissions", stream.len());
+    let measured = measure_ladder(
+        budget,
+        &[
+            rung("disabled", Telemetry::disabled, false),
+            rung("disabled_2", Telemetry::disabled, false),
+            rung("util_off", Telemetry::metrics_only, false),
+            rung("util_on", Telemetry::metrics_only, true),
+        ],
+        run_once,
+    );
+    let [dis, d2, off, on] = &measured[..] else {
+        unreachable!("serve ladder has four rungs");
     };
-    let (dis_min, dis_med, dis_n) = measure("disabled", opts_with(Telemetry::disabled(), false));
-    let (d2_min, d2_med, d2_n) = measure("disabled2", opts_with(Telemetry::disabled(), false));
-    let (off_min, off_med, off_n) =
-        measure("util-off", opts_with(Telemetry::metrics_only(), false));
-    let (on_min, on_med, on_n) = measure("util-on", opts_with(Telemetry::metrics_only(), true));
-
-    let pct = |a: Duration, b: Duration| (a.as_secs_f64() / b.as_secs_f64() - 1.0) * 100.0;
-    let disabled_overhead_pct = pct(d2_min, dis_min);
-    let off_overhead_pct = pct(off_min, dis_min);
-    let on_overhead_pct = pct(on_min, dis_min);
+    let disabled_overhead_pct = d2.overhead_pct;
     eprintln!(
         "[introspection] serve observability-off overhead {disabled_overhead_pct:+.3}% \
-         (budget {tolerance_pct}%), util-off {off_overhead_pct:+.3}%, \
-         util-on {on_overhead_pct:+.3}%"
+         (budget {tolerance_pct}%), util-off {:+.3}%, util-on {:+.3}%",
+        off.overhead_pct, on.overhead_pct
     );
     if assert_budget {
         assert!(
@@ -460,31 +445,33 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
              {tolerance_pct}% budget"
         );
     }
-    let run = |label: &str, min: Duration, med: Duration, n: usize| {
-        Json::Obj(vec![
-            ("config".into(), Json::from(label)),
-            ("samples".into(), Json::from(n)),
-            ("min_s".into(), Json::from(min.as_secs_f64())),
-            ("median_s".into(), Json::from(med.as_secs_f64())),
-        ])
-    };
     Json::Obj(vec![
         ("admissions".into(), Json::from(stream.len())),
         (
             "runs".into(),
             Json::Arr(vec![
-                run("disabled", dis_min, dis_med, dis_n),
-                run("disabled_2", d2_min, d2_med, d2_n),
-                run("util_off", off_min, off_med, off_n),
-                run("util_on", on_min, on_med, on_n),
+                run_json("disabled", dis),
+                run_json("disabled_2", d2),
+                run_json("util_off", off),
+                run_json("util_on", on),
             ]),
         ),
         (
             "disabled_overhead_pct".into(),
             Json::from(disabled_overhead_pct),
         ),
-        ("util_off_overhead_pct".into(), Json::from(off_overhead_pct)),
-        ("util_on_overhead_pct".into(), Json::from(on_overhead_pct)),
+        ("util_off_overhead_pct".into(), Json::from(off.overhead_pct)),
+        ("util_on_overhead_pct".into(), Json::from(on.overhead_pct)),
+    ])
+}
+
+/// One ladder rung's entry in the bench document.
+fn run_json(label: &str, s: &RungStats) -> Json {
+    Json::Obj(vec![
+        ("config".into(), Json::from(label)),
+        ("samples".into(), Json::from(s.samples)),
+        ("min_s".into(), Json::from(s.min.as_secs_f64())),
+        ("median_s".into(), Json::from(s.median.as_secs_f64())),
     ])
 }
 
@@ -544,7 +531,7 @@ fn main() {
     let tel_rung = |label: &'static str, f: fn() -> Telemetry| Rung {
         label,
         counting: false,
-        make_opts: Box::new(move || {
+        prepare: Box::new(move || {
             let mut opts = MipOptions::with_time_limit(Duration::from_secs(60));
             opts.telemetry = f();
             opts
@@ -558,17 +545,17 @@ fn main() {
         Rung {
             label: "alloc_on",
             counting: true,
-            make_opts: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
+            prepare: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
         },
         Rung {
             label: "blackbox_off",
             counting: false,
-            make_opts: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
+            prepare: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
         },
         Rung {
             label: "blackbox_on",
             counting: false,
-            make_opts: Box::new(|| {
+            prepare: Box::new(|| {
                 let rec = FlightRecorder::new(tvnep_telemetry::blackbox::DEFAULT_RING_CAP);
                 let mut opts = MipOptions::with_time_limit(Duration::from_secs(60));
                 opts.blackbox = Some(rec.handle(0));
@@ -576,7 +563,16 @@ fn main() {
             }),
         },
     ];
-    let measured = measure_ladder(&inst, budget, &rungs);
+    let measured = measure_ladder(budget, &rungs, |opts: MipOptions| {
+        let out = solve_tvnep(
+            &inst,
+            Formulation::CSigma,
+            Objective::AccessControl,
+            BuildOptions::default_for(Formulation::CSigma),
+            &opts,
+        );
+        std::hint::black_box(out.mip.nodes);
+    });
     let [dis, off, on, aoff, aon, boff, bon] = &measured[..] else {
         unreachable!("ladder has seven rungs");
     };
@@ -605,14 +601,6 @@ fn main() {
          (budget {tolerance_pct}%), bbox-on {blackbox_on_overhead_pct:+.3}%"
     );
 
-    let run = |label: &str, s: &RungStats| {
-        Json::Obj(vec![
-            ("config".into(), Json::from(label)),
-            ("samples".into(), Json::from(s.samples)),
-            ("min_s".into(), Json::from(s.min.as_secs_f64())),
-            ("median_s".into(), Json::from(s.median.as_secs_f64())),
-        ])
-    };
     let doc = Json::Obj(vec![
         ("bench".into(), Json::from("introspection_overhead")),
         ("formulation".into(), Json::from("cSigma")),
@@ -630,13 +618,13 @@ fn main() {
         (
             "runs".into(),
             Json::Arr(vec![
-                run("disabled", dis),
-                run("spans_off", off),
-                run("spans_on", on),
-                run("alloc_off", aoff),
-                run("alloc_on", aon),
-                run("blackbox_off", boff),
-                run("blackbox_on", bon),
+                run_json("disabled", dis),
+                run_json("spans_off", off),
+                run_json("spans_on", on),
+                run_json("alloc_off", aoff),
+                run_json("alloc_on", aon),
+                run_json("blackbox_off", boff),
+                run_json("blackbox_on", bon),
             ]),
         ),
         (

@@ -126,8 +126,8 @@ fn allocator_accounts_for_delta_model_build() {
 
     // `mem.mip.node_pool_peak_bytes` must count what a waiting node holds:
     // its bounds box and the packed basis (2 bits per LP column) it
-    // re-solves from. The parallel driver also reports the peak node count,
-    // which yields the per-node size; the sequential driver must use the
+    // re-solves from. A multi-threaded solve also reports the peak node
+    // count, which yields the per-node size; a one-thread solve must use the
     // same size. What remains after the bounds box and the packed basis is
     // the fixed node header, equal across models of different sizes.
     let headers: Vec<usize> = [(1, 2.0), (2, 0.5)]
@@ -149,7 +149,7 @@ fn allocator_accounts_for_delta_model_build() {
     );
 }
 
-/// Solves `built` at two threads and at one, checks that both drivers
+/// Solves `built` at two threads and at one, checks that both thread counts
 /// account the same bytes per pooled node, and returns that size minus the
 /// node's bounds box and packed basis.
 fn node_pool_header_bytes(built: &tvnep_core::BuiltModel) -> usize {
@@ -176,13 +176,13 @@ fn node_pool_header_bytes(built: &tvnep_core::BuiltModel) -> usize {
         )
     };
     let (par_bytes, par_peak) = pool_gauges(2);
-    let par_peak = par_peak.expect("parallel driver reports its pool peak");
+    let par_peak = par_peak.expect("a two-thread solve reports its pool peak");
     assert!(par_peak >= 1 && par_bytes % par_peak == 0);
     let node_bytes = par_bytes / par_peak;
     let (seq_bytes, _) = pool_gauges(1);
     assert!(
         seq_bytes >= node_bytes && seq_bytes % node_bytes == 0,
-        "sequential pool peak {seq_bytes} B is not a whole number of \
+        "one-thread pool peak {seq_bytes} B is not a whole number of \
          {node_bytes} B nodes"
     );
     let payload = int_vars * std::mem::size_of::<(f64, f64)>() + columns.div_ceil(4);

@@ -1,24 +1,25 @@
-//! Branch-and-bound solver for [`MipModel`]s.
+//! Branch-and-bound solver for [`MipModel`]s: options, results, and the
+//! search's building blocks.
 //!
 //! Classic LP-based branch and bound: best-bound node selection with
 //! depth-first plunging, most-fractional or pseudocost branching, a rounding
 //! heuristic for quick incumbents, and warm-started LP re-solves. A dive
 //! child re-solves from the basis its parent left in the [`Simplex`]; the
-//! sibling that waits in the best-bound queue carries a copy of that basis
-//! and re-solves from it when popped. Reports the same quantities the
-//! paper's Gurobi runs report: incumbent objective, best bound, relative
+//! sibling that waits in the best-bound pool carries a copy of that basis
+//! and re-solves from it when popped. The one driver that runs the search,
+//! at every thread count, is in `parallel.rs`. Reports the same quantities
+//! the paper's Gurobi runs report: incumbent objective, best bound, relative
 //! *objective gap* and node count.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::model::{MipModel, Sense, VarKind};
+use crate::model::{MipModel, Sense};
 use crate::progress::{IncumbentSource, ProgressRecorder};
-use crate::tree::{NodeOutcome, SearchTree, TreeNode};
+use crate::tree::SearchTree;
 use tvnep_lp::{Basis, LpStatus, Params, Simplex, SolveStats};
-use tvnep_telemetry::{Event, EventKind, FlightHandle, Telemetry};
+use tvnep_telemetry::{FlightHandle, Telemetry};
 
 /// Termination status of a MIP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +72,8 @@ pub enum Branching {
 pub struct MipProgress {
     /// Nodes processed so far.
     pub nodes: u64,
-    /// True open-node count: the best-bound queue plus every in-flight dive
-    /// node (the sequential solver's current dive counts as one; with N
-    /// worker threads all active dives are included).
+    /// True open-node count: the best-bound pool plus every worker's
+    /// in-flight dive node (one per worker that is diving).
     pub open: usize,
     /// Incumbent objective, if any.
     pub incumbent: Option<f64>,
@@ -121,16 +121,17 @@ pub struct MipOptions {
     /// better solutions are searched for. When the tree is exhausted without
     /// finding one, the status is [`MipStatus::NoBetterThanCutoff`].
     pub cutoff: Option<f64>,
-    /// Worker threads for the branch-and-bound search. `1` (the default)
-    /// runs the exact sequential code path; `0` means "use all available
-    /// parallelism". Each worker owns its own warm-started [`Simplex`];
-    /// nodes are drawn from a shared best-bound pool and every worker prunes
-    /// against the shared incumbent immediately.
+    /// Worker threads for the branch-and-bound search; `0` means "use all
+    /// available parallelism". Each worker owns its own warm-started
+    /// [`Simplex`]; nodes are drawn from a shared best-bound pool and every
+    /// worker prunes against the shared incumbent immediately. `1` (the
+    /// default) runs the one worker inline on the caller's thread, where the
+    /// search has a total order and is bit-for-bit deterministic.
     pub threads: usize,
     /// Search-tree capture sink: when set, every counted node is recorded
     /// with parent link, branch decision, LP bound, depth and prune reason
-    /// (both drivers; the record count always equals the `mip.nodes`
-    /// metric). Export via [`SearchTree::to_dot`]/[`SearchTree::to_json`].
+    /// (the record count always equals the `mip.nodes` metric). Export via
+    /// [`SearchTree::to_dot`]/[`SearchTree::to_json`].
     pub tree: Option<Arc<SearchTree>>,
     /// Anytime convergence recorder: when set, every incumbent improvement
     /// and global dual-bound tightening is appended with provenance (node
@@ -138,12 +139,14 @@ pub struct MipOptions {
     /// `threads = 1`; see [`ProgressRecorder`]. Disabled (one pointer check
     /// per potential event) by default.
     pub progress_events: Option<ProgressRecorder>,
-    /// Black-box flight-recorder handle: when set, both drivers record node
-    /// open/close, incumbent, and global-bound events into per-thread rings
-    /// (workers via `for_worker(w + 1)`), feed the stall watchdog's progress
-    /// pulse, and keep the recorder's incumbent/bound registers current so a
-    /// crash dump carries the final search state. `None` (one pointer check
-    /// per site) by default.
+    /// Black-box flight-recorder handle: when set, the search records node
+    /// open/close, incumbent, and global-bound events (the bound clamped to
+    /// the incumbent or cutoff, as in the progress stream), feeds the stall
+    /// watchdog's progress pulse, and keeps the recorder's incumbent/bound
+    /// registers current so a crash dump carries the final search state. The
+    /// events go to this handle's ring at `threads = 1` and to one ring per
+    /// worker (`for_worker(w + 1)`) otherwise. `None` (one pointer check per
+    /// site) by default.
     pub blackbox: Option<FlightHandle>,
 }
 
@@ -322,8 +325,19 @@ impl PseudoCosts {
         }
     }
 
-    pub(crate) fn record(&mut self, k: usize, up: bool, obj_gain_per_unit: f64) {
-        let gain = obj_gain_per_unit.max(0.0);
+    /// Settles the observation a node's branching left pending
+    /// ([`Node::pending_pseudo`]) once the node's own LP objective is known.
+    pub(crate) fn settle(&mut self, pending: Option<(usize, bool, f64, f64)>, lp_obj: f64) {
+        let Some((k, up, parent_obj, frac)) = pending else {
+            return;
+        };
+        let delta = (lp_obj - parent_obj).max(0.0);
+        let per_unit = if up {
+            delta / (1.0 - frac).max(1e-6)
+        } else {
+            delta / frac.max(1e-6)
+        };
+        let gain = per_unit.max(0.0);
         if up {
             self.up_sum[k] += gain;
             self.up_count[k] += 1;
@@ -334,7 +348,7 @@ impl PseudoCosts {
     }
 
     /// Estimated objective degradation product (standard score).
-    pub(crate) fn score(&self, k: usize, frac: f64) -> Option<f64> {
+    fn score(&self, k: usize, frac: f64) -> Option<f64> {
         if self.up_count[k] == 0 || self.down_count[k] == 0 {
             return None;
         }
@@ -343,6 +357,29 @@ impl PseudoCosts {
         let u = up * (1.0 - frac);
         let d = down * frac;
         Some(u.max(1e-6) * d.max(1e-6))
+    }
+
+    /// The branching candidate `(int idx, frac)` among the fractional
+    /// `frac_vars`: the best pseudocost score once every candidate has
+    /// observations both ways, else (and under
+    /// [`Branching::MostFractional`]) the most fractional one, which
+    /// gathers pseudocost observations broadly.
+    pub(crate) fn select(&self, branching: Branching, frac_vars: &[(usize, f64)]) -> (usize, f64) {
+        if branching == Branching::Pseudocost {
+            let mut best: Option<(usize, f64, f64)> = None; // (k, frac, score)
+            for &(k, f) in frac_vars {
+                let Some(s) = self.score(k, f) else {
+                    return most_fractional(frac_vars);
+                };
+                if best.is_none_or(|(_, _, bs)| s > bs) {
+                    best = Some((k, f, s));
+                }
+            }
+            if let Some((k, f, _)) = best {
+                return (k, f);
+            }
+        }
+        most_fractional(frac_vars)
     }
 }
 
@@ -384,9 +421,10 @@ pub(crate) fn dive_heuristic(
     None
 }
 
-/// Solves `model` with `opts`. With `threads > 1` (or `threads = 0` on a
-/// multi-core machine) the search runs on the parallel driver; `threads = 1`
-/// is the exact sequential code path, preserved bit-for-bit.
+/// Solves `model` with `opts` on the node-pool driver, with
+/// [`MipOptions::effective_threads`] workers. At one thread the worker runs
+/// inline on the caller's thread and the result is bit-for-bit
+/// reproducible.
 pub fn solve_with(model: &MipModel, opts: &MipOptions) -> MipResult {
     let threads = opts.effective_threads();
     if let Some(rec) = &opts.progress_events {
@@ -409,625 +447,7 @@ pub fn solve_with(model: &MipModel, opts: &MipOptions) -> MipResult {
         opts.telemetry
             .gauge_set("mem.mip.model_bytes", model.memory_bytes() as f64);
     }
-    if threads > 1 {
-        return crate::parallel::solve_parallel(model, opts, threads);
-    }
-    solve_sequential(model, opts)
-}
-
-fn solve_sequential(model: &MipModel, opts: &MipOptions) -> MipResult {
-    let start = Instant::now();
-    let sign = match model.sense() {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-    let lp_min = model.relaxation_min();
-    let mut simplex = Simplex::new(&lp_min);
-    let telemetry = opts.telemetry.clone();
-    simplex.set_telemetry(telemetry.clone());
-    let blackbox = opts.blackbox.clone();
-    simplex.set_blackbox(blackbox.clone());
-    // Busy for the duration of the solve: the stall watchdog only reads a
-    // flat progress pulse as a stall while at least one guard is open.
-    let _busy = blackbox.as_ref().map(|bb| bb.recorder().busy_guard());
-    telemetry.event_with(|| Event::SolveStart { what: "mip".into() });
-    let _solve_span = telemetry.span("mip.solve");
-    if let Some(p) = &opts.lp_params {
-        simplex.set_params(p.clone());
-    }
-    // The LP engine honors the same wall-clock budget so a single long
-    // relaxation cannot blow through the MIP time limit.
-    if let Some(tl) = opts.time_limit {
-        simplex.set_deadline(Some(start + tl));
-    }
-    let mut first_lp = true;
-    let int_vars: Vec<usize> = model
-        .kinds()
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| !matches!(k, VarKind::Continuous))
-        .map(|(j, _)| j)
-        .collect();
-    let root_bounds: Box<[(f64, f64)]> = int_vars
-        .iter()
-        .map(|&j| (lp_min.var_lower()[j], lp_min.var_upper()[j]))
-        .collect();
-
-    let mut pseudo = PseudoCosts::new(int_vars.len());
-    let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-    // Node-pool accounting: every node carries a bounds box of
-    // `int_vars.len()` pairs and a packed basis, so pool bytes are a pure
-    // function of the peak open-node count (the `+ 1` in the tracker is the
-    // in-flight dive node, which lives outside the heap).
-    let node_bytes = Node::pool_bytes(int_vars.len(), lp_min.num_vars() + lp_min.num_rows());
-    let pool_peak = std::cell::Cell::new(0usize);
-    let note_pool = |heap: &BinaryHeap<Node>| {
-        pool_peak.set(pool_peak.get().max(heap.len() + 1));
-    };
-    let mut seq: u64 = 0;
-    let mut nodes: u64 = 0;
-    let mut incumbent: Option<(f64, Vec<f64>)> = None; // minimize sense
-                                                       // Cutoff in minimize sense: prune anything not strictly better.
-    let cutoff_min: Option<f64> = opts.cutoff.map(|c| sign * c);
-    let mut numerical_failures: u32 = 0;
-
-    heap.push(Node {
-        bounds: root_bounds,
-        bound: f64::NEG_INFINITY,
-        depth: 0,
-        seq,
-        pending_pseudo: None,
-        parent: None,
-        branch: None,
-        basis: None,
-    });
-    note_pool(&heap);
-    seq += 1;
-
-    // Search-tree capture: one record per counted node, bound reported in
-    // the user's sense, `None` when the relaxation never produced one.
-    let record_node = |id: u64, node: &Node, bound_min: f64, outcome: NodeOutcome| {
-        if let Some(bb) = &blackbox {
-            bb.record(EventKind::NodeClose, id, outcome.code());
-        }
-        if let Some(t) = &opts.tree {
-            t.record(TreeNode {
-                id,
-                parent: node.parent,
-                depth: node.depth,
-                branch: node.branch,
-                bound: bound_min.is_finite().then_some(sign * bound_min),
-                outcome,
-            });
-        }
-    };
-
-    let finish = |status: MipStatus,
-                  incumbent: Option<(f64, Vec<f64>)>,
-                  bound_min: f64,
-                  nodes: u64,
-                  simplex: &Simplex| {
-        let (objective, x) = match incumbent {
-            Some((obj, x)) => (Some(sign * obj), Some(x)),
-            None => (None, None),
-        };
-        let gap = objective.map(|o| {
-            let b = sign * bound_min;
-            ((o - b).abs() / o.abs().max(1e-10)).max(0.0)
-        });
-        let result = MipResult {
-            status,
-            objective,
-            best_bound: sign * bound_min,
-            x,
-            gap,
-            nodes,
-            lp_iterations: simplex.iterations(),
-            runtime: start.elapsed(),
-        };
-        // Final-state registers for crash/stall dumps written after the
-        // solve returns (or by a panic unwinding through the caller).
-        if let Some(bb) = &blackbox {
-            bb.recorder().set_bound(result.best_bound);
-            if let Some(obj) = result.objective {
-                bb.recorder().set_incumbent(obj);
-            }
-        }
-        if telemetry.is_enabled() {
-            telemetry.counter_add("mip.nodes", result.nodes);
-            telemetry.counter_add("lp.iterations", result.lp_iterations as u64);
-            simplex.stats.flush_into(&telemetry);
-            simplex.health.flush_into(&telemetry);
-            telemetry.gauge_set("mip.best_bound", result.best_bound);
-            if let Some(obj) = result.objective {
-                telemetry.gauge_set("mip.incumbent_objective", obj);
-            }
-            telemetry.gauge_set("mip.final_gap", result.gap_or_inf());
-            telemetry.gauge_set("mip.runtime_s", result.runtime.as_secs_f64());
-            // Structural memory gauges: LP engine scratch (basis inverse +
-            // factorization workspaces), peak open-node pool, and — when a
-            // search tree is attached — its record store.
-            telemetry.gauge_set("mem.lp.simplex_bytes", simplex.memory_bytes() as f64);
-            telemetry.gauge_set(
-                "mem.mip.node_pool_peak_bytes",
-                (pool_peak.get() * node_bytes) as f64,
-            );
-            if let Some(t) = &opts.tree {
-                telemetry.gauge_set("mem.mip.tree_bytes", t.memory_bytes() as f64);
-            }
-            telemetry.event_with(|| Event::SolveEnd {
-                what: "mip".into(),
-                status: status.as_str().to_string(),
-            });
-        }
-        result
-    };
-
-    // The global dual bound is the min over open-node bounds (lazy: heap
-    // contents) and, during a dive, the dive node's own bound.
-    let global_bound =
-        |heap: &BinaryHeap<Node>, dive: Option<f64>, inc: &Option<(f64, Vec<f64>)>| {
-            let mut b = f64::INFINITY;
-            if let Some(top) = heap.peek() {
-                b = b.min(top.bound);
-            }
-            if let Some(d) = dive {
-                b = b.min(d);
-            }
-            if b == f64::INFINITY {
-                // Tree exhausted: bound equals incumbent (or +inf if none).
-                b = inc.as_ref().map_or(f64::INFINITY, |(o, _)| *o);
-            }
-            b
-        };
-
-    let mut unbounded_root = false;
-    // The value any new solution must strictly beat (minimize sense).
-    let must_beat = |incumbent: &Option<(f64, Vec<f64>)>| -> Option<f64> {
-        match (incumbent.as_ref().map(|(o, _)| *o), cutoff_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
-    };
-    // Exactly one BnbNode event per counted node, emitted as soon as the
-    // node's relaxation outcome is known.
-    let emit_node = |node: u64, depth: u32, bound_min: f64, frac_count: usize| {
-        telemetry.event_with(|| Event::BnbNode {
-            node,
-            depth,
-            bound: sign * bound_min,
-            frac_count,
-        });
-    };
-    let emit_incumbent = |obj_min: f64,
-                          bound_min: f64,
-                          nodes: u64,
-                          node_id: u64,
-                          depth: u32,
-                          src: IncumbentSource| {
-        if let Some(bb) = &blackbox {
-            bb.recorder().set_incumbent(sign * obj_min);
-            bb.record(EventKind::Incumbent, node_id, (sign * obj_min).to_bits());
-        }
-        telemetry.counter_add("mip.incumbents", 1);
-        telemetry.event_with(|| {
-            let obj = sign * obj_min;
-            let b = sign * bound_min;
-            Event::Incumbent {
-                obj,
-                gap: (obj - b).abs() / obj.abs().max(1e-10),
-            }
-        });
-        if let Some(rec) = &opts.progress_events {
-            rec.record_incumbent(
-                sign * obj_min,
-                sign * bound_min,
-                nodes,
-                node_id,
-                depth,
-                0,
-                src,
-            );
-        }
-    };
-
-    'outer: while let Some(mut node) = heap.pop() {
-        // Prune against incumbent/cutoff.
-        if let Some(beat) = must_beat(&incumbent) {
-            if node.bound >= beat - prune_eps(beat) {
-                continue;
-            }
-        }
-        // Re-solve from the parent's basis, not from wherever the last dive
-        // left the LP.
-        if let Some(basis) = node.basis.take() {
-            simplex.load_basis(&basis);
-        }
-
-        // Dive from this node until pruned.
-        let mut current = node;
-        loop {
-            // Limits.
-            if let Some(tl) = opts.time_limit {
-                if start.elapsed() >= tl {
-                    let b = global_bound(&heap, Some(current.bound), &incumbent);
-                    let status = if incumbent.is_some() {
-                        MipStatus::Feasible
-                    } else {
-                        MipStatus::NoSolution
-                    };
-                    return finish(status, incumbent, b, nodes, &simplex);
-                }
-            }
-            if let Some(nl) = opts.node_limit {
-                if nodes >= nl {
-                    let b = global_bound(&heap, Some(current.bound), &incumbent);
-                    let status = if incumbent.is_some() {
-                        MipStatus::Feasible
-                    } else {
-                        MipStatus::NoSolution
-                    };
-                    return finish(status, incumbent, b, nodes, &simplex);
-                }
-            }
-
-            nodes += 1;
-            let node_id = nodes;
-            if let Some(bb) = &blackbox {
-                bb.pulse().add_nodes(1);
-                bb.record(
-                    EventKind::NodeOpen,
-                    node_id,
-                    (sign * current.bound).to_bits(),
-                );
-            }
-            let _node_span = telemetry
-                .span("mip.node")
-                .arg("node", node_id as f64)
-                .arg("depth", current.depth as f64);
-            if let Some(every) = opts.log_every {
-                if nodes.is_multiple_of(every) {
-                    let b = global_bound(&heap, Some(current.bound), &incumbent);
-                    let report = MipProgress {
-                        nodes,
-                        // The current dive node is in flight, not on the
-                        // heap: count it so `open` is the true open total.
-                        open: heap.len() + 1,
-                        incumbent: incumbent.as_ref().map(|(o, _)| sign * o),
-                        bound: sign * b,
-                        elapsed: start.elapsed(),
-                        lp_iterations: simplex.iterations(),
-                        lp_stats: simplex.stats,
-                    };
-                    match &opts.progress {
-                        Some(callback) => callback(&report),
-                        None => default_progress_sink(&report),
-                    }
-                }
-            }
-
-            // Apply this node's integer bounds and solve the LP.
-            for (k, &j) in int_vars.iter().enumerate() {
-                let (lo, up) = current.bounds[k];
-                simplex.set_var_bounds(j, lo, up);
-            }
-            let mut status = if first_lp {
-                simplex.solve()
-            } else {
-                simplex.solve_warm()
-            };
-            first_lp = false;
-            if status == LpStatus::TimeLimit {
-                emit_node(nodes, current.depth, current.bound, 0);
-                record_node(node_id, &current, current.bound, NodeOutcome::TimeLimit);
-                let b = global_bound(&heap, Some(current.bound), &incumbent);
-                let st = if incumbent.is_some() {
-                    MipStatus::Feasible
-                } else {
-                    MipStatus::NoSolution
-                };
-                return finish(st, incumbent, b, nodes, &simplex);
-            }
-            if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
-                // Retry once from a fresh basis.
-                simplex.reset_basis();
-                status = simplex.solve();
-                if status == LpStatus::TimeLimit {
-                    emit_node(nodes, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::TimeLimit);
-                    let b = global_bound(&heap, Some(current.bound), &incumbent);
-                    let st = if incumbent.is_some() {
-                        MipStatus::Feasible
-                    } else {
-                        MipStatus::NoSolution
-                    };
-                    return finish(st, incumbent, b, nodes, &simplex);
-                }
-                if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
-                    numerical_failures += 1;
-                    if numerical_failures > 5 {
-                        emit_node(nodes, current.depth, current.bound, 0);
-                        record_node(node_id, &current, current.bound, NodeOutcome::Numerical);
-                        let b = global_bound(&heap, Some(current.bound), &incumbent);
-                        return finish(MipStatus::Numerical, incumbent, b, nodes, &simplex);
-                    }
-                    // Treat the node as unresolved: requeue with its parent
-                    // bound so it is revisited later (no pruning done).
-                    emit_node(nodes, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::Numerical);
-                    current.seq = seq;
-                    seq += 1;
-                    heap.push(current);
-                    note_pool(&heap);
-                    break;
-                }
-            }
-            match status {
-                LpStatus::Infeasible => {
-                    emit_node(nodes, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::Infeasible);
-                    break; // prune
-                }
-                LpStatus::Unbounded => {
-                    emit_node(nodes, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::Unbounded);
-                    if current.depth == 0 {
-                        unbounded_root = true;
-                        break 'outer;
-                    }
-                    // Bounded root cannot have unbounded children; be safe.
-                    unbounded_root = true;
-                    break 'outer;
-                }
-                _ => {}
-            }
-            let sol = simplex.extract(status);
-            let lp_obj = sol.objective;
-            current.bound = current.bound.max(lp_obj);
-            // Global-bound tightening event: the bound is the min over the
-            // heap and the in-flight dive, and only moves when a node's LP
-            // resolves, so this is the one site where it can tighten.
-            if let Some(rec) = &opts.progress_events {
-                let b = global_bound(&heap, Some(current.bound), &incumbent);
-                rec.offer_bound(sign * b, nodes, node_id, current.depth, 0);
-            }
-            if let Some(bb) = &blackbox {
-                let b = sign * global_bound(&heap, Some(current.bound), &incumbent);
-                bb.recorder().set_bound(b);
-                bb.record(EventKind::Bound, node_id, b.to_bits());
-            }
-
-            // Settle the pseudocost observation for the branching that
-            // created this node.
-            if let Some((k, is_up, parent_obj, frac)) = current.pending_pseudo.take() {
-                let delta = (lp_obj - parent_obj).max(0.0);
-                let per_unit = if is_up {
-                    delta / (1.0 - frac).max(1e-6)
-                } else {
-                    delta / frac.max(1e-6)
-                };
-                pseudo.record(k, is_up, per_unit);
-            }
-
-            // Find the branching candidates (also reported in the node's
-            // timeline event, so computed before the bound-pruning check).
-            let mut frac_vars: Vec<(usize, f64)> = Vec::new(); // (int idx, frac)
-            for (k, &j) in int_vars.iter().enumerate() {
-                let v = sol.x[j];
-                let f = v - v.floor();
-                let dist = f.min(1.0 - f);
-                if dist > opts.int_tol {
-                    frac_vars.push((k, f));
-                }
-            }
-            emit_node(nodes, current.depth, current.bound, frac_vars.len());
-
-            // Prune by bound.
-            if let Some(beat) = must_beat(&incumbent) {
-                if lp_obj >= beat - prune_eps(beat) {
-                    record_node(node_id, &current, current.bound, NodeOutcome::PrunedBound);
-                    break;
-                }
-            }
-
-            if frac_vars.is_empty() {
-                record_node(node_id, &current, current.bound, NodeOutcome::Integral);
-                // Integer feasible: new incumbent?
-                let better =
-                    must_beat(&incumbent).is_none_or(|beat| lp_obj < beat - prune_eps(beat));
-                if better {
-                    incumbent = Some((lp_obj, sol.x.clone()));
-                    // Gap-based early stop.
-                    let b = global_bound(&heap, None, &incumbent);
-                    emit_incumbent(
-                        lp_obj,
-                        b,
-                        nodes,
-                        node_id,
-                        current.depth,
-                        IncumbentSource::IntegralLp,
-                    );
-                    let gap = (lp_obj - b).abs() / lp_obj.abs().max(1e-10);
-                    if gap <= opts.rel_gap {
-                        return finish(MipStatus::Optimal, incumbent, b, nodes, &simplex);
-                    }
-                }
-                break; // leaf
-            }
-
-            // Primal heuristics: a one-shot rounding test, and (on a
-            // schedule) an iterative rounding dive. Any bound mutations the
-            // dive makes are overwritten when the next node applies its own
-            // bounds.
-            if incumbent.is_none() {
-                let mut rounded = sol.x.clone();
-                for &j in &int_vars {
-                    rounded[j] = rounded[j].round();
-                }
-                if lp_min.max_violation(&rounded) < 1e-7 {
-                    let obj = lp_min.eval_objective(&rounded);
-                    if must_beat(&incumbent).is_none_or(|b| obj < b - prune_eps(b)) {
-                        incumbent = Some((obj, rounded));
-                        emit_incumbent(
-                            obj,
-                            global_bound(&heap, Some(current.bound), &incumbent),
-                            nodes,
-                            node_id,
-                            current.depth,
-                            IncumbentSource::Rounding,
-                        );
-                    }
-                }
-            }
-            let dive_period = if incumbent.is_none() { 10 } else { 200 };
-            if nodes % dive_period == 1 {
-                let budget = int_vars.len() + 10;
-                if let Some((obj, x)) =
-                    dive_heuristic(&mut simplex, &int_vars, opts.int_tol, budget)
-                {
-                    let better = must_beat(&incumbent).is_none_or(|b| obj < b - prune_eps(b));
-                    if better && model.max_integrality_violation(&x) <= opts.int_tol * 10.0 {
-                        incumbent = Some((obj, x));
-                        let b = global_bound(&heap, Some(current.bound), &incumbent);
-                        emit_incumbent(
-                            obj,
-                            b,
-                            nodes,
-                            node_id,
-                            current.depth,
-                            IncumbentSource::Dive,
-                        );
-                        let io = incumbent.as_ref().map(|(o, _)| *o).expect("just set");
-                        let gap = (io - b).abs() / io.abs().max(1e-10);
-                        if gap <= opts.rel_gap {
-                            record_node(node_id, &current, current.bound, NodeOutcome::PrunedBound);
-                            return finish(MipStatus::Optimal, incumbent, b, nodes, &simplex);
-                        }
-                    }
-                }
-                // Restore this node's bounds and re-solve so branching below
-                // uses the node's own relaxation. The dive left the basis
-                // near-optimal, so this is cheap.
-                for (k2, &j2) in int_vars.iter().enumerate() {
-                    let (lo2, up2) = current.bounds[k2];
-                    simplex.set_var_bounds(j2, lo2, up2);
-                }
-                if simplex.solve_warm() != LpStatus::Optimal {
-                    // Should not happen (this exact LP solved above); requeue
-                    // conservatively.
-                    record_node(node_id, &current, current.bound, NodeOutcome::Numerical);
-                    current.seq = seq;
-                    seq += 1;
-                    heap.push(current);
-                    note_pool(&heap);
-                    break;
-                }
-            }
-
-            // Select branching variable.
-            let (bk, bfrac) = match opts.branching {
-                Branching::MostFractional => most_fractional(&frac_vars),
-                Branching::Pseudocost => {
-                    let mut best: Option<(usize, f64, f64)> = None; // (k, frac, score)
-                    let mut all_scored = true;
-                    for &(k, f) in &frac_vars {
-                        match pseudo.score(k, f) {
-                            Some(s) => {
-                                if best.is_none_or(|(_, _, bs)| s > bs) {
-                                    best = Some((k, f, s));
-                                }
-                            }
-                            None => {
-                                all_scored = false;
-                            }
-                        }
-                    }
-                    if all_scored {
-                        let (k, f, _) = best.expect("nonempty frac_vars");
-                        (k, f)
-                    } else {
-                        // Not all initialized: fall back to most fractional to
-                        // gather pseudocost observations broadly.
-                        most_fractional(&frac_vars)
-                    }
-                }
-            };
-            let j = int_vars[bk];
-            let xval = sol.x[j];
-            let (lo, up) = current.bounds[bk];
-            record_node(node_id, &current, current.bound, NodeOutcome::Branched);
-
-            // Children: down (x <= floor) and up (x >= ceil).
-            let mut down_bounds = current.bounds.clone();
-            down_bounds[bk] = (lo, xval.floor());
-            let mut up_bounds = current.bounds.clone();
-            up_bounds[bk] = (xval.ceil(), up);
-            let down = Node {
-                bounds: down_bounds,
-                bound: lp_obj,
-                depth: current.depth + 1,
-                seq: {
-                    seq += 1;
-                    seq
-                },
-                pending_pseudo: Some((bk, false, lp_obj, bfrac)),
-                parent: Some(node_id),
-                branch: Some((j, false)),
-                basis: None,
-            };
-            let up_node = Node {
-                bounds: up_bounds,
-                bound: lp_obj,
-                depth: current.depth + 1,
-                seq: {
-                    seq += 1;
-                    seq
-                },
-                pending_pseudo: Some((bk, true, lp_obj, bfrac)),
-                parent: Some(node_id),
-                branch: Some((j, true)),
-                basis: None,
-            };
-
-            // Dive into the child on the nearer side of the fraction; the
-            // sibling joins the best-bound queue with this node's basis.
-            let (dive_node, mut other) = if bfrac < 0.5 {
-                (down, up_node)
-            } else {
-                (up_node, down)
-            };
-            other.basis = Some(simplex.save_basis());
-            heap.push(other);
-            note_pool(&heap);
-            current = dive_node;
-        }
-        // nothing: continue outer loop
-    }
-
-    if unbounded_root {
-        return finish(
-            MipStatus::Unbounded,
-            None,
-            f64::NEG_INFINITY,
-            nodes,
-            &simplex,
-        );
-    }
-
-    // Tree exhausted.
-    match (&incumbent, cutoff_min) {
-        (Some(_), _) => {
-            let b = incumbent.as_ref().map(|(o, _)| *o).unwrap();
-            finish(MipStatus::Optimal, incumbent, b, nodes, &simplex)
-        }
-        (None, Some(c)) => {
-            // Nothing strictly better than the cutoff exists; the caller's
-            // heuristic solution is optimal.
-            finish(MipStatus::NoBetterThanCutoff, None, c, nodes, &simplex)
-        }
-        (None, None) => finish(MipStatus::Infeasible, None, f64::INFINITY, nodes, &simplex),
-    }
+    crate::parallel::solve(model, opts, threads)
 }
 
 /// The historical `log_every` behavior: one summary line per report on
@@ -1039,7 +459,7 @@ pub(crate) fn default_progress_sink(p: &MipProgress) {
     );
 }
 
-pub(crate) fn most_fractional(frac_vars: &[(usize, f64)]) -> (usize, f64) {
+fn most_fractional(frac_vars: &[(usize, f64)]) -> (usize, f64) {
     let mut best = frac_vars[0];
     let mut best_dist = -1.0;
     for &(k, f) in frac_vars {

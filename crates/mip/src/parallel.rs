@@ -1,7 +1,9 @@
-//! Parallel branch-and-bound driver (`std`-only).
-//!
-//! Mirrors the sequential solver in `branch_and_bound.rs` node for node, but
-//! distributes dives over worker threads:
+//! The branch-and-bound driver (`std`-only): best-bound node selection over
+//! a node pool that `threads` workers dive from. At `threads = 1` the one
+//! worker runs inline on the caller's thread, with the caller's telemetry
+//! and flight-recorder handles; one worker processes nodes in a total order,
+//! so the search and everything it records are bit-for-bit reproducible
+//! there (wall-clock readings aside).
 //!
 //! * **Shared node pool** — a best-bound [`BinaryHeap`] behind a `Mutex`,
 //!   with a `Condvar` for workers waiting on new nodes. Depth-first plunging
@@ -14,18 +16,23 @@
 //! * **Per-worker LP engines** — each worker owns a [`Simplex`]; pseudocosts
 //!   and LP scratch memory stay thread-local. A node pushed to the pool
 //!   carries its parent's basis, so whichever worker pops it re-solves from
-//!   that basis rather than from its own last dive.
-//!   Per-worker `SolveStats`/telemetry registries are merged after the
-//!   workers join, so `--metrics-out` and the bench CSV report identical
+//!   that basis rather than from its own last dive. With more than one
+//!   worker, per-worker `SolveStats`/telemetry registries are merged after
+//!   the workers join, so `--metrics-out` and the bench CSV report identical
 //!   quantities regardless of thread count (per-thread LP *timeline* events
 //!   are dropped: they have no global order).
+//! * **One writer per node fact** — [`NodeObserver`] is the only place a
+//!   node's open and close, a global-bound tightening or an incumbent is
+//!   written to the search tree, the progress stream, the flight recorder
+//!   or the telemetry handle.
 //!
 //! Correctness of the global dual bound: each worker publishes the bound of
 //! its in-flight dive node in a per-worker atomic. A dive node's bound only
-//! increases (children inherit the parent's LP objective), so a stale read
-//! is always an underestimate — conservative for both gap termination and
-//! reporting. The atomic is written under the pool lock at node acquisition,
-//! so a reader holding the pool lock never misses an in-flight node.
+//! increases while it is processed, and each dive child is published when
+//! the worker descends into it, so a stale read is always an underestimate
+//! — conservative for both gap termination and reporting. The atomic is
+//! written under the pool lock whenever a node leaves or enters the pool, so
+//! a reader holding the pool lock never misses an open node.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -33,14 +40,14 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::branch_and_bound::{
-    default_progress_sink, dive_heuristic, most_fractional, prune_eps, Branching, MipOptions,
-    MipProgress, MipResult, MipStatus, Node, PseudoCosts,
+    default_progress_sink, dive_heuristic, prune_eps, MipOptions, MipProgress, MipResult,
+    MipStatus, Node, PseudoCosts,
 };
 use crate::model::{MipModel, Sense, VarKind};
-use crate::progress::IncumbentSource;
-use crate::tree::{NodeOutcome, TreeNode};
+use crate::progress::{IncumbentSource, ProgressRecorder};
+use crate::tree::{NodeOutcome, SearchTree, TreeNode};
 use tvnep_lp::{HealthMonitor, LpProblem, LpStatus, Simplex, SolveStats};
-use tvnep_telemetry::{Event, EventKind, Telemetry};
+use tvnep_telemetry::{Event, EventKind, FlightHandle, Telemetry};
 
 /// Monotone bit-packing of `f64` into `u64`: `pack(a) < pack(b)` iff
 /// `a < b` (for non-NaN values), so `AtomicU64::fetch_min` implements an
@@ -60,6 +67,11 @@ fn unpack(b: u64) -> f64 {
     } else {
         !b
     })
+}
+
+/// Relative gap between an incumbent and a bound (minimize sense).
+fn rel_gap(obj: f64, bound: f64) -> f64 {
+    (obj - bound).abs() / obj.abs().max(1e-10)
 }
 
 /// Why the search stopped before exhausting the tree.
@@ -90,7 +102,18 @@ impl Pool {
     }
 }
 
-struct Shared {
+/// Everything the workers share: the problem and options, read-only, and
+/// the synchronized search state.
+struct Shared<'a> {
+    model: &'a MipModel,
+    opts: &'a MipOptions,
+    /// The relaxation in minimize sense; `sign` maps its values back to the
+    /// user's sense.
+    lp_min: LpProblem,
+    sign: f64,
+    /// Model columns of the integer variables; node bounds follow this order.
+    int_vars: Vec<usize>,
+    start: Instant,
     pool: Mutex<Pool>,
     work_ready: Condvar,
     /// Packed minimize-sense value any new solution must strictly beat:
@@ -112,7 +135,7 @@ struct Shared {
     stop_flag: AtomicBool,
 }
 
-impl Shared {
+impl Shared<'_> {
     /// Records the first stop reason and tells every worker to drain out.
     fn request_stop(&self, stop: Stop) {
         let mut guard = self.stop.lock().unwrap();
@@ -126,14 +149,15 @@ impl Shared {
         self.work_ready.notify_all();
     }
 
-    /// Pushes `node` back onto the pool (fresh sequence number) so its bound
-    /// keeps counting toward the global dual bound.
+    /// Pushes the in-flight `node` back onto the pool (fresh sequence
+    /// number) so its bound keeps counting toward the global dual bound. The
+    /// open-node count does not change: the node was counted while in
+    /// flight, and its dive ends next.
     fn requeue(&self, mut node: Node) {
         let mut pool = self.pool.lock().unwrap();
         node.seq = pool.seq;
         pool.seq += 1;
         pool.heap.push(node);
-        pool.note_peak();
         self.work_ready.notify_one();
     }
 
@@ -184,6 +208,12 @@ impl Shared {
         v.is_finite().then_some(v)
     }
 
+    /// True when `bound` (minimize sense) cannot beat the incumbent/cutoff.
+    fn prunes(&self, bound: f64) -> bool {
+        self.must_beat()
+            .is_some_and(|beat| bound >= beat - prune_eps(beat))
+    }
+
     /// Installs a new incumbent if it still beats the global cutoff.
     /// Returns `true` when accepted.
     fn offer_incumbent(&self, obj_min: f64, x: Vec<f64>) -> bool {
@@ -209,6 +239,118 @@ impl Shared {
             b = b.min(unpack(wb.load(Ordering::Relaxed)));
         }
         (b, open)
+    }
+
+    /// [`Shared::global_bound`], or `fallback` when no node is open.
+    fn bound_or(&self, fallback: f64) -> f64 {
+        match self.global_bound().0 {
+            f64::INFINITY => fallback,
+            b => b,
+        }
+    }
+
+    /// One [`MipProgress`] report, to the options' callback or the default
+    /// stderr line.
+    fn report_progress(&self, nodes: u64, simplex: &Simplex) {
+        let (bound, open) = self.global_bound();
+        let incumbent = self.incumbent.lock().unwrap().as_ref().map(|(o, _)| *o);
+        let report = MipProgress {
+            nodes,
+            open,
+            incumbent: incumbent.map(|o| self.sign * o),
+            bound: self.sign * bound,
+            elapsed: self.start.elapsed(),
+            lp_iterations: simplex.iterations(),
+            lp_stats: simplex.stats,
+        };
+        match &self.opts.progress {
+            Some(callback) => callback(&report),
+            None => default_progress_sink(&report),
+        }
+    }
+}
+
+/// The one writer of node facts. Each method checks the optional sinks
+/// once and writes a fact to every sink that carries it; `tid` is the
+/// progress stream's logical thread (0 for the inline worker, `w + 1` for
+/// worker `w`). Values arrive in minimize sense and leave in user sense.
+struct NodeObserver<'a> {
+    shared: &'a Shared<'a>,
+    tid: u32,
+    tree: Option<&'a SearchTree>,
+    progress: Option<&'a ProgressRecorder>,
+    blackbox: Option<FlightHandle>,
+    telemetry: &'a Telemetry,
+}
+
+impl NodeObserver<'_> {
+    /// Node `id` was counted: a pulse tick and a `node_open` event carrying
+    /// its inherited bound.
+    fn open(&self, id: u64, node: &Node) {
+        if let Some(bb) = &self.blackbox {
+            bb.pulse().add_nodes(1);
+            let bound = self.shared.sign * node.bound;
+            bb.record(EventKind::NodeOpen, id, bound.to_bits());
+        }
+    }
+
+    /// Node `id` was resolved: one tree record and one `node_close` event.
+    fn close(&self, id: u64, node: &Node, outcome: NodeOutcome) {
+        if let Some(bb) = &self.blackbox {
+            bb.record(EventKind::NodeClose, id, outcome.code());
+        }
+        if let Some(t) = self.tree {
+            t.record(TreeNode {
+                id,
+                parent: node.parent,
+                depth: node.depth,
+                branch: node.branch,
+                bound: node
+                    .bound
+                    .is_finite()
+                    .then_some(self.shared.sign * node.bound),
+                outcome,
+            });
+        }
+    }
+
+    /// Node `id`'s LP resolved, the one point where the global dual bound
+    /// can tighten. The bound is computed once, under the pool lock, and
+    /// clamped to the incumbent or cutoff: an open-node bound past the value
+    /// to beat belongs to a node about to be pruned, so the proof is
+    /// complete there. The progress stream, the `bound` event and the
+    /// recorder's register all get that one value.
+    fn bound(&self, id: u64, depth: u32) {
+        if self.progress.is_none() && self.blackbox.is_none() {
+            return;
+        }
+        let shared = self.shared;
+        let beat = unpack(shared.cutoff.load(Ordering::Relaxed));
+        let b = shared.sign * shared.global_bound().0.min(beat);
+        if let Some(rec) = self.progress {
+            let nodes = shared.nodes.load(Ordering::Relaxed);
+            rec.offer_bound(b, nodes, id, depth, self.tid);
+        }
+        if let Some(bb) = &self.blackbox {
+            bb.recorder().set_bound(b);
+            bb.record(EventKind::Bound, id, b.to_bits());
+        }
+    }
+
+    /// An incumbent `obj_min` found at node `id` was accepted while the
+    /// global dual bound stood at `bound_min`.
+    fn incumbent(&self, obj_min: f64, bound_min: f64, id: u64, depth: u32, src: IncumbentSource) {
+        let sign = self.shared.sign;
+        let obj = sign * obj_min;
+        if let Some(bb) = &self.blackbox {
+            bb.recorder().set_incumbent(obj);
+            bb.record(EventKind::Incumbent, id, obj.to_bits());
+        }
+        self.telemetry.counter_add("mip.incumbents", 1);
+        if let Some(rec) = self.progress {
+            let nodes = self.shared.nodes.load(Ordering::Relaxed);
+            rec.record_incumbent(obj, sign * bound_min, nodes, id, depth, self.tid, src);
+        }
     }
 }
 
@@ -237,15 +379,16 @@ struct WorkerOut {
     pruned_bound: u64,
 }
 
-pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize) -> MipResult {
+pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipResult {
     let start = Instant::now();
     let sign = match model.sense() {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
     let lp_min = model.relaxation_min();
-    let telemetry = opts.telemetry.clone();
-    // Busy for the whole parallel solve (workers share the one recorder).
+    let telemetry = &opts.telemetry;
+    // Busy for the duration of the solve: the stall watchdog only reads a
+    // flat progress pulse as a stall while at least one guard is open.
     let _busy = opts.blackbox.as_ref().map(|bb| bb.recorder().busy_guard());
     telemetry.event_with(|| Event::SolveStart { what: "mip".into() });
     let _solve_span = telemetry.span("mip.solve");
@@ -260,9 +403,16 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
         .iter()
         .map(|&j| (lp_min.var_lower()[j], lp_min.var_upper()[j]))
         .collect();
+    let node_bytes = Node::pool_bytes(int_vars.len(), lp_min.num_vars() + lp_min.num_rows());
     let cutoff_min: Option<f64> = opts.cutoff.map(|c| sign * c);
 
     let shared = Shared {
+        model,
+        opts,
+        lp_min,
+        sign,
+        int_vars,
+        start,
         pool: Mutex::new(Pool {
             heap: BinaryHeap::new(),
             active: 0,
@@ -294,28 +444,26 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
         basis: None,
     });
 
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|wid| {
-                let shared = &shared;
-                let lp_min = &lp_min;
-                let int_vars = &int_vars;
-                let telemetry = &telemetry;
-                scope.spawn(move || {
-                    worker(
-                        wid, shared, model, lp_min, int_vars, opts, sign, start, telemetry,
-                    )
+    let outs: Vec<WorkerOut> = if threads == 1 {
+        vec![worker(&shared, 0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|wid| {
+                    let shared = &shared;
+                    scope.spawn(move || worker(shared, wid))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        })
+    };
 
-    // Merge per-worker counters so reported quantities match a sequential
-    // run over the same tree.
+    // Merge per-worker counters so reported quantities do not depend on the
+    // thread count (the inline worker's telemetry is the caller's own, so
+    // absorbing it is a no-op).
     let mut stats = SolveStats::default();
     let mut health = HealthMonitor::default();
     let mut lp_iterations = 0usize;
@@ -335,56 +483,43 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
     let heap_bound = pool.heap.peek().map_or(f64::INFINITY, |n| n.bound);
     let inc_obj = incumbent.as_ref().map(|(o, _)| *o);
     // `f64::INFINITY` means the tree is gone: the bound collapses onto the
-    // incumbent (or the cutoff / +inf, mirroring the sequential driver).
-    let residual_bound = |fallback: f64| {
-        if heap_bound == f64::INFINITY {
-            inc_obj.unwrap_or(fallback)
-        } else {
-            heap_bound
-        }
+    // incumbent (or +inf).
+    let residual_bound = if heap_bound == f64::INFINITY {
+        inc_obj.unwrap_or(f64::INFINITY)
+    } else {
+        heap_bound
     };
 
     let (status, bound_min) = match stop {
         Some(Stop::GapOptimal(b)) => (MipStatus::Optimal, b),
         Some(Stop::Unbounded) => (MipStatus::Unbounded, f64::NEG_INFINITY),
-        Some(Stop::Numerical) => (MipStatus::Numerical, residual_bound(f64::INFINITY)),
-        Some(Stop::Limit) => {
-            let st = if incumbent.is_some() {
-                MipStatus::Feasible
-            } else {
-                MipStatus::NoSolution
-            };
-            (st, residual_bound(f64::INFINITY))
-        }
+        Some(Stop::Numerical) => (MipStatus::Numerical, residual_bound),
+        Some(Stop::Limit) if incumbent.is_some() => (MipStatus::Feasible, residual_bound),
+        Some(Stop::Limit) => (MipStatus::NoSolution, residual_bound),
         // Tree exhausted: optimal incumbent, or nothing beats the cutoff.
-        None => match (&incumbent, cutoff_min) {
-            (Some((obj, _)), _) => (MipStatus::Optimal, *obj),
+        None => match (inc_obj, cutoff_min) {
+            (Some(obj), _) => (MipStatus::Optimal, obj),
             (None, Some(c)) => (MipStatus::NoBetterThanCutoff, c),
             (None, None) => (MipStatus::Infeasible, f64::INFINITY),
         },
     };
 
     let (objective, x) = match (status, incumbent) {
-        (MipStatus::Unbounded, _) => (None, None),
+        (MipStatus::Unbounded, _) | (_, None) => (None, None),
         (_, Some((obj, x))) => (Some(sign * obj), Some(x)),
-        (_, None) => (None, None),
     };
-    let gap = objective.map(|o| {
-        let b = sign * bound_min;
-        ((o - b).abs() / o.abs().max(1e-10)).max(0.0)
-    });
     let result = MipResult {
         status,
         objective,
         best_bound: sign * bound_min,
         x,
-        gap,
+        gap: objective.map(|o| rel_gap(o, sign * bound_min).max(0.0)),
         nodes,
         lp_iterations,
         runtime: start.elapsed(),
     };
-    // Final-state registers for crash/stall dumps (worker-local bounds are
-    // not folded into the register mid-solve; the merged result is).
+    // Final-state registers for crash/stall dumps written after the solve
+    // returns (or by a panic unwinding through the caller).
     if let Some(bb) = &opts.blackbox {
         bb.recorder().set_bound(result.best_bound);
         if let Some(obj) = result.objective {
@@ -394,71 +529,21 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
     if telemetry.is_enabled() {
         telemetry.counter_add("mip.nodes", result.nodes);
         telemetry.counter_add("lp.iterations", result.lp_iterations as u64);
-        stats.flush_into(&telemetry);
-        health.flush_into(&telemetry);
-        // Parallel-efficiency report: per-worker wall/busy/LP/wait clocks
-        // (busy is derived as wall − wait − lp, so the three components sum
-        // to wall by construction) plus pool and prune accounting, rolled
-        // up into a busy fraction and an effective-parallelism estimate.
-        let mut busy_sum = 0.0f64;
-        let mut wall_sum = 0.0f64;
-        let mut wall_max = 0.0f64;
-        for (i, out) in outs.iter().enumerate() {
-            let w = i + 1;
-            let wall = out.wall.as_secs_f64();
-            let lp = out.lp_time.as_secs_f64();
-            let wait = out.wait.as_secs_f64();
-            let busy = (wall - wait - lp).max(0.0);
-            busy_sum += busy + lp;
-            wall_sum += wall;
-            wall_max = wall_max.max(wall);
-            telemetry.gauge_set(&format!("par.worker{w}.wall_s"), wall);
-            telemetry.gauge_set(&format!("par.worker{w}.busy_s"), busy);
-            telemetry.gauge_set(&format!("par.worker{w}.lp_s"), lp);
-            telemetry.gauge_set(&format!("par.worker{w}.wait_s"), wait);
-            telemetry.gauge_set(
-                &format!("par.worker{w}.busy_fraction"),
-                if wall > 0.0 { (busy + lp) / wall } else { 0.0 },
-            );
-            telemetry.gauge_set(&format!("par.worker{w}.nodes"), out.nodes as f64);
-            telemetry.gauge_set(
-                &format!("par.worker{w}.pruned_acquire"),
-                out.pruned_acquire as f64,
-            );
-            telemetry.gauge_set(
-                &format!("par.worker{w}.pruned_bound"),
-                out.pruned_bound as f64,
-            );
+        stats.flush_into(telemetry);
+        health.flush_into(telemetry);
+        if threads > 1 {
+            parallel_report(telemetry, &outs, pool.peak);
         }
-        telemetry.gauge_set("par.workers", threads as f64);
-        telemetry.gauge_set(
-            "par.busy_fraction",
-            if wall_sum > 0.0 {
-                busy_sum / wall_sum
-            } else {
-                0.0
-            },
-        );
-        telemetry.gauge_set(
-            "par.effective_parallelism",
-            if wall_max > 0.0 {
-                busy_sum / wall_max
-            } else {
-                0.0
-            },
-        );
-        telemetry.gauge_set("par.pool_peak_depth", pool.peak as f64);
         telemetry.gauge_set("mip.best_bound", result.best_bound);
         if let Some(obj) = result.objective {
             telemetry.gauge_set("mip.incumbent_objective", obj);
         }
         telemetry.gauge_set("mip.final_gap", result.gap_or_inf());
         telemetry.gauge_set("mip.runtime_s", result.runtime.as_secs_f64());
-        // Structural memory gauges, mirroring the sequential driver: LP
-        // scratch summed over all worker simplexes, the peak of the shared
-        // open-node pool, and the attached search tree if any.
+        // Structural memory gauges: LP scratch summed over all worker
+        // simplexes, the peak of the open-node pool, and the attached
+        // search tree if any.
         telemetry.gauge_set("mem.lp.simplex_bytes", simplex_bytes as f64);
-        let node_bytes = Node::pool_bytes(int_vars.len(), lp_min.num_vars() + lp_min.num_rows());
         telemetry.gauge_set(
             "mem.mip.node_pool_peak_bytes",
             (pool.peak * node_bytes) as f64,
@@ -474,179 +559,145 @@ pub(crate) fn solve_parallel(model: &MipModel, opts: &MipOptions, threads: usize
     result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    wid: usize,
-    shared: &Shared,
-    model: &MipModel,
-    lp_min: &LpProblem,
-    int_vars: &[usize],
-    opts: &MipOptions,
-    sign: f64,
-    start: Instant,
-    main_tel: &Telemetry,
-) -> WorkerOut {
-    // LP metrics and spans go to a private per-thread handle sharing the
-    // driver's epoch (merged by the driver after join); mip-level events
-    // below go straight to the shared handle.
-    let worker_tel = main_tel.worker(wid as u32 + 1);
-    let tid = wid as u32 + 1;
+/// Parallel-efficiency report: per-worker wall/busy/LP/wait clocks (busy is
+/// derived as wall − wait − lp, so the three components sum to wall by
+/// construction) plus pool and prune accounting, rolled up into a busy
+/// fraction and an effective-parallelism estimate.
+fn parallel_report(telemetry: &Telemetry, outs: &[WorkerOut], pool_peak: usize) {
+    let mut busy_sum = 0.0f64;
+    let mut wall_sum = 0.0f64;
+    let mut wall_max = 0.0f64;
+    for (i, out) in outs.iter().enumerate() {
+        let w = i + 1;
+        let wall = out.wall.as_secs_f64();
+        let lp = out.lp_time.as_secs_f64();
+        let wait = out.wait.as_secs_f64();
+        let busy = (wall - wait - lp).max(0.0);
+        busy_sum += busy + lp;
+        wall_sum += wall;
+        wall_max = wall_max.max(wall);
+        telemetry.gauge_set(&format!("par.worker{w}.wall_s"), wall);
+        telemetry.gauge_set(&format!("par.worker{w}.busy_s"), busy);
+        telemetry.gauge_set(&format!("par.worker{w}.lp_s"), lp);
+        telemetry.gauge_set(&format!("par.worker{w}.wait_s"), wait);
+        telemetry.gauge_set(
+            &format!("par.worker{w}.busy_fraction"),
+            if wall > 0.0 { (busy + lp) / wall } else { 0.0 },
+        );
+        telemetry.gauge_set(&format!("par.worker{w}.nodes"), out.nodes as f64);
+        telemetry.gauge_set(
+            &format!("par.worker{w}.pruned_acquire"),
+            out.pruned_acquire as f64,
+        );
+        telemetry.gauge_set(
+            &format!("par.worker{w}.pruned_bound"),
+            out.pruned_bound as f64,
+        );
+    }
+    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
+    telemetry.gauge_set("par.workers", outs.len() as f64);
+    telemetry.gauge_set("par.busy_fraction", ratio(busy_sum, wall_sum));
+    telemetry.gauge_set("par.effective_parallelism", ratio(busy_sum, wall_max));
+    telemetry.gauge_set("par.pool_peak_depth", pool_peak as f64);
+}
+
+fn worker(shared: &Shared, wid: usize) -> WorkerOut {
+    let opts = shared.opts;
+    let int_vars = &shared.int_vars[..];
+    // The single worker of a one-thread solve is the caller: its LP metrics,
+    // spans and flight-recorder events go to the caller's handles (tid 0).
+    // Otherwise the worker records into a private telemetry handle sharing
+    // the caller's epoch (merged by the driver after join) and into a
+    // flight-recorder ring of its own, both under tid `wid + 1`.
+    let inline = shared.worker_bounds.len() == 1;
+    let tid = if inline { 0 } else { wid as u32 + 1 };
+    let telemetry = if inline {
+        opts.telemetry.clone()
+    } else {
+        opts.telemetry.worker(tid)
+    };
+    let blackbox = match &opts.blackbox {
+        Some(bb) if !inline => Some(bb.for_worker(tid)),
+        bb => bb.clone(),
+    };
+    let obs = NodeObserver {
+        shared,
+        tid,
+        tree: opts.tree.as_deref(),
+        progress: opts.progress_events.as_ref(),
+        blackbox: blackbox.clone(),
+        telemetry: &opts.telemetry,
+    };
     // Runtime accounting: wall measured worker entry → exit, LP time summed
     // around every simplex call, condvar-wait accumulated in `Shared`; busy
     // is derived by the driver as the remainder.
     let worker_start = Instant::now();
-    let lane_offset = worker_tel.elapsed();
+    let lane_offset = telemetry.elapsed();
     let mut lp_time = Duration::ZERO;
     let mut nodes_mine: u64 = 0;
     let mut pruned_acquire: u64 = 0;
     let mut pruned_bound: u64 = 0;
-    let mut simplex = Simplex::new(lp_min);
-    simplex.set_telemetry(worker_tel.clone());
-    // Per-worker flight-recorder ring, same tid convention as spans; the
-    // pulse and final-state registers are shared through the recorder.
-    let blackbox = opts.blackbox.as_ref().map(|bb| bb.for_worker(tid));
-    simplex.set_blackbox(blackbox.clone());
+    let mut simplex = Simplex::new(&shared.lp_min);
+    simplex.set_telemetry(telemetry.clone());
+    simplex.set_blackbox(blackbox);
     if let Some(p) = &opts.lp_params {
         simplex.set_params(p.clone());
     }
+    // The LP engine honors the same wall-clock budget so a single long
+    // relaxation cannot blow through the MIP time limit.
     if let Some(tl) = opts.time_limit {
-        simplex.set_deadline(Some(start + tl));
+        simplex.set_deadline(Some(shared.start + tl));
     }
     let mut first_lp = true;
     let mut pseudo = PseudoCosts::new(int_vars.len());
 
-    let emit_node = |node: u64, depth: u32, bound_min: f64, frac_count: usize| {
-        main_tel.event_with(|| Event::BnbNode {
-            node,
-            depth,
-            bound: sign * bound_min,
-            frac_count,
-        });
-    };
-    let record_node = |id: u64, node: &Node, bound_min: f64, outcome: NodeOutcome| {
-        if let Some(bb) = &blackbox {
-            bb.record(EventKind::NodeClose, id, outcome.code());
-        }
-        if let Some(t) = &opts.tree {
-            t.record(TreeNode {
-                id,
-                parent: node.parent,
-                depth: node.depth,
-                branch: node.branch,
-                bound: bound_min.is_finite().then_some(sign * bound_min),
-                outcome,
-            });
-        }
-    };
-    let emit_incumbent =
-        |obj_min: f64, bound_min: f64, node_id: u64, depth: u32, src: IncumbentSource| {
-            if let Some(bb) = &blackbox {
-                bb.recorder().set_incumbent(sign * obj_min);
-                bb.record(EventKind::Incumbent, node_id, (sign * obj_min).to_bits());
-            }
-            main_tel.counter_add("mip.incumbents", 1);
-            main_tel.event_with(|| {
-                let obj = sign * obj_min;
-                let b = sign * bound_min;
-                Event::Incumbent {
-                    obj,
-                    gap: (obj - b).abs() / obj.abs().max(1e-10),
-                }
-            });
-            if let Some(rec) = &opts.progress_events {
-                rec.record_incumbent(
-                    sign * obj_min,
-                    sign * bound_min,
-                    shared.nodes.load(Ordering::Relaxed),
-                    node_id,
-                    depth,
-                    tid,
-                    src,
-                );
-            }
-        };
-
-    'acquire: while let Some(mut node) = shared.acquire(wid) {
-        // Prune against the global incumbent/cutoff.
-        if let Some(beat) = shared.must_beat() {
-            if node.bound >= beat - prune_eps(beat) {
-                pruned_acquire += 1;
-                shared.end_dive(wid);
-                continue 'acquire;
-            }
+    while let Some(mut current) = shared.acquire(wid) {
+        if shared.prunes(current.bound) {
+            pruned_acquire += 1;
+            shared.end_dive(wid);
+            continue;
         }
         // Re-solve from the parent's basis, whichever worker branched it
         // (with the dual simplex, even as this worker's first LP).
-        if let Some(basis) = node.basis.take() {
+        if let Some(basis) = current.basis.take() {
             simplex.load_basis(&basis);
             first_lp = false;
         }
 
         // Dive from this node until pruned (thread-local plunging).
-        let mut current = node;
         loop {
             if shared.stop_flag.load(Ordering::Relaxed) {
                 shared.requeue(current);
                 break;
             }
-            if let Some(tl) = opts.time_limit {
-                if start.elapsed() >= tl {
-                    shared.request_stop(Stop::Limit);
-                    shared.requeue(current);
-                    break;
-                }
-            }
-            if let Some(nl) = opts.node_limit {
-                if shared.nodes.load(Ordering::Relaxed) >= nl {
-                    shared.request_stop(Stop::Limit);
-                    shared.requeue(current);
-                    break;
-                }
+            let out_of_time = opts
+                .time_limit
+                .is_some_and(|tl| shared.start.elapsed() >= tl);
+            let out_of_nodes = opts
+                .node_limit
+                .is_some_and(|nl| shared.nodes.load(Ordering::Relaxed) >= nl);
+            if out_of_time || out_of_nodes {
+                shared.request_stop(Stop::Limit);
+                shared.requeue(current);
+                break;
             }
 
             let node_id = shared.nodes.fetch_add(1, Ordering::Relaxed) + 1;
             nodes_mine += 1;
-            if let Some(bb) = &blackbox {
-                bb.pulse().add_nodes(1);
-                bb.record(
-                    EventKind::NodeOpen,
-                    node_id,
-                    (sign * current.bound).to_bits(),
-                );
-            }
-            let _node_span = worker_tel
+            obs.open(node_id, &current);
+            let _node_span = telemetry
                 .span("mip.node")
                 .arg("node", node_id as f64)
                 .arg("depth", current.depth as f64);
-            if let Some(every) = opts.log_every {
-                if node_id.is_multiple_of(every) {
-                    let (mut b, open) = shared.global_bound();
-                    if b == f64::INFINITY {
-                        b = current.bound;
-                    }
-                    let inc = shared
-                        .incumbent
-                        .lock()
-                        .unwrap()
-                        .as_ref()
-                        .map(|(o, _)| sign * o);
-                    let report = MipProgress {
-                        nodes: node_id,
-                        open,
-                        incumbent: inc,
-                        bound: sign * b,
-                        elapsed: start.elapsed(),
-                        lp_iterations: simplex.iterations(),
-                        lp_stats: simplex.stats,
-                    };
-                    match &opts.progress {
-                        Some(callback) => callback(&report),
-                        None => default_progress_sink(&report),
-                    }
-                }
+            if opts
+                .log_every
+                .is_some_and(|every| node_id.is_multiple_of(every))
+            {
+                shared.report_progress(node_id, &simplex);
             }
 
-            // Apply this node's integer bounds and solve the LP.
+            // Apply this node's integer bounds and solve the LP; on numerical
+            // trouble, retry once from a fresh basis.
             for (k, &j) in int_vars.iter().enumerate() {
                 let (lo, up) = current.bounds[k];
                 simplex.set_var_bounds(j, lo, up);
@@ -657,33 +708,22 @@ fn worker(
             } else {
                 simplex.solve_warm()
             };
-            lp_time += lp_start.elapsed();
             first_lp = false;
-            if status == LpStatus::TimeLimit {
-                emit_node(node_id, current.depth, current.bound, 0);
-                record_node(node_id, &current, current.bound, NodeOutcome::TimeLimit);
-                shared.request_stop(Stop::Limit);
-                shared.requeue(current);
-                break;
-            }
             if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
-                // Retry once from a fresh basis.
                 simplex.reset_basis();
-                let lp_start = Instant::now();
                 status = simplex.solve();
-                lp_time += lp_start.elapsed();
-                if status == LpStatus::TimeLimit {
-                    emit_node(node_id, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::TimeLimit);
+            }
+            lp_time += lp_start.elapsed();
+            match status {
+                LpStatus::TimeLimit => {
+                    obs.close(node_id, &current, NodeOutcome::TimeLimit);
                     shared.request_stop(Stop::Limit);
                     shared.requeue(current);
                     break;
                 }
-                if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
-                    emit_node(node_id, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::Numerical);
-                    let failures = shared.numerical_failures.fetch_add(1, Ordering::Relaxed) + 1;
-                    if failures > 5 {
+                LpStatus::Numerical | LpStatus::IterationLimit => {
+                    obs.close(node_id, &current, NodeOutcome::Numerical);
+                    if shared.numerical_failures.fetch_add(1, Ordering::Relaxed) >= 5 {
                         shared.request_stop(Stop::Numerical);
                     }
                     // Unresolved: requeue with its inherited bound so it is
@@ -691,116 +731,77 @@ fn worker(
                     shared.requeue(current);
                     break;
                 }
-            }
-            match status {
                 LpStatus::Infeasible => {
-                    emit_node(node_id, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::Infeasible);
-                    break; // prune
+                    obs.close(node_id, &current, NodeOutcome::Infeasible);
+                    break;
                 }
                 LpStatus::Unbounded => {
-                    emit_node(node_id, current.depth, current.bound, 0);
-                    record_node(node_id, &current, current.bound, NodeOutcome::Unbounded);
+                    obs.close(node_id, &current, NodeOutcome::Unbounded);
                     shared.request_stop(Stop::Unbounded);
                     break;
                 }
-                _ => {}
+                LpStatus::Optimal => {}
             }
             let sol = simplex.extract(status);
             let lp_obj = sol.objective;
             current.bound = current.bound.max(lp_obj);
             shared.worker_bounds[wid].store(pack(current.bound), Ordering::Relaxed);
-            // Global-bound tightening event (takes the pool lock; only when
-            // a recorder is attached). Racy offers that do not tighten the
-            // recorded bound are dropped inside the recorder.
-            if let Some(rec) = &opts.progress_events {
-                let (b, _) = shared.global_bound();
-                rec.offer_bound(sign * b, node_id, node_id, current.depth, tid);
-            }
-            // Worker-local dual bound (lock-free; the global bound would
-            // need the pool lock). A crash dump reconstructs the global
-            // picture from the per-worker streams.
-            if let Some(bb) = &blackbox {
-                bb.record(EventKind::Bound, node_id, (sign * current.bound).to_bits());
-            }
+            obs.bound(node_id, current.depth);
+            pseudo.settle(current.pending_pseudo.take(), lp_obj);
 
-            // Settle the pseudocost observation for the branching that
-            // created this node (worker-local statistics).
-            if let Some((k, is_up, parent_obj, frac)) = current.pending_pseudo.take() {
-                let delta = (lp_obj - parent_obj).max(0.0);
-                let per_unit = if is_up {
-                    delta / (1.0 - frac).max(1e-6)
-                } else {
-                    delta / frac.max(1e-6)
-                };
-                pseudo.record(k, is_up, per_unit);
+            if shared.prunes(lp_obj) {
+                pruned_bound += 1;
+                obs.close(node_id, &current, NodeOutcome::PrunedBound);
+                break;
             }
-
-            let mut frac_vars: Vec<(usize, f64)> = Vec::new(); // (int idx, frac)
-            for (k, &j) in int_vars.iter().enumerate() {
-                let v = sol.x[j];
-                let f = v - v.floor();
-                let dist = f.min(1.0 - f);
-                if dist > opts.int_tol {
-                    frac_vars.push((k, f));
-                }
-            }
-            emit_node(node_id, current.depth, current.bound, frac_vars.len());
-
-            // Prune by bound.
-            if let Some(beat) = shared.must_beat() {
-                if lp_obj >= beat - prune_eps(beat) {
-                    pruned_bound += 1;
-                    record_node(node_id, &current, current.bound, NodeOutcome::PrunedBound);
-                    break;
-                }
-            }
-
+            let frac_vars: Vec<(usize, f64)> = int_vars
+                .iter()
+                .enumerate()
+                .filter_map(|(k, &j)| {
+                    let f = sol.x[j] - sol.x[j].floor();
+                    (f.min(1.0 - f) > opts.int_tol).then_some((k, f))
+                })
+                .collect();
             if frac_vars.is_empty() {
-                record_node(node_id, &current, current.bound, NodeOutcome::Integral);
+                obs.close(node_id, &current, NodeOutcome::Integral);
                 // Integer feasible: offer as incumbent. The dive ends here
                 // either way, so clear this worker's published bound before
-                // the gap check (mirrors the sequential driver, which
-                // excludes the current dive from the bound at a leaf).
-                if shared.offer_incumbent(lp_obj, sol.x.clone()) {
+                // the gap check: a leaf's bound is not open.
+                if shared.offer_incumbent(lp_obj, sol.x) {
                     shared.worker_bounds[wid].store(pack(f64::INFINITY), Ordering::Relaxed);
-                    let (mut b, _) = shared.global_bound();
-                    if b == f64::INFINITY {
-                        b = lp_obj;
-                    }
-                    emit_incumbent(
+                    let b = shared.bound_or(lp_obj);
+                    obs.incumbent(
                         lp_obj,
                         b,
                         node_id,
                         current.depth,
                         IncumbentSource::IntegralLp,
                     );
-                    let gap = (lp_obj - b).abs() / lp_obj.abs().max(1e-10);
-                    if gap <= opts.rel_gap {
+                    if rel_gap(lp_obj, b) <= opts.rel_gap {
                         shared.request_stop(Stop::GapOptimal(b));
                     }
                 }
                 break; // leaf
             }
 
-            // Primal heuristics, as in the sequential driver.
+            // Primal heuristics: a one-shot rounding test, and (on a
+            // schedule) an iterative rounding dive. Any bound mutations the
+            // dive makes are overwritten when the next node applies its own
+            // bounds.
             if !shared.has_incumbent.load(Ordering::Relaxed) {
                 let mut rounded = sol.x.clone();
                 for &j in int_vars {
                     rounded[j] = rounded[j].round();
                 }
-                if lp_min.max_violation(&rounded) < 1e-7 {
-                    let obj = lp_min.eval_objective(&rounded);
+                if shared.lp_min.max_violation(&rounded) < 1e-7 {
+                    let obj = shared.lp_min.eval_objective(&rounded);
                     if shared.offer_incumbent(obj, rounded) {
-                        let (mut b, _) = shared.global_bound();
-                        if b == f64::INFINITY {
-                            b = current.bound;
-                        }
-                        emit_incumbent(obj, b, node_id, current.depth, IncumbentSource::Rounding);
+                        let b = shared.bound_or(current.bound);
+                        obs.incumbent(obj, b, node_id, current.depth, IncumbentSource::Rounding);
                     }
                 }
             }
-            let dive_period: u64 = if shared.has_incumbent.load(Ordering::Relaxed) {
+            let dive_period = if shared.has_incumbent.load(Ordering::Relaxed) {
                 200
             } else {
                 10
@@ -811,104 +812,66 @@ fn worker(
                 let dived = dive_heuristic(&mut simplex, int_vars, opts.int_tol, budget);
                 lp_time += lp_start.elapsed();
                 if let Some((obj, x)) = dived {
-                    if model.max_integrality_violation(&x) <= opts.int_tol * 10.0
+                    if shared.model.max_integrality_violation(&x) <= opts.int_tol * 10.0
                         && shared.offer_incumbent(obj, x)
                     {
-                        let (mut b, _) = shared.global_bound();
-                        if b == f64::INFINITY {
-                            b = current.bound;
-                        }
-                        emit_incumbent(obj, b, node_id, current.depth, IncumbentSource::Dive);
-                        let gap = (obj - b).abs() / obj.abs().max(1e-10);
-                        if gap <= opts.rel_gap {
-                            record_node(node_id, &current, current.bound, NodeOutcome::PrunedBound);
+                        let b = shared.bound_or(current.bound);
+                        obs.incumbent(obj, b, node_id, current.depth, IncumbentSource::Dive);
+                        if rel_gap(obj, b) <= opts.rel_gap {
+                            obs.close(node_id, &current, NodeOutcome::PrunedBound);
                             shared.request_stop(Stop::GapOptimal(b));
-                            shared.requeue(current);
                             break;
                         }
                     }
                 }
                 // Restore this node's bounds and re-solve so branching below
-                // uses the node's own relaxation.
-                for (k2, &j2) in int_vars.iter().enumerate() {
-                    let (lo2, up2) = current.bounds[k2];
-                    simplex.set_var_bounds(j2, lo2, up2);
+                // uses the node's own relaxation. The dive left the basis
+                // near-optimal, so this is cheap.
+                for (k, &j) in int_vars.iter().enumerate() {
+                    let (lo, up) = current.bounds[k];
+                    simplex.set_var_bounds(j, lo, up);
                 }
                 let lp_start = Instant::now();
                 let restored = simplex.solve_warm();
                 lp_time += lp_start.elapsed();
                 if restored != LpStatus::Optimal {
-                    record_node(node_id, &current, current.bound, NodeOutcome::Numerical);
+                    // Should not happen (this exact LP solved above); requeue
+                    // conservatively.
+                    obs.close(node_id, &current, NodeOutcome::Numerical);
                     shared.requeue(current);
                     break;
                 }
             }
 
-            // Select branching variable (worker-local pseudocosts).
-            let (bk, bfrac) = match opts.branching {
-                Branching::MostFractional => most_fractional(&frac_vars),
-                Branching::Pseudocost => {
-                    let mut best: Option<(usize, f64, f64)> = None; // (k, frac, score)
-                    let mut all_scored = true;
-                    for &(k, f) in &frac_vars {
-                        match pseudo.score(k, f) {
-                            Some(s) => {
-                                if best.is_none_or(|(_, _, bs)| s > bs) {
-                                    best = Some((k, f, s));
-                                }
-                            }
-                            None => {
-                                all_scored = false;
-                            }
-                        }
-                    }
-                    if all_scored {
-                        let (k, f, _) = best.expect("nonempty frac_vars");
-                        (k, f)
-                    } else {
-                        most_fractional(&frac_vars)
-                    }
-                }
-            };
+            // Branch: down (x <= floor) and up (x >= ceil) children. Dive
+            // into the one on the nearer side of the fraction; the sibling
+            // joins the pool with this node's basis.
+            let (bk, bfrac) = pseudo.select(opts.branching, &frac_vars);
             let j = int_vars[bk];
             let xval = sol.x[j];
             let (lo, up) = current.bounds[bk];
-            record_node(node_id, &current, current.bound, NodeOutcome::Branched);
-
-            // Children: down (x <= floor) and up (x >= ceil).
-            let mut down_bounds = current.bounds.clone();
-            down_bounds[bk] = (lo, xval.floor());
-            let mut up_bounds = current.bounds.clone();
-            up_bounds[bk] = (xval.ceil(), up);
-            let down = Node {
-                bounds: down_bounds,
-                bound: lp_obj,
-                depth: current.depth + 1,
-                seq: 0, // assigned under the pool lock below
-                pending_pseudo: Some((bk, false, lp_obj, bfrac)),
-                parent: Some(node_id),
-                branch: Some((j, false)),
-                basis: None,
+            obs.close(node_id, &current, NodeOutcome::Branched);
+            let child = |went_up: bool| {
+                let mut bounds = current.bounds.clone();
+                bounds[bk] = if went_up {
+                    (xval.ceil(), up)
+                } else {
+                    (lo, xval.floor())
+                };
+                Node {
+                    bounds,
+                    bound: lp_obj,
+                    depth: current.depth + 1,
+                    seq: 0, // assigned under the pool lock below
+                    pending_pseudo: Some((bk, went_up, lp_obj, bfrac)),
+                    parent: Some(node_id),
+                    branch: Some((j, went_up)),
+                    basis: None,
+                }
             };
-            let up_node = Node {
-                bounds: up_bounds,
-                bound: lp_obj,
-                depth: current.depth + 1,
-                seq: 0,
-                pending_pseudo: Some((bk, true, lp_obj, bfrac)),
-                parent: Some(node_id),
-                branch: Some((j, true)),
-                basis: None,
-            };
-
-            // Dive into the child on the nearer side of the fraction; the
-            // sibling joins the shared best-bound pool with this node's
-            // basis.
-            let (mut dive_node, mut sibling) = if bfrac < 0.5 {
-                (down, up_node)
-            } else {
-                (up_node, down)
-            };
+            let dive_up = bfrac >= 0.5;
+            let mut dive_node = child(dive_up);
+            let mut sibling = child(!dive_up);
             sibling.basis = Some(simplex.save_basis());
             {
                 let mut pool = shared.pool.lock().unwrap();
@@ -917,6 +880,7 @@ fn worker(
                 pool.seq += 2;
                 pool.heap.push(sibling);
                 pool.note_peak();
+                shared.worker_bounds[wid].store(pack(dive_node.bound), Ordering::Relaxed);
                 shared.work_ready.notify_one();
             }
             current = dive_node;
@@ -926,26 +890,28 @@ fn worker(
 
     let wall = worker_start.elapsed();
     let wait = Duration::from_nanos(shared.worker_wait_ns[wid].load(Ordering::Relaxed));
-    // One aggregate Chrome-trace lane per worker: the span carries the
-    // worker's whole lifetime (its `tid` separates the lanes) with the
-    // clock breakdown as args.
-    worker_tel.record_span(
-        "mip.worker",
-        lane_offset,
-        wall,
-        vec![
-            ("lp_s", lp_time.as_secs_f64()),
-            ("wait_s", wait.as_secs_f64()),
-            ("nodes", nodes_mine as f64),
-            ("pruned", (pruned_acquire + pruned_bound) as f64),
-        ],
-    );
+    if !inline {
+        // One aggregate Chrome-trace lane per worker: the span carries the
+        // worker's whole lifetime (its `tid` separates the lanes) with the
+        // clock breakdown as args.
+        telemetry.record_span(
+            "mip.worker",
+            lane_offset,
+            wall,
+            vec![
+                ("lp_s", lp_time.as_secs_f64()),
+                ("wait_s", wait.as_secs_f64()),
+                ("nodes", nodes_mine as f64),
+                ("pruned", (pruned_acquire + pruned_bound) as f64),
+            ],
+        );
+    }
     WorkerOut {
         lp_iterations: simplex.iterations(),
         simplex_bytes: simplex.memory_bytes(),
         stats: simplex.stats,
         health: simplex.health,
-        telemetry: worker_tel,
+        telemetry,
         wall,
         lp_time,
         wait,

@@ -85,7 +85,8 @@ pub struct ProgressEvent {
     pub node: u64,
     /// Depth of that node.
     pub depth: u32,
-    /// Logical thread: 0 = sequential driver, `w + 1` = parallel worker `w`.
+    /// Logical thread: 0 = the inline worker of a one-thread solve, `w + 1`
+    /// = worker `w` of a multi-threaded one.
     pub thread: u32,
     /// Provenance for incumbent events; `None` for bound events.
     pub source: Option<IncumbentSource>,

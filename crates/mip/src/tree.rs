@@ -3,9 +3,9 @@
 //! branch decision, LP bound, depth, and how the node was resolved.
 //!
 //! The tree is attached via [`MipOptions::tree`](crate::MipOptions) as an
-//! `Arc<SearchTree>`; both the sequential and the parallel driver record
-//! into it (the store is internally locked, and parallel node ids come from
-//! the same atomic counter as the metric, so DOT node counts always equal
+//! `Arc<SearchTree>`; every worker of the driver records into it at every
+//! thread count (the store is internally locked, and node ids come from the
+//! same atomic counter as the metric, so DOT node counts always equal
 //! `mip.nodes`). Export as Graphviz DOT ([`SearchTree::to_dot`]) or JSON
 //! ([`SearchTree::to_json`]).
 

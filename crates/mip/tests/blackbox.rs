@@ -103,3 +103,42 @@ fn parallel_solve_populates_per_worker_rings() {
     let (_, nodes, _) = rec.pulse().ticks();
     assert_eq!(nodes, r.nodes);
 }
+
+/// Every `bound` event carries the global dual bound clamped to the
+/// incumbent, so none crosses the optimum: this model maximizes, and no
+/// recorded bound lies below the final objective, at one thread or two.
+/// The ring is large enough to keep every event, and the register ends on
+/// the result's `best_bound`.
+#[test]
+fn bound_events_never_cross_the_optimum() {
+    for threads in [1, 2] {
+        let rec = FlightRecorder::new(1 << 14);
+        let opts = MipOptions {
+            threads,
+            blackbox: Some(rec.handle(0)),
+            ..MipOptions::default()
+        };
+        let r = solve_with(&busy_knapsack(), &opts);
+        assert_eq!(r.status, MipStatus::Optimal);
+        let obj = r.objective.expect("optimal solve has an objective");
+        let floor = obj - 1e-9 * obj.abs();
+        let dump = rec.dump("test", "Clean", "bound check");
+        let mut bounds = 0;
+        for ring in dump.get("workers").and_then(|w| w.as_array()).unwrap() {
+            assert_eq!(ring.get("dropped").and_then(|d| d.as_u64()), Some(0));
+            for e in ring.get("events").and_then(|e| e.as_array()).unwrap() {
+                if e.get("kind").and_then(|k| k.as_str()) != Some("bound") {
+                    continue;
+                }
+                let b = e.get("b").and_then(|b| b.as_f64()).unwrap();
+                assert!(
+                    b >= floor,
+                    "threads={threads}: bound event {b} below the optimum {obj}"
+                );
+                bounds += 1;
+            }
+        }
+        assert!(bounds > 0, "threads={threads}: no bound events recorded");
+        assert_eq!(rec.bound(), Some(r.best_bound));
+    }
+}

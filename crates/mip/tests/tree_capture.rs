@@ -115,6 +115,11 @@ fn spans_cover_solve_and_every_node() {
     }
     // LP kernel spans from the warm-started engine are present too.
     assert!(spans.iter().any(|s| s.name.starts_with("lp.")));
+    // The one worker runs inline on the caller's handle: every span is on
+    // tid 0, and there is no worker lane or parallel-efficiency report.
+    assert!(spans.iter().all(|s| s.tid == 0));
+    assert!(!spans.iter().any(|s| s.name == "mip.worker"));
+    assert_eq!(telemetry.snapshot().gauge("par.workers"), None);
 }
 
 #[test]

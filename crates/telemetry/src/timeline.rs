@@ -4,9 +4,10 @@ use crate::json::Json;
 use std::time::Duration;
 
 /// One solver event. Variants mirror the quantities the paper reports
-/// (Sections V–VI): LP relaxation solves, branch-and-bound node expansion,
-/// incumbent improvements, state-space presolve reductions, and per-request
-/// greedy acceptance decisions.
+/// (Sections V–VI): LP relaxation solves, state-space presolve reductions,
+/// and per-request greedy acceptance decisions. Branch-and-bound nodes and
+/// incumbents are not timeline events: the search tree, the progress stream
+/// and the flight recorder carry them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A top-level solve began (e.g. `"mip"`, `"greedy"`).
@@ -35,15 +36,6 @@ pub enum Event {
         status: String,
         obj: f64,
     },
-    /// A branch-and-bound node was expanded.
-    BnbNode {
-        node: u64,
-        depth: u32,
-        bound: f64,
-        frac_count: usize,
-    },
-    /// A new incumbent was accepted.
-    Incumbent { obj: f64, gap: f64 },
     /// One iteration of the greedy cΣᴳ algorithm (one candidate request).
     GreedyIteration {
         request: usize,
@@ -62,8 +54,6 @@ impl Event {
             Event::PresolveReduction { .. } => "presolve_reduction",
             Event::LpSolveStart { .. } => "lp_solve_start",
             Event::LpSolveEnd { .. } => "lp_solve_end",
-            Event::BnbNode { .. } => "bnb_node",
-            Event::Incumbent { .. } => "incumbent",
             Event::GreedyIteration { .. } => "greedy_iteration",
         }
     }
@@ -100,21 +90,6 @@ impl Event {
                 ("iters".into(), Json::from(*iters)),
                 ("status".into(), Json::from(status.as_str())),
                 ("obj".into(), Json::from(*obj)),
-            ],
-            Event::BnbNode {
-                node,
-                depth,
-                bound,
-                frac_count,
-            } => vec![
-                ("node".into(), Json::from(*node)),
-                ("depth".into(), Json::from(*depth as u64)),
-                ("bound".into(), Json::from(*bound)),
-                ("frac_count".into(), Json::from(*frac_count)),
-            ],
-            Event::Incumbent { obj, gap } => vec![
-                ("obj".into(), Json::from(*obj)),
-                ("gap".into(), Json::from(*gap)),
             ],
             Event::GreedyIteration {
                 request,

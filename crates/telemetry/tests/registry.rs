@@ -53,7 +53,7 @@ fn disabled_handle_is_noop() {
     t.counter_add("nodes", 10);
     t.gauge_set("gap", 1.0);
     t.observe("h", 2.0);
-    t.event(Event::Incumbent { obj: 1.0, gap: 0.0 });
+    t.event(Event::LpSolveStart { warm: true });
     t.event_with(|| panic!("closure must not run on a disabled handle"));
 
     let snap = t.snapshot();
@@ -69,7 +69,7 @@ fn metrics_only_handle_drops_events() {
     let t = Telemetry::metrics_only();
     assert!(t.is_enabled());
     assert!(!t.timeline_enabled());
-    t.event(Event::Incumbent { obj: 1.0, gap: 0.0 });
+    t.event(Event::LpSolveStart { warm: true });
     assert!(t.events().is_empty());
     t.counter_add("still_counts", 1);
     assert_eq!(t.snapshot().counter("still_counts"), 1);
@@ -79,11 +79,10 @@ fn metrics_only_handle_drops_events() {
 fn timeline_records_in_order_with_monotone_timestamps() {
     let t = Telemetry::with_timeline();
     t.event(Event::SolveStart { what: "mip".into() });
-    t.event(Event::BnbNode {
-        node: 1,
-        depth: 0,
-        bound: 2.0,
-        frac_count: 3,
+    t.event(Event::LpSolveEnd {
+        iters: 3,
+        status: "optimal".into(),
+        obj: 2.0,
     });
     t.event(Event::SolveEnd {
         what: "mip".into(),
@@ -94,7 +93,7 @@ fn timeline_records_in_order_with_monotone_timestamps() {
     assert_eq!(events.len(), 3);
     assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
     assert_eq!(events[0].event.name(), "solve_start");
-    assert_eq!(events[1].event.name(), "bnb_node");
+    assert_eq!(events[1].event.name(), "lp_solve_end");
     assert_eq!(events[2].event.name(), "solve_end");
 }
 
@@ -106,9 +105,10 @@ fn export_json_is_valid_and_complete() {
     t.counter_add("mip.nodes", 12);
     t.gauge_set("mip.gap", 0.25);
     t.observe("lp.iters_per_node", 8.0);
-    t.event(Event::Incumbent {
+    t.event(Event::LpSolveEnd {
+        iters: 7,
+        status: "optimal".into(),
         obj: 3.0,
-        gap: 0.25,
     });
 
     let doc = Json::parse(&t.export_json().pretty()).expect("export is valid JSON");
@@ -141,7 +141,7 @@ fn export_json_is_valid_and_complete() {
     assert_eq!(timeline.len(), 1);
     assert_eq!(
         timeline[0].get("event").unwrap().as_str(),
-        Some("incumbent")
+        Some("lp_solve_end")
     );
     assert_eq!(timeline[0].get("obj").unwrap().as_f64(), Some(3.0));
 }
