@@ -397,7 +397,7 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
         let mut accepted = 0usize;
         for (r, m) in &stream {
             if core
-                .admit(r.clone(), m.clone(), None)
+                .admit(r.clone(), m.clone())
                 .expect("valid stream")
                 .accepted
             {

@@ -9,8 +9,8 @@
 //! tvnep-cli info instance.json
 //! ```
 //!
-//! Exit codes: 0 success / verified; 1 usage error; 2 infeasible or
-//! verification failure.
+//! Exit codes: 0 success / verified; 1 usage error; 2 infeasible,
+//! verification failure, or a flag the subcommand does not read.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,37 +42,84 @@ use tvnep_workloads::{generate, WorkloadConfig};
 #[global_allocator]
 static ALLOC: tvnep_telemetry::CountingAlloc = tvnep_telemetry::CountingAlloc;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  tvnep-cli generate [--preset tiny|small|medium|paper] [--seed N] \
-         [--flex H] [-o FILE]\n  tvnep-cli solve INSTANCE [--formulation delta|sigma|csigma] \
+/// Each subcommand with its usage: the positional arguments and, in
+/// brackets, every flag it reads (`-o FILE` is the `output` flag).
+/// `usage()` prints these specs and `main` refuses any flag outside them,
+/// so the two cannot drift.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "generate",
+        "[--preset tiny|small|medium|paper] [--seed N] [--flex H] [-o FILE]",
+    ),
+    (
+        "solve",
+        "INSTANCE [--formulation delta|sigma|csigma] \
          [--objective access|earliness|load|links|makespan] [--time-limit SECS] [--threads N] \
-         [-o FILE] [--metrics-out FILE] [--trace] [--chrome-trace FILE] [--tree-out FILE] \
-         [--progress-out FILE] [--blackbox] [--blackbox-out FILE] [--watchdog-ms N]\n  \
-         tvnep-cli greedy INSTANCE [--time-limit SECS] [--threads N] [-o FILE] \
-         [--metrics-out FILE] [--trace] [--chrome-trace FILE]\n  \
-         tvnep-cli explain INSTANCE SOLUTION [-o FILE]\n  \
-         tvnep-cli verify INSTANCE SOLUTION [--json] [-o FILE]\n  tvnep-cli info INSTANCE\n  \
-         tvnep-cli fuzz [--seed N] [--cases N] [--time-cap SECS] \
-         [--solve-time-limit SECS] [--threads N] [--corpus-dir DIR]\n  \
-         tvnep-cli campaign [SELECTOR] [--preset tiny|small|medium|paper] [--seeds N] \
-         [--flexes 0,1,2] [--time-limit SECS] [--threads N] [--out-dir DIR] \
-         [--bench-out FILE] [--fresh] [--quiet] [--paper-scale]\n  \
-         tvnep-cli bench-compare BASELINE.json CANDIDATE.json [--wall-tol-pct P] \
-         [--mem-tol-pct P] [--ttfi-tol-pct P] [--pi-tol-pct P] [--no-exact-counts] \
-         [--p99-tol-pct P]\n  \
-         tvnep-cli serve [--instance FILE] [--wal FILE] [--listen ADDR] [--tick-ms N] \
-         [--epoch N] [--max-pending N] [--node-budget N] [--deadline-ms N] \
-         [--slo FILE] [--track-util] [--blackbox] [--blackbox-out FILE] \
-         [--watchdog-ms N] [--fault-panic-epoch N]\n  \
-         tvnep-cli load [--seed N] [--rate R] [--duration H] [--flex H] \
-         [--preset tiny|small|medium|paper] [--epoch N] [--node-budget N] \
-         [--tick-budget-ms N] [--max-pending N] [--wal FILE] [--util-out FILE] \
-         [-o FILE]\n  \
-         tvnep-cli top ADDR [--interval-ms N] [--frames N] [--raw]\n  \
-         tvnep-cli postmortem DUMP.json [--raw]\n\n\
-         solve/greedy also accept --alloc (heap accounting in --metrics-out)."
-    );
+         [-o FILE] [--metrics-out FILE] [--trace] [--chrome-trace FILE] [--alloc] \
+         [--tree-out FILE] [--progress-out FILE] [--blackbox] [--blackbox-out FILE] \
+         [--watchdog-ms N]",
+    ),
+    (
+        "greedy",
+        "INSTANCE [--time-limit SECS] [--threads N] [-o FILE] [--metrics-out FILE] [--trace] \
+         [--chrome-trace FILE] [--alloc]",
+    ),
+    ("explain", "INSTANCE SOLUTION [-o FILE]"),
+    ("verify", "INSTANCE SOLUTION [--json] [-o FILE]"),
+    ("info", "INSTANCE"),
+    (
+        "fuzz",
+        "[--seed N] [--cases N] [--time-cap SECS] [--solve-time-limit SECS] [--threads N] \
+         [--corpus-dir DIR]",
+    ),
+    (
+        "campaign",
+        "[SELECTOR] [--preset tiny|small|medium|paper] [--seeds N] [--flexes 0,1,2] \
+         [--time-limit SECS] [--threads N] [--out-dir DIR] [--bench-out FILE] [--fresh] \
+         [--quiet] [--paper-scale]",
+    ),
+    (
+        "bench-compare",
+        "BASELINE.json CANDIDATE.json [--wall-tol-pct P] [--mem-tol-pct P] [--ttfi-tol-pct P] \
+         [--pi-tol-pct P] [--no-exact-counts] [--p99-tol-pct P]",
+    ),
+    (
+        "serve",
+        "[--instance FILE] [--wal FILE] [--listen ADDR] [--tick-ms N] [--epoch N] \
+         [--max-pending N] [--slo FILE] [--track-util] [--blackbox] [--blackbox-out FILE] \
+         [--watchdog-ms N] [--fault-panic-epoch N]",
+    ),
+    (
+        "load",
+        "[--seed N] [--rate R] [--duration H] [--flex H] [--preset tiny|small|medium|paper] \
+         [--epoch N] [--tick-budget-ms N] [--max-pending N] [--wal FILE] [--track-util] \
+         [--util-out FILE] [-o FILE] [--metrics-out FILE] [--trace] [--chrome-trace FILE]",
+    ),
+    ("top", "ADDR [--interval-ms N] [--frames N] [--raw]"),
+    ("postmortem", "DUMP.json [--raw]"),
+];
+
+/// The flags a usage spec names, each with whether it takes a value.
+fn spec_flags(spec: &str) -> impl Iterator<Item = (&str, bool)> {
+    spec.split('[').filter_map(|t| {
+        let (token, _) = t.split_once(']')?;
+        let (name, value) = token
+            .split_once(' ')
+            .map_or((token, false), |(n, _)| (n, true));
+        let name = if name == "-o" {
+            "output"
+        } else {
+            name.strip_prefix("--")?
+        };
+        Some((name, value))
+    })
+}
+
+fn usage() -> ExitCode {
+    eprintln!("usage:");
+    for (name, spec) in COMMANDS {
+        eprintln!("  tvnep-cli {name} {spec}");
+    }
     ExitCode::from(1)
 }
 
@@ -99,20 +146,6 @@ struct Args {
     flags: std::collections::HashMap<String, String>,
 }
 
-/// Flags that take no value; everything else consumes the next token.
-const BOOL_FLAGS: &[&str] = &[
-    "trace",
-    "alloc",
-    "json",
-    "fresh",
-    "quiet",
-    "no-exact-counts",
-    "paper-scale",
-    "track-util",
-    "raw",
-    "blackbox",
-];
-
 fn parse_args(raw: &[String]) -> Args {
     let mut positional = Vec::new();
     let mut flags = std::collections::HashMap::new();
@@ -120,7 +153,12 @@ fn parse_args(raw: &[String]) -> Args {
     while i < raw.len() {
         let a = &raw[i];
         if let Some(name) = a.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&name) {
+            // A flag that no usage spec gives a value takes none.
+            let boolean = COMMANDS
+                .iter()
+                .flat_map(|(_, spec)| spec_flags(spec))
+                .any(|f| f == (name, false));
+            if boolean {
                 flags.insert(name.to_string(), "true".to_string());
                 i += 1;
             } else {
@@ -463,12 +501,25 @@ fn run_top(addr: &str, interval: Duration, frames: u64, raw: bool) -> Result<(),
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
+    let Some(&(cmd, spec)) = raw
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|(c, _)| c == name))
+    else {
         return usage();
-    }
-    let cmd = raw[0].clone();
+    };
     let args = parse_args(&raw[1..]);
-    match run(&cmd, &args) {
+    let unknown = args
+        .flags
+        .keys()
+        .filter(|f| !spec_flags(spec).any(|(name, _)| name == f.as_str()))
+        .min();
+    if let Some(flag) = unknown {
+        eprintln!(
+            "error: `tvnep-cli {cmd}` does not take --{flag} (usage: tvnep-cli {cmd} {spec})"
+        );
+        return ExitCode::from(2);
+    }
+    match run(cmd, &args) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
@@ -901,18 +952,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                     .transpose()
                     .map(|v| v.unwrap_or(default))
             };
-            let node_budget: u64 = args
-                .flags
-                .get("node-budget")
-                .map(|s| s.parse().map_err(|e| format!("--node-budget: {e}")))
-                .transpose()?
-                .unwrap_or(200_000);
-            let deadline = args
-                .flags
-                .get("deadline-ms")
-                .map(|s| s.parse::<u64>().map_err(|e| format!("--deadline-ms: {e}")))
-                .transpose()?
-                .map(Duration::from_millis);
             let slo = args
                 .flags
                 .get("slo")
@@ -935,7 +974,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             let opts = ServeOptions {
                 service: tvnep_core::ServiceOptions {
                     subproblem: MipOptions {
-                        node_limit: Some(node_budget),
                         blackbox: blackbox.as_ref().map(|b| b.handle.clone()),
                         ..MipOptions::default()
                     },
@@ -945,7 +983,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                 },
                 epoch_size: get_usize("epoch", 4)?,
                 max_pending: get_usize("max-pending", 1024)?,
-                deadline,
                 keep_log: false,
                 slo,
                 fault_panic_epoch,
@@ -1050,12 +1087,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                     .map(|s| s.parse().map_err(|e| format!("--tick-budget-ms: {e}")))
                     .transpose()?
                     .or(defaults.tick_budget_ms),
-                node_budget: args
-                    .flags
-                    .get("node-budget")
-                    .map(|s| s.parse().map_err(|e| format!("--node-budget: {e}")))
-                    .transpose()?
-                    .unwrap_or(defaults.node_budget),
                 max_pending: args
                     .flags
                     .get("max-pending")
@@ -1071,7 +1102,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             eprintln!(
                 "load: {} submitted, {} decided, {} accepted ({:.1}%), {} shed, \
                  {} epoch(s), {} overrun(s), p50 {:.1}ms p90 {:.1}ms p99 {:.1}ms, \
-                 {} B&B nodes, {} violation(s), {:.2}s wall",
+                 {} LP solves, {} violation(s), {:.2}s wall",
                 report.submitted,
                 report.decisions,
                 report.accepted,

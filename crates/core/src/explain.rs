@@ -112,22 +112,20 @@ pub struct Explanation {
 /// Total load of accepted requests on substrate node `n` at instant `t`
 /// (open-interval activity, matching the verifier's sweep). Folds from
 /// `+0.0`: an empty `f64` sum is `-0.0`, which would render as "-0.000000".
-fn node_load_at(instance: &Instance, solution: &TemporalSolution, n: NodeId, t: f64) -> f64 {
-    solution
-        .scheduled
+pub(crate) fn node_load_at(inst: &Instance, sol: &TemporalSolution, n: NodeId, t: f64) -> f64 {
+    sol.scheduled
         .iter()
-        .zip(&instance.requests)
+        .zip(&inst.requests)
         .filter(|(s, _)| s.accepted && s.start < t && t < s.end)
         .filter_map(|(s, r)| s.embedding.as_ref().map(|e| e.node_allocation(r, n)))
         .fold(0.0, |acc, x| acc + x)
 }
 
 /// Total load of accepted requests on substrate link `e` at instant `t`.
-fn edge_load_at(instance: &Instance, solution: &TemporalSolution, e: EdgeId, t: f64) -> f64 {
-    solution
-        .scheduled
+pub(crate) fn edge_load_at(inst: &Instance, sol: &TemporalSolution, e: EdgeId, t: f64) -> f64 {
+    sol.scheduled
         .iter()
-        .zip(&instance.requests)
+        .zip(&inst.requests)
         .filter(|(s, _)| s.accepted && s.start < t && t < s.end)
         .filter_map(|(s, r)| s.embedding.as_ref().map(|emb| emb.edge_allocation(r, e)))
         .fold(0.0, |acc, x| acc + x)
@@ -136,7 +134,7 @@ fn edge_load_at(instance: &Instance, solution: &TemporalSolution, e: EdgeId, t: 
 /// Probe instants covering the open interval `(lo, hi)`: midpoints of the
 /// maximal sub-intervals on which the set of active requests is constant
 /// (the event-point argument of Section III-A, restricted to the interval).
-fn probe_times(solution: &TemporalSolution, lo: f64, hi: f64) -> Vec<f64> {
+pub(crate) fn probe_times(solution: &TemporalSolution, lo: f64, hi: f64) -> Vec<f64> {
     let mut pts = vec![lo, hi];
     for s in solution.scheduled.iter().filter(|s| s.accepted) {
         for t in [s.start, s.end] {

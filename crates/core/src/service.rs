@@ -4,34 +4,39 @@
 //!
 //! A [`ServiceCore`] owns the substrate and the set of **reservations** —
 //! previously admitted requests with pinned schedules and embeddings. Each
-//! [`admit`](ServiceCore::admit) call solves one cΣ subproblem in which every
-//! reservation is fixed (`x_R = 1`, window collapsed to the reserved
-//! `[start, end]` — Constraints (24)/(25) of the greedy) and only the new
-//! candidate is free, under objective (21):
-//! `max T·x_R + (T − t⁻_R)` — admit if at all possible, then as early as
-//! possible. Any backend that can solve a cΣ model under a budget can drive
-//! this step; the default is the exact branch-and-bound with a deterministic
-//! node budget and/or a wall-clock deadline.
+//! [`admit`](ServiceCore::admit) call decides one candidate under objective
+//! (21), `max T·x_R + (T − t⁻_R)`: admit if at all possible, then as early
+//! as possible. Reservations are fixed in time, node mapping and edge
+//! flows, so the capacity left to the candidate is piecewise constant and
+//! grows only where a reservation ends: the earliest feasible start is
+//! `t^s_R` or the end of a live reservation. Admission scans those starts in
+//! ascending order. At each start `s` the candidate alone — window pinned to
+//! `[s, s + d_R]`, `x_R = 1` — is one cΣ LP on the residual substrate, every
+//! capacity minus its peak reserved load on `(s, s + d_R)`. The first start
+//! with a solution is accepted at exactly `s`; a candidate with none is
+//! rejected. DESIGN §11.1 has the equivalence argument.
 //!
 //! Reservations whose end lies at or before the admission **water mark** (a
 //! monotone lower bound on every future candidate's earliest start, i.e. the
 //! arrival clock) can never overlap a future candidate and are garbage
-//! collected, keeping each subproblem bounded by the number of *live*
+//! collected, keeping each admission bounded by the number of *live*
 //! reservations rather than the total history — the property that turns the
 //! batch algorithm into a service that can run indefinitely.
 //!
-//! Decisions are a pure function of the admission sequence: with a
-//! deterministic budget (node limit, no wall deadline) the same candidates
-//! admitted in the same order against the same starting reservations produce
-//! bit-identical schedules, which is what makes write-ahead-log crash
-//! recovery (crates/serve) exactly replayable.
+//! Decisions are a pure function of the admission sequence: the scan has no
+//! budget and no deadline, so the same candidates admitted in the same order
+//! against the same starting reservations produce bit-identical schedules,
+//! which is what makes write-ahead-log crash recovery (crates/serve) exactly
+//! replayable.
 
 use std::time::{Duration, Instant};
 
-use crate::explain::{explain_solution, RequestExplanation};
+use crate::explain::{
+    edge_load_at, explain_solution, node_load_at, probe_times, RequestExplanation,
+};
 use crate::formulation::{build_model, BuildOptions, Formulation, Objective};
 use crate::util::UtilTracker;
-use tvnep_mip::{solve_with, MipOptions, MipStatus};
+use tvnep_mip::{solve_with, MipOptions};
 use tvnep_model::{
     Embedding, Instance, NodeMapping, Request, ScheduledRequest, Substrate, TemporalSolution,
 };
@@ -39,10 +44,9 @@ use tvnep_model::{
 /// Options of the admission core.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Template MIP options for every per-admission subproblem. For a
-    /// deterministic decision log use a node limit and leave the wall-clock
-    /// limit off; a wall deadline makes decisions host-dependent (a solve cut
-    /// short rejects conservatively).
+    /// Solver options of each candidate start's LP (telemetry, flight
+    /// recorder, an optional time limit). An LP that fails leaves its start
+    /// untaken.
     pub subproblem: MipOptions,
     /// Garbage-collect reservations that end at or before the water mark
     /// before each admission (default on). Soundness: the water mark never
@@ -63,10 +67,7 @@ pub struct ServiceOptions {
 impl Default for ServiceOptions {
     fn default() -> Self {
         Self {
-            subproblem: MipOptions {
-                node_limit: Some(200_000),
-                ..MipOptions::default()
-            },
+            subproblem: MipOptions::default(),
             gc: true,
             leak_every: None,
             track_util: false,
@@ -75,7 +76,7 @@ impl Default for ServiceOptions {
 }
 
 /// An admitted request holding substrate capacity: the pinned schedule and
-/// embedding the admission subproblems treat as immovable.
+/// embedding every later admission treats as immovable.
 #[derive(Debug, Clone)]
 pub struct Reservation {
     /// Service-assigned admission id (monotone in decision order).
@@ -109,16 +110,13 @@ pub struct AdmitDecision {
     /// The embedding; present iff accepted.
     pub embedding: Option<Embedding>,
     /// Explain narrative for this request, recomputable from the decision
-    /// state (the `explain` subsystem run on the admission subproblem).
+    /// state (the `explain` subsystem run on the reservations plus the
+    /// decided candidate).
     pub explain: Option<RequestExplanation>,
-    /// Branch-and-bound nodes spent on the subproblem.
+    /// LP solves spent on the decision: one per tried start.
     pub nodes: u64,
-    /// Wall-clock time of the admission (build + solve + extraction).
+    /// Wall-clock time of the admission (scan + extraction + explain).
     pub runtime: Duration,
-    /// Rows of the subproblem model.
-    pub model_rows: usize,
-    /// Columns of the subproblem model.
-    pub model_cols: usize,
 }
 
 /// Errors an admission can refuse with (no solver involved).
@@ -185,7 +183,7 @@ impl ServiceCore {
         &self.substrate
     }
 
-    /// The time horizon `T` of every admission subproblem.
+    /// The time horizon `T` of every admission.
     pub fn horizon(&self) -> f64 {
         self.horizon
     }
@@ -284,16 +282,13 @@ impl ServiceCore {
 
     /// Decides one candidate against the current reservations (see the
     /// module docs). On acceptance the schedule is installed as a new
-    /// reservation. `deadline` optionally caps the solve's wall clock below
-    /// the template options (deadline-bounded admission; decisions under a
-    /// deadline are host-dependent).
+    /// reservation.
     pub fn admit(
         &mut self,
         request: Request,
         mapping: NodeMapping,
-        deadline: Option<Duration>,
     ) -> Result<AdmitDecision, AdmitError> {
-        self.admit_with_id(self.next_id, request, mapping, deadline)
+        self.admit_with_id(self.next_id, request, mapping)
     }
 
     /// Like [`admit`](Self::admit) but with a caller-chosen decision id, so
@@ -304,7 +299,6 @@ impl ServiceCore {
         id: u64,
         request: Request,
         mapping: NodeMapping,
-        deadline: Option<Duration>,
     ) -> Result<AdmitDecision, AdmitError> {
         self.validate(&request, &mapping)?;
         let clock = Instant::now();
@@ -312,109 +306,52 @@ impl ServiceCore {
         let telemetry = self.opts.subproblem.telemetry.clone();
         let _span = telemetry.span("serve.admit").arg("id", id as f64);
 
-        // Sub-instance: live reservations (pinned) + the candidate (free).
-        let k = self.reservations.len();
-        let mut sub_requests: Vec<Request> = self
+        // The live reservations plus the candidate, rejected at its release
+        // until a start fits: the residual loads and the explain narrative
+        // both read this one snapshot.
+        let (mut inst, mut sol) = self.reservation_snapshot();
+        let k = inst.num_requests();
+        inst.requests.push(request.clone());
+        if let Some(maps) = &mut inst.fixed_node_mappings {
+            maps.push(mapping.clone());
+        }
+        sol.scheduled.push(ScheduledRequest {
+            accepted: false,
+            start: request.earliest_start,
+            end: request.earliest_start + request.duration,
+            embedding: None,
+        });
+
+        // Candidate starts, ascending: the release, then every live
+        // reservation end inside the window.
+        let mut starts: Vec<f64> = self
             .reservations
             .iter()
-            .map(|r| r.request.clone())
+            .map(|r| r.end)
+            .filter(|&t| t > request.earliest_start && t <= request.latest_start())
             .collect();
-        sub_requests.push(request.clone());
-        let mut sub_maps: Vec<NodeMapping> = self
-            .reservations
-            .iter()
-            .map(|r| r.mapping.clone())
-            .collect();
-        sub_maps.push(mapping.clone());
-        let sub = Instance::new(
-            self.substrate.clone(),
-            sub_requests,
-            self.horizon,
-            Some(sub_maps),
-        );
-
-        // cΣ under objective (21), reservations fixed accepted.
-        let mut built = build_model(
-            &sub,
-            Formulation::CSigma,
-            Objective::AccessControl,
-            BuildOptions::default_for(Formulation::CSigma),
-        );
-        for (r, res) in self.reservations.iter().enumerate() {
-            built.mip.set_obj(built.emb.x_r[r], 0.0);
-            built.mip.fix_var(built.emb.x_r[r], 1.0);
-            // Pin the reservation's flow routing to the embedding it was
-            // accepted with. Leaving these free would let the solver re-route
-            // a live reservation to make room for the candidate — feasible in
-            // the subproblem, but an edge-capacity overcommit against the
-            // flows actually reserved.
-            for (l, vars) in built.emb.x_e[r].iter().enumerate() {
-                let flows = &res.embedding.edge_flows[l];
-                for (e, &v) in vars.iter().enumerate() {
-                    let f = flows
-                        .iter()
-                        .find(|(eid, _)| eid.0 == e)
-                        .map(|&(_, f)| f)
-                        .unwrap_or(0.0);
-                    built.mip.fix_var(v, f);
-                }
+        starts.push(request.earliest_start);
+        starts.sort_by(f64::total_cmp);
+        starts.dedup();
+        let mut tried = 0u64;
+        for &s in &starts {
+            tried += 1;
+            if let Some(embedding) = self.fit_at(&inst, &sol, &request, &mapping, s) {
+                sol.scheduled[k] = ScheduledRequest {
+                    accepted: true,
+                    start: s,
+                    end: s + request.duration,
+                    embedding: Some(embedding),
+                };
+                break;
             }
         }
-        built.mip.set_obj(built.emb.x_r[k], self.horizon);
-        built.mip.set_obj(built.events.t_minus[k], -1.0);
-        built.mip.set_obj_offset(self.horizon);
-        crate::formulation::emit_build_stats(&telemetry, &built.stats, Formulation::CSigma);
-
-        let mut mip_opts = self.opts.subproblem.clone();
-        if let Some(d) = deadline {
-            mip_opts.time_limit = Some(match mip_opts.time_limit {
-                Some(t) => t.min(d),
-                None => d,
-            });
-        }
-        let result = solve_with(&built.mip, &mip_opts);
-
-        let (accept, sub_solution) = match (&result.status, &result.x) {
-            (MipStatus::Optimal | MipStatus::Feasible, Some(x)) => {
-                let sol = built.extract_solution(&sub, x);
-                (sol.scheduled[k].accepted, Some(sol))
-            }
-            // The subproblem is always feasible (reject the candidate), so
-            // this branch means the budget ran out first: conservative
-            // rejection keeps the reservation state sound.
-            _ => (false, None),
-        };
 
         self.next_id = self.next_id.max(id + 1);
-        let (start, end, embedding) = match (&sub_solution, accept) {
-            (Some(sol), true) => {
-                let s = &sol.scheduled[k];
-                (
-                    s.start.max(0.0),
-                    s.start.max(0.0) + request.duration,
-                    s.embedding.clone(),
-                )
-            }
-            _ => (
-                request.earliest_start,
-                request.earliest_start + request.duration,
-                None,
-            ),
-        };
-
-        // Explain narrative over the subproblem's full solution (falls back
-        // to a pinned-reservation view when the budget ran out without an
-        // incumbent — every reservation is trivially accepted there).
-        let explain = {
-            let sol = sub_solution
-                .clone()
-                .unwrap_or_else(|| self.pinned_solution_with(&request, accept, start, end));
-            let ex = explain_solution(&sub, &sol);
-            ex.requests.into_iter().nth(k)
-        };
-
+        let explain = explain_solution(&inst, &sol).requests.swap_remove(k);
+        let decided = sol.scheduled.swap_remove(k);
+        let accept = decided.accepted;
         if accept {
-            let emb = embedding.clone().expect("accepted implies embedding");
             self.accepted_total += 1;
             let leak = self
                 .opts
@@ -422,15 +359,18 @@ impl ServiceCore {
                 .is_some_and(|k| k > 0 && self.accepted_total.is_multiple_of(k as u64));
             if !leak {
                 let mut pinned = request.clone();
-                pinned.earliest_start = start;
-                pinned.latest_end = end;
+                pinned.earliest_start = decided.start;
+                pinned.latest_end = decided.end;
                 let res = Reservation {
                     id,
                     request: pinned,
                     mapping,
-                    start,
-                    end,
-                    embedding: emb,
+                    start: decided.start,
+                    end: decided.end,
+                    embedding: decided
+                        .embedding
+                        .clone()
+                        .expect("accepted implies embedding"),
                 };
                 if let Some(util) = &mut self.util {
                     util.insert(&res);
@@ -445,14 +385,10 @@ impl ServiceCore {
         } else {
             telemetry.counter_add("serve.rejected", 1);
         }
-        // Black-box record of the decision (the subproblem solve already
-        // recorded its LP/node events through the same handle).
+        // Black-box record of the decision (each start's LP already
+        // recorded its events through the same handle).
         if let Some(bb) = &self.opts.subproblem.blackbox {
-            bb.record(
-                tvnep_telemetry::EventKind::Admit,
-                id,
-                if accept { 1 } else { 0 },
-            );
+            bb.record(tvnep_telemetry::EventKind::Admit, id, u64::from(accept));
         }
         telemetry.gauge_set("serve.reservations", self.reservations.len() as f64);
         if let (Some(util), true) = (&self.util, telemetry.is_enabled()) {
@@ -465,49 +401,62 @@ impl ServiceCore {
 
         Ok(AdmitDecision {
             id,
-            name: request.name.clone(),
+            name: request.name,
             accepted: accept,
-            start,
-            end,
-            embedding,
-            explain,
-            nodes: result.nodes,
+            start: decided.start,
+            end: decided.end,
+            embedding: decided.embedding,
+            explain: Some(explain),
+            nodes: tried,
             runtime: clock.elapsed(),
-            model_rows: built.mip.num_rows(),
-            model_cols: built.mip.num_vars(),
         })
     }
 
-    /// The subproblem solution implied by the reservation state plus one
-    /// candidate decision — used when the solver returned no incumbent.
-    fn pinned_solution_with(
+    /// The candidate's embedding at start `s`, or `None` when its LP on the
+    /// residual substrate is infeasible or fails. `inst`/`sol` hold the live
+    /// reservations (the candidate, still rejected, adds no load).
+    fn fit_at(
         &self,
+        inst: &Instance,
+        sol: &TemporalSolution,
         request: &Request,
-        accepted: bool,
-        start: f64,
-        end: f64,
-    ) -> TemporalSolution {
-        let mut scheduled: Vec<ScheduledRequest> = self
-            .reservations
-            .iter()
-            .map(|r| ScheduledRequest {
-                accepted: true,
-                start: r.start,
-                end: r.end,
-                embedding: Some(r.embedding.clone()),
-            })
+        mapping: &NodeMapping,
+        s: f64,
+    ) -> Option<Embedding> {
+        let end = s + request.duration;
+        let times = probe_times(sol, s, end);
+        let peak = |load: &dyn Fn(f64) -> f64| times.iter().map(|&t| load(t)).fold(0.0, f64::max);
+        let sub = &self.substrate;
+        let node_cap = sub
+            .graph()
+            .nodes()
+            .map(|n| (sub.node_capacity(n) - peak(&|t| node_load_at(inst, sol, n, t))).max(0.0))
             .collect();
-        let _ = request;
-        scheduled.push(ScheduledRequest {
-            accepted,
-            start,
-            end,
-            embedding: None,
-        });
-        TemporalSolution {
-            scheduled,
-            reported_objective: None,
-        }
+        let edge_cap = sub
+            .graph()
+            .edge_ids()
+            .map(|e| (sub.edge_capacity(e) - peak(&|t| edge_load_at(inst, sol, e, t))).max(0.0))
+            .collect();
+        let mut pinned = request.clone();
+        pinned.earliest_start = s;
+        pinned.latest_end = end;
+        let one = Instance::new(
+            Substrate::new(sub.graph().clone(), node_cap, edge_cap),
+            vec![pinned],
+            self.horizon,
+            Some(vec![mapping.clone()]),
+        );
+        let mut built = build_model(
+            &one,
+            Formulation::CSigma,
+            Objective::AccessControl,
+            BuildOptions::default_for(Formulation::CSigma),
+        );
+        built.mip.fix_var(built.emb.x_r[0], 1.0);
+        // Any point the solve returns will do: with `x_R` and the window
+        // fixed, (21) is settled, and it does not rank routings.
+        let x = solve_with(&built.mip, &self.opts.subproblem).x?;
+        built.extract_solution(&one, &x).scheduled.pop()?.embedding
     }
 
     /// The live reservation state as a standalone solution over a synthetic
@@ -570,7 +519,7 @@ mod tests {
     fn admits_then_schedules_around_reservation() {
         let mut c = core();
         let (r1, m1) = tight("a", 0.0, 10.0, 2.0);
-        let d1 = c.admit(r1, m1, None).unwrap();
+        let d1 = c.admit(r1, m1).unwrap();
         assert!(d1.accepted);
         assert_eq!(d1.start, 0.0, "objective (21): as early as possible");
         assert_eq!(c.reservations().len(), 1);
@@ -578,14 +527,14 @@ mod tests {
         // Same node, overlapping window with enough flexibility: must be
         // shifted behind the reservation, not rejected.
         let (r2, m2) = tight("b", 0.0, 10.0, 2.0);
-        let d2 = c.admit(r2, m2, None).unwrap();
+        let d2 = c.admit(r2, m2).unwrap();
         assert!(d2.accepted);
-        assert!((d2.start - 2.0).abs() < 1e-6, "start {}", d2.start);
+        assert_eq!(d2.start, 2.0, "the end of 'a', bit for bit");
 
         // A rigid request colliding with both reservations is rejected, and
         // the explain narrative names the exhausted node.
         let (r3, m3) = tight("c", 1.0, 3.0, 2.0);
-        let d3 = c.admit(r3, m3, None).unwrap();
+        let d3 = c.admit(r3, m3).unwrap();
         assert!(!d3.accepted);
         let ex = d3.explain.expect("explanation attached");
         match ex.fate {
@@ -604,11 +553,11 @@ mod tests {
     fn gc_drops_expired_reservations_only() {
         let mut c = core();
         let (r1, m1) = tight("a", 0.0, 4.0, 2.0);
-        assert!(c.admit(r1, m1, None).unwrap().accepted);
+        assert!(c.admit(r1, m1).unwrap().accepted);
         // Admitting 'b' advances the water mark to 2.0, which already
-        // collects 'a' (ends exactly at 2.0) before the subproblem is built.
+        // collects 'a' (ends exactly at 2.0) before the scan starts.
         let (r2, m2) = tight("b", 2.0, 8.0, 2.0);
-        assert!(c.admit(r2, m2, None).unwrap().accepted);
+        assert!(c.admit(r2, m2).unwrap().accepted);
         assert_eq!(c.reservations().len(), 1);
         assert_eq!(c.collected_total(), 1);
         assert_eq!(c.reservations()[0].request.name, "b");
@@ -620,7 +569,7 @@ mod tests {
 
         // The freed capacity is genuinely available again.
         let (r3, m3) = tight("c", 6.0, 10.0, 2.0);
-        assert!(c.admit(r3, m3, None).unwrap().accepted);
+        assert!(c.admit(r3, m3).unwrap().accepted);
     }
 
     #[test]
@@ -628,7 +577,7 @@ mod tests {
         let mut c = core();
         c.advance(5.0);
         let (r, m) = tight("late", 1.0, 4.0, 2.0);
-        match c.admit(r, m, None) {
+        match c.admit(r, m) {
             Err(AdmitError::WindowOutOfRange(_)) => {}
             other => panic!("expected window error, got {other:?}"),
         }
@@ -639,17 +588,17 @@ mod tests {
         let mut c = core();
         let (r, _) = tight("x", 0.0, 4.0, 2.0);
         assert!(matches!(
-            c.admit(r.clone(), vec![NodeId(0)], None),
+            c.admit(r.clone(), vec![NodeId(0)]),
             Err(AdmitError::BadMapping(_))
         ));
         assert!(matches!(
-            c.admit(r.clone(), vec![NodeId(0), NodeId(99)], None),
+            c.admit(r.clone(), vec![NodeId(0), NodeId(99)]),
             Err(AdmitError::BadMapping(_))
         ));
         let g = star(1, StarDirection::AwayFromCenter);
         let beyond = Request::new("y", g, vec![1.0, 0.0], vec![0.1], 0.0, 100.0, 2.0);
         assert!(matches!(
-            c.admit(beyond, vec![NodeId(0), NodeId(1)], None),
+            c.admit(beyond, vec![NodeId(0), NodeId(1)]),
             Err(AdmitError::WindowOutOfRange(_))
         ));
     }
@@ -666,12 +615,12 @@ mod tests {
             },
         );
         let (r1, m1) = tight("a", 0.0, 2.5, 2.0);
-        let d1 = c.admit(r1, m1, None).unwrap();
+        let d1 = c.admit(r1, m1).unwrap();
         assert!(d1.accepted);
         assert!(c.reservations().is_empty(), "reservation leaked by fault");
         // The rigid twin is admitted into the same slot: double booking.
         let (r2, m2) = tight("b", 0.0, 2.5, 2.0);
-        let d2 = c.admit(r2, m2, None).unwrap();
+        let d2 = c.admit(r2, m2).unwrap();
         assert!(d2.accepted, "leak makes the core over-accept");
     }
 
@@ -727,7 +676,7 @@ mod tests {
             ("d", 3.0, 12.0, 4.0),
         ] {
             let (r, m) = tight(name, es, le, d);
-            c.admit(r, m, None).unwrap();
+            c.admit(r, m).unwrap();
             assert_util_matches_verifier(&c);
             assert_eq!(c.util().unwrap().live_entries(), c.reservations().len());
         }
@@ -754,14 +703,14 @@ mod tests {
         // Decisions after a restore must match an uninterrupted sequence.
         let mut full = core();
         let (r1, m1) = tight("a", 0.0, 10.0, 2.0);
-        let d1 = full.admit(r1.clone(), m1.clone(), None).unwrap();
+        let d1 = full.admit(r1.clone(), m1.clone()).unwrap();
         let (r2, m2) = tight("b", 0.0, 10.0, 2.0);
-        let d2 = full.admit(r2.clone(), m2.clone(), None).unwrap();
+        let d2 = full.admit(r2.clone(), m2.clone()).unwrap();
 
         let mut recovered = core();
         recovered.restore(full.reservations()[0].clone());
         // Re-decide 'b' only: identical schedule.
-        let d2r = recovered.admit(r2, m2, None).unwrap();
+        let d2r = recovered.admit(r2, m2).unwrap();
         assert_eq!(d2.accepted, d2r.accepted);
         assert_eq!(d2.start, d2r.start);
         assert_eq!(d2.end, d2r.end);

@@ -33,14 +33,16 @@
 use std::time::Duration;
 
 use tvnep_core::{
-    explain_solution, greedy_csigma, solve_discrete, solve_tvnep, BuildOptions, Fate, Formulation,
-    GreedyOptions, Objective, Resource, ServiceCore, ServiceOptions, TvnepOutcome,
+    build_model, explain_solution, greedy_csigma, solve_discrete, solve_tvnep, BuildOptions, Fate,
+    Formulation, GreedyOptions, Objective, Resource, ServiceCore, ServiceOptions, TvnepOutcome,
 };
 use tvnep_graph::{EdgeId, NodeId};
 use tvnep_lp::{LpStatus, Simplex};
 use tvnep_mip::{MipOptions, MipStatus, ProgressEvent, ProgressKind, ProgressRecorder};
-use tvnep_model::tol::{obj_eq, obj_le, OBJ_EQ_TOL, VERIFY_TOL};
-use tvnep_model::{verify_with_tol, Instance, ScheduledRequest, TemporalSolution};
+use tvnep_model::tol::{obj_eq, obj_le, OBJ_EQ_TOL, REL_GAP, VERIFY_TOL};
+use tvnep_model::{
+    verify_with_tol, Instance, NodeMapping, Request, ScheduledRequest, TemporalSolution,
+};
 
 /// The oracle families; each violation carries the one that fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +78,10 @@ pub enum Oracle {
     /// order) must produce a decision sequence whose accepted schedules
     /// jointly satisfy Definition 2.1, whose explain narratives recompute,
     /// and whose total revenue never exceeds the proven offline optimum
-    /// (online decisions are a restriction of the joint problem).
+    /// (online decisions are a restriction of the joint problem). Every
+    /// decision of the service's breakpoint scan must also match the
+    /// reference cΣ MIP over the same reservations: same verdict, same
+    /// start within `start_tol`.
     OnlineConsistency,
 }
 
@@ -367,6 +372,89 @@ fn util_mismatch(core: &ServiceCore) -> Option<String> {
         }
     }
     None
+}
+
+/// The reference admission the service's breakpoint scan specializes: one
+/// cΣ MIP over the live reservations, each pinned (`x_r = 1`, window
+/// collapsed, every edge flow fixed to its reserved value), plus the free
+/// candidate under objective (21), `max T·x_R + (T − t⁻_R)`. Returns the
+/// candidate's `(accepted, start)` once the solve proves optimality.
+fn reference_admission(
+    core: &ServiceCore,
+    request: &Request,
+    mapping: &NodeMapping,
+    mip_opts: &MipOptions,
+) -> Result<(bool, f64), String> {
+    let (mut sub, _) = core.reservation_snapshot();
+    let k = sub.num_requests();
+    sub.requests.push(request.clone());
+    if let Some(maps) = &mut sub.fixed_node_mappings {
+        maps.push(mapping.clone());
+    }
+    let mut built = build_model(
+        &sub,
+        Formulation::CSigma,
+        Objective::AccessControl,
+        BuildOptions::default_for(Formulation::CSigma),
+    );
+    for (r, res) in core.reservations().iter().enumerate() {
+        built.mip.set_obj(built.emb.x_r[r], 0.0);
+        built.mip.fix_var(built.emb.x_r[r], 1.0);
+        // Free reservation flows would let the MIP re-route a live
+        // reservation to make room: an overcommit against its real flows.
+        for (l, vars) in built.emb.x_e[r].iter().enumerate() {
+            let flows = &res.embedding.edge_flows[l];
+            for (e, &v) in vars.iter().enumerate() {
+                let f = flows
+                    .iter()
+                    .find(|(eid, _)| eid.0 == e)
+                    .map_or(0.0, |&(_, f)| f);
+                built.mip.fix_var(v, f);
+            }
+        }
+    }
+    built.mip.set_obj(built.emb.x_r[k], sub.horizon);
+    built.mip.set_obj(built.events.t_minus[k], -1.0);
+    built.mip.set_obj_offset(sub.horizon);
+    let result = tvnep_mip::solve_with(&built.mip, mip_opts);
+    match (result.status, &result.x) {
+        (MipStatus::Optimal, Some(x)) => {
+            let s = &built.extract_solution(&sub, x).scheduled[k];
+            Ok((s.accepted, s.start))
+        }
+        (status, _) => Err(format!("reference MIP ended {status:?}")),
+    }
+}
+
+/// How far an accepted start may sit from the reference MIP's: the MIP
+/// proves objective (21), of magnitude at most `2T`, only to the relative
+/// gap [`REL_GAP`], and its times carry solver noise below [`VERIFY_TOL`].
+fn start_tol(horizon: f64) -> f64 {
+    2.0 * horizon * REL_GAP + VERIFY_TOL
+}
+
+/// Compares one scan decision `(accepted, start)` with the reference
+/// MIP's on the same reservation state (online-consistency oracle).
+fn check_scan_against_reference(
+    report: &mut CaseReport,
+    name: &str,
+    horizon: f64,
+    scan: (bool, f64),
+    reference: (bool, f64),
+) {
+    let detail = match (scan, reference) {
+        ((true, s), (true, r)) if (s - r).abs() > start_tol(horizon) => {
+            format!("scan admits '{name}' at {s}, the reference MIP at {r}")
+        }
+        ((false, _), (true, r)) => {
+            format!("scan rejects '{name}', the reference MIP admits it at {r}")
+        }
+        ((true, s), (false, _)) => {
+            format!("scan admits '{name}' at {s}, the reference MIP rejects it")
+        }
+        _ => return,
+    };
+    report.violate(Oracle::OnlineConsistency, detail);
 }
 
 /// Recomputes every claim of the explanation for `solution` and reports any
@@ -948,10 +1036,27 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                 let mut scheduled: Vec<Option<ScheduledRequest>> =
                     vec![None; instance.num_requests()];
                 let mut refused = None;
+                let mut unreferenced: Vec<String> = Vec::new();
                 for &ri in &order {
-                    match core.admit(instance.requests[ri].clone(), maps[ri].clone(), None) {
+                    let (request, mapping) = (&instance.requests[ri], &maps[ri]);
+                    // The reference decides the state the scan will see
+                    // (admit advances the water mark the same way first).
+                    core.advance(request.earliest_start);
+                    let reference = reference_admission(&core, request, mapping, &opts.mip_opts(1));
+                    report.solves += 1;
+                    match core.admit(request.clone(), mapping.clone()) {
                         Ok(d) => {
                             report.solves += 1;
+                            match reference {
+                                Ok(r) => check_scan_against_reference(
+                                    &mut report,
+                                    &request.name,
+                                    instance.horizon,
+                                    (d.accepted, d.start),
+                                    r,
+                                ),
+                                Err(why) => unreferenced.push(format!("request {ri}: {why}")),
+                            }
                             scheduled[ri] = Some(ScheduledRequest {
                                 accepted: d.accepted,
                                 start: d.start,
@@ -964,6 +1069,15 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                             break;
                         }
                     }
+                }
+                if let Some(first) = unreferenced.first() {
+                    report.skip(
+                        Oracle::OnlineConsistency,
+                        format!(
+                            "{} admission(s) without a proven reference, first {first}",
+                            unreferenced.len()
+                        ),
+                    );
                 }
                 match refused {
                     Some(why) => report.skip(Oracle::OnlineConsistency, why),
@@ -1307,6 +1421,30 @@ mod tests {
             }
         }
         panic!("reservation leak went unnoticed on every seed");
+    }
+
+    /// Each way the scan can disagree with the reference MIP is one
+    /// violation; a start inside the tolerance is agreement.
+    #[test]
+    fn scan_reference_disagreements_fire_online_oracle() {
+        let horizon = 20.0;
+        let tol = start_tol(horizon);
+        let cases = [
+            ((true, 2.0), (true, 2.0 + 2.0 * tol), 1),
+            ((false, 0.0), (true, 2.0), 1),
+            ((true, 2.0), (false, 0.0), 1),
+            ((true, 2.0), (true, 2.0 + 0.5 * tol), 0),
+            ((false, 0.0), (false, 0.0), 0),
+        ];
+        for (scan, reference, want) in cases {
+            let mut report = CaseReport::default();
+            check_scan_against_reference(&mut report, "r", horizon, scan, reference);
+            assert_eq!(report.violations.len(), want, "{scan:?} vs {reference:?}");
+            assert!(report
+                .violations
+                .iter()
+                .all(|v| v.oracle == Oracle::OnlineConsistency));
+        }
     }
 
     #[test]

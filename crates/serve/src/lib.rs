@@ -7,7 +7,8 @@
 //! * [`EpochRunner`] — batches submissions into **admission epochs** and
 //!   decides them through a [`tvnep_core::ServiceCore`] (the greedy cΣᴳ_A
 //!   per-iteration step with previously accepted schedules fixed as
-//!   substrate-capacity reservations), journaling every decision to a
+//!   substrate-capacity reservations, solved as a scan over the candidate's
+//!   possible starts with one LP per start), journaling every decision to a
 //!   **write-ahead log** before it is emitted;
 //! * [`recover`](EpochRunner::recover) — rebuilds the exact reservation
 //!   state from the WAL after a crash, so the continued decision log is
@@ -45,7 +46,8 @@ use tvnep_telemetry::{prom, Json, LogHistogram};
 /// Configuration of the epoch runner.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Per-admission solve options (node budget ⇒ deterministic decisions).
+    /// Admission options; each tried start is one LP solved under
+    /// `service.subproblem`, and every decision is deterministic.
     pub service: ServiceOptions,
     /// Close an epoch automatically once this many submissions are pending
     /// (`0` = epochs close only on explicit `tick`/EOF/shutdown).
@@ -53,9 +55,6 @@ pub struct ServeOptions {
     /// Pending-queue bound; submissions beyond it are shed with an
     /// `error` event (graceful rejection under overload).
     pub max_pending: usize,
-    /// Optional per-admission wall-clock deadline. Makes decisions
-    /// host-dependent; leave `None` for deterministic logs.
-    pub deadline: Option<Duration>,
     /// Keep an in-memory decision log (the load generator and tests use it
     /// for end-of-run verification; servers leave it off).
     pub keep_log: bool,
@@ -75,7 +74,6 @@ impl Default for ServeOptions {
             service: ServiceOptions::default(),
             epoch_size: 4,
             max_pending: 1024,
-            deadline: None,
             keep_log: false,
             slo: None,
             fault_panic_epoch: None,
@@ -85,8 +83,8 @@ impl Default for ServeOptions {
 
 /// Service-level objectives for the admission funnel: what fraction of
 /// decisions must be accepted over the rolling window, how slow the p99
-/// admission may get, and the deterministic node-budget envelope per
-/// decision. Loaded from a JSON doc (`tvnep-cli serve --slo FILE`).
+/// admission may get, and the deterministic effort envelope per decision.
+/// Loaded from a JSON doc (`tvnep-cli serve --slo FILE`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloDoc {
     /// Rolling-window length, in epochs.
@@ -96,8 +94,9 @@ pub struct SloDoc {
     pub acceptance_ratio_min: f64,
     /// Maximum p99 admission latency, milliseconds.
     pub p99_ms_max: f64,
-    /// Branch-and-bound node budget each decision is expected to stay
-    /// under (the deterministic effort envelope).
+    /// Effort each decision is expected to stay under, in "nodes": one
+    /// node is one LP solve per tried start (the deterministic effort
+    /// envelope).
     pub node_budget_per_decision: u64,
 }
 
@@ -201,8 +200,8 @@ pub struct ServeStats {
     pub shed: u64,
     pub epochs: u64,
     pub overruns: u64,
-    /// Branch-and-bound nodes spent across all decisions (deterministic
-    /// effort; the funnel budgets against it).
+    /// LP solves spent across all decisions, one per tried start
+    /// (deterministic effort; the funnel budgets against it).
     pub nodes_spent: u64,
     pub admit_wall: Duration,
     pub last_epoch_wall: Duration,
@@ -609,10 +608,7 @@ impl EpochRunner {
         let request = protocol::request_from_doc(&p.doc).expect("validated at submit");
         let mapping: NodeMapping = p.mapping.iter().map(|&n| tvnep_graph::NodeId(n)).collect();
         let t0 = Instant::now();
-        let event = match self
-            .core
-            .admit_with_id(p.id, request, mapping, self.opts.deadline)
-        {
+        let event = match self.core.admit_with_id(p.id, request, mapping) {
             Ok(d) => {
                 if d.accepted {
                     self.stats.accepted += 1;

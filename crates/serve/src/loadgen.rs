@@ -7,10 +7,11 @@
 //! configured duration elapses, epochs close every `epoch_size`
 //! submissions, and each decision's latency is recorded.
 //!
-//! The run is a pure function of the seed and configuration — solve effort
-//! is bounded by a **node budget**, never a wall clock — so acceptance
-//! counts, B&B nodes, and the decision log are bit-reproducible and can be
-//! gated in CI (`bench-compare` on the emitted `serve_slo` document).
+//! The run is a pure function of the seed and configuration — each
+//! admission is an exact scan over the candidate's possible starts, with no
+//! budget and no wall clock — so acceptance counts, LP solves ("nodes"), and
+//! the decision log are bit-reproducible and can be gated in CI
+//! (`bench-compare` on the emitted `serve_slo` document).
 //! Wall-clock quantities (latency percentiles, epoch overruns) are measured
 //! honestly and gated only with loose tolerances.
 //!
@@ -54,9 +55,6 @@ pub struct LoadConfig {
     pub epoch_size: usize,
     /// Epoch wall budget in milliseconds; longer epochs count as overruns.
     pub tick_budget_ms: Option<u64>,
-    /// Per-admission branch-and-bound node budget (the deterministic
-    /// effort bound).
-    pub node_budget: u64,
     /// Pending-queue bound (overload shedding).
     pub max_pending: usize,
     /// Optional WAL path (exercises the journal in load runs).
@@ -84,7 +82,6 @@ impl LoadConfig {
             preset: "tiny".into(),
             epoch_size: 3,
             tick_budget_ms: Some(30_000),
-            node_budget: 200_000,
             max_pending: 1024,
             wal: None,
             track_util: false,
@@ -104,7 +101,8 @@ pub struct LoadReport {
     pub acceptance_ratio: f64,
     /// Definition-2.1 violations across all accepted schedules (must be 0).
     pub violations: usize,
-    /// Total branch-and-bound nodes across all admissions (deterministic).
+    /// Total LP solves across all admissions, one per tried start
+    /// (deterministic).
     pub total_nodes: u64,
     pub epochs: u64,
     pub overruns: u64,
@@ -195,7 +193,6 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
     let opts = ServeOptions {
         service: ServiceOptions {
             subproblem: MipOptions {
-                node_limit: Some(cfg.node_budget),
                 telemetry: cfg.telemetry.clone(),
                 ..MipOptions::default()
             },
@@ -205,7 +202,6 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
         },
         epoch_size: cfg.epoch_size,
         max_pending: cfg.max_pending,
-        deadline: None, // node budget only: decisions stay deterministic
         keep_log: true,
         slo: None,
         fault_panic_epoch: None,
@@ -331,7 +327,6 @@ pub fn slo_doc(cfg: &LoadConfig, report: &LoadReport) -> Json {
                 ("flex".into(), Json::from(cfg.flex)),
                 ("preset".into(), Json::from(cfg.preset.as_str())),
                 ("epoch_size".into(), Json::from(cfg.epoch_size)),
-                ("node_budget".into(), Json::from(cfg.node_budget)),
             ]),
         ),
         ("cells".into(), Json::Arr(vec![cell_obj])),
@@ -395,11 +390,13 @@ mod tests {
     }
 
     /// Regression: with free flow variables for live reservations the
-    /// subproblem could re-route a reservation's virtual links to make room
-    /// for a candidate, over-committing edges relative to the flows actually
-    /// reserved. The contended SLO stream (rate 8 on the tiny 2×2 grid)
-    /// produced three Definition-2.1 edge-capacity violations before
-    /// reservation flows were pinned in the admission model.
+    /// admission MIP could re-route a reservation's virtual links to make
+    /// room for a candidate, over-committing edges relative to the flows
+    /// actually reserved. The contended SLO stream (rate 8 on the tiny 2×2
+    /// grid) produced three Definition-2.1 edge-capacity violations before
+    /// reservation flows were pinned. The scan pins them by construction —
+    /// it subtracts the reserved flows from the capacities — so this now
+    /// guards the residual computation.
     #[test]
     fn contended_stream_respects_reserved_flows() {
         let r = run(&LoadConfig::slo_default()).unwrap();

@@ -277,8 +277,8 @@ pub fn bye_event(decided: u64, accepted: u64) -> Json {
 }
 
 /// A solver-made `decision` event. Deterministic fields only: no wall-clock
-/// quantities (B&B `nodes` is deterministic under a node budget at one
-/// thread).
+/// quantities (`nodes` counts the admission's LP solves, one per tried
+/// start, a pure function of the reservation state).
 pub fn decision_event(d: &AdmitDecision) -> Json {
     let mut fields = vec![
         ("event".into(), Json::from("decision")),
@@ -485,8 +485,6 @@ mod tests {
             explain: None,
             nodes: 12,
             runtime: std::time::Duration::from_millis(2),
-            model_rows: 10,
-            model_cols: 20,
         };
         let j = decision_event(&d);
         assert_eq!(j.get("id").and_then(Json::as_u64), Some(3));
