@@ -13,10 +13,10 @@
 //!   `decisions`, `accepted`, `shed`, `violations`, `total_nodes`, `epochs`
 //!   for service runs), plus status and objective, are **exactly
 //!   reproducible** for fixed seeds at `threads = 1` — the sequential
-//!   branch-and-bound path is deterministic and the load generator bounds
-//!   effort by node budget, not wall clock — so any drift there is a real
-//!   behavioral change, not noise. These are compared exactly whenever both
-//!   runs used one thread.
+//!   branch-and-bound path is deterministic and an admission's effort is
+//!   its scan over candidate starts, not a wall clock — so any drift there
+//!   is a real behavioral change, not noise. These are compared exactly
+//!   whenever both runs used one thread.
 //!
 //! A `serve_slo` candidate with nonzero `violations` always fails,
 //! regardless of the baseline: accepted schedules breaking Definition 2.1

@@ -26,7 +26,7 @@ use tvnep_core::{
     explain_solution, greedy_csigma, solve_tvnep, BuildOptions, Formulation, GreedyOptions,
     GreedyOutcome, Objective,
 };
-use tvnep_harness::format::{render_trace, InstanceDoc, SolutionDoc};
+use tvnep_harness::format::{InstanceDoc, SolutionDoc};
 use tvnep_harness::oracle::OracleOptions;
 use tvnep_harness::{run_fuzz, FuzzConfig, FuzzReport};
 use tvnep_mip::{MipOptions, MipStatus, ProgressRecorder, ProgressSummary, SearchTree};
@@ -34,7 +34,7 @@ use tvnep_model::tol::VERIFY_TOL;
 use tvnep_model::{verify_with_tol, Instance};
 use tvnep_serve::loadgen::LoadConfig;
 use tvnep_serve::{EpochRunner, ServeOptions};
-use tvnep_telemetry::{Json, Telemetry};
+use tvnep_telemetry::{render_spans, Json, Telemetry};
 use tvnep_workloads::{generate, WorkloadConfig};
 
 /// Heap accounting behind `--alloc` and the `campaign` peak-memory column.
@@ -178,8 +178,6 @@ fn parse_args(raw: &[String]) -> Args {
     Args { positional, flags }
 }
 
-/// Builds the telemetry handle requested by `--metrics-out` / `--trace`.
-/// A timeline is only kept when something will consume it.
 /// `--threads N` (0 = all cores). The CLI defaults to all available
 /// parallelism; the library default stays 1 (deterministic sequential).
 fn threads_for(args: &Args) -> Result<usize, String> {
@@ -190,28 +188,29 @@ fn threads_for(args: &Args) -> Result<usize, String> {
         .map(|t| t.unwrap_or(0))
 }
 
+/// Builds the telemetry handle requested by `--metrics-out`, `--trace` and
+/// `--chrome-trace`. Spans are only recorded when something will print or
+/// write them.
 fn telemetry_for(args: &Args) -> Telemetry {
-    let trace = args.flags.contains_key("trace");
-    let spans = args.flags.contains_key("chrome-trace");
-    let metrics = args.flags.contains_key("metrics-out");
-    if trace || spans {
-        Telemetry::configure(trace, spans)
-    } else if metrics {
+    if args.flags.contains_key("trace") || args.flags.contains_key("chrome-trace") {
+        Telemetry::with_spans()
+    } else if args.flags.contains_key("metrics-out") {
         Telemetry::metrics_only()
     } else {
         Telemetry::disabled()
     }
 }
 
-/// Writes the metrics snapshot (and prints the trace) after a run.
-/// `extra` appends command-specific sections to the exported object.
+/// Prints the spans (`--trace`, one line each, to stderr), writes the Chrome
+/// trace and the metrics snapshot after a run. `extra` appends
+/// command-specific sections to the exported object.
 fn finish_telemetry(
     args: &Args,
     telemetry: &Telemetry,
     extra: Vec<(String, Json)>,
 ) -> Result<(), String> {
     if args.flags.contains_key("trace") {
-        eprint!("{}", render_trace(&telemetry.events()));
+        eprint!("{}", render_spans(&telemetry.spans()));
     }
     if let Some(path) = args.flags.get("chrome-trace") {
         let doc = telemetry.export_chrome_trace();
@@ -977,7 +976,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                         blackbox: blackbox.as_ref().map(|b| b.handle.clone()),
                         ..MipOptions::default()
                     },
-                    gc: true,
                     leak_every: None,
                     track_util: args.flags.contains_key("track-util"),
                 },

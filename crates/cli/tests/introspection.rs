@@ -201,3 +201,67 @@ fn greedy_chrome_trace_includes_iteration_spans() {
     assert_eq!(iter_spans, 3, "one span per greedy iteration");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--trace` prints the spans, one line each, at every thread count: at two
+/// threads `mip.solve` sits on the calling thread (`tid=0`) and the LP solves
+/// on the workers' tids. The metrics document never carries a `timeline`.
+#[test]
+fn trace_prints_worker_spans_at_two_threads() {
+    let dir = workdir("trace");
+    let inst = dir.join("inst.json");
+    let metrics = dir.join("m.json");
+    run_ok(bin().args([
+        "generate",
+        "--preset",
+        "tiny",
+        "--seed",
+        "7",
+        "--flex",
+        "1.0",
+        "-o",
+        inst.to_str().unwrap(),
+    ]));
+    let out = bin()
+        .args([
+            "solve",
+            inst.to_str().unwrap(),
+            "--threads",
+            "2",
+            "--trace",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "-o",
+            dir.join("sol.json").to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn tvnep-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "solve failed\nstderr: {stderr}");
+
+    // `[start +dur] tid=N name k=v ...`
+    let spans: Vec<(u32, &str)> = stderr
+        .lines()
+        .filter(|l| l.starts_with('['))
+        .map(|l| {
+            let (_, rest) = l.split_once("] tid=").expect("span line shape");
+            let mut words = rest.split(' ');
+            let tid = words.next().unwrap().parse().expect("numeric tid");
+            (tid, words.next().expect("span name"))
+        })
+        .collect();
+    assert!(
+        spans.contains(&(0, "mip.solve")),
+        "no tid=0 mip.solve line in\n{stderr}"
+    );
+    assert!(
+        spans
+            .iter()
+            .any(|&(tid, name)| tid >= 1 && name == "lp.solve"),
+        "no worker lp.solve line in\n{stderr}"
+    );
+
+    let mdoc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert!(mdoc.get("metrics").is_some());
+    assert!(mdoc.get("timeline").is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,7 +2,8 @@
 //! with a fixed submission stream, parse the decision events, re-verify
 //! every accepted schedule with the independent Definition-2.1 verifier,
 //! and require the whole session transcript to be byte-identical across
-//! reruns (decisions are a pure function of the stream under a node budget).
+//! reruns (decisions are a pure function of the stream: an admission scans
+//! its candidate starts with no budget and no deadline).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

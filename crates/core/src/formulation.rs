@@ -7,7 +7,6 @@ use crate::states::{build_state_allocations, StateLoads};
 use tvnep_graph::{EdgeId, NodeId};
 use tvnep_mip::{MipModel, MipOptions, MipResult, Sense, VarId};
 use tvnep_model::{DependencyGraph, Embedding, Instance, ScheduledRequest, TemporalSolution};
-use tvnep_telemetry::Event;
 
 /// The three continuous-time MIP formulations of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,27 +352,12 @@ pub struct TvnepOutcome {
     pub solution: Option<TemporalSolution>,
 }
 
-/// Records a finished model build on a telemetry handle: timeline events plus
-/// gauges, so the sizes are visible in metrics-only mode too.
-pub(crate) fn emit_build_stats(
-    telemetry: &tvnep_telemetry::Telemetry,
-    stats: &BuildStats,
-    formulation: Formulation,
-) {
+/// Records a finished model build's size and Section IV-C state-space
+/// reduction as `model.*` gauges (a later build overwrites them).
+pub(crate) fn emit_build_stats(telemetry: &tvnep_telemetry::Telemetry, stats: &BuildStats) {
     if !telemetry.is_enabled() {
         return;
     }
-    telemetry.event_with(|| Event::ModelBuilt {
-        formulation: formulation.as_str().into(),
-        rows: stats.rows,
-        cols: stats.cols,
-        ints: stats.ints,
-    });
-    telemetry.event_with(|| Event::PresolveReduction {
-        events_removed: stats.events_removed,
-        states_removed: stats.states_removed(),
-        dynamic_states: stats.dynamic_states,
-    });
     telemetry.gauge_set("model.rows", stats.rows as f64);
     telemetry.gauge_set("model.cols", stats.cols as f64);
     telemetry.gauge_set("model.ints", stats.ints as f64);
@@ -398,7 +382,7 @@ pub fn solve_tvnep(
             .arg("cols", built.stats.cols as f64)
             .arg("events_removed", built.stats.events_removed as f64),
     );
-    emit_build_stats(&mip_opts.telemetry, &built.stats, formulation);
+    emit_build_stats(&mip_opts.telemetry, &built.stats);
     let result = tvnep_mip::solve_with(&built.mip, mip_opts);
     let solution = result.x.as_ref().map(|x| {
         let mut s = built.extract_solution(instance, x);

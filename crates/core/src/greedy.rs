@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 use crate::formulation::{build_model, BuildOptions, Formulation, Objective};
 use tvnep_mip::{solve_with, MipOptions, MipStatus};
 use tvnep_model::{Instance, ScheduledRequest, TemporalSolution};
-use tvnep_telemetry::Event;
 
 /// Options for the greedy run.
 #[derive(Debug, Clone, Default)]
@@ -66,9 +65,6 @@ pub fn greedy_csigma(instance: &Instance, opts: &GreedyOptions) -> GreedyOutcome
     );
     let start_clock = Instant::now();
     let telemetry = opts.subproblem.telemetry.clone();
-    telemetry.event_with(|| Event::SolveStart {
-        what: "greedy".into(),
-    });
     let _greedy_span = telemetry.span("greedy.solve");
     let k = instance.num_requests();
     let maps = instance
@@ -130,7 +126,7 @@ pub fn greedy_csigma(instance: &Instance, opts: &GreedyOptions) -> GreedyOutcome
         built.mip.set_obj(built.emb.x_r[i], instance.horizon);
         built.mip.set_obj(built.events.t_minus[i], -1.0);
         built.mip.set_obj_offset(instance.horizon);
-        crate::formulation::emit_build_stats(&telemetry, &built.stats, Formulation::CSigma);
+        crate::formulation::emit_build_stats(&telemetry, &built.stats);
 
         let result = solve_with(&built.mip, &opts.subproblem);
         total_nodes += result.nodes;
@@ -167,12 +163,6 @@ pub fn greedy_csigma(instance: &Instance, opts: &GreedyOptions) -> GreedyOutcome
             nodes: result.nodes,
             runtime: iter_clock.elapsed(),
         };
-        telemetry.event_with(|| Event::GreedyIteration {
-            request: record.request,
-            accepted: record.accepted,
-            model_rows: record.model_rows,
-            model_cols: record.model_cols,
-        });
         telemetry.counter_add("greedy.iterations", 1);
         if accept {
             telemetry.counter_add("greedy.accepted", 1);
@@ -214,10 +204,6 @@ pub fn greedy_csigma(instance: &Instance, opts: &GreedyOptions) -> GreedyOutcome
     let mut solution = solution;
     solution.reported_objective = Some(solution.revenue(instance));
 
-    telemetry.event_with(|| Event::SolveEnd {
-        what: "greedy".into(),
-        status: "done".into(),
-    });
     telemetry.gauge_set("greedy.runtime_s", start_clock.elapsed().as_secs_f64());
     telemetry.counter_add("greedy.total_nodes", total_nodes);
 

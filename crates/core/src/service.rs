@@ -42,17 +42,12 @@ use tvnep_model::{
 };
 
 /// Options of the admission core.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
     /// Solver options of each candidate start's LP (telemetry, flight
     /// recorder, an optional time limit). An LP that fails leaves its start
     /// untaken.
     pub subproblem: MipOptions,
-    /// Garbage-collect reservations that end at or before the water mark
-    /// before each admission (default on). Soundness: the water mark never
-    /// exceeds any future candidate's earliest start, so a collected
-    /// reservation cannot overlap anything still to be decided.
-    pub gc: bool,
     /// **Fault injection for the harness only**: when `Some(k)`, every k-th
     /// accepted reservation is silently dropped instead of recorded — the
     /// observable effect of a reservation leak (capacity double-booking).
@@ -62,17 +57,6 @@ pub struct ServiceOptions {
     /// the reservation set (default off: the tracker is `None` and every
     /// hook is a single branch).
     pub track_util: bool,
-}
-
-impl Default for ServiceOptions {
-    fn default() -> Self {
-        Self {
-            subproblem: MipOptions::default(),
-            gc: true,
-            leak_every: None,
-            track_util: false,
-        }
-    }
 }
 
 /// An admitted request holding substrate capacity: the pinned schedule and
@@ -208,14 +192,13 @@ impl ServiceCore {
         self.water_mark
     }
 
-    /// Advances the water mark (monotone; regressions are ignored) and, when
-    /// GC is enabled, drops reservations that end at or before it.
+    /// Advances the water mark (monotone; regressions are ignored) and drops
+    /// the reservations that end at or before it. Soundness: the water mark
+    /// never exceeds any future candidate's earliest start, so a collected
+    /// reservation cannot overlap anything still to be decided.
     pub fn advance(&mut self, now: f64) -> usize {
         if now > self.water_mark {
             self.water_mark = now;
-        }
-        if !self.opts.gc {
-            return 0;
         }
         let before = self.reservations.len();
         let mark = self.water_mark;
@@ -247,20 +230,15 @@ impl ServiceCore {
         self.next_id = self.next_id.max(id + 1);
     }
 
-    /// Validates a candidate against the core's static invariants without
-    /// touching the solver.
+    /// Validates a candidate against the core's static invariants (horizon,
+    /// mapping shape and range) without touching the solver. The water mark
+    /// moves with every decision, so [`admit_with_id`](Self::admit_with_id)
+    /// checks it when the candidate is decided.
     pub fn validate(&self, request: &Request, mapping: &NodeMapping) -> Result<(), AdmitError> {
         if request.latest_end > self.horizon + 1e-9 {
             return Err(AdmitError::WindowOutOfRange(format!(
                 "request '{}' ends at {} beyond horizon {}",
                 request.name, request.latest_end, self.horizon
-            )));
-        }
-        if request.earliest_start < self.water_mark - 1e-9 {
-            return Err(AdmitError::WindowOutOfRange(format!(
-                "request '{}' starts at {} before the admission water mark {} \
-                 (arrivals must be monotone)",
-                request.name, request.earliest_start, self.water_mark
             )));
         }
         if mapping.len() != request.num_nodes() {
@@ -301,6 +279,13 @@ impl ServiceCore {
         mapping: NodeMapping,
     ) -> Result<AdmitDecision, AdmitError> {
         self.validate(&request, &mapping)?;
+        if request.earliest_start < self.water_mark - 1e-9 {
+            return Err(AdmitError::WindowOutOfRange(format!(
+                "request '{}' starts at {} before the admission water mark {} \
+                 (arrivals must be monotone)",
+                request.name, request.earliest_start, self.water_mark
+            )));
+        }
         let clock = Instant::now();
         self.advance(request.earliest_start);
         let telemetry = self.opts.subproblem.telemetry.clone();

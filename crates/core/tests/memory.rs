@@ -89,8 +89,7 @@ fn allocator_accounts_for_delta_model_build() {
     drop(simplex);
 
     // A warm re-solve of an optimal LP allocates nothing, with metrics on as
-    // with telemetry off: the `LpSolveEnd` objective (an O(n) pass with its
-    // own allocation) is computed only when a timeline records the event.
+    // with telemetry off.
     let lp = build_model(
         &inst,
         Formulation::CSigma,

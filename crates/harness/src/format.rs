@@ -9,7 +9,7 @@
 
 use tvnep_graph::{DiGraph, EdgeId, NodeId};
 use tvnep_model::{Embedding, Instance, Request, ScheduledRequest, Substrate, TemporalSolution};
-use tvnep_telemetry::{Json, TimedEvent};
+use tvnep_telemetry::Json;
 
 /// Top-level instance document.
 #[derive(Debug, Clone)]
@@ -634,30 +634,6 @@ pub fn violation_to_json(v: &tvnep_model::Violation) -> Json {
     Json::Obj(fields)
 }
 
-/// Renders a solve timeline as one human-readable line per event:
-/// `[  0.004321s] lp_solve_end iters=17 status=optimal obj=3.5`.
-pub fn render_trace(events: &[TimedEvent]) -> String {
-    let mut out = String::new();
-    for te in events {
-        let j = te.to_json();
-        out.push_str(&format!(
-            "[{:>12.6}s] {}",
-            te.at.as_secs_f64(),
-            te.event.name()
-        ));
-        if let Some(fields) = j.as_object() {
-            for (k, v) in fields {
-                if k == "t_us" || k == "event" {
-                    continue;
-                }
-                out.push_str(&format!(" {k}={v}"));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,32 +708,5 @@ mod tests {
             vec![(0, 0.5), (2, 0.5)]
         );
         assert!(back.into_solution().is_ok());
-    }
-
-    #[test]
-    fn trace_renders_one_line_per_event() {
-        use std::time::Duration;
-        use tvnep_telemetry::Event;
-        let events = vec![
-            TimedEvent {
-                at: Duration::from_micros(10),
-                event: Event::SolveStart { what: "mip".into() },
-            },
-            TimedEvent {
-                at: Duration::from_micros(250),
-                event: Event::LpSolveEnd {
-                    iters: 17,
-                    status: "optimal".into(),
-                    obj: 3.5,
-                },
-            },
-        ];
-        let text = render_trace(&events);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("solve_start"));
-        assert!(lines[0].contains("what=\"mip\""));
-        assert!(lines[1].contains("iters=17"));
-        assert!(lines[1].contains("status=\"optimal\""));
     }
 }

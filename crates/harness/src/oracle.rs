@@ -1015,7 +1015,6 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                     instance.horizon,
                     ServiceOptions {
                         subproblem: opts.mip_opts(1),
-                        gc: true,
                         leak_every: leak,
                         // Cross-checked below against the Definition-2.1
                         // recomputation from the reservation snapshot.

@@ -66,7 +66,7 @@ use crate::pricing::Devex;
 use crate::problem::{LpProblem, INF};
 use crate::sparse::CscMatrix;
 use tvnep_telemetry::blackbox::LP_MILESTONE_EVERY;
-use tvnep_telemetry::{Event, EventKind, FlightHandle, Telemetry};
+use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
 
 /// Outcome of a simplex run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,18 +86,6 @@ pub enum LpStatus {
 }
 
 impl LpStatus {
-    /// Stable lower-case name, used in telemetry events.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LpStatus::Optimal => "optimal",
-            LpStatus::Infeasible => "infeasible",
-            LpStatus::Unbounded => "unbounded",
-            LpStatus::IterationLimit => "iteration_limit",
-            LpStatus::TimeLimit => "time_limit",
-            LpStatus::Numerical => "numerical",
-        }
-    }
-
     /// Stable numeric code used as the `b` payload of black-box
     /// [`EventKind::LpSolve`] events.
     pub fn code(self) -> u64 {
@@ -523,9 +511,10 @@ impl Simplex {
     }
 
     /// Attaches an observability sink. Each top-level [`solve`](Self::solve)
-    /// or [`solve_warm`](Self::solve_warm) emits a balanced
-    /// `LpSolveStart`/`LpSolveEnd` event pair when the sink records a
-    /// timeline; a disabled handle costs one pointer check per solve.
+    /// or [`solve_warm`](Self::solve_warm) counts into `lp.solves` and
+    /// `lp.iters_per_solve`, and records an `lp.solve` / `lp.solve_warm` span
+    /// when the sink records spans; a disabled handle costs one pointer
+    /// check per solve.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -951,9 +940,8 @@ impl Simplex {
         let before = self.iterations;
         self.iter_base = before;
         let profile = self.begin_profile();
-        self.telemetry.event(Event::LpSolveStart { warm: false });
         let status = self.solve_inner();
-        self.finish_lp_event(before, status);
+        self.record_solve(before, status);
         self.end_profile("lp.solve", profile, before);
         status
     }
@@ -1010,34 +998,17 @@ impl Simplex {
         }
     }
 
-    /// Emits the `LpSolveEnd` half of the event pair and records the
+    /// Records a finished solve: its flight-recorder event and the
     /// per-solve iteration count.
-    fn finish_lp_event(&mut self, iters_before: usize, status: LpStatus) {
+    fn record_solve(&self, iters_before: usize, status: LpStatus) {
+        let iters = (self.iterations - iters_before) as u64;
         // Black-box record is independent of the telemetry sink: crash
         // diagnostics stay on even when metrics are off.
         if let Some(bb) = &self.blackbox {
-            bb.record(
-                EventKind::LpSolve,
-                (self.iterations - iters_before) as u64,
-                status.code(),
-            );
+            bb.record(EventKind::LpSolve, iters, status.code());
         }
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let iters = (self.iterations - iters_before) as u64;
         self.telemetry.counter_add("lp.solves", 1);
         self.telemetry.observe("lp.iters_per_solve", iters as f64);
-        // The objective costs an O(n) pass: only a recorded event pays it.
-        self.telemetry.event_with(|| Event::LpSolveEnd {
-            iters,
-            status: status.as_str().to_string(),
-            obj: if status == LpStatus::Optimal {
-                self.objective_value()
-            } else {
-                f64::NAN
-            },
-        });
     }
 
     fn solve_inner(&mut self) -> LpStatus {
@@ -1102,9 +1073,8 @@ impl Simplex {
         let before = self.iterations;
         self.iter_base = before;
         let profile = self.begin_profile();
-        self.telemetry.event(Event::LpSolveStart { warm: true });
         let status = self.solve_warm_inner();
-        self.finish_lp_event(before, status);
+        self.record_solve(before, status);
         self.end_profile("lp.solve_warm", profile, before);
         status
     }

@@ -17,10 +17,10 @@
 //!   and LP scratch memory stay thread-local. A node pushed to the pool
 //!   carries its parent's basis, so whichever worker pops it re-solves from
 //!   that basis rather than from its own last dive. With more than one
-//!   worker, per-worker `SolveStats`/telemetry registries are merged after
-//!   the workers join, so `--metrics-out` and the bench CSV report identical
-//!   quantities regardless of thread count (per-thread LP *timeline* events
-//!   are dropped: they have no global order).
+//!   worker, per-worker `SolveStats`, telemetry registries and span buffers
+//!   are merged after the workers join, so `--metrics-out` and the bench CSV
+//!   report identical quantities regardless of thread count, and the spans
+//!   hold every worker's, each under its own `tid`.
 //! * **One writer per node fact** — [`NodeObserver`] is the only place a
 //!   node's open and close, a global-bound tightening or an incumbent is
 //!   written to the search tree, the progress stream, the flight recorder
@@ -47,7 +47,7 @@ use crate::model::{MipModel, Sense, VarKind};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::{NodeOutcome, SearchTree, TreeNode};
 use tvnep_lp::{HealthMonitor, LpProblem, LpStatus, Simplex, SolveStats};
-use tvnep_telemetry::{Event, EventKind, FlightHandle, Telemetry};
+use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
 
 /// Monotone bit-packing of `f64` into `u64`: `pack(a) < pack(b)` iff
 /// `a < b` (for non-NaN values), so `AtomicU64::fetch_min` implements an
@@ -390,7 +390,6 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
     // Busy for the duration of the solve: the stall watchdog only reads a
     // flat progress pulse as a stall while at least one guard is open.
     let _busy = opts.blackbox.as_ref().map(|bb| bb.recorder().busy_guard());
-    telemetry.event_with(|| Event::SolveStart { what: "mip".into() });
     let _solve_span = telemetry.span("mip.solve");
     let int_vars: Vec<usize> = model
         .kinds()
@@ -551,10 +550,6 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
         if let Some(t) = &opts.tree {
             telemetry.gauge_set("mem.mip.tree_bytes", t.memory_bytes() as f64);
         }
-        telemetry.event_with(|| Event::SolveEnd {
-            what: "mip".into(),
-            status: status.as_str().to_string(),
-        });
     }
     result
 }

@@ -407,63 +407,6 @@ fn random_mixed_programs_match_seminumeration() {
     }
 }
 
-/// A solve with a timeline-enabled telemetry handle must produce a
-/// well-formed trace: monotone timestamps, balanced LP start/end pairs, and
-/// a balanced solve start/end pair.
-#[test]
-fn timeline_is_well_formed_end_to_end() {
-    use tvnep_telemetry::{Event, Telemetry};
-    // A knapsack that takes a handful of branch-and-bound nodes.
-    let values = [41.0, 50.0, 49.0, 59.0, 45.0, 47.0, 42.0];
-    let weights = [7.0, 8.0, 9.0, 10.0, 6.0, 7.0, 8.0];
-    let mut m = MipModel::maximize();
-    let vars: Vec<VarId> = values.iter().map(|&v| m.add_binary(v)).collect();
-    let terms: Vec<_> = vars.iter().zip(weights).map(|(&v, w)| (v, w)).collect();
-    m.add_le(&terms, 20.0);
-
-    let telemetry = Telemetry::with_timeline();
-    let opts = MipOptions {
-        telemetry: telemetry.clone(),
-        ..Default::default()
-    };
-    let r = solve_with(&m, &opts);
-    assert_eq!(r.status, MipStatus::Optimal);
-
-    let events = telemetry.events();
-    assert!(!events.is_empty());
-    // Timestamps are monotone non-decreasing in record order.
-    for w in events.windows(2) {
-        assert!(w[0].at <= w[1].at, "timestamps must be monotone");
-    }
-    // LP solve start/end events are balanced and never nested.
-    let mut open_lp = 0i64;
-    let mut lp_pairs = 0u64;
-    let mut solve_open = 0i64;
-    for te in events {
-        match &te.event {
-            Event::LpSolveStart { .. } => {
-                assert_eq!(open_lp, 0, "LP solves must not nest");
-                open_lp += 1;
-            }
-            Event::LpSolveEnd { iters: _, .. } => {
-                open_lp -= 1;
-                assert_eq!(open_lp, 0, "LpSolveEnd without matching start");
-                lp_pairs += 1;
-            }
-            Event::SolveStart { .. } => solve_open += 1,
-            Event::SolveEnd { .. } => solve_open -= 1,
-            _ => {}
-        }
-    }
-    assert_eq!(open_lp, 0, "every LP start has an end");
-    assert_eq!(solve_open, 0, "every solve start has an end");
-    assert!(lp_pairs > 0);
-    // The metrics registry agrees with the result too.
-    let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("mip.nodes"), r.nodes);
-    assert!(snap.counter("lp.iterations") > 0);
-}
-
 /// Every queued node re-solves from its parent's basis with the dual
 /// simplex, and a start whose boxed variables rest at the wrong bound is
 /// repaired by bound flips, so no warm solve falls back to the primal

@@ -474,30 +474,9 @@ impl EpochRunner {
             Ok(r) => r,
             Err(e) => return Ok(Err(e)),
         };
-        if request.latest_end > self.core.horizon() + 1e-9 {
-            return Ok(Err(format!(
-                "request '{}' ends at {} beyond horizon {}",
-                doc.name,
-                request.latest_end,
-                self.core.horizon()
-            )));
-        }
-        if mapping.len() != doc.num_nodes {
-            return Ok(Err(format!(
-                "request '{}': mapping covers {} of {} virtual nodes",
-                doc.name,
-                mapping.len(),
-                doc.num_nodes
-            )));
-        }
-        if let Some(&n) = mapping
-            .iter()
-            .find(|&&n| n >= self.core.substrate().num_nodes())
-        {
-            return Ok(Err(format!(
-                "request '{}': mapping references unknown substrate node {n}",
-                doc.name
-            )));
+        let node_mapping: NodeMapping = mapping.iter().map(|&n| tvnep_graph::NodeId(n)).collect();
+        if let Err(e) = self.core.validate(&request, &node_mapping) {
+            return Ok(Err(e.to_string()));
         }
 
         let id = self.next_id;

@@ -196,7 +196,6 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
                 telemetry: cfg.telemetry.clone(),
                 ..MipOptions::default()
             },
-            gc: true,
             leak_every: None,
             track_util: cfg.track_util || cfg.util_out.is_some(),
         },

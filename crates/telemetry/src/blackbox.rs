@@ -1,6 +1,6 @@
 //! Black-box flight recorder, crash-dump writer, and stall watchdog.
 //!
-//! The observability plane built so far (metrics, timeline, spans) answers
+//! The rest of the observability plane (metrics and spans) answers
 //! "what did the run look like?" — *after* it exits cleanly. This module
 //! answers the complementary question: *what was the solver doing in its
 //! final milliseconds* when a run panics, is SIGTERMed, or silently stalls?

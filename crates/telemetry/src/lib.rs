@@ -1,16 +1,20 @@
-//! Solver observability: a zero-dependency metrics registry and a typed,
-//! timestamped solve timeline, both behind a cheap [`Telemetry`] handle that
-//! is a strict no-op when disabled.
+//! Solver observability: a zero-dependency metrics registry and a
+//! hierarchical span profiler, both behind a cheap [`Telemetry`] handle that
+//! is a strict no-op when disabled, plus an always-available flight recorder.
 //!
-//! The design splits responsibilities three ways:
+//! The design splits responsibilities four ways:
 //!
 //! * [`MetricsRegistry`] — monotonically-increasing counters, last-write
 //!   gauges, and histograms over fixed log-scale (power-of-two) buckets.
 //!   Aggregates only; cheap to snapshot at any point.
-//! * [`SolveTimeline`] — an append-only sequence of typed [`Event`]s, each
-//!   stamped with the elapsed time since the handle was created. This is the
-//!   "what happened when" record: LP solves, branch-and-bound nodes,
-//!   incumbents, presolve reductions, greedy iterations.
+//! * [`span`] — completed intervals of work ([`SpanRecord`]: name, start,
+//!   duration, logical thread id, numeric args). This is the one "what
+//!   happened when" record: model builds, LP solves and their kernels,
+//!   branch-and-bound nodes, greedy iterations, admissions. Exported as a
+//!   Chrome trace ([`chrome_trace`]) or as text lines ([`render_spans`]).
+//! * [`blackbox`] — the flight recorder: fixed-capacity per-thread event
+//!   rings dumped on a panic, a SIGTERM or a stall, attached through its own
+//!   [`FlightHandle`], independent of the handle below.
 //! * [`Telemetry`] — the handle threaded through the solvers. Internally an
 //!   `Option<Arc<..>>`: a disabled handle is a single `None` check on every
 //!   call, so instrumented hot paths cost nothing when observability is off.
@@ -25,7 +29,6 @@ pub mod json;
 mod metrics;
 pub mod prom;
 pub mod span;
-mod timeline;
 
 pub use alloc::{AllocStats, CountingAlloc, MemProbe};
 pub use blackbox::{
@@ -34,8 +37,7 @@ pub use blackbox::{
 pub use hist::{exact_quantile, LogHistogram};
 pub use json::{Json, JsonError};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use span::{chrome_trace, SpanGuard, SpanRecord};
-pub use timeline::{Event, SolveTimeline, TimedEvent};
+pub use span::{chrome_trace, render_spans, SpanGuard, SpanRecord};
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,8 +45,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
     metrics: Mutex<MetricsRegistry>,
-    /// `None` when only the metrics registry was requested.
-    timeline: Option<Mutex<SolveTimeline>>,
     /// Completed profiler spans; `None` when span recording is off.
     pub(crate) spans: Option<Mutex<Vec<SpanRecord>>>,
     /// Logical thread id stamped onto spans (0 = driver, `w + 1` = worker).
@@ -52,7 +52,7 @@ pub(crate) struct Inner {
 }
 
 /// Cheap, clonable observability handle. All recording methods are no-ops on
-/// a disabled handle; cloning shares the underlying registry and timeline.
+/// a disabled handle; cloning shares the underlying registry and span buffer.
 #[derive(Clone, Default)]
 pub struct Telemetry(Option<Arc<Inner>>);
 
@@ -60,16 +60,8 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
             None => write!(f, "Telemetry(disabled)"),
-            Some(inner) => {
-                let mut parts = vec!["metrics"];
-                if inner.timeline.is_some() {
-                    parts.push("timeline");
-                }
-                if inner.spans.is_some() {
-                    parts.push("spans");
-                }
-                write!(f, "Telemetry({})", parts.join("+"))
-            }
+            Some(inner) if inner.spans.is_some() => write!(f, "Telemetry(metrics+spans)"),
+            Some(_) => write!(f, "Telemetry(metrics)"),
         }
     }
 }
@@ -80,35 +72,28 @@ impl Telemetry {
         Telemetry(None)
     }
 
-    /// Metrics registry only; [`Telemetry::event`] calls are dropped.
+    /// Metrics registry only; spans are not recorded.
     pub fn metrics_only() -> Self {
-        Self::configure(false, false)
-    }
-
-    /// Metrics registry plus the full solve timeline.
-    pub fn with_timeline() -> Self {
-        Self::configure(true, false)
+        Self::enabled(false)
     }
 
     /// Metrics registry plus span recording (the profiler toggle).
     pub fn with_spans() -> Self {
-        Self::configure(false, true)
+        Self::enabled(true)
     }
 
-    /// Metrics always on; timeline and span recording individually togglable.
-    pub fn configure(timeline: bool, spans: bool) -> Self {
+    fn enabled(spans: bool) -> Self {
         Telemetry(Some(Arc::new(Inner {
             epoch: Instant::now(),
             metrics: Mutex::new(MetricsRegistry::new()),
-            timeline: timeline.then(|| Mutex::new(SolveTimeline::new())),
             spans: spans.then(|| Mutex::new(Vec::new())),
             tid: 0,
         })))
     }
 
     /// A private per-worker handle sharing this handle's epoch: fresh metrics
-    /// registry, no timeline, span recording iff this handle records spans,
-    /// stamped with logical thread id `tid`. The parallel branch-and-bound
+    /// registry, span recording iff this handle records spans, stamped with
+    /// logical thread id `tid`. The parallel branch-and-bound
     /// driver hands one to each worker and folds it back with
     /// [`Telemetry::absorb_metrics`] after the workers join; the shared epoch
     /// keeps worker span timestamps on the same clock as the driver's.
@@ -118,7 +103,6 @@ impl Telemetry {
             Some(inner) => Telemetry(Some(Arc::new(Inner {
                 epoch: inner.epoch,
                 metrics: Mutex::new(MetricsRegistry::new()),
-                timeline: None,
                 spans: inner.spans.is_some().then(|| Mutex::new(Vec::new())),
                 tid,
             }))),
@@ -127,10 +111,6 @@ impl Telemetry {
 
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    pub fn timeline_enabled(&self) -> bool {
-        matches!(&self.0, Some(inner) if inner.timeline.is_some())
     }
 
     /// True when this handle records profiler spans.
@@ -162,24 +142,6 @@ impl Telemetry {
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(inner) = &self.0 {
             inner.metrics.lock().unwrap().observe(name, value);
-        }
-    }
-
-    /// Appends a timestamped event to the timeline (dropped unless the
-    /// handle was created with [`Telemetry::with_timeline`]).
-    pub fn event(&self, event: Event) {
-        if let Some(inner) = &self.0 {
-            if let Some(tl) = &inner.timeline {
-                tl.lock().unwrap().record(inner.epoch.elapsed(), event);
-            }
-        }
-    }
-
-    /// Like [`Telemetry::event`] but defers constructing the event, for call
-    /// sites where building the payload itself has a cost.
-    pub fn event_with(&self, make: impl FnOnce() -> Event) {
-        if self.timeline_enabled() {
-            self.event(make());
         }
     }
 
@@ -258,9 +220,7 @@ impl Telemetry {
     /// each worker thread records into a private [`Telemetry::worker`] handle
     /// and the driver absorbs them after the workers join, so
     /// `--metrics-out` / `--chrome-trace` report the same quantities
-    /// regardless of thread count. No-op when either handle is disabled;
-    /// timeline events are not transferred (per-thread LP timelines have no
-    /// global order).
+    /// regardless of thread count. No-op when either handle is disabled.
     pub fn absorb_metrics(&self, other: &Telemetry) {
         let (Some(inner), Some(other_inner)) = (&self.0, &other.0) else {
             return;
@@ -285,30 +245,14 @@ impl Telemetry {
         }
     }
 
-    /// A copy of all timeline events recorded so far (empty when disabled).
-    pub fn events(&self) -> Vec<TimedEvent> {
-        match &self.0 {
-            Some(inner) => match &inner.timeline {
-                Some(tl) => tl.lock().unwrap().events().to_vec(),
-                None => Vec::new(),
-            },
-            None => Vec::new(),
-        }
-    }
-
-    /// Full JSON export: `{ "elapsed_s", "metrics", "timeline"? }`.
+    /// Full JSON export: `{ "elapsed_s", "metrics" }`.
     pub fn export_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             (
                 "elapsed_s".to_string(),
                 Json::from(self.elapsed().as_secs_f64()),
             ),
             ("metrics".to_string(), self.snapshot().to_json()),
-        ];
-        if self.timeline_enabled() {
-            let events: Vec<Json> = self.events().iter().map(TimedEvent::to_json).collect();
-            fields.push(("timeline".to_string(), Json::Arr(events)));
-        }
-        Json::Obj(fields)
+        ])
     }
 }

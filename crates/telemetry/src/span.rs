@@ -1,5 +1,6 @@
 //! Hierarchical span profiler: RAII span guards, per-thread span buffers,
-//! and a hand-rolled Chrome trace-event exporter.
+//! a hand-rolled Chrome trace-event exporter, and a one-line-per-span text
+//! view of the same records.
 //!
 //! A [`SpanRecord`] is one completed interval of work, stamped relative to
 //! the owning [`Telemetry`](crate::Telemetry) handle's epoch and tagged with
@@ -16,7 +17,7 @@
 //! (pricing, FTRAN, BTRAN, refactorization) are too frequent for one span
 //! per call; the LP engine accumulates their wall time instead and emits one
 //! aggregate child span per kernel, laid out sequentially inside the
-//! enclosing `lp.solve` span (see `emit_solve_spans` in `tvnep-lp`).
+//! enclosing `lp.solve` span (see `Simplex::end_profile` in `tvnep-lp`).
 
 use std::cell::RefCell;
 use std::time::Duration;
@@ -122,6 +123,35 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Spans sorted by start time, ties broken longest-first so a parent
+/// precedes the children that start with it: the order both exporters use.
+fn trace_order(spans: &[SpanRecord]) -> Vec<&SpanRecord> {
+    let mut order: Vec<&SpanRecord> = spans.iter().collect();
+    order.sort_by(|a, b| a.start.cmp(&b.start).then(b.dur.cmp(&a.dur)));
+    order
+}
+
+/// Renders spans as text, one line per span in [`chrome_trace`]'s order:
+/// `[    0.001250s +    0.000420s] tid=1 lp.solve iters=17`
+/// (start and duration in seconds, logical thread id, name, then each arg).
+pub fn render_spans(spans: &[SpanRecord]) -> String {
+    let mut out = String::new();
+    for s in trace_order(spans) {
+        out.push_str(&format!(
+            "[{:>12.6}s +{:>12.6}s] tid={} {}",
+            s.start.as_secs_f64(),
+            s.dur.as_secs_f64(),
+            s.tid,
+            s.name
+        ));
+        for (k, v) in &s.args {
+            out.push_str(&format!(" {k}={v}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// Renders spans as a Chrome trace-event document:
 /// `{"traceEvents": [...]}` with one `ph:"M"` `thread_name` metadata event
 /// per distinct tid followed by `ph:"X"` complete events sorted by start
@@ -154,9 +184,7 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> Json {
         ]));
     }
 
-    let mut order: Vec<&SpanRecord> = spans.iter().collect();
-    order.sort_by(|a, b| a.start.cmp(&b.start).then(b.dur.cmp(&a.dur)));
-    for s in order {
+    for s in trace_order(spans) {
         let cat = s.name.split('.').next().unwrap_or("solver");
         let mut fields = vec![
             ("name".into(), Json::from(s.name)),
@@ -228,6 +256,24 @@ mod tests {
             xs[1].get("dur").unwrap().as_f64().unwrap(),
         );
         assert!(cts >= pts && cts + cdur <= pts + pdur);
+    }
+
+    #[test]
+    fn text_rendering_is_one_line_per_span_parent_first() {
+        let mut child = rec("lp.solve", 10, 5, 1);
+        child.args = vec![("iters", 17.0), ("alloc_bytes", 2.5)];
+        let spans = vec![child, rec("mip.solve", 10, 50, 0), rec("late", 70, 1, 0)];
+        let text = render_spans(&spans);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "[    0.000010s +    0.000050s] tid=0 mip.solve",
+                "[    0.000010s +    0.000005s] tid=1 lp.solve iters=17 alloc_bytes=2.5",
+                "[    0.000070s +    0.000001s] tid=0 late",
+            ]
+        );
+        assert_eq!(render_spans(&[]), "");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Black-box tests for the telemetry handle: counter/gauge/histogram
-//! semantics, the disabled handle being a strict no-op, and timeline
-//! recording order.
+//! semantics, the disabled handle being a strict no-op, and the JSON export.
 
-use tvnep_telemetry::{Event, Telemetry};
+use tvnep_telemetry::Telemetry;
 
 #[test]
 fn counters_accumulate_and_gauges_overwrite() {
@@ -49,67 +48,29 @@ fn histograms_bucket_on_log_scale() {
 fn disabled_handle_is_noop() {
     let t = Telemetry::disabled();
     assert!(!t.is_enabled());
-    assert!(!t.timeline_enabled());
+    assert!(!t.spans_enabled());
     t.counter_add("nodes", 10);
     t.gauge_set("gap", 1.0);
     t.observe("h", 2.0);
-    t.event(Event::LpSolveStart { warm: true });
-    t.event_with(|| panic!("closure must not run on a disabled handle"));
+    drop(t.span("ignored"));
 
     let snap = t.snapshot();
     assert!(snap.counters.is_empty());
     assert!(snap.gauges.is_empty());
     assert!(snap.histograms.is_empty());
-    assert!(t.events().is_empty());
+    assert!(t.spans().is_empty());
     assert_eq!(t.elapsed(), std::time::Duration::ZERO);
-}
-
-#[test]
-fn metrics_only_handle_drops_events() {
-    let t = Telemetry::metrics_only();
-    assert!(t.is_enabled());
-    assert!(!t.timeline_enabled());
-    t.event(Event::LpSolveStart { warm: true });
-    assert!(t.events().is_empty());
-    t.counter_add("still_counts", 1);
-    assert_eq!(t.snapshot().counter("still_counts"), 1);
-}
-
-#[test]
-fn timeline_records_in_order_with_monotone_timestamps() {
-    let t = Telemetry::with_timeline();
-    t.event(Event::SolveStart { what: "mip".into() });
-    t.event(Event::LpSolveEnd {
-        iters: 3,
-        status: "optimal".into(),
-        obj: 2.0,
-    });
-    t.event(Event::SolveEnd {
-        what: "mip".into(),
-        status: "optimal".into(),
-    });
-
-    let events = t.events();
-    assert_eq!(events.len(), 3);
-    assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-    assert_eq!(events[0].event.name(), "solve_start");
-    assert_eq!(events[1].event.name(), "lp_solve_end");
-    assert_eq!(events[2].event.name(), "solve_end");
 }
 
 #[test]
 fn export_json_is_valid_and_complete() {
     use tvnep_telemetry::json::Json;
 
-    let t = Telemetry::with_timeline();
+    let t = Telemetry::with_spans();
     t.counter_add("mip.nodes", 12);
     t.gauge_set("mip.gap", 0.25);
     t.observe("lp.iters_per_node", 8.0);
-    t.event(Event::LpSolveEnd {
-        iters: 7,
-        status: "optimal".into(),
-        obj: 3.0,
-    });
+    drop(t.span("lp.solve"));
 
     let doc = Json::parse(&t.export_json().pretty()).expect("export is valid JSON");
     let metrics = doc.get("metrics").expect("metrics section");
@@ -137,11 +98,12 @@ fn export_json_is_valid_and_complete() {
         .get("lp.iters_per_node")
         .unwrap();
     assert_eq!(hist.get("count").unwrap().as_u64(), Some(1));
-    let timeline = doc.get("timeline").unwrap().as_array().unwrap();
-    assert_eq!(timeline.len(), 1);
-    assert_eq!(
-        timeline[0].get("event").unwrap().as_str(),
-        Some("lp_solve_end")
-    );
-    assert_eq!(timeline[0].get("obj").unwrap().as_f64(), Some(3.0));
+    // Spans go to `--chrome-trace` / `--trace`, never into the export.
+    let keys: Vec<&str> = doc
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(keys, ["elapsed_s", "metrics"]);
 }
