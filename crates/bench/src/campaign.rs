@@ -370,29 +370,6 @@ pub fn csv_from_records(records: &[CellRecord]) -> String {
     out
 }
 
-/// Rebuilds the campaign CSV purely from a journal file: `cell_finished`
-/// records in journal order, first occurrence per cell id winning. This is
-/// the replay half of the byte-identity contract.
-pub fn csv_from_journal(path: &std::path::Path) -> io::Result<String> {
-    let events = read_journal(path)?;
-    let mut seen: Vec<String> = Vec::new();
-    let mut records = Vec::new();
-    for ev in &events {
-        if ev.get("event").and_then(Json::as_str) != Some("cell_finished") {
-            continue;
-        }
-        let Some(rec) = ev.get("record").and_then(CellRecord::from_json) else {
-            continue;
-        };
-        let id = rec.cell_id();
-        if !seen.contains(&id) {
-            seen.push(id);
-            records.push(rec);
-        }
-    }
-    Ok(csv_from_records(&records))
-}
-
 /// Campaign invocation.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
@@ -838,31 +815,5 @@ mod tests {
             CellRecord::from_json(&Json::parse(&skipped.to_json().to_string()).unwrap()).unwrap();
         assert!(back.skipped);
         assert_eq!(back.csv_row(), None);
-    }
-
-    #[test]
-    fn csv_matches_live_rendering() {
-        // The record path and the legacy print path must agree byte-for-byte.
-        let r = CellResult {
-            seed: 3,
-            flex: 2.0,
-            runtime: Duration::from_secs_f64(1.23456),
-            status: tvnep_mip::MipStatus::Optimal,
-            objective: Some(10.5),
-            best_bound: 10.5,
-            gap: Some(0.0),
-            accepted: Some(4),
-            nodes: 9,
-            lp_iterations: 100,
-            verified: Some(true),
-            threads: 1,
-            peak_bytes: 4096,
-            time_to_first_incumbent: Some(0.5),
-            primal_integral: Some(0.2),
-        };
-        let via_record = CellRecord::from_result("csigma_access", &r)
-            .csv_row()
-            .unwrap();
-        assert_eq!(via_record, crate::csv_row("csigma_access", &r));
     }
 }

@@ -135,8 +135,8 @@ fn instance_for(cfg: &HarnessConfig, seed: u64, flex: f64) -> Instance {
     generate(&cfg.workload, seed).with_flexibility_after(flex)
 }
 
-/// Runs one formulation / access-control cell — the unit behind
-/// [`run_sweep`] and the campaign runner.
+/// Runs one formulation / access-control cell — the campaign runner's unit
+/// behind Figures 3, 4, 8 and 9.
 pub fn run_formulation_cell(
     cfg: &HarnessConfig,
     formulation: Formulation,
@@ -322,65 +322,13 @@ pub fn run_greedy_cell(cfg: &HarnessConfig, seed: u64, flex: f64) -> CellResult 
     }
 }
 
-/// Runs one formulation under the access-control objective over the whole
-/// (seed × flexibility) grid — the data behind Figures 3, 4, 8 and 9.
-pub fn run_sweep(cfg: &HarnessConfig, formulation: Formulation) -> Vec<CellResult> {
-    let mut out = Vec::new();
-    for &seed in &cfg.seeds {
-        for &flex in &cfg.flexibilities {
-            out.push(run_formulation_cell(cfg, formulation, seed, flex));
-        }
-    }
-    out
-}
-
-/// Runs the cΣ-Model under a fixed-request-set objective (Figures 5 and 6).
-pub fn run_objective_sweep(cfg: &HarnessConfig, objective: Objective) -> Vec<CellResult> {
-    let mut out = Vec::new();
-    for &seed in &cfg.seeds {
-        for &flex in &cfg.flexibilities {
-            if let Some(cell) = run_objective_cell(cfg, objective, seed, flex) {
-                out.push(cell);
-            }
-        }
-    }
-    out
-}
-
-/// One greedy run per cell (Figure 7 numerator).
-pub fn run_greedy_sweep(cfg: &HarnessConfig) -> Vec<CellResult> {
-    let mut out = Vec::new();
-    for &seed in &cfg.seeds {
-        for &flex in &cfg.flexibilities {
-            out.push(run_greedy_cell(cfg, seed, flex));
-        }
-    }
-    out
-}
-
-/// Prints results as CSV rows with a `label` column.
-pub fn print_csv(label: &str, rows: &[CellResult]) {
-    for r in rows {
-        println!("{}", csv_row(label, r));
-    }
-}
-
-/// One CSV row matching [`CSV_HEADER`]. Delegates to
-/// [`campaign::CellRecord`], the single source of row formatting, so a live
-/// run and a journal replay produce identical bytes by construction.
-pub fn csv_row(label: &str, r: &CellResult) -> String {
-    campaign::CellRecord::from_result(label, r)
-        .csv_row()
-        .expect("live results are never skipped")
-}
-
 /// Prints the full CSV (header plus one row per non-skipped record) to
 /// stdout.
 pub fn csv_from_records_stdout(records: &[campaign::CellRecord]) {
     print!("{}", campaign::csv_from_records(records));
 }
 
-/// CSV header matching [`print_csv`].
+/// CSV header of [`campaign::CellRecord::csv_row`].
 pub const CSV_HEADER: &str = "label,seed,flex_h,runtime_s,status,objective,best_bound,gap,\
                               accepted,nodes,lp_iters,verified,threads,peak_bytes,\
                               ttfi_s,primal_integral";

@@ -31,7 +31,7 @@ use tvnep_harness::oracle::OracleOptions;
 use tvnep_harness::{run_fuzz, FuzzConfig, FuzzReport};
 use tvnep_mip::{MipOptions, MipStatus, ProgressRecorder, ProgressSummary, SearchTree};
 use tvnep_model::tol::VERIFY_TOL;
-use tvnep_model::{verify_with_tol, Instance};
+use tvnep_model::{verify_with_tol, Instance, TemporalSolution, Violation};
 use tvnep_serve::loadgen::LoadConfig;
 use tvnep_serve::{EpochRunner, ServeOptions};
 use tvnep_telemetry::{render_spans, Json, Telemetry};
@@ -128,6 +128,13 @@ fn read_instance(path: &str) -> Result<Instance, String> {
     let json = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     let doc = InstanceDoc::from_json(&json).map_err(|e| format!("parse {path}: {e}"))?;
     doc.into_instance().map_err(|e| e.to_string())
+}
+
+fn read_solution(path: &str) -> Result<TemporalSolution, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let json = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let doc = SolutionDoc::from_json(&json).map_err(|e| format!("parse {path}: {e}"))?;
+    Ok(doc.into_solution())
 }
 
 fn write_or_print(value: &Json, out: Option<&str>) -> Result<(), String> {
@@ -361,9 +368,8 @@ fn render_top_frame(m: &Json) -> String {
         num("latency_ms", "count"),
     ));
     s.push_str(&format!(
-        "window   acceptance {:.1}%  node budget {:.1}%  over {} epoch(s)\n",
+        "window   acceptance {:.1}%  over {} epoch(s)\n",
         num("window", "acceptance_ratio") * 100.0,
-        num("window", "node_budget_frac") * 100.0,
         num("window", "epochs"),
     ));
     if m.get("slo").is_some() {
@@ -743,10 +749,23 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             let ipath = args.positional.first().ok_or("missing INSTANCE path")?;
             let spath = args.positional.get(1).ok_or("missing SOLUTION path")?;
             let inst = read_instance(ipath)?;
-            let text = std::fs::read_to_string(spath).map_err(|e| format!("read {spath}: {e}"))?;
-            let json = Json::parse(&text).map_err(|e| format!("parse {spath}: {e}"))?;
-            let doc = SolutionDoc::from_json(&json).map_err(|e| format!("parse {spath}: {e}"))?;
-            let sol = doc.into_solution().map_err(|e| e.to_string())?;
+            let sol = read_solution(spath)?;
+            // The narrative reads one entry per request, each lasting its
+            // duration, with an embedding of the right shape on each
+            // accepted one.
+            let malformed = verify_with_tol(&inst, &sol, VERIFY_TOL)
+                .into_iter()
+                .find(|v| {
+                    matches!(
+                        v,
+                        Violation::ShapeMismatch
+                            | Violation::MissingEmbedding { .. }
+                            | Violation::WrongDuration { .. }
+                    )
+                });
+            if let Some(v) = malformed {
+                return Err(format!("{spath} does not fit {ipath}: {v:?}"));
+            }
             let explanation = explain_solution(&inst, &sol);
             match args.flags.get("output") {
                 Some(path) => {
@@ -761,10 +780,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             let ipath = args.positional.first().ok_or("missing INSTANCE path")?;
             let spath = args.positional.get(1).ok_or("missing SOLUTION path")?;
             let inst = read_instance(ipath)?;
-            let text = std::fs::read_to_string(spath).map_err(|e| format!("read {spath}: {e}"))?;
-            let json = Json::parse(&text).map_err(|e| format!("parse {spath}: {e}"))?;
-            let doc = SolutionDoc::from_json(&json).map_err(|e| format!("parse {spath}: {e}"))?;
-            let sol = doc.into_solution().map_err(|e| e.to_string())?;
+            let sol = read_solution(spath)?;
             let violations = verify_with_tol(&inst, &sol, VERIFY_TOL);
             if args.flags.contains_key("json") {
                 let doc = Json::Obj(vec![
@@ -1216,7 +1232,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                 return Err(format!("{path}: not a black-box dump (schema '{schema}')"));
             }
             if args.flags.contains_key("raw") {
-                print!("{}", postmortem_raw(&dump));
+                print!("{}", tvnep_telemetry::render_raw(&dump));
             } else {
                 print!("{}", postmortem_narrative(path, &dump));
             }
@@ -1226,9 +1242,9 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// The watchdog monitor's ring id inside a dump (`u32::MAX`); excluded
-/// from the deterministic `--raw` projection, narrated otherwise.
-const WATCHDOG_TID: u64 = u32::MAX as u64;
+/// The watchdog monitor's ring id inside a dump; excluded from the
+/// deterministic `--raw` projection, narrated otherwise.
+const WATCHDOG_TID: u64 = tvnep_telemetry::blackbox::WATCHDOG_TID as u64;
 
 /// Workers of a dump, sorted by tid (dumps store rings in creation order).
 fn dump_workers(dump: &Json) -> Vec<Json> {
@@ -1314,46 +1330,6 @@ fn describe_event(e: &Json) -> String {
         "stall" => format!("WATCHDOG: stall #{a}, no progress for {b} ms"),
         other => format!("{other} a={a} b={b}"),
     }
-}
-
-/// The deterministic projection of a dump (mirrors
-/// `FlightRecorder::deterministic_dump`): no wall times, no allocator
-/// state, watchdog ring excluded. Byte-identical across reruns of the same
-/// single-threaded solve, which is what CI diffs.
-fn postmortem_raw(dump: &Json) -> String {
-    let mut s = String::from("schema tvnep.blackbox.raw.v1\n");
-    s.push_str(&format!("incumbent {}\n", jnum(dump.get("incumbent"))));
-    s.push_str(&format!("bound {}\n", jnum(dump.get("bound"))));
-    s.push_str(&format!(
-        "health {}\n",
-        dump.get("health")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-    ));
-    let pulse = |k: &str| jnum(dump.get("pulse").and_then(|p| p.get(k)));
-    s.push_str(&format!(
-        "pulse lp_iters={} nodes={} epochs={}\n",
-        pulse("lp_iters"),
-        pulse("nodes"),
-        pulse("epochs")
-    ));
-    for w in dump_workers(dump) {
-        let tid = w.get("tid").and_then(Json::as_u64).unwrap_or(0);
-        if tid == WATCHDOG_TID {
-            continue;
-        }
-        let events = w.get("events").and_then(Json::as_array).unwrap_or(&[]);
-        for e in events {
-            s.push_str(&format!(
-                "event tid={tid} seq={} kind={} a={} b={}\n",
-                jnum(e.get("seq")),
-                e.get("kind").and_then(Json::as_str).unwrap_or("?"),
-                jnum(e.get("a")),
-                jnum(e.get("b")),
-            ));
-        }
-    }
-    s
 }
 
 /// Likely-culprit heuristics over a dump: keyed on the health verdict,

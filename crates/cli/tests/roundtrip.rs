@@ -32,7 +32,7 @@ fn json_pipeline_generate_solve_verify() {
     // Roundtrip the solution and verify against the *original* instance.
     let sjson = SolutionDoc::from_solution(&sol).to_json().to_string();
     let sdoc = SolutionDoc::from_json(&Json::parse(&sjson).unwrap()).unwrap();
-    let sol2 = sdoc.into_solution().unwrap();
+    let sol2 = sdoc.into_solution();
     assert!(is_feasible(&inst, &sol2));
 }
 

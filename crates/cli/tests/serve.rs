@@ -10,10 +10,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use tvnep_graph::{grid, NodeId};
-use tvnep_harness::format::{InstanceDoc, RequestDoc};
+use tvnep_harness::format::{embedding_from_json, InstanceDoc, RequestDoc};
 use tvnep_model::tol::VERIFY_TOL;
 use tvnep_model::{verify_with_tol, Instance, ScheduledRequest, Substrate, TemporalSolution};
-use tvnep_serve::protocol::{embedding_from_decision, request_from_doc, RequestDocExt};
 use tvnep_telemetry::Json;
 
 fn bin() -> &'static str {
@@ -58,7 +57,7 @@ fn stream() -> Vec<(RequestDoc, Vec<usize>)> {
 fn submit_line(doc: &RequestDoc, mapping: &[usize]) -> String {
     Json::Obj(vec![
         ("op".into(), Json::from("submit")),
-        ("request".into(), doc.to_json_value()),
+        ("request".into(), doc.to_json()),
         (
             "mapping".into(),
             Json::Arr(mapping.iter().map(|&n| Json::from(n as u64)).collect()),
@@ -141,12 +140,12 @@ fn pipe_session_decides_verifies_and_replays_byte_identical() {
             accepted: ok,
             start: d.get("start").and_then(Json::as_f64).unwrap(),
             end: d.get("end").and_then(Json::as_f64).unwrap(),
-            embedding: ok.then(|| embedding_from_decision(d).expect("embedding")),
+            embedding: embedding_from_json(d).expect("well-formed embedding"),
         });
     }
     let requests = stream
         .iter()
-        .map(|(doc, _)| request_from_doc(doc).expect("valid stream"))
+        .map(|(doc, _)| doc.to_request().expect("valid stream"))
         .collect();
     let maps = stream
         .iter()

@@ -11,9 +11,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use tvnep_graph::{grid, EdgeId, NodeId};
-use tvnep_harness::format::{InstanceDoc, RequestDoc};
+use tvnep_harness::format::{embedding_from_json, InstanceDoc, RequestDoc};
 use tvnep_model::{Instance, Substrate};
-use tvnep_serve::protocol::{embedding_from_decision, request_from_doc, RequestDocExt};
 use tvnep_telemetry::{exact_quantile, prom, Json};
 
 fn bin() -> &'static str {
@@ -52,7 +51,7 @@ fn stream() -> Vec<(RequestDoc, Vec<usize>)> {
 fn submit_line(doc: &RequestDoc, mapping: &[usize]) -> String {
     Json::Obj(vec![
         ("op".into(), Json::from("submit")),
-        ("request".into(), doc.to_json_value()),
+        ("request".into(), doc.to_json()),
         (
             "mapping".into(),
             Json::Arr(mapping.iter().map(|&n| Json::from(n as u64)).collect()),
@@ -164,8 +163,10 @@ fn recompute_util(decisions: &[&Json], stream: &[(RequestDoc, Vec<usize>)]) -> R
             continue;
         }
         let id = d.get("id").and_then(Json::as_u64).unwrap() as usize;
-        let request = request_from_doc(&stream[id].0).expect("valid stream");
-        let emb = embedding_from_decision(d).expect("accepted decisions carry embeddings");
+        let request = stream[id].0.to_request().expect("valid stream");
+        let emb = embedding_from_json(d)
+            .expect("well-formed embedding")
+            .expect("accepted decisions carry embeddings");
         entries.push(Entry {
             start: d.get("start").and_then(Json::as_f64).unwrap(),
             end: d.get("end").and_then(Json::as_f64).unwrap(),

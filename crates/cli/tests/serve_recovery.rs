@@ -12,7 +12,6 @@ use std::time::Duration;
 use tvnep_graph::grid;
 use tvnep_harness::format::{InstanceDoc, RequestDoc};
 use tvnep_model::{Instance, Substrate};
-use tvnep_serve::protocol::RequestDocExt;
 use tvnep_telemetry::Json;
 
 fn bin() -> &'static str {
@@ -48,7 +47,7 @@ fn submit_lines() -> Vec<String> {
             let mapping: Vec<usize> = vec![i % 4, (i + 1) % 4, (i + 2) % 4];
             Json::Obj(vec![
                 ("op".into(), Json::from("submit")),
-                ("request".into(), doc.to_json_value()),
+                ("request".into(), doc.to_json()),
                 (
                     "mapping".into(),
                     Json::Arr(mapping.iter().map(|&n| Json::from(n as u64)).collect()),

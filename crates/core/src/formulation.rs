@@ -52,12 +52,6 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// True when the objective optimizes over a *fixed* set of requests
-    /// (`x_R ≡ 1`), as opposed to performing access control.
-    pub fn fixes_requests(self) -> bool {
-        !matches!(self, Objective::AccessControl)
-    }
-
     fn sense(self) -> Sense {
         match self {
             Objective::MinMakespan => Sense::Minimize,

@@ -38,7 +38,8 @@ use crate::formulation::{build_model, BuildOptions, Formulation, Objective};
 use crate::util::UtilTracker;
 use tvnep_mip::{solve_with, MipOptions};
 use tvnep_model::{
-    Embedding, Instance, NodeMapping, Request, ScheduledRequest, Substrate, TemporalSolution,
+    check_mapping, check_window, Embedding, Instance, NodeMapping, Request, ScheduledRequest,
+    Substrate, TemporalSolution,
 };
 
 /// Options of the admission core.
@@ -230,32 +231,15 @@ impl ServiceCore {
         self.next_id = self.next_id.max(id + 1);
     }
 
-    /// Validates a candidate against the core's static invariants (horizon,
-    /// mapping shape and range) without touching the solver. The water mark
-    /// moves with every decision, so [`admit_with_id`](Self::admit_with_id)
-    /// checks it when the candidate is decided.
+    /// Validates a candidate against the core's static invariants (window
+    /// inside the horizon, mapping shape and range: the model's
+    /// [`check_window`] and [`check_mapping`]) without touching the solver.
+    /// The water mark moves with every decision, so
+    /// [`admit_with_id`](Self::admit_with_id) checks it when the candidate is
+    /// decided.
     pub fn validate(&self, request: &Request, mapping: &NodeMapping) -> Result<(), AdmitError> {
-        if request.latest_end > self.horizon + 1e-9 {
-            return Err(AdmitError::WindowOutOfRange(format!(
-                "request '{}' ends at {} beyond horizon {}",
-                request.name, request.latest_end, self.horizon
-            )));
-        }
-        if mapping.len() != request.num_nodes() {
-            return Err(AdmitError::BadMapping(format!(
-                "request '{}': mapping covers {} of {} virtual nodes",
-                request.name,
-                mapping.len(),
-                request.num_nodes()
-            )));
-        }
-        if let Some(n) = mapping.iter().find(|n| n.0 >= self.substrate.num_nodes()) {
-            return Err(AdmitError::BadMapping(format!(
-                "request '{}': mapping references unknown substrate node {}",
-                request.name, n.0
-            )));
-        }
-        Ok(())
+        check_window(request, self.horizon).map_err(AdmitError::WindowOutOfRange)?;
+        check_mapping(request, mapping, &self.substrate).map_err(AdmitError::BadMapping)
     }
 
     /// Decides one candidate against the current reservations (see the

@@ -1,11 +1,14 @@
 //! JSON interchange format for TVNEP instances and solutions.
 //!
-//! Deliberately decoupled from the domain types (plain DTOs + conversions)
-//! so the core crates stay serde-free. The format mirrors the paper's
-//! tables: substrate (Table I), requests with demands and temporal
-//! parameters (Tables II and VI), optional pinned node mappings, and
-//! solutions per Definition 2.1. Serialization runs on the self-contained
-//! [`Json`] value type from `tvnep-telemetry`.
+//! The one codec of every document the workspace reads: the core crates
+//! stay serde-free, and instance documents are plain DTOs that convert
+//! into the domain types only through the model's constructors, which say
+//! why a document is invalid. The format mirrors the paper's tables:
+//! substrate (Table I), requests with demands and temporal parameters
+//! (Tables II and VI), optional pinned node mappings, and solutions per
+//! Definition 2.1, whose embeddings have one writer and one reader
+//! ([`embedding_to_json`], [`embedding_from_json`]). Serialization runs on
+//! the self-contained [`Json`] value type from `tvnep-telemetry`.
 
 use tvnep_graph::{DiGraph, EdgeId, NodeId};
 use tvnep_model::{Embedding, Instance, Request, ScheduledRequest, Substrate, TemporalSolution};
@@ -64,23 +67,10 @@ pub struct RequestDoc {
 pub struct SolutionDoc {
     /// Objective value reported by the producing algorithm.
     pub objective: Option<f64>,
-    /// Per-request schedule, aligned with the instance's requests.
-    pub scheduled: Vec<ScheduledDoc>,
-}
-
-/// Schedule + embedding of one request.
-#[derive(Debug, Clone)]
-pub struct ScheduledDoc {
-    /// Whether the request is embedded.
-    pub accepted: bool,
-    /// `t⁺`.
-    pub start: f64,
-    /// `t⁻`.
-    pub end: f64,
-    /// Virtual node → substrate node (accepted requests only).
-    pub node_map: Option<Vec<usize>>,
-    /// Per virtual link: `[substrate_edge_index, fraction]` flow terms.
-    pub edge_flows: Option<Vec<Vec<(usize, f64)>>>,
+    /// Per-request schedule and embedding, aligned with the instance's
+    /// requests; each embedding is written as `node_map` and `edge_flows`
+    /// by [`embedding_to_json`].
+    pub scheduled: Vec<ScheduledRequest>,
 }
 
 /// Errors produced by document validation.
@@ -176,18 +166,102 @@ fn f64s_to_json(vals: &[f64]) -> Json {
     Json::Arr(vals.iter().map(|&v| Json::from(v)).collect())
 }
 
-fn build_graph(num_nodes: usize, edges: &[[usize; 2]]) -> Result<DiGraph, FormatError> {
+/// Builds the graph a document describes. `num_nodes` is read from input,
+/// so it is bounded by the number of per-node values the document holds
+/// before anything is allocated for it.
+fn build_graph(
+    num_nodes: usize,
+    per_node_values: usize,
+    edges: &[[usize; 2]],
+) -> Result<DiGraph, String> {
+    if num_nodes > per_node_values {
+        return Err(format!(
+            "{num_nodes} nodes but only {per_node_values} per-node values"
+        ));
+    }
     let mut g = DiGraph::with_nodes(num_nodes);
     for &[a, b] in edges {
         if a >= num_nodes || b >= num_nodes {
-            return Err(FormatError(format!("edge [{a}, {b}] out of range")));
+            return Err(format!("edge [{a}, {b}] out of range"));
         }
         if a == b {
-            return Err(FormatError(format!("self-loop at node {a}")));
+            return Err(format!("self-loop at node {a}"));
         }
         g.add_edge(NodeId(a), NodeId(b));
     }
     Ok(g)
+}
+
+impl RequestDoc {
+    /// Serializes into a [`Json`] value.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), Json::from(self.name.as_str())),
+            ("num_nodes".into(), Json::from(self.num_nodes)),
+            ("edges".into(), pairs_to_json(&self.edges)),
+            ("node_demands".into(), f64s_to_json(&self.node_demands)),
+            ("edge_demands".into(), f64s_to_json(&self.edge_demands)),
+            ("earliest_start".into(), Json::from(self.earliest_start)),
+            ("latest_end".into(), Json::from(self.latest_end)),
+            ("duration".into(), Json::from(self.duration)),
+        ])
+    }
+
+    /// Parses from a [`Json`] value.
+    pub fn from_json(j: &Json) -> Result<Self, FormatError> {
+        Ok(Self {
+            name: want_str(j, "name")?,
+            num_nodes: want_usize(j, "num_nodes")?,
+            edges: pair_array(j, "edges")?,
+            node_demands: f64_array(j, "node_demands")?,
+            edge_demands: f64_array(j, "edge_demands")?,
+            earliest_start: want_f64(j, "earliest_start")?,
+            latest_end: want_f64(j, "latest_end")?,
+            duration: want_f64(j, "duration")?,
+        })
+    }
+
+    /// Builds the domain [`Request`]; an invalid document is an error that
+    /// names the request ([`Request::try_new`] gives the reason).
+    pub fn to_request(&self) -> Result<Request, FormatError> {
+        let g = build_graph(self.num_nodes, self.node_demands.len(), &self.edges)
+            .map_err(|e| FormatError(format!("request '{}': {e}", self.name)))?;
+        Request::try_new(
+            self.name.clone(),
+            g,
+            self.node_demands.clone(),
+            self.edge_demands.clone(),
+            self.earliest_start,
+            self.latest_end,
+            self.duration,
+        )
+        .map_err(FormatError)
+    }
+
+    /// Converts a domain [`Request`] into a document.
+    pub fn from_request(r: &Request) -> Self {
+        let g = r.graph();
+        Self {
+            name: r.name.clone(),
+            num_nodes: r.num_nodes(),
+            edges: g
+                .edge_ids()
+                .map(|e| {
+                    let (a, b) = g.endpoints(e);
+                    [a.0, b.0]
+                })
+                .collect(),
+            node_demands: (0..r.num_nodes())
+                .map(|v| r.node_demand(NodeId(v)))
+                .collect(),
+            edge_demands: (0..r.num_edges())
+                .map(|l| r.edge_demand(EdgeId(l)))
+                .collect(),
+            earliest_start: r.earliest_start,
+            latest_end: r.latest_end,
+            duration: r.duration,
+        }
+    }
 }
 
 impl InstanceDoc {
@@ -205,23 +279,7 @@ impl InstanceDoc {
                 f64s_to_json(&self.substrate.edge_capacities),
             ),
         ]);
-        let requests = Json::Arr(
-            self.requests
-                .iter()
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::from(r.name.as_str())),
-                        ("num_nodes".into(), Json::from(r.num_nodes)),
-                        ("edges".into(), pairs_to_json(&r.edges)),
-                        ("node_demands".into(), f64s_to_json(&r.node_demands)),
-                        ("edge_demands".into(), f64s_to_json(&r.edge_demands)),
-                        ("earliest_start".into(), Json::from(r.earliest_start)),
-                        ("latest_end".into(), Json::from(r.latest_end)),
-                        ("duration".into(), Json::from(r.duration)),
-                    ])
-                })
-                .collect(),
-        );
+        let requests = Json::Arr(self.requests.iter().map(RequestDoc::to_json).collect());
         let mut fields = vec![
             ("substrate".into(), substrate),
             ("horizon".into(), Json::from(self.horizon)),
@@ -251,18 +309,7 @@ impl InstanceDoc {
         };
         let requests = want_array(j, "requests")?
             .iter()
-            .map(|r| {
-                Ok(RequestDoc {
-                    name: want_str(r, "name")?,
-                    num_nodes: want_usize(r, "num_nodes")?,
-                    edges: pair_array(r, "edges")?,
-                    node_demands: f64_array(r, "node_demands")?,
-                    edge_demands: f64_array(r, "edge_demands")?,
-                    earliest_start: want_f64(r, "earliest_start")?,
-                    latest_end: want_f64(r, "latest_end")?,
-                    duration: want_f64(r, "duration")?,
-                })
-            })
+            .map(RequestDoc::from_json)
             .collect::<Result<Vec<_>, FormatError>>()?;
         let fixed_node_mappings = match j.get("fixed_node_mappings") {
             None | Some(Json::Null) => None,
@@ -294,44 +341,26 @@ impl InstanceDoc {
         })
     }
 
-    /// Validates and converts into a domain [`Instance`].
+    /// Validates and converts into a domain [`Instance`]: the model's
+    /// constructors ([`Substrate::try_new`], [`Request::try_new`],
+    /// [`Instance::try_new`]) give the reason a document is invalid.
     pub fn into_instance(self) -> Result<Instance, FormatError> {
-        let sg = build_graph(self.substrate.num_nodes, &self.substrate.edges)?;
-        if self.substrate.node_capacities.len() != self.substrate.num_nodes
-            || self.substrate.edge_capacities.len() != self.substrate.edges.len()
-        {
-            return Err(FormatError("substrate capacity lengths mismatch".into()));
-        }
-        let substrate = Substrate::new(
-            sg,
-            self.substrate.node_capacities.clone(),
-            self.substrate.edge_capacities.clone(),
-        );
-        let mut requests = Vec::with_capacity(self.requests.len());
-        for r in &self.requests {
-            let g = build_graph(r.num_nodes, &r.edges)?;
-            if r.node_demands.len() != r.num_nodes || r.edge_demands.len() != r.edges.len() {
-                return Err(FormatError(format!(
-                    "request {}: demand lengths mismatch",
-                    r.name
-                )));
-            }
-            requests.push(Request::new(
-                r.name.clone(),
-                g,
-                r.node_demands.clone(),
-                r.edge_demands.clone(),
-                r.earliest_start,
-                r.latest_end,
-                r.duration,
-            ));
-        }
+        let s = self.substrate;
+        let graph = build_graph(s.num_nodes, s.node_capacities.len(), &s.edges)
+            .map_err(|e| FormatError(format!("substrate: {e}")))?;
+        let substrate =
+            Substrate::try_new(graph, s.node_capacities, s.edge_capacities).map_err(FormatError)?;
+        let requests = self
+            .requests
+            .iter()
+            .map(RequestDoc::to_request)
+            .collect::<Result<Vec<_>, _>>()?;
         let mappings = self.fixed_node_mappings.map(|maps| {
             maps.into_iter()
                 .map(|m| m.into_iter().map(NodeId).collect())
                 .collect()
         });
-        Ok(Instance::new(substrate, requests, self.horizon, mappings))
+        Instance::try_new(substrate, requests, self.horizon, mappings).map_err(FormatError)
     }
 
     /// Converts a domain [`Instance`] into a document.
@@ -351,31 +380,7 @@ impl InstanceDoc {
                 edge_capacities: inst.substrate.edge_capacities().to_vec(),
             },
             horizon: inst.horizon,
-            requests: inst
-                .requests
-                .iter()
-                .map(|r| RequestDoc {
-                    name: r.name.clone(),
-                    num_nodes: r.num_nodes(),
-                    edges: r
-                        .graph()
-                        .edge_ids()
-                        .map(|e| {
-                            let (a, b) = r.graph().endpoints(e);
-                            [a.0, b.0]
-                        })
-                        .collect(),
-                    node_demands: (0..r.num_nodes())
-                        .map(|v| r.node_demand(NodeId(v)))
-                        .collect(),
-                    edge_demands: (0..r.num_edges())
-                        .map(|l| r.edge_demand(EdgeId(l)))
-                        .collect(),
-                    earliest_start: r.earliest_start,
-                    latest_end: r.latest_end,
-                    duration: r.duration,
-                })
-                .collect(),
+            requests: inst.requests.iter().map(RequestDoc::from_request).collect(),
             fixed_node_mappings: inst.fixed_node_mappings.as_ref().map(|maps| {
                 maps.iter()
                     .map(|m| m.iter().map(|n| n.0).collect())
@@ -383,6 +388,82 @@ impl InstanceDoc {
             }),
         }
     }
+}
+
+/// The JSON fields of an embedding, `node_map` then `edge_flows`: the one
+/// writer of both, for solution documents and the service's decision
+/// events alike.
+pub fn embedding_to_json(emb: &Embedding) -> [(String, Json); 2] {
+    let flows = |fl: &Vec<(EdgeId, f64)>| {
+        Json::Arr(
+            fl.iter()
+                .map(|&(e, f)| Json::Arr(vec![Json::from(e.0), Json::from(f)]))
+                .collect(),
+        )
+    };
+    [
+        (
+            "node_map".into(),
+            Json::Arr(emb.node_map.iter().map(|n| Json::from(n.0)).collect()),
+        ),
+        (
+            "edge_flows".into(),
+            Json::Arr(emb.edge_flows.iter().map(flows).collect()),
+        ),
+    ]
+}
+
+/// Reads the embedding in an object's `node_map` and `edge_flows` fields
+/// (the inverse of [`embedding_to_json`]): `None` when both are absent, an
+/// error when only one is present or either is malformed.
+pub fn embedding_from_json(j: &Json) -> Result<Option<Embedding>, FormatError> {
+    let field = |key: &str| j.get(key).filter(|v| !matches!(v, Json::Null));
+    let (nm, ef) = match (field("node_map"), field("edge_flows")) {
+        (None, None) => return Ok(None),
+        (Some(nm), Some(ef)) => (nm, ef),
+        _ => {
+            return Err(FormatError(
+                "node_map and edge_flows must be both present or both absent".into(),
+            ))
+        }
+    };
+    let bad = |what: &str| FormatError(what.into());
+    let node_map = nm
+        .as_array()
+        .ok_or_else(|| bad("node_map must be an array"))?
+        .iter()
+        .map(|n| {
+            n.as_usize()
+                .map(NodeId)
+                .ok_or_else(|| bad("node_map entries must be indices"))
+        })
+        .collect::<Result<_, _>>()?;
+    let edge_flows = ef
+        .as_array()
+        .ok_or_else(|| bad("edge_flows must be an array"))?
+        .iter()
+        .map(|fl| {
+            fl.as_array()
+                .ok_or_else(|| bad("edge_flows rows must be arrays"))?
+                .iter()
+                .map(|term| {
+                    let arr = term.as_array().filter(|a| a.len() == 2);
+                    let arr = arr.ok_or_else(|| bad("edge_flows terms must be [edge, frac]"))?;
+                    let e = arr[0]
+                        .as_usize()
+                        .ok_or_else(|| bad("edge index must be an integer"))?;
+                    let f = arr[1]
+                        .as_f64()
+                        .ok_or_else(|| bad("flow fraction must be a number"))?;
+                    Ok((EdgeId(e), f))
+                })
+                .collect::<Result<Vec<_>, FormatError>>()
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Some(Embedding {
+        node_map,
+        edge_flows,
+    }))
 }
 
 impl SolutionDoc {
@@ -397,29 +478,8 @@ impl SolutionDoc {
                         ("start".into(), Json::from(s.start)),
                         ("end".into(), Json::from(s.end)),
                     ];
-                    if let Some(nm) = &s.node_map {
-                        fields.push((
-                            "node_map".into(),
-                            Json::Arr(nm.iter().map(|&n| Json::from(n)).collect()),
-                        ));
-                    }
-                    if let Some(ef) = &s.edge_flows {
-                        fields.push((
-                            "edge_flows".into(),
-                            Json::Arr(
-                                ef.iter()
-                                    .map(|fl| {
-                                        Json::Arr(
-                                            fl.iter()
-                                                .map(|&(e, f)| {
-                                                    Json::Arr(vec![Json::from(e), Json::from(f)])
-                                                })
-                                                .collect(),
-                                        )
-                                    })
-                                    .collect(),
-                            ),
-                        ));
+                    if let Some(emb) = &s.embedding {
+                        fields.extend(embedding_to_json(emb));
                     }
                     Json::Obj(fields)
                 })
@@ -438,58 +498,11 @@ impl SolutionDoc {
         let scheduled = want_array(j, "scheduled")?
             .iter()
             .map(|s| {
-                let node_map = match s.get("node_map") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_array()
-                            .ok_or_else(|| FormatError("node_map must be an array".into()))?
-                            .iter()
-                            .map(|n| {
-                                n.as_usize().ok_or_else(|| {
-                                    FormatError("node_map entries must be indices".into())
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                };
-                let edge_flows = match s.get("edge_flows") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_array()
-                            .ok_or_else(|| FormatError("edge_flows must be an array".into()))?
-                            .iter()
-                            .map(|fl| {
-                                fl.as_array()
-                                    .ok_or_else(|| {
-                                        FormatError("edge_flows rows must be arrays".into())
-                                    })?
-                                    .iter()
-                                    .map(|term| {
-                                        let arr = term.as_array().filter(|a| a.len() == 2);
-                                        let arr = arr.ok_or_else(|| {
-                                            FormatError(
-                                                "edge_flows terms must be [edge, frac]".into(),
-                                            )
-                                        })?;
-                                        let e = arr[0].as_usize().ok_or_else(|| {
-                                            FormatError("edge index must be an integer".into())
-                                        })?;
-                                        let f = arr[1].as_f64().ok_or_else(|| {
-                                            FormatError("flow fraction must be a number".into())
-                                        })?;
-                                        Ok((e, f))
-                                    })
-                                    .collect::<Result<Vec<_>, FormatError>>()
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                };
-                Ok(ScheduledDoc {
+                Ok(ScheduledRequest {
                     accepted: want_bool(s, "accepted")?,
                     start: want_f64(s, "start")?,
                     end: want_f64(s, "end")?,
-                    node_map,
-                    edge_flows,
+                    embedding: embedding_from_json(s)?,
                 })
             })
             .collect::<Result<Vec<_>, FormatError>>()?;
@@ -510,61 +523,17 @@ impl SolutionDoc {
     pub fn from_solution(sol: &TemporalSolution) -> Self {
         Self {
             objective: sol.reported_objective,
-            scheduled: sol
-                .scheduled
-                .iter()
-                .map(|s| ScheduledDoc {
-                    accepted: s.accepted,
-                    start: s.start,
-                    end: s.end,
-                    node_map: s
-                        .embedding
-                        .as_ref()
-                        .map(|e| e.node_map.iter().map(|n| n.0).collect()),
-                    edge_flows: s.embedding.as_ref().map(|e| {
-                        e.edge_flows
-                            .iter()
-                            .map(|fl| fl.iter().map(|&(e, f)| (e.0, f)).collect())
-                            .collect()
-                    }),
-                })
-                .collect(),
+            scheduled: sol.scheduled.clone(),
         }
     }
 
-    /// Validates and converts into a domain [`TemporalSolution`].
-    pub fn into_solution(self) -> Result<TemporalSolution, FormatError> {
-        let scheduled = self
-            .scheduled
-            .into_iter()
-            .map(|s| {
-                let embedding = match (s.node_map, s.edge_flows) {
-                    (Some(nm), Some(ef)) => Some(Embedding {
-                        node_map: nm.into_iter().map(NodeId).collect(),
-                        edge_flows: ef
-                            .into_iter()
-                            .map(|fl| fl.into_iter().map(|(e, f)| (EdgeId(e), f)).collect())
-                            .collect(),
-                    }),
-                    (None, None) => None,
-                    _ => {
-                        return Err(FormatError(
-                            "node_map and edge_flows must be both present or both absent".into(),
-                        ))
-                    }
-                };
-                Ok(ScheduledRequest {
-                    accepted: s.accepted,
-                    start: s.start,
-                    end: s.end,
-                    embedding,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TemporalSolution {
-            scheduled,
+    /// Converts into a domain [`TemporalSolution`]. Whether it fits an
+    /// instance is the verifier's question.
+    pub fn into_solution(self) -> TemporalSolution {
+        TemporalSolution {
+            scheduled: self.scheduled,
             reported_objective: self.objective,
-        })
+        }
     }
 }
 
@@ -675,38 +644,30 @@ mod tests {
 
     #[test]
     fn inconsistent_embedding_rejected() {
-        let doc = SolutionDoc {
-            objective: None,
-            scheduled: vec![ScheduledDoc {
-                accepted: true,
-                start: 0.0,
-                end: 1.0,
-                node_map: Some(vec![0]),
-                edge_flows: None,
-            }],
-        };
-        assert!(doc.into_solution().is_err());
+        let text = r#"{"scheduled": [{"accepted": true, "start": 0, "end": 1, "node_map": [0]}]}"#;
+        assert!(SolutionDoc::from_json(&Json::parse(text).unwrap()).is_err());
     }
 
     #[test]
     fn solution_roundtrip_preserves_flows() {
         let doc = SolutionDoc {
             objective: Some(4.25),
-            scheduled: vec![ScheduledDoc {
+            scheduled: vec![ScheduledRequest {
                 accepted: true,
                 start: 0.5,
                 end: 2.0,
-                node_map: Some(vec![1, 0]),
-                edge_flows: Some(vec![vec![(0, 0.5), (2, 0.5)]]),
+                embedding: Some(Embedding {
+                    node_map: vec![NodeId(1), NodeId(0)],
+                    edge_flows: vec![vec![(EdgeId(0), 0.5), (EdgeId(2), 0.5)]],
+                }),
             }],
         };
         let text = doc.to_json().pretty();
         let back = SolutionDoc::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.objective, Some(4.25));
-        assert_eq!(
-            back.scheduled[0].edge_flows.as_ref().unwrap()[0],
-            vec![(0, 0.5), (2, 0.5)]
-        );
-        assert!(back.into_solution().is_ok());
+        let sol = back.into_solution();
+        let emb = sol.scheduled[0].embedding.as_ref().unwrap();
+        assert_eq!(emb.node_map, vec![NodeId(1), NodeId(0)]);
+        assert_eq!(emb.edge_flows[0], vec![(EdgeId(0), 0.5), (EdgeId(2), 0.5)]);
     }
 }

@@ -18,7 +18,7 @@ use std::time::Duration;
 use crate::model::{MipModel, Sense};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::SearchTree;
-use tvnep_lp::{Basis, LpStatus, Params, Simplex, SolveStats};
+use tvnep_lp::{Basis, LpStatus, Simplex, SolveStats};
 use tvnep_telemetry::{FlightHandle, Telemetry};
 
 /// Termination status of a MIP solve.
@@ -114,8 +114,6 @@ pub struct MipOptions {
     pub progress: Option<ProgressFn>,
     /// Observability sink shared with the LP engine; disabled by default.
     pub telemetry: Telemetry,
-    /// LP engine parameters.
-    pub lp_params: Option<Params>,
     /// Objective value (user sense) of a known feasible solution, e.g. from
     /// a heuristic. Activates bound pruning immediately: only strictly
     /// better solutions are searched for. When the tree is exhausted without
@@ -161,7 +159,6 @@ impl std::fmt::Debug for MipOptions {
             .field("log_every", &self.log_every)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("telemetry", &self.telemetry)
-            .field("lp_params", &self.lp_params)
             .field("cutoff", &self.cutoff)
             .field("threads", &self.threads)
             .field("tree", &self.tree.as_ref().map(|t| t.len()))
@@ -182,7 +179,6 @@ impl Default for MipOptions {
             log_every: None,
             progress: None,
             telemetry: Telemetry::disabled(),
-            lp_params: None,
             cutoff: None,
             threads: 1,
             tree: None,
@@ -241,11 +237,6 @@ impl MipResult {
     /// found within the time limit").
     pub fn gap_or_inf(&self) -> f64 {
         self.gap.unwrap_or(f64::INFINITY)
-    }
-
-    /// True if an incumbent exists.
-    pub fn has_solution(&self) -> bool {
-        self.x.is_some()
     }
 }
 

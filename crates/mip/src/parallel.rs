@@ -635,9 +635,6 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
     let mut simplex = Simplex::new(&shared.lp_min);
     simplex.set_telemetry(telemetry.clone());
     simplex.set_blackbox(blackbox);
-    if let Some(p) = &opts.lp_params {
-        simplex.set_params(p.clone());
-    }
     // The LP engine honors the same wall-clock budget so a single long
     // relaxation cannot blow through the MIP time limit.
     if let Some(tl) = opts.time_limit {

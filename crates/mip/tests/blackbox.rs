@@ -4,7 +4,7 @@
 //! across reruns of the same single-threaded solve.
 
 use tvnep_mip::{solve_with, MipModel, MipOptions, MipStatus};
-use tvnep_telemetry::FlightRecorder;
+use tvnep_telemetry::{render_raw, FlightRecorder};
 
 /// A knapsack hard enough to open a few dozen nodes (hundreds of events).
 fn busy_knapsack() -> MipModel {
@@ -69,8 +69,8 @@ fn deterministic_dump_is_byte_identical_across_reruns_at_one_thread() {
     let (rec_a, ra) = recorded_solve(1);
     let (rec_b, rb) = recorded_solve(1);
     assert_eq!(ra.objective, rb.objective);
-    let a = rec_a.deterministic_dump().pretty();
-    let b = rec_b.deterministic_dump().pretty();
+    let a = render_raw(&rec_a.dump("test", "Clean", "rerun"));
+    let b = render_raw(&rec_b.dump("test", "Clean", "rerun"));
     assert_eq!(a, b, "deterministic projections diverged across reruns");
     // Sanity: the projection really carries the history, not just headers.
     assert!(a.contains("node_open") && a.contains("lp_solve"));

@@ -24,53 +24,93 @@ pub struct Instance {
     pub fixed_node_mappings: Option<Vec<NodeMapping>>,
 }
 
+/// Checks that `request`'s window ends inside the horizon `[0, horizon]`
+/// (its start is non-negative by construction).
+pub fn check_window(request: &Request, horizon: f64) -> Result<(), String> {
+    if request.latest_end <= horizon + 1e-9 {
+        Ok(())
+    } else {
+        Err(format!(
+            "request '{}' ends at {} beyond horizon {horizon}",
+            request.name, request.latest_end
+        ))
+    }
+}
+
+/// Checks that `mapping` pins every virtual node of `request` onto a node
+/// of `substrate`.
+pub fn check_mapping(
+    request: &Request,
+    mapping: &[NodeId],
+    substrate: &Substrate,
+) -> Result<(), String> {
+    if mapping.len() != request.num_nodes() {
+        return Err(format!(
+            "request '{}': one substrate node per virtual node: the mapping covers {} of {}",
+            request.name,
+            mapping.len(),
+            request.num_nodes()
+        ));
+    }
+    match mapping.iter().find(|n| n.0 >= substrate.num_nodes()) {
+        Some(n) => Err(format!(
+            "request '{}': mapping references unknown substrate node {}",
+            request.name, n.0
+        )),
+        None => Ok(()),
+    }
+}
+
 impl Instance {
-    /// Creates and validates an instance.
+    /// Creates an instance, or says why it is invalid: a finite positive
+    /// horizon, every window inside it ([`check_window`]), and, when
+    /// mappings are pinned, one valid mapping per request
+    /// ([`check_mapping`]).
+    pub fn try_new(
+        substrate: Substrate,
+        requests: Vec<Request>,
+        horizon: f64,
+        fixed_node_mappings: Option<Vec<NodeMapping>>,
+    ) -> Result<Self, String> {
+        if !(horizon > 0.0 && horizon.is_finite()) {
+            return Err(format!("horizon {horizon} must be positive"));
+        }
+        for r in &requests {
+            check_window(r, horizon)?;
+        }
+        if let Some(maps) = &fixed_node_mappings {
+            if maps.len() != requests.len() {
+                return Err(format!(
+                    "one mapping per request: {} mappings for {} requests",
+                    maps.len(),
+                    requests.len()
+                ));
+            }
+            for (r, map) in requests.iter().zip(maps) {
+                check_mapping(r, map, &substrate)?;
+            }
+        }
+        Ok(Self {
+            substrate,
+            requests,
+            horizon,
+            fixed_node_mappings,
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for an instance known to be valid.
     ///
     /// # Panics
     ///
-    /// Panics if any request's window escapes `[0, horizon]`, or a fixed
-    /// mapping has the wrong shape or references unknown substrate nodes.
+    /// Panics with the reason `try_new` gives.
     pub fn new(
         substrate: Substrate,
         requests: Vec<Request>,
         horizon: f64,
         fixed_node_mappings: Option<Vec<NodeMapping>>,
     ) -> Self {
-        assert!(
-            horizon > 0.0 && horizon.is_finite(),
-            "horizon must be positive"
-        );
-        for r in &requests {
-            assert!(
-                r.latest_end <= horizon + 1e-9,
-                "request {} ends at {} beyond horizon {horizon}",
-                r.name,
-                r.latest_end
-            );
-        }
-        if let Some(maps) = &fixed_node_mappings {
-            assert_eq!(maps.len(), requests.len(), "one mapping per request");
-            for (r, map) in requests.iter().zip(maps) {
-                assert_eq!(
-                    map.len(),
-                    r.num_nodes(),
-                    "one substrate node per virtual node"
-                );
-                for n in map {
-                    assert!(
-                        n.0 < substrate.num_nodes(),
-                        "mapping references unknown node"
-                    );
-                }
-            }
-        }
-        Self {
-            substrate,
-            requests,
-            horizon,
-            fixed_node_mappings,
-        }
+        Self::try_new(substrate, requests, horizon, fixed_node_mappings)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of requests `|R|`.

@@ -17,7 +17,7 @@ pub mod tol;
 pub mod verify;
 
 pub use depgraph::{earliest, latest, DepNode, DependencyGraph};
-pub use instance::{Instance, NodeMapping};
+pub use instance::{check_mapping, check_window, Instance, NodeMapping};
 pub use request::Request;
 pub use solution::{Embedding, ScheduledRequest, TemporalSolution};
 pub use substrate::Substrate;

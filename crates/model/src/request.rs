@@ -22,12 +22,68 @@ pub struct Request {
 }
 
 impl Request {
-    /// Creates a request; validates demands and the temporal window.
+    /// Creates a request, or says why its parameters are invalid: one
+    /// finite, non-negative demand per virtual node and per virtual link, a
+    /// finite positive duration `d_R`, a finite earliest start `t^s_R ≥ 0`,
+    /// and a window `t^e_R − t^s_R ≥ d_R`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_new(
+        name: impl Into<String>,
+        graph: DiGraph,
+        node_demand: Vec<f64>,
+        edge_demand: Vec<f64>,
+        earliest_start: f64,
+        latest_end: f64,
+        duration: f64,
+    ) -> Result<Self, String> {
+        let name = name.into();
+        let fail = |why: String| Err(format!("request '{name}': {why}"));
+        if node_demand.len() != graph.num_nodes() || edge_demand.len() != graph.num_edges() {
+            return fail(format!(
+                "one demand per virtual node and link: {} node and {} link demands \
+                 for {} nodes and {} links",
+                node_demand.len(),
+                edge_demand.len(),
+                graph.num_nodes(),
+                graph.num_edges()
+            ));
+        }
+        if !node_demand
+            .iter()
+            .chain(&edge_demand)
+            .all(|d| d.is_finite() && *d >= 0.0)
+        {
+            return fail("demands must be finite and non-negative".into());
+        }
+        if !(duration > 0.0 && duration.is_finite()) {
+            return fail(format!("duration {duration} must be positive"));
+        }
+        if !(earliest_start >= 0.0 && earliest_start.is_finite()) {
+            return fail(format!(
+                "earliest start {earliest_start} must be finite and non-negative"
+            ));
+        }
+        if !(latest_end.is_finite() && latest_end - earliest_start >= duration - 1e-12) {
+            return fail(format!(
+                "window [{earliest_start}, {latest_end}] shorter than duration {duration}"
+            ));
+        }
+        Ok(Self {
+            name,
+            graph,
+            node_demand,
+            edge_demand,
+            earliest_start,
+            latest_end,
+            duration,
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for parameters known to be valid.
     ///
     /// # Panics
     ///
-    /// Panics on mismatched demand lengths, negative demands, non-positive
-    /// duration, or a window shorter than the duration.
+    /// Panics with the reason `try_new` gives.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
@@ -38,41 +94,16 @@ impl Request {
         latest_end: f64,
         duration: f64,
     ) -> Self {
-        assert_eq!(
-            node_demand.len(),
-            graph.num_nodes(),
-            "one demand per virtual node"
-        );
-        assert_eq!(
-            edge_demand.len(),
-            graph.num_edges(),
-            "one demand per virtual link"
-        );
-        assert!(
-            node_demand
-                .iter()
-                .chain(&edge_demand)
-                .all(|d| d.is_finite() && *d >= 0.0),
-            "demands must be finite and non-negative"
-        );
-        assert!(
-            duration > 0.0 && duration.is_finite(),
-            "duration must be positive"
-        );
-        assert!(earliest_start >= 0.0, "earliest start must be non-negative");
-        assert!(
-            latest_end - earliest_start >= duration - 1e-12,
-            "window [{earliest_start}, {latest_end}] shorter than duration {duration}"
-        );
-        Self {
-            name: name.into(),
+        Self::try_new(
+            name,
             graph,
             node_demand,
             edge_demand,
             earliest_start,
             latest_end,
             duration,
-        }
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The virtual topology.

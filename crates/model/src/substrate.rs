@@ -12,35 +12,49 @@ pub struct Substrate {
 }
 
 impl Substrate {
-    /// Wraps a topology with per-node and per-edge capacities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacity vector lengths disagree with the topology or any
-    /// capacity is negative or NaN.
-    pub fn new(graph: DiGraph, node_capacity: Vec<f64>, edge_capacity: Vec<f64>) -> Self {
-        assert_eq!(
-            node_capacity.len(),
-            graph.num_nodes(),
-            "one capacity per node"
-        );
-        assert_eq!(
-            edge_capacity.len(),
-            graph.num_edges(),
-            "one capacity per edge"
-        );
-        assert!(
-            node_capacity
-                .iter()
-                .chain(&edge_capacity)
-                .all(|c| c.is_finite() && *c >= 0.0),
-            "capacities must be finite and non-negative"
-        );
-        Self {
+    /// Wraps a topology with per-node and per-edge capacities, or says why
+    /// they are invalid: one finite, non-negative capacity per node and per
+    /// edge.
+    pub fn try_new(
+        graph: DiGraph,
+        node_capacity: Vec<f64>,
+        edge_capacity: Vec<f64>,
+    ) -> Result<Self, String> {
+        if node_capacity.len() != graph.num_nodes() {
+            return Err(format!(
+                "substrate: one capacity per node: {} capacities for {} nodes",
+                node_capacity.len(),
+                graph.num_nodes()
+            ));
+        }
+        if edge_capacity.len() != graph.num_edges() {
+            return Err(format!(
+                "substrate: one capacity per edge: {} capacities for {} edges",
+                edge_capacity.len(),
+                graph.num_edges()
+            ));
+        }
+        if !node_capacity
+            .iter()
+            .chain(&edge_capacity)
+            .all(|c| c.is_finite() && *c >= 0.0)
+        {
+            return Err("substrate: capacities must be finite and non-negative".into());
+        }
+        Ok(Self {
             graph,
             node_capacity,
             edge_capacity,
-        }
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for capacities known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the reason `try_new` gives.
+    pub fn new(graph: DiGraph, node_capacity: Vec<f64>, edge_capacity: Vec<f64>) -> Self {
+        Self::try_new(graph, node_capacity, edge_capacity).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Uniform capacities on every node and every edge (the paper's setup:

@@ -7,7 +7,7 @@
 //! use it as the ground-truth oracle.
 
 use crate::instance::Instance;
-use crate::solution::TemporalSolution;
+use crate::solution::{Embedding, TemporalSolution};
 use tvnep_graph::{EdgeId, NodeId};
 
 /// Default numerical tolerance of the verifier (re-exported from the shared
@@ -69,7 +69,11 @@ pub fn verify_with_tol(
         return out;
     }
 
-    // Per-request checks: schedule arithmetic and embedding validity.
+    // Per-request checks: schedule arithmetic and embedding validity. Only
+    // embeddings of the right shape (one existing host per virtual node, one
+    // flow list over existing links per virtual link) load the substrate.
+    let sg = instance.substrate.graph();
+    let mut shaped: Vec<Option<&Embedding>> = vec![None; solution.scheduled.len()];
     for (ri, (s, r)) in solution
         .scheduled
         .iter()
@@ -89,10 +93,19 @@ pub fn verify_with_tol(
             out.push(Violation::MissingEmbedding { request: ri });
             continue;
         };
-        if emb.node_map.len() != r.num_nodes() || emb.edge_flows.len() != r.num_edges() {
+        if emb.node_map.len() != r.num_nodes()
+            || emb.edge_flows.len() != r.num_edges()
+            || emb.node_map.iter().any(|n| n.0 >= sg.num_nodes())
+            || emb
+                .edge_flows
+                .iter()
+                .flatten()
+                .any(|(e, _)| e.0 >= sg.num_edges())
+        {
             out.push(Violation::MissingEmbedding { request: ri });
             continue;
         }
+        shaped[ri] = Some(emb);
         // Fixed node mappings (when the instance pins them) must be honored.
         if let Some(maps) = &instance.fixed_node_mappings {
             if emb.node_map != maps[ri] {
@@ -102,7 +115,6 @@ pub fn verify_with_tol(
         }
         // Flow conservation per virtual link (Constraint (2)): a unit flow
         // from the mapped source to the mapped target of the link.
-        let sg = instance.substrate.graph();
         for l in r.graph().edge_ids() {
             let (vs, vt) = r.graph().endpoints(l);
             let src = emb.node_map[vs.0];
@@ -157,16 +169,13 @@ pub fn verify_with_tol(
         if active.is_empty() {
             continue;
         }
-        for n in instance.substrate.graph().nodes() {
+        for n in sg.nodes() {
             // Requests with a missing/malformed embedding were already
             // reported above; skip them here instead of panicking.
             let load: f64 = active
                 .iter()
                 .filter_map(|&ri| {
-                    solution.scheduled[ri]
-                        .embedding
-                        .as_ref()
-                        .map(|emb| emb.node_allocation(&instance.requests[ri], n))
+                    shaped[ri].map(|emb| emb.node_allocation(&instance.requests[ri], n))
                 })
                 .sum();
             let cap = instance.substrate.node_capacity(n);
@@ -179,14 +188,11 @@ pub fn verify_with_tol(
                 });
             }
         }
-        for e in instance.substrate.graph().edge_ids() {
+        for e in sg.edge_ids() {
             let load: f64 = active
                 .iter()
                 .filter_map(|&ri| {
-                    solution.scheduled[ri]
-                        .embedding
-                        .as_ref()
-                        .map(|emb| emb.edge_allocation(&instance.requests[ri], e))
+                    shaped[ri].map(|emb| emb.edge_allocation(&instance.requests[ri], e))
                 })
                 .sum();
             let cap = instance.substrate.edge_capacity(e);

@@ -140,6 +140,44 @@ fn missing_embedding_on_fixed_mapping_mismatch() {
 }
 
 #[test]
+fn missing_embedding_on_unknown_substrate_node() {
+    // No pinned mappings, so the node map alone names the hosts; the
+    // two-node substrate has no node 99.
+    let inst = linked_request_instance();
+    let sol = solution(vec![ScheduledRequest {
+        accepted: true,
+        start: 0.0,
+        end: 3.0,
+        embedding: Some(Embedding {
+            node_map: vec![NodeId(0), NodeId(99)],
+            edge_flows: vec![vec![]],
+        }),
+    }]);
+    assert_eq!(
+        verify(&inst, &sol),
+        vec![Violation::MissingEmbedding { request: 0 }]
+    );
+}
+
+#[test]
+fn missing_embedding_on_unknown_substrate_edge() {
+    let inst = linked_request_instance();
+    let sol = solution(vec![ScheduledRequest {
+        accepted: true,
+        start: 0.0,
+        end: 3.0,
+        embedding: Some(Embedding {
+            node_map: vec![NodeId(0), NodeId(1)],
+            edge_flows: vec![vec![(EdgeId(99), 1.0)]],
+        }),
+    }]);
+    assert_eq!(
+        verify(&inst, &sol),
+        vec![Violation::MissingEmbedding { request: 0 }]
+    );
+}
+
+#[test]
 fn flow_conservation_exact() {
     let inst = linked_request_instance();
     // Endpoints mapped apart but no flow routed: net outflow at the source

@@ -36,11 +36,14 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use protocol::RequestDocExt;
 use tvnep_bench::journal::{read_journal, JournalWriter};
 use tvnep_core::{Reservation, ServiceCore, ServiceOptions};
-use tvnep_harness::format::{InstanceDoc, RequestDoc};
-use tvnep_model::{Embedding, NodeMapping, Substrate};
+use tvnep_graph::NodeId;
+use tvnep_harness::format::{embedding_from_json, InstanceDoc, RequestDoc};
+use tvnep_model::{
+    check_window, verify, Embedding, Instance, NodeMapping, Request, ScheduledRequest, Substrate,
+    TemporalSolution,
+};
 use tvnep_telemetry::{prom, Json, LogHistogram};
 
 /// Configuration of the epoch runner.
@@ -82,9 +85,8 @@ impl Default for ServeOptions {
 }
 
 /// Service-level objectives for the admission funnel: what fraction of
-/// decisions must be accepted over the rolling window, how slow the p99
-/// admission may get, and the deterministic effort envelope per decision.
-/// Loaded from a JSON doc (`tvnep-cli serve --slo FILE`).
+/// decisions must be accepted over the rolling window and how slow the p99
+/// admission may get. Loaded from a JSON doc (`tvnep-cli serve --slo FILE`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloDoc {
     /// Rolling-window length, in epochs.
@@ -94,10 +96,6 @@ pub struct SloDoc {
     pub acceptance_ratio_min: f64,
     /// Maximum p99 admission latency, milliseconds.
     pub p99_ms_max: f64,
-    /// Effort each decision is expected to stay under, in "nodes": one
-    /// node is one LP solve per tried start (the deterministic effort
-    /// envelope).
-    pub node_budget_per_decision: u64,
 }
 
 impl Default for SloDoc {
@@ -106,14 +104,13 @@ impl Default for SloDoc {
             window_epochs: 16,
             acceptance_ratio_min: 0.5,
             p99_ms_max: 250.0,
-            node_budget_per_decision: 200_000,
         }
     }
 }
 
 impl SloDoc {
     /// Parses an SLO doc; absent keys keep their defaults so a doc can
-    /// override only what it cares about.
+    /// override only what it cares about, and unknown keys are ignored.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let d = Self::default();
         Ok(Self {
@@ -129,10 +126,6 @@ impl SloDoc {
                 Some(x) => x.as_f64().ok_or("slo: bad p99_ms_max")?,
                 None => d.p99_ms_max,
             },
-            node_budget_per_decision: match v.get("node_budget_per_decision") {
-                Some(x) => x.as_u64().ok_or("slo: bad node_budget_per_decision")?,
-                None => d.node_budget_per_decision,
-            },
         })
     }
 
@@ -144,10 +137,6 @@ impl SloDoc {
                 Json::from(self.acceptance_ratio_min),
             ),
             ("p99_ms_max".into(), Json::from(self.p99_ms_max)),
-            (
-                "node_budget_per_decision".into(),
-                Json::from(self.node_budget_per_decision),
-            ),
         ])
     }
 }
@@ -160,12 +149,12 @@ struct EpochEntry {
     nodes: u64,
 }
 
-/// A queued submission awaiting its epoch.
+/// A queued submission awaiting its epoch, validated when it was queued.
 #[derive(Debug, Clone)]
 struct PendingSubmission {
     id: u64,
-    doc: RequestDoc,
-    mapping: Vec<usize>,
+    request: Request,
+    mapping: NodeMapping,
 }
 
 /// One decided request, kept when [`ServeOptions::keep_log`] is on.
@@ -308,21 +297,28 @@ impl EpochRunner {
                         .get("id")
                         .and_then(Json::as_u64)
                         .ok_or_else(|| bad("submitted without id".into()))?;
-                    let doc = RequestDoc::from_json_value(
+                    let request = RequestDoc::from_json(
                         ev.get("request")
-                            .ok_or_else(|| bad("submitted without request".into()))?,
+                            .ok_or_else(|| bad(format!("submitted #{id} without request")))?,
                     )
+                    .and_then(|doc| doc.to_request())
                     .map_err(|e| bad(format!("submitted #{id}: {e}")))?;
                     let mapping = ev
                         .get("mapping")
                         .and_then(Json::as_array)
-                        .ok_or_else(|| bad("submitted without mapping".into()))?
+                        .ok_or_else(|| bad(format!("submitted #{id} without mapping")))?
                         .iter()
-                        .map(|n| n.as_usize())
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| bad("bad mapping entry".into()))?;
+                        .map(|n| n.as_usize().map(NodeId))
+                        .collect::<Option<NodeMapping>>()
+                        .ok_or_else(|| bad(format!("submitted #{id}: bad mapping entry")))?;
+                    core.validate(&request, &mapping)
+                        .map_err(|e| bad(format!("submitted #{id}: {e}")))?;
                     next_id = next_id.max(id + 1);
-                    submissions.push(PendingSubmission { id, doc, mapping });
+                    submissions.push(PendingSubmission {
+                        id,
+                        request,
+                        mapping,
+                    });
                 }
                 Some("decision") => {
                     let id = ev
@@ -332,8 +328,7 @@ impl EpochRunner {
                     let sub = submissions
                         .iter()
                         .find(|p| p.id == id)
-                        .ok_or_else(|| bad(format!("decision #{id} without submission")))?
-                        .clone();
+                        .ok_or_else(|| bad(format!("decision #{id} without submission")))?;
                     decided.insert(id);
                     report.decisions_replayed += 1;
                     let accepted = ev.get("accepted").and_then(Json::as_bool).unwrap_or(false);
@@ -346,7 +341,7 @@ impl EpochRunner {
                     // The live admission advanced the water mark to the
                     // candidate's arrival (GC'ing expired reservations)
                     // before deciding; replay must do the same.
-                    core.advance(sub.doc.earliest_start);
+                    core.advance(sub.request.earliest_start);
                     if accepted {
                         let start = ev
                             .get("start")
@@ -356,22 +351,43 @@ impl EpochRunner {
                             .get("end")
                             .and_then(Json::as_f64)
                             .ok_or_else(|| bad("decision without end".into()))?;
-                        let embedding = protocol::embedding_from_decision(ev)
-                            .map_err(|e| bad(format!("decision #{id}: {e}")))?;
-                        let mut pinned_doc = sub.doc.clone();
-                        pinned_doc.earliest_start = start;
-                        pinned_doc.latest_end = end;
-                        let request = protocol::request_from_doc(&pinned_doc)
-                            .map_err(|e| bad(format!("decision #{id}: {e}")))?;
-                        let mapping: NodeMapping = sub
-                            .mapping
-                            .iter()
-                            .map(|&n| tvnep_graph::NodeId(n))
-                            .collect();
+                        let embedding = embedding_from_json(ev)
+                            .map_err(|e| bad(format!("decision #{id}: {e}")))?
+                            .ok_or_else(|| {
+                                bad(format!("decision #{id}: accepted without embedding"))
+                            })?;
+                        // Restore only a schedule the core could have made:
+                        // one the verifier accepts for the submission alone
+                        // on the substrate, ending inside the horizon.
+                        let mut request = sub.request.clone();
+                        request.earliest_start = start;
+                        request.latest_end = end;
+                        let alone = Instance::new(
+                            substrate.clone(),
+                            vec![sub.request.clone()],
+                            horizon,
+                            Some(vec![sub.mapping.clone()]),
+                        );
+                        let schedule = TemporalSolution {
+                            scheduled: vec![ScheduledRequest {
+                                accepted: true,
+                                start,
+                                end,
+                                embedding: Some(embedding.clone()),
+                            }],
+                            reported_objective: None,
+                        };
+                        let fault = verify(&alone, &schedule)
+                            .first()
+                            .map(|v| format!("{v:?}"))
+                            .or_else(|| check_window(&request, horizon).err());
+                        if let Some(fault) = fault {
+                            return Err(bad(format!("decision #{id}: {fault}")));
+                        }
                         core.restore(Reservation {
                             id,
                             request,
-                            mapping,
+                            mapping: sub.mapping.clone(),
                             start,
                             end,
                             embedding,
@@ -470,11 +486,11 @@ impl EpochRunner {
                 self.opts.max_pending
             )));
         }
-        let request = match protocol::request_from_doc(&doc) {
+        let request = match doc.to_request() {
             Ok(r) => r,
-            Err(e) => return Ok(Err(e)),
+            Err(e) => return Ok(Err(e.0)),
         };
-        let node_mapping: NodeMapping = mapping.iter().map(|&n| tvnep_graph::NodeId(n)).collect();
+        let node_mapping: NodeMapping = mapping.iter().map(|&n| NodeId(n)).collect();
         if let Err(e) = self.core.validate(&request, &node_mapping) {
             return Ok(Err(e.to_string()));
         }
@@ -485,7 +501,7 @@ impl EpochRunner {
             w.write(&Json::Obj(vec![
                 ("event".into(), Json::from("submitted")),
                 ("id".into(), Json::from(id)),
-                ("request".into(), doc.to_json_value()),
+                ("request".into(), doc.to_json()),
                 (
                     "mapping".into(),
                     Json::Arr(mapping.iter().map(|&n| Json::from(n)).collect()),
@@ -497,7 +513,11 @@ impl EpochRunner {
             }
         }
         self.stats.submitted += 1;
-        self.pending.push(PendingSubmission { id, doc, mapping });
+        self.pending.push(PendingSubmission {
+            id,
+            request,
+            mapping: node_mapping,
+        });
         Ok(Ok(id))
     }
 
@@ -516,9 +536,9 @@ impl EpochRunner {
         let _busy = blackbox.as_ref().map(|bb| bb.recorder().busy_guard());
         let t0 = Instant::now();
         self.pending.sort_by(|a, b| {
-            a.doc
+            a.request
                 .earliest_start
-                .partial_cmp(&b.doc.earliest_start)
+                .partial_cmp(&b.request.earliest_start)
                 .expect("validated finite")
                 .then(a.id.cmp(&b.id))
         });
@@ -530,7 +550,7 @@ impl EpochRunner {
             self.stats.nodes_spent,
         );
         for p in batch {
-            let event = self.decide(&p);
+            let event = self.decide(p);
             if let Some(w) = &mut self.wal {
                 w.write(&event)?;
                 self.wal_records += 1;
@@ -582,12 +602,11 @@ impl EpochRunner {
     }
 
     /// Decides one submission through the core.
-    fn decide(&mut self, p: &PendingSubmission) -> Json {
-        // Submission-time validation ran already; rebuilding cannot fail.
-        let request = protocol::request_from_doc(&p.doc).expect("validated at submit");
-        let mapping: NodeMapping = p.mapping.iter().map(|&n| tvnep_graph::NodeId(n)).collect();
+    fn decide(&mut self, p: PendingSubmission) -> Json {
+        let (id, name) = (p.id, p.request.name.clone());
+        let (earliest_start, duration) = (p.request.earliest_start, p.request.duration);
         let t0 = Instant::now();
-        let event = match self.core.admit_with_id(p.id, request, mapping) {
+        let event = match self.core.admit_with_id(id, p.request, p.mapping) {
             Ok(d) => {
                 if d.accepted {
                     self.stats.accepted += 1;
@@ -611,20 +630,20 @@ impl EpochRunner {
             Err(e) => {
                 if self.opts.keep_log {
                     self.log.push(DecisionRecord {
-                        id: p.id,
+                        id,
                         accepted: false,
-                        start: p.doc.earliest_start,
-                        end: p.doc.earliest_start + p.doc.duration,
+                        start: earliest_start,
+                        end: earliest_start + duration,
                         embedding: None,
                         nodes: 0,
                         runtime: t0.elapsed(),
                     });
                 }
                 protocol::rejected_decision_event(
-                    p.id,
-                    &p.doc.name,
-                    p.doc.earliest_start,
-                    p.doc.duration,
+                    id,
+                    &name,
+                    earliest_start,
+                    duration,
                     &e.to_string(),
                 )
             }
@@ -783,11 +802,6 @@ impl EpochRunner {
         let (we, wd, wa, wn) = self.window_totals();
         let ratio = if wd > 0 { wa as f64 / wd as f64 } else { 1.0 };
         let slo = self.opts.slo.clone().unwrap_or_default();
-        let budget_frac = if wd > 0 && slo.node_budget_per_decision > 0 {
-            wn as f64 / (slo.node_budget_per_decision as f64 * wd as f64)
-        } else {
-            0.0
-        };
         fields.push((
             "window".into(),
             Json::Obj(vec![
@@ -796,7 +810,6 @@ impl EpochRunner {
                 ("accepted".into(), Json::from(wa)),
                 ("acceptance_ratio".into(), Json::from(ratio)),
                 ("nodes".into(), Json::from(wn)),
-                ("node_budget_frac".into(), Json::from(budget_frac)),
             ]),
         ));
         if self.opts.slo.is_some() {
@@ -911,7 +924,7 @@ impl EpochRunner {
 /// The `serve_config` WAL header: a full, self-contained substrate +
 /// horizon, reusing the instance document format with zero requests.
 fn config_header(substrate: &Substrate, horizon: f64) -> Json {
-    let inst = tvnep_model::Instance::new(substrate.clone(), Vec::new(), horizon, None);
+    let inst = Instance::new(substrate.clone(), Vec::new(), horizon, None);
     Json::Obj(vec![
         ("event".into(), Json::from("serve_config")),
         (

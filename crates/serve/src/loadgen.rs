@@ -228,7 +228,7 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
     log.sort_by_key(|r| r.id);
     for rec in &log {
         let (doc, mapping) = &stream[rec.id as usize];
-        requests.push(crate::protocol::request_from_doc(doc).expect("synthesized valid"));
+        requests.push(doc.to_request().expect("synthesized valid"));
         mappings.push(mapping.iter().map(|&n| NodeId(n)).collect());
         scheduled.push(ScheduledRequest {
             accepted: rec.accepted,

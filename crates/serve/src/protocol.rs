@@ -17,16 +17,16 @@
 //! decision log byte-comparable across a crash/recovery boundary; timing
 //! lives in `stats` and in the load generator's SLO report.
 //!
-//! Submissions are validated here — demand/edge shape, finite positive
-//! duration, a window at least as long as the duration — so a malformed
-//! client line becomes an `error` event instead of a panic inside the
-//! domain constructors.
+//! A submission is decoded by the one request codec
+//! ([`RequestDoc::from_json`]) and checked by the model's constructors
+//! ([`RequestDoc::to_request`] → `Request::try_new`) and the admission
+//! core's window and mapping checks, so a malformed client line becomes an
+//! `error` event instead of a panic.
 
 use tvnep_core::explain::{Explanation, RequestExplanation};
 use tvnep_core::AdmitDecision;
-use tvnep_graph::{DiGraph, EdgeId, NodeId};
-use tvnep_harness::format::RequestDoc;
-use tvnep_model::{Embedding, Request};
+use tvnep_harness::format::{embedding_to_json, RequestDoc};
+use tvnep_model::Request;
 use tvnep_telemetry::Json;
 
 /// A parsed client operation.
@@ -63,7 +63,7 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
     match op {
         "submit" => {
             let rd = j.get("request").ok_or("submit without 'request'")?;
-            let doc = RequestDoc::from_json_value(rd)?;
+            let doc = RequestDoc::from_json(rd).map_err(|e| e.to_string())?;
             let mapping = j
                 .get("mapping")
                 .and_then(Json::as_array)
@@ -83,147 +83,10 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
     }
 }
 
-/// Standalone `RequestDoc` JSON round-trip (the harness format only
-/// serializes requests embedded in instance documents).
-pub trait RequestDocExt: Sized {
-    fn from_json_value(j: &Json) -> Result<Self, String>;
-    fn to_json_value(&self) -> Json;
-}
-
-impl RequestDocExt for RequestDoc {
-    fn from_json_value(j: &Json) -> Result<Self, String> {
-        let arr_f64 = |key: &str| -> Result<Vec<f64>, String> {
-            j.get(key)
-                .and_then(Json::as_array)
-                .ok_or(format!("request field '{key}' must be an array"))?
-                .iter()
-                .map(|v| v.as_f64().ok_or(format!("'{key}': expected numbers")))
-                .collect()
-        };
-        let edges = j
-            .get("edges")
-            .and_then(Json::as_array)
-            .ok_or("request field 'edges' must be an array")?
-            .iter()
-            .map(|p| {
-                let pair = p.as_array().filter(|a| a.len() == 2);
-                let pair = pair.ok_or("'edges': expected [a, b] pairs")?;
-                let a = pair[0]
-                    .as_usize()
-                    .ok_or("'edges': indices must be integers")?;
-                let b = pair[1]
-                    .as_usize()
-                    .ok_or("'edges': indices must be integers")?;
-                Ok([a, b])
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let num_f64 = |key: &str| -> Result<f64, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("request field '{key}' must be a number"))
-        };
-        Ok(RequestDoc {
-            name: j
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("request field 'name' must be a string")?
-                .to_string(),
-            num_nodes: j
-                .get("num_nodes")
-                .and_then(Json::as_usize)
-                .ok_or("request field 'num_nodes' must be a non-negative integer")?,
-            edges,
-            node_demands: arr_f64("node_demands")?,
-            edge_demands: arr_f64("edge_demands")?,
-            earliest_start: num_f64("earliest_start")?,
-            latest_end: num_f64("latest_end")?,
-            duration: num_f64("duration")?,
-        })
-    }
-
-    fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::from(self.name.as_str())),
-            ("num_nodes".into(), Json::from(self.num_nodes)),
-            (
-                "edges".into(),
-                Json::Arr(
-                    self.edges
-                        .iter()
-                        .map(|&[a, b]| Json::Arr(vec![Json::from(a), Json::from(b)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "node_demands".into(),
-                Json::Arr(self.node_demands.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            (
-                "edge_demands".into(),
-                Json::Arr(self.edge_demands.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            ("earliest_start".into(), Json::from(self.earliest_start)),
-            ("latest_end".into(), Json::from(self.latest_end)),
-            ("duration".into(), Json::from(self.duration)),
-        ])
-    }
-}
-
-/// Validates a submitted request document and builds the domain [`Request`]
-/// — this is the boundary where client input stops being able to panic the
-/// domain constructors.
+/// Builds the domain [`Request`] a submitted document describes, or says
+/// why it is invalid (a delegation to [`RequestDoc::to_request`]).
 pub fn request_from_doc(doc: &RequestDoc) -> Result<Request, String> {
-    let mut g = DiGraph::with_nodes(doc.num_nodes);
-    for &[a, b] in &doc.edges {
-        if a >= doc.num_nodes || b >= doc.num_nodes {
-            return Err(format!(
-                "request '{}': edge [{a}, {b}] out of range",
-                doc.name
-            ));
-        }
-        if a == b {
-            return Err(format!("request '{}': self-loop at node {a}", doc.name));
-        }
-        g.add_edge(NodeId(a), NodeId(b));
-    }
-    if doc.node_demands.len() != doc.num_nodes || doc.edge_demands.len() != doc.edges.len() {
-        return Err(format!("request '{}': demand lengths mismatch", doc.name));
-    }
-    if doc
-        .node_demands
-        .iter()
-        .chain(&doc.edge_demands)
-        .any(|d| !d.is_finite() || *d < 0.0)
-    {
-        return Err(format!(
-            "request '{}': demands must be finite and >= 0",
-            doc.name
-        ));
-    }
-    if !doc.duration.is_finite() || doc.duration <= 0.0 {
-        return Err(format!("request '{}': duration must be positive", doc.name));
-    }
-    if !doc.earliest_start.is_finite() || doc.earliest_start < 0.0 {
-        return Err(format!(
-            "request '{}': earliest_start must be >= 0",
-            doc.name
-        ));
-    }
-    if !doc.latest_end.is_finite() || doc.latest_end < doc.earliest_start + doc.duration - 1e-9 {
-        return Err(format!(
-            "request '{}': window [{}, {}] shorter than duration {}",
-            doc.name, doc.earliest_start, doc.latest_end, doc.duration
-        ));
-    }
-    Ok(Request::new(
-        doc.name.clone(),
-        g,
-        doc.node_demands.clone(),
-        doc.edge_demands.clone(),
-        doc.earliest_start,
-        doc.latest_end,
-        doc.duration,
-    ))
+    doc.to_request().map_err(|e| e.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -290,25 +153,7 @@ pub fn decision_event(d: &AdmitDecision) -> Json {
         ("nodes".into(), Json::from(d.nodes)),
     ];
     if let Some(emb) = &d.embedding {
-        fields.push((
-            "node_map".into(),
-            Json::Arr(emb.node_map.iter().map(|n| Json::from(n.0)).collect()),
-        ));
-        fields.push((
-            "edge_flows".into(),
-            Json::Arr(
-                emb.edge_flows
-                    .iter()
-                    .map(|fl| {
-                        Json::Arr(
-                            fl.iter()
-                                .map(|&(e, f)| Json::Arr(vec![Json::from(e.0), Json::from(f)]))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
+        fields.extend(embedding_to_json(emb));
     }
     if let Some(ex) = &d.explain {
         fields.push(("explain".into(), explain_to_json(ex)));
@@ -352,43 +197,12 @@ pub fn explain_to_json(ex: &RequestExplanation) -> Json {
         .unwrap_or(Json::Null)
 }
 
-/// Rebuilds the embedding recorded in a `decision` event (WAL replay).
-pub fn embedding_from_decision(d: &Json) -> Result<Embedding, String> {
-    let node_map = d
-        .get("node_map")
-        .and_then(Json::as_array)
-        .ok_or("accepted decision without node_map")?
-        .iter()
-        .map(|n| n.as_usize().map(NodeId).ok_or("bad node_map entry"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let edge_flows = d
-        .get("edge_flows")
-        .and_then(Json::as_array)
-        .ok_or("accepted decision without edge_flows")?
-        .iter()
-        .map(|fl| {
-            fl.as_array()
-                .ok_or("edge_flows rows must be arrays")?
-                .iter()
-                .map(|term| {
-                    let arr = term.as_array().filter(|a| a.len() == 2);
-                    let arr = arr.ok_or("edge_flows terms must be [edge, frac]")?;
-                    let e = arr[0].as_usize().ok_or("bad edge index")?;
-                    let f = arr[1].as_f64().ok_or("bad flow fraction")?;
-                    Ok((EdgeId(e), f))
-                })
-                .collect::<Result<Vec<_>, &'static str>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Embedding {
-        node_map,
-        edge_flows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvnep_graph::{EdgeId, NodeId};
+    use tvnep_harness::format::embedding_from_json;
+    use tvnep_model::Embedding;
 
     fn star_doc() -> RequestDoc {
         RequestDoc {
@@ -407,7 +221,7 @@ mod tests {
     fn submit_roundtrip() {
         let line = Json::Obj(vec![
             ("op".into(), Json::from("submit")),
-            ("request".into(), star_doc().to_json_value()),
+            ("request".into(), star_doc().to_json()),
             (
                 "mapping".into(),
                 Json::Arr(vec![Json::from(0u64), Json::from(1u64), Json::from(2u64)]),
@@ -449,6 +263,12 @@ mod tests {
         out_of_range.edges[0] = [0, 7];
         assert!(request_from_doc(&out_of_range).is_err());
 
+        // A window 5e-10 shorter than the duration: beyond the model's
+        // 1e-12 tolerance, so an error rather than a panic at decision time.
+        let mut barely_short = star_doc();
+        barely_short.latest_end = barely_short.earliest_start + barely_short.duration - 5e-10;
+        assert!(request_from_doc(&barely_short).is_err());
+
         assert!(parse_op("{\"op\":\"warp\"}").is_err());
         assert!(parse_op("not json").is_err());
         assert!(parse_op("{\"op\":\"submit\"}").is_err());
@@ -488,7 +308,7 @@ mod tests {
         };
         let j = decision_event(&d);
         assert_eq!(j.get("id").and_then(Json::as_u64), Some(3));
-        let back = embedding_from_decision(&j).unwrap();
+        let back = embedding_from_json(&j).unwrap().unwrap();
         assert_eq!(back.node_map, emb.node_map);
         assert_eq!(back.edge_flows, emb.edge_flows);
     }

@@ -223,7 +223,6 @@ pub fn run_tcp(runner: &mut EpochRunner, addr: &str, tick: Duration) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::RequestDocExt;
     use crate::ServeOptions;
     use tvnep_graph::grid;
     use tvnep_harness::format::RequestDoc;
@@ -242,7 +241,7 @@ mod tests {
         };
         Json::Obj(vec![
             ("op".into(), Json::from("submit")),
-            ("request".into(), doc.to_json_value()),
+            ("request".into(), doc.to_json()),
             (
                 "mapping".into(),
                 Json::Arr(vec![Json::from(0u64), Json::from(1u64)]),

@@ -47,8 +47,8 @@ use crate::{Json, Telemetry};
 pub const DEFAULT_RING_CAP: usize = 256;
 
 /// Logical thread id used by the watchdog monitor thread for its own events
-/// (stall markers). Excluded from [`FlightRecorder::deterministic_dump`]
-/// because watchdog events are timing-dependent by nature.
+/// (stall markers). Excluded from [`render_raw`] because watchdog events
+/// are timing-dependent by nature.
 pub const WATCHDOG_TID: u32 = u32::MAX;
 
 /// Health verdict codes published into the recorder by the LP engine
@@ -449,7 +449,7 @@ impl FlightRecorder {
                     ("dropped".into(), Json::from(dropped)),
                     (
                         "events".into(),
-                        Json::Arr(events.iter().map(|e| event_json(e, true)).collect()),
+                        Json::Arr(events.iter().map(event_json).collect()),
                     ),
                 ])
             })
@@ -483,45 +483,6 @@ impl FlightRecorder {
             ("stall_reports".into(), Json::from(self.stall_reports())),
             ("span_stack".into(), Json::Arr(span_stack)),
             ("alloc".into(), crate::alloc::stats().to_json()),
-            ("workers".into(), Json::Arr(workers)),
-        ])
-    }
-
-    /// Deterministic projection of the recorded history
-    /// (`tvnep.blackbox.raw.v1`): per-ring `(seq, kind, a, b)` with no wall
-    /// times, no allocator state, and the watchdog ring excluded. At
-    /// `threads = 1` this document is byte-identical across reruns of the
-    /// same solve; `tvnep-cli postmortem --raw` prints the same projection
-    /// from a dump file.
-    pub fn deterministic_dump(&self) -> Json {
-        let workers: Vec<Json> = self
-            .snapshot_rings()
-            .into_iter()
-            .filter(|(tid, _, _)| *tid != WATCHDOG_TID)
-            .map(|(tid, events, _)| {
-                Json::Obj(vec![
-                    ("tid".into(), Json::from(tid as u64)),
-                    (
-                        "events".into(),
-                        Json::Arr(events.iter().map(|e| event_json(e, false)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let (lp_iters, nodes, epochs) = self.pulse.ticks();
-        Json::Obj(vec![
-            ("schema".into(), Json::from("tvnep.blackbox.raw.v1")),
-            ("incumbent".into(), opt_f64(self.incumbent())),
-            ("bound".into(), opt_f64(self.bound())),
-            ("health".into(), Json::from(self.health_str())),
-            (
-                "pulse".into(),
-                Json::Obj(vec![
-                    ("lp_iters".into(), Json::from(lp_iters)),
-                    ("nodes".into(), Json::from(nodes)),
-                    ("epochs".into(), Json::from(epochs)),
-                ]),
-            ),
             ("workers".into(), Json::Arr(workers)),
         ])
     }
@@ -586,22 +547,68 @@ fn opt_f64(v: Option<f64>) -> Json {
     }
 }
 
-fn event_json(e: &BlackboxEvent, with_t: bool) -> Json {
+fn event_json(e: &BlackboxEvent) -> Json {
     let b = if e.kind.b_is_f64_bits() {
         Json::from(f64::from_bits(e.b))
     } else {
         Json::from(e.b)
     };
-    let mut fields = vec![
+    Json::Obj(vec![
         ("seq".into(), Json::from(e.seq)),
         ("kind".into(), Json::from(e.kind.as_str())),
-    ];
-    if with_t {
-        fields.push(("t_ns".into(), Json::from(e.t_ns)));
+        ("t_ns".into(), Json::from(e.t_ns)),
+        ("a".into(), Json::from(e.a)),
+        ("b".into(), b),
+    ])
+}
+
+/// The deterministic projection of a [`FlightRecorder::dump`] document, as
+/// text (`schema tvnep.blackbox.raw.v1`): the final incumbent, bound,
+/// health and pulse, then every event as `tid seq kind a b`, rings in tid
+/// order. It has no wall times, no allocator state and no watchdog ring, so
+/// at `threads = 1` it is byte-identical across reruns of the same solve.
+/// `tvnep-cli postmortem --raw` prints it.
+pub fn render_raw(dump: &Json) -> String {
+    use std::fmt::Write;
+    let text = |j: Option<&Json>| j.map_or_else(|| "null".to_string(), Json::to_string);
+    let pulse = |k: &str| text(dump.get("pulse").and_then(|p| p.get(k)));
+    let mut s = String::from("schema tvnep.blackbox.raw.v1\n");
+    let _ = writeln!(s, "incumbent {}", text(dump.get("incumbent")));
+    let _ = writeln!(s, "bound {}", text(dump.get("bound")));
+    let health = dump.get("health").and_then(Json::as_str);
+    let _ = writeln!(s, "health {}", health.unwrap_or("unknown"));
+    let _ = writeln!(
+        s,
+        "pulse lp_iters={} nodes={} epochs={}",
+        pulse("lp_iters"),
+        pulse("nodes"),
+        pulse("epochs")
+    );
+    let tid = |w: &Json| w.get("tid").and_then(Json::as_u64).unwrap_or(0);
+    let mut workers: Vec<&Json> = dump
+        .get("workers")
+        .and_then(Json::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .collect();
+    workers.sort_by_key(|w| tid(w));
+    for w in workers
+        .into_iter()
+        .filter(|w| tid(w) != WATCHDOG_TID as u64)
+    {
+        for e in w.get("events").and_then(Json::as_array).unwrap_or(&[]) {
+            let _ = writeln!(
+                s,
+                "event tid={} seq={} kind={} a={} b={}",
+                tid(w),
+                text(e.get("seq")),
+                e.get("kind").and_then(Json::as_str).unwrap_or("?"),
+                text(e.get("a")),
+                text(e.get("b")),
+            );
+        }
     }
-    fields.push(("a".into(), Json::from(e.a)));
-    fields.push(("b".into(), b));
-    Json::Obj(fields)
+    s
 }
 
 /// Per-thread writer handle: one recorder reference plus the owning
@@ -960,17 +967,20 @@ mod tests {
             rec.handle(WATCHDOG_TID).record(EventKind::Stall, 1, 500);
             rec.set_incumbent(4.0);
             rec.pulse().add_lp_iters(10 * LP_MILESTONE_EVERY);
-            rec.deterministic_dump().pretty()
+            render_raw(&rec.dump("test", "Clean", ""))
         };
         let a = build();
         let b = build();
         // Byte-identical across reruns: no wall times, no allocator state.
         assert_eq!(a, b);
         assert!(!a.contains("t_ns"));
-        let parsed = Json::parse(&a).unwrap();
-        let workers = parsed.get("workers").unwrap().as_array().unwrap();
-        assert_eq!(workers.len(), 1, "watchdog ring must be excluded");
-        assert_eq!(workers[0].get("tid").unwrap().as_u64(), Some(0));
+        assert!(
+            a.starts_with("schema tvnep.blackbox.raw.v1\nincumbent 4\n"),
+            "{a}"
+        );
+        let events: Vec<&str> = a.lines().filter(|l| l.starts_with("event ")).collect();
+        assert_eq!(events.len(), 10, "watchdog ring must be excluded");
+        assert!(events.iter().all(|l| l.starts_with("event tid=0 ")));
     }
 
     #[test]

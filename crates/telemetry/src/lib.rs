@@ -32,7 +32,8 @@ pub mod span;
 
 pub use alloc::{AllocStats, CountingAlloc, MemProbe};
 pub use blackbox::{
-    BlackboxEvent, BusyGuard, EventKind, FlightHandle, FlightRecorder, ProgressPulse, Watchdog,
+    render_raw, BlackboxEvent, BusyGuard, EventKind, FlightHandle, FlightRecorder, ProgressPulse,
+    Watchdog,
 };
 pub use hist::{exact_quantile, LogHistogram};
 pub use json::{Json, JsonError};
