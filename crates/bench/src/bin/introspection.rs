@@ -148,11 +148,62 @@ fn alloc_ns_per_op() -> f64 {
     t0.elapsed().as_nanos() as f64 / OPS as f64
 }
 
+/// The fastest of 5 repetitions of `iters` calls of `body`, in ns per call.
+fn time_min_ns(iters: usize, mut body: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            body();
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    best
+}
+
+/// A basis shaped like the TVNEP ones, as `slack_heavy_basis` in
+/// `crates/lp/tests/common` builds it: `−e_i` slack columns on four fifths of
+/// the rows; on the rest, diagonally dominant structural columns that touch
+/// their neighbours and two random slack rows, and one dense 4 × 4 block.
+/// Most elimination steps pivot on a column singleton, and `L` stays
+/// nearly empty, so FTRAN takes the hypersparse walk.
+fn slack_heavy_basis(m: usize, next_u64: &mut impl FnMut() -> u64) -> (CscMatrix, Vec<usize>) {
+    const VALS: [f64; 6] = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0];
+    const DIAG: [f64; 3] = [4.0, -4.0, 8.0];
+    let mut range = |n: usize| (next_u64() % n as u64) as usize;
+    let first = m - m / 5;
+    let mut cols = CscMatrix::empty(m);
+    for i in 0..first {
+        cols.push_column(&[(i, -1.0)]);
+    }
+    for row in first..m {
+        let mut col = vec![(row, DIAG[range(3)])];
+        if row > first {
+            col.push((row - 1, VALS[range(4)]));
+        }
+        if row % 7 == 3 && row + 1 < m {
+            col.push((row + 1, VALS[range(4)]));
+        }
+        if row + 4 >= m {
+            col.extend((m - 4..m).map(|r| (r, VALS[range(4)])));
+        }
+        for _ in 0..2 {
+            col.push((range(first), VALS[range(6)]));
+        }
+        col.sort_unstable_by_key(|&(r, _)| r);
+        col.dedup_by_key(|e| e.0);
+        cols.push_column(&col);
+    }
+    (cols, (0..m).collect())
+}
+
 /// Kernel microbench: ns per FTRAN on a fixed-seed sparse basis, through the
 /// entry point the simplex engine uses ([`BasisFactor::ftran_sparse`], which
 /// sweeps this basis's dense `L` whole), versus the retired dense-inverse
-/// algorithm (rebuilt here as the comparator). Returns a JSON object for the
-/// bench document.
+/// algorithm (rebuilt here as the comparator); ns per factorization of that
+/// basis; and ns per factorization and per FTRAN of an m = 620 slack-heavy
+/// basis, the shape of the TVNEP bases, whose FTRAN takes the hypersparse
+/// walk. Returns a JSON object for the bench document.
 fn kernel_microbench(seed: u64) -> Json {
     const M: usize = 200;
     const OFF_DIAG: usize = 3 * M;
@@ -251,25 +302,15 @@ fn kernel_microbench(seed: u64) -> Json {
     let rhs_rows: Vec<usize> = (0..M).filter(|&r| rhs[r] != 0.0).collect();
 
     const ITERS: usize = 2_000;
-    let time_min_ns = |mut body: Box<dyn FnMut() + '_>| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            for _ in 0..ITERS {
-                body();
-            }
-            best = best.min(t0.elapsed().as_nanos() as f64 / ITERS as f64);
-        }
-        best
-    };
+    const FACTOR_ITERS: usize = 200;
 
     let mut x = vec![0.0; M];
     let mut support = Vec::new();
-    let sparse_ns = time_min_ns(Box::new(|| {
+    let sparse_ns = time_min_ns(ITERS, || {
         x.copy_from_slice(&rhs);
         factor.ftran_sparse(&mut x, &rhs_rows, &mut support);
         std::hint::black_box(&x);
-    }));
+    });
     let mut xd = vec![0.0; M];
     let dense_ftran = |xd: &mut [f64], binv: &[f64]| {
         xd.iter_mut().for_each(|v| *v = 0.0);
@@ -282,10 +323,10 @@ fn kernel_microbench(seed: u64) -> Json {
             }
         }
     };
-    let dense_ns = time_min_ns(Box::new(|| {
+    let dense_ns = time_min_ns(ITERS, || {
         dense_ftran(&mut xd, &binv);
         std::hint::black_box(&xd);
-    }));
+    });
 
     // Cross-check while we are here: both kernels must agree on the solve.
     x.copy_from_slice(&rhs);
@@ -312,14 +353,14 @@ fn kernel_microbench(seed: u64) -> Json {
         .map(|(i, _)| i)
         .expect("nonempty spike");
     let mut factor_upd = factor.clone();
-    let sparse_update_ns = time_min_ns(Box::new(|| {
+    let sparse_update_ns = time_min_ns(ITERS, || {
         std::hint::black_box(factor_upd.push_eta_sparse(pivot_row, &spike, &support));
-    }));
+    });
     // The eta file grew during timing; drop the clone immediately after.
     drop(factor_upd);
     let mut binv_upd = binv.clone();
     let inv_piv = 1.0 / spike[pivot_row];
-    let dense_update_ns = time_min_ns(Box::new(|| {
+    let dense_update_ns = time_min_ns(ITERS, || {
         for c in 0..M {
             let col = &mut binv_upd[c * M..(c + 1) * M];
             let t = col[pivot_row] * inv_piv;
@@ -333,17 +374,53 @@ fn kernel_microbench(seed: u64) -> Json {
             }
         }
         std::hint::black_box(&binv_upd);
-    }));
+    });
 
     let pivot_sparse_ns = sparse_ns + sparse_update_ns;
     let pivot_dense_ns = dense_ns + dense_update_ns;
+
+    // Refactorization cost, on this basis and on a slack-heavy one, each
+    // through a factor that keeps its workspace between calls as the
+    // simplex engine's does.
+    let mut refactor = BasisFactor::default();
+    let factorize_ns = time_min_ns(FACTOR_ITERS, || {
+        assert!(refactor.factorize(&cols, &basis, 0.1));
+    });
+    const SLACK_HEAVY_M: usize = 620;
+    let (sh_cols, sh_basis) = slack_heavy_basis(SLACK_HEAVY_M, &mut next_u64);
+    let mut sh_factor = BasisFactor::default();
+    let factorize_slack_heavy_ns = time_min_ns(FACTOR_ITERS, || {
+        assert!(sh_factor.factorize(&sh_cols, &sh_basis, 0.1));
+    });
+    let mut sh_rhs = vec![0.0; SLACK_HEAVY_M];
+    for _ in 0..4 {
+        sh_rhs[(unit() * SLACK_HEAVY_M as f64) as usize % SLACK_HEAVY_M] = 2.0 * unit() - 1.0;
+    }
+    let sh_rhs_rows: Vec<usize> = (0..SLACK_HEAVY_M).filter(|&r| sh_rhs[r] != 0.0).collect();
+    let mut sh_x = vec![0.0; SLACK_HEAVY_M];
+    let mut sh_support = Vec::new();
+    let ftran_sparse_slack_heavy_ns = time_min_ns(ITERS, || {
+        // Clear the previous result through its support, as the simplex
+        // engine does.
+        for &i in &sh_support {
+            sh_x[i] = 0.0;
+        }
+        for &r in &sh_rhs_rows {
+            sh_x[r] = sh_rhs[r];
+        }
+        sh_factor.ftran_sparse(&mut sh_x, &sh_rhs_rows, &mut sh_support);
+        std::hint::black_box(&sh_x);
+    });
     eprintln!(
         "[introspection] kernel m={M} lu_nnz={}: ftran {sparse_ns:.0} vs {dense_ns:.0} ns, \
          update {sparse_update_ns:.0} vs {dense_update_ns:.0} ns, \
          pivot cycle {pivot_sparse_ns:.0} vs {pivot_dense_ns:.0} ns \
-         ({:.1}× speedup)",
+         ({:.1}× speedup), factorize {factorize_ns:.0} ns; slack-heavy \
+         m={SLACK_HEAVY_M} lu_nnz={}: factorize {factorize_slack_heavy_ns:.0} ns, \
+         ftran {ftran_sparse_slack_heavy_ns:.0} ns",
         factor.lu_nnz(),
-        pivot_dense_ns / pivot_sparse_ns
+        pivot_dense_ns / pivot_sparse_ns,
+        sh_factor.lu_nnz(),
     );
     Json::Obj(vec![
         ("m".into(), Json::from(M)),
@@ -358,6 +435,17 @@ fn kernel_microbench(seed: u64) -> Json {
         (
             "pivot_speedup".into(),
             Json::from(pivot_dense_ns / pivot_sparse_ns),
+        ),
+        ("factorize_ns".into(), Json::from(factorize_ns)),
+        ("slack_heavy_m".into(), Json::from(SLACK_HEAVY_M)),
+        ("slack_heavy_lu_nnz".into(), Json::from(sh_factor.lu_nnz())),
+        (
+            "factorize_slack_heavy_ns".into(),
+            Json::from(factorize_slack_heavy_ns),
+        ),
+        (
+            "ftran_sparse_slack_heavy_ns".into(),
+            Json::from(ftran_sparse_slack_heavy_ns),
         ),
     ])
 }

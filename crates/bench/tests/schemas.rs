@@ -124,10 +124,20 @@ fn committed_bench_documents_still_parse() {
         assert_eq!(cell.get("violations").and_then(Json::as_u64), Some(0));
     }
 
-    // The introspection baseline's serve-observability ladder carries the
-    // disabled-overhead gate columns.
+    // The introspection baseline's kernel section times the factorization
+    // and the hypersparse FTRAN on a slack-heavy basis, and its
+    // serve-observability ladder carries the disabled-overhead gate columns.
     let text = std::fs::read_to_string(root.join("BENCH_introspection.json")).unwrap();
     let doc = Json::parse(&text).unwrap();
+    let kernel = get(&doc, "kernel");
+    for key in [
+        "ftran_sparse_ns",
+        "factorize_ns",
+        "factorize_slack_heavy_ns",
+        "ftran_sparse_slack_heavy_ns",
+    ] {
+        get(kernel, key);
+    }
     let serve = get(&doc, "serve");
     for key in [
         "admissions",

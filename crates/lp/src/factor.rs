@@ -13,12 +13,29 @@
 //!   count-indexed column lists) kept current wherever a count changes: a
 //!   step reads `⌈m/64⌉` words per bucket it visits, usually one or two,
 //!   and a count change is two bit flips.
+//! * **Flat elimination files and a per-column Markowitz cache.** The
+//!   active submatrix lives in two flat files that one counting pass over
+//!   the basis columns builds: the rows as sorted `(column, value)` lists
+//!   and the columns as candidate-row lists, each list in a slot of its
+//!   file, moving to the file's end with doubled room when it outgrows the
+//!   slot. The files and the rest of the workspace are kept between calls,
+//!   sized by the largest basis seen, so a refactorization allocates
+//!   nothing once the first has sized them. Each candidate column caches
+//!   its best admissible entry and is rescanned only when dirty: when its
+//!   count changed, or one of its rows was retired or rewritten by an
+//!   elimination. The search key
+//!   `(score, −|v|, row, column)` is a total order, so the best of the
+//!   per-column bests is the entry a full scan of the candidates picks.
+//!   Most steps pivot on a column singleton and leave the other candidates
+//!   clean, so a step usually rescans one column instead of four.
 //! * **Threshold partial pivoting.** A candidate is numerically admissible
 //!   only when `|a_ij| ≥ markowitz_tol · max_i |a_ij|` within its column, so
 //!   sparsity can be traded against growth ([`crate::Params::markowitz_tol`]).
 //! * **Stored triangles.** `L` (unit lower) and `U` are stored column-wise
-//!   in pivot order, and `U` once more by rows (elimination emits it row by
-//!   row). The columns serve FTRAN (`Bx = b`: `L`-forward, then
+//!   in pivot order, and `U` once more by rows: each retiring pivot row is
+//!   appended to the row-wise copy as it leaves the active submatrix, and
+//!   the columns come from a counting-sort transpose of it. The columns
+//!   serve FTRAN (`Bx = b`: `L`-forward, then
 //!   `U`-backward, both pushing along columns) and the sweep form of BTRAN
 //!   (`Bᵀy = c`: `Uᵀ`-forward pulling along `U`'s columns, then
 //!   `Lᵀ`-backward); the rows let BTRAN's `Uᵀ` pass push instead.
@@ -102,6 +119,8 @@ pub struct LuFactors {
     u_diag: Vec<f64>,
     /// `max|u_kk| / min|u_kk|` of the fresh factorization.
     u_diag_ratio: f64,
+    /// The elimination workspace, kept for the next refactorization.
+    elim: Elimination,
 }
 
 /// Scratch of the hypersparse solves: the dense pivot-step vector and two
@@ -144,282 +163,100 @@ impl LuFactors {
         self.rowpos.resize(m, usize::MAX);
         self.colpos.clear();
         self.colpos.resize(m, usize::MAX);
-        if m == 0 {
-            self.l_ptr = vec![0];
-            self.u_ptr = vec![0];
-            self.ur_ptr = vec![0];
-            self.l_idx.clear();
-            self.l_val.clear();
-            self.u_idx.clear();
-            self.u_val.clear();
-            self.ur_idx.clear();
-            self.ur_val.clear();
-            self.l_nonempty.clear();
-            self.u_diag.clear();
-            return true;
-        }
-        let tol = markowitz_tol.clamp(1e-4, 1.0);
-
-        // Active submatrix, row-major with sorted column entries. The row
-        // invariant — only active columns appear — keeps the nonzero counts
-        // exact without a cleanup sweep.
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        // Per-column candidate row lists, validated lazily against
-        // `row_active` (rows are never edited out on deactivation).
-        let mut colrows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (c, &j) in basis.iter().enumerate() {
-            let (ridx, vals) = cols.column(j);
-            for (&r, &v) in ridx.iter().zip(vals) {
-                rows[r].push((c, v));
-                colrows[c].push(r);
-            }
-        }
-        let mut rcount: Vec<usize> = rows.iter().map(Vec::len).collect();
-        let mut ccount = CountBuckets::new(m);
-        for (c, col) in colrows.iter().enumerate() {
-            ccount.insert(c, col.len());
-        }
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-
-        // Per-step output staging in elimination order; permuted into the
-        // final column-compressed triangles afterwards.
-        let mut l_stage: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut u_stage: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        self.u_diag.clear();
-        let mut merge_tmp: Vec<(usize, f64)> = Vec::new();
-        let mut cand_cols: Vec<usize> = Vec::with_capacity(MARKOWITZ_CANDIDATES);
-
-        for _step in 0..m {
-            // The sparsest few active columns are the Markowitz candidates.
-            ccount.sparsest(MARKOWITZ_CANDIDATES, &mut cand_cols);
-            let mut pivot = Self::pick_pivot(
-                &cand_cols,
-                &mut colrows,
-                &rows,
-                &row_active,
-                &rcount,
-                &ccount.count,
-                tol,
-            );
-            if pivot.is_none() && cand_cols.len() == MARKOWITZ_CANDIDATES {
-                // The sparse candidates were all numerically inadmissible;
-                // widen to every active column before declaring singularity.
-                let all: Vec<usize> = (0..m).filter(|&j| col_active[j]).collect();
-                pivot = Self::pick_pivot(
-                    &all,
-                    &mut colrows,
-                    &rows,
-                    &row_active,
-                    &rcount,
-                    &ccount.count,
-                    tol,
-                );
-            }
-            let Some((pi, pj, pv)) = pivot else {
-                return false;
-            };
-
-            // Retire the pivot row and column.
-            row_active[pi] = false;
-            col_active[pj] = false;
-            ccount.remove(pj);
-            let prow = std::mem::take(&mut rows[pi]);
-            for &(j, _) in &prow {
-                if col_active[j] {
-                    ccount.dec(j);
-                }
-            }
-            let k = self.rowperm.len();
-            self.rowperm.push(pi);
-            self.colperm.push(pj);
-            self.rowpos[pi] = k;
-            self.colpos[pj] = k;
-            self.u_diag.push(pv);
-
-            // Eliminate the remaining rows of the pivot column.
-            let mut l_col: Vec<(usize, f64)> = Vec::new();
-            let targets = std::mem::take(&mut colrows[pj]);
-            for r in targets {
-                if !row_active[r] {
-                    continue;
-                }
-                let Ok(pos) = rows[r].binary_search_by_key(&pj, |&(c, _)| c) else {
-                    continue; // cancelled earlier; lazily dropped here
-                };
-                let f = rows[r][pos].1 / pv;
-                l_col.push((r, f));
-                // rows[r] ← rows[r] − f · prow, dropping the pivot column.
-                merge_tmp.clear();
-                let mut a = rows[r].iter().copied().peekable();
-                let mut b = prow.iter().copied().filter(|&(c, _)| c != pj).peekable();
-                loop {
-                    match (a.peek().copied(), b.peek().copied()) {
-                        (Some((ca, va)), Some((cb, vb))) => {
-                            if ca < cb {
-                                if ca != pj {
-                                    merge_tmp.push((ca, va));
-                                }
-                                a.next();
-                            } else if cb < ca {
-                                // Fill-in.
-                                merge_tmp.push((cb, -f * vb));
-                                ccount.inc(cb);
-                                colrows[cb].push(r);
-                                b.next();
-                            } else {
-                                let v = va - f * vb;
-                                if v != 0.0 {
-                                    merge_tmp.push((ca, v));
-                                } else {
-                                    ccount.dec(ca);
-                                }
-                                a.next();
-                                b.next();
-                            }
-                        }
-                        (Some((ca, va)), None) => {
-                            if ca != pj {
-                                merge_tmp.push((ca, va));
-                            }
-                            a.next();
-                        }
-                        (None, Some((cb, vb))) => {
-                            merge_tmp.push((cb, -f * vb));
-                            ccount.inc(cb);
-                            colrows[cb].push(r);
-                            b.next();
-                        }
-                        (None, None) => break,
-                    }
-                }
-                std::mem::swap(&mut rows[r], &mut merge_tmp);
-                rcount[r] = rows[r].len();
-            }
-            l_stage.push(l_col);
-
-            // The retired pivot row is row `k` of `U` (active columns only —
-            // every inactive column was merged out when it was eliminated).
-            let urow: Vec<(usize, f64)> = prow.into_iter().filter(|&(c, _)| c != pj).collect();
-            u_stage.push(urow);
-        }
-
-        // Compress the staged triangles into pivot-order CSC.
         self.l_ptr.clear();
         self.l_ptr.push(0);
         self.l_idx.clear();
         self.l_val.clear();
-        let mut l_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (k, col) in l_stage.into_iter().enumerate() {
-            let mut mapped: Vec<(usize, f64)> =
-                col.into_iter().map(|(r, f)| (self.rowpos[r], f)).collect();
-            mapped.sort_unstable_by_key(|&(i, _)| i);
-            l_cols[k] = mapped;
-        }
         self.l_nonempty.clear();
-        for (k, col) in l_cols.iter().enumerate() {
-            if !col.is_empty() {
-                self.l_nonempty.push(k);
-            }
-            for &(i, v) in col {
-                self.l_idx.push(i);
-                self.l_val.push(v);
-            }
-            self.l_ptr.push(self.l_idx.len());
-        }
-        // U rows arrive in elimination (= pivot-row) order: they are stored
-        // as they come, and pushing them column-by-column yields sorted
-        // columns for free.
         self.ur_ptr.clear();
         self.ur_ptr.push(0);
         self.ur_idx.clear();
         self.ur_val.clear();
-        let mut u_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (k, row) in u_stage.into_iter().enumerate() {
-            for (c, v) in row {
-                let j = self.colpos[c];
-                u_cols[j].push((k, v));
-                self.ur_idx.push(j);
-                self.ur_val.push(v);
-            }
+        self.u_diag.clear();
+        let tol = markowitz_tol.clamp(1e-4, 1.0);
+
+        let elim = &mut self.elim;
+        elim.load(cols, basis);
+        for k in 0..m {
+            let Some(p) = elim.choose_pivot(tol) else {
+                return false;
+            };
+            self.rowperm.push(p.row);
+            self.colperm.push(p.col);
+            self.rowpos[p.row] = k;
+            self.colpos[p.col] = k;
+            self.u_diag.push(p.val);
+            // The retired pivot row is row `k` of `U`; its columns become
+            // pivot steps once the elimination is over.
+            let start = self.ur_idx.len();
+            elim.retire(p, &mut self.ur_idx, &mut self.ur_val);
             self.ur_ptr.push(self.ur_idx.len());
+            elim.eliminate(p, &self.ur_idx[start..], &self.ur_val[start..]);
+            self.l_ptr.push(elim.l_stage.len());
+        }
+
+        // `L` column `k` holds step `k`'s multipliers by original row: map
+        // the rows to pivot steps and sort each column.
+        for k in 0..m {
+            let col = &mut elim.l_stage[self.l_ptr[k]..self.l_ptr[k + 1]];
+            for e in col.iter_mut() {
+                e.0 = self.rowpos[e.0];
+            }
+            col.sort_unstable_by_key(|&(i, _)| i);
+            if !col.is_empty() {
+                self.l_nonempty.push(k);
+            }
+            for &(i, v) in col.iter() {
+                self.l_idx.push(i);
+                self.l_val.push(v);
+            }
+        }
+        // `U` by columns: a counting-sort transpose of its rows, visited in
+        // pivot order, so every column comes out sorted. `u_ptr[j]` is
+        // column `j`'s fill cursor, shifted back into place afterwards.
+        for j in &mut self.ur_idx {
+            *j = self.colpos[*j];
         }
         self.u_ptr.clear();
-        self.u_ptr.push(0);
+        self.u_ptr.resize(m + 1, 0);
+        for &j in &self.ur_idx {
+            self.u_ptr[j + 1] += 1;
+        }
+        for j in 0..m {
+            self.u_ptr[j + 1] += self.u_ptr[j];
+        }
         self.u_idx.clear();
+        self.u_idx.resize(self.ur_idx.len(), 0);
         self.u_val.clear();
-        for col in &u_cols {
-            for &(i, v) in col {
-                self.u_idx.push(i);
-                self.u_val.push(v);
+        self.u_val.resize(self.ur_val.len(), 0.0);
+        for k in 0..m {
+            for p in self.ur_ptr[k]..self.ur_ptr[k + 1] {
+                let j = self.ur_idx[p];
+                let q = self.u_ptr[j];
+                self.u_idx[q] = k;
+                self.u_val[q] = self.ur_val[p];
+                self.u_ptr[j] += 1;
             }
-            self.u_ptr.push(self.u_idx.len());
         }
+        self.u_ptr.copy_within(0..m, 1);
+        self.u_ptr[0] = 0;
 
-        let mut dmax = 0.0f64;
-        let mut dmin = f64::INFINITY;
-        for &d in &self.u_diag {
-            let a = d.abs();
-            dmax = dmax.max(a);
-            dmin = dmin.min(a);
+        // An empty basis keeps the ratio 1.
+        if m > 0 {
+            let mut dmax = 0.0f64;
+            let mut dmin = f64::INFINITY;
+            for &d in &self.u_diag {
+                let a = d.abs();
+                dmax = dmax.max(a);
+                dmin = dmin.min(a);
+            }
+            self.u_diag_ratio = if dmin > 0.0 {
+                dmax / dmin
+            } else {
+                f64::INFINITY
+            };
         }
-        self.u_diag_ratio = if dmin > 0.0 {
-            dmax / dmin
-        } else {
-            f64::INFINITY
-        };
         true
-    }
-
-    /// Markowitz selection over `cand_cols`: the admissible entry minimizing
-    /// `(r_i − 1)(c_j − 1)`, tie-broken toward larger magnitude, then lower
-    /// indices (deterministic). Compacts stale `colrows` entries in passing.
-    #[allow(clippy::too_many_arguments)]
-    fn pick_pivot(
-        cand_cols: &[usize],
-        colrows: &mut [Vec<usize>],
-        rows: &[Vec<(usize, f64)>],
-        row_active: &[bool],
-        rcount: &[usize],
-        ccount: &[usize],
-        tol: f64,
-    ) -> Option<(usize, usize, f64)> {
-        let mut best: Option<(usize, usize, f64, usize, f64)> = None; // (i, j, v, score, |v|)
-        for &j in cand_cols {
-            colrows[j].retain(|&r| row_active[r]);
-            let mut colmax = 0.0f64;
-            for &r in &colrows[j] {
-                if let Ok(pos) = rows[r].binary_search_by_key(&j, |&(c, _)| c) {
-                    colmax = colmax.max(rows[r][pos].1.abs());
-                }
-            }
-            if colmax < ABS_PIVOT_MIN {
-                continue;
-            }
-            let cutoff = (tol * colmax).max(ABS_PIVOT_MIN);
-            for &r in &colrows[j] {
-                let Ok(pos) = rows[r].binary_search_by_key(&j, |&(c, _)| c) else {
-                    continue;
-                };
-                let v = rows[r][pos].1;
-                if v.abs() < cutoff {
-                    continue;
-                }
-                let score = (rcount[r] - 1) * (ccount[j] - 1);
-                let better = match best {
-                    None => true,
-                    Some((bi, bj, _, bscore, babs)) => {
-                        score < bscore
-                            || (score == bscore
-                                && (v.abs() > babs || (v.abs() == babs && (r, j) < (bi, bj))))
-                    }
-                };
-                if better {
-                    best = Some((r, j, v, score, v.abs()));
-                }
-            }
-        }
-        best.map(|(i, j, v, _, _)| (i, j, v))
     }
 
     /// Solves `B x = b` in place by the plain sweep over all `m` pivot
@@ -669,6 +506,7 @@ impl LuFactors {
                 + self.ur_val.capacity()
                 + self.u_diag.capacity())
                 * f
+            + self.elim.memory_bytes()
     }
 
     /// Original row eliminated at each pivot step (`P`), for cross-checks.
@@ -707,8 +545,9 @@ impl LuFactors {
 /// buckets upward from the lowest non-empty one, and each bucket's words in
 /// index order, so ties in count go to the lower column index. A query reads
 /// the words of the buckets it visits (`⌈m/64⌉` each, usually one or two
-/// buckets); a count change is two bit flips. Built per factorization and
+/// buckets); a count change is two bit flips. Reset per factorization and
 /// sized by the largest count seen.
+#[derive(Debug, Clone, Default)]
 struct CountBuckets {
     /// Active nonzeros per column; stale once the column is removed.
     count: Vec<usize>,
@@ -723,14 +562,19 @@ struct CountBuckets {
 }
 
 impl CountBuckets {
-    fn new(m: usize) -> Self {
-        Self {
-            count: vec![0; m],
-            words: m.div_ceil(64),
-            bits: Vec::new(),
-            len: Vec::new(),
-            min: 0,
-        }
+    /// Empties the index for `m` columns.
+    fn reset(&mut self, m: usize) {
+        self.count.clear();
+        self.count.resize(m, 0);
+        self.words = m.div_ceil(64);
+        self.bits.clear();
+        self.len.clear();
+        self.min = 0;
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.count.capacity() + self.len.capacity()) * std::mem::size_of::<usize>()
+            + self.bits.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Adds column `j` with `count` nonzeros.
@@ -791,6 +635,361 @@ impl CountBuckets {
                 }
             }
         }
+    }
+}
+
+/// Variable-length lists in one flat array: list `i` occupies
+/// `start..start + len` of a slot of `cap` entries. A list that outgrows its
+/// slot moves to the end of the array with twice the room, so a list moves
+/// at most `log₂` of its final length times and the array stays within a
+/// small multiple of the entries it holds.
+#[derive(Debug, Clone, Default)]
+struct Lists<T> {
+    slots: Vec<Slot>,
+    data: Vec<T>,
+}
+
+/// Where one list of a [`Lists`] lives.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    start: usize,
+    len: usize,
+    cap: usize,
+}
+
+impl<T: Copy + Default> Lists<T> {
+    /// Empties every list and lays the slots out in order, each with the
+    /// room its `cap` asks for.
+    fn lay_out(&mut self) {
+        let mut start = 0;
+        for s in &mut self.slots {
+            s.start = start;
+            s.len = 0;
+            start += s.cap;
+        }
+        self.data.clear();
+        self.data.resize(start, T::default());
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.data.capacity() * std::mem::size_of::<T>()
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        let s = self.slots[i];
+        &self.data[s.start..s.start + s.len]
+    }
+
+    /// Gives list `i` a slot of at least `len` entries, moving it to the end
+    /// (its first `keep` entries with it) when it has less room.
+    fn reserve(&mut self, i: usize, len: usize, keep: usize) {
+        let s = self.slots[i];
+        if len > s.cap {
+            let start = self.data.len();
+            self.data.extend_from_within(s.start..s.start + keep);
+            self.data.resize(start + 2 * len, T::default());
+            self.slots[i] = Slot {
+                start,
+                len: keep,
+                cap: 2 * len,
+            };
+        }
+    }
+
+    fn push(&mut self, i: usize, x: T) {
+        let len = self.slots[i].len;
+        self.reserve(i, len + 1, len);
+        let s = &mut self.slots[i];
+        self.data[s.start + s.len] = x;
+        s.len += 1;
+    }
+
+    /// Replaces list `i` with `xs`.
+    fn set(&mut self, i: usize, xs: &[T]) {
+        self.reserve(i, xs.len(), 0);
+        let s = &mut self.slots[i];
+        self.data[s.start..s.start + xs.len()].copy_from_slice(xs);
+        s.len = xs.len();
+    }
+
+    /// Keeps the entries of list `i` that satisfy `keep`, in order.
+    fn retain(&mut self, i: usize, mut keep: impl FnMut(T) -> bool) {
+        let s = self.slots[i];
+        let mut end = s.start;
+        for p in s.start..s.start + s.len {
+            let x = self.data[p];
+            if keep(x) {
+                self.data[end] = x;
+                end += 1;
+            }
+        }
+        self.slots[i].len = end - s.start;
+    }
+}
+
+/// One admissible entry of the active submatrix with its Markowitz score
+/// `(r_i − 1)(c_j − 1)`.
+#[derive(Debug, Clone, Copy)]
+struct Pivot {
+    row: usize,
+    col: usize,
+    val: f64,
+    score: usize,
+}
+
+impl Pivot {
+    /// The search order: lower score, then larger magnitude, then lower
+    /// `(row, column)`. Total on distinct entries, so the best of any
+    /// grouping of the candidates is the same entry.
+    fn beats(&self, other: &Pivot) -> bool {
+        let (a, b) = (self.val.abs(), other.val.abs());
+        self.score < other.score
+            || (self.score == other.score
+                && (a > b || (a == b && (self.row, self.col) < (other.row, other.col))))
+    }
+}
+
+/// The active submatrix of a [`LuFactors::factorize`] call, kept between
+/// calls so that a refactorization reuses its arrays. Rows hold
+/// only active columns, sorted, which keeps the row counts exact; a
+/// column's candidate rows are validated lazily against `row_active` (a
+/// retired row or a cancelled entry stays listed until the column is next
+/// scanned).
+#[derive(Debug, Clone, Default)]
+struct Elimination {
+    /// Row `r`: `(column, value)` entries sorted by column.
+    rows: Lists<(usize, f64)>,
+    /// Column `j`: rows that may hold an entry in it.
+    cols: Lists<usize>,
+    row_active: Vec<bool>,
+    col_active: Vec<bool>,
+    /// Active columns by nonzero count.
+    counts: CountBuckets,
+    /// Per column, its best admissible entry as of its last scan.
+    best: Vec<Option<Pivot>>,
+    /// Columns whose count, rows or values changed since their last scan.
+    dirty: Vec<bool>,
+    /// The Markowitz candidates of the current step.
+    cand: Vec<usize>,
+    /// Merge buffer of a row being rewritten.
+    merged: Vec<(usize, f64)>,
+    /// `L` multipliers `(original row, l)` of every step so far, in order.
+    l_stage: Vec<(usize, f64)>,
+}
+
+impl Elimination {
+    /// Loads the basis columns by one counting pass over them.
+    fn load(&mut self, cols: &CscMatrix, basis: &[usize]) {
+        let m = basis.len();
+        self.rows.slots.clear();
+        self.rows.slots.resize(m, Slot::default());
+        self.cols.slots.clear();
+        for &j in basis {
+            let (ridx, _) = cols.column(j);
+            for &r in ridx {
+                self.rows.slots[r].cap += 1;
+            }
+            self.cols.slots.push(Slot {
+                cap: ridx.len(),
+                ..Slot::default()
+            });
+        }
+        self.rows.lay_out();
+        self.cols.lay_out();
+        self.counts.reset(m);
+        for (c, &j) in basis.iter().enumerate() {
+            let (ridx, vals) = cols.column(j);
+            for (&r, &v) in ridx.iter().zip(vals) {
+                self.rows.push(r, (c, v));
+                self.cols.push(c, r);
+            }
+            self.counts.insert(c, ridx.len());
+        }
+        for flags in [&mut self.row_active, &mut self.col_active, &mut self.dirty] {
+            flags.clear();
+            flags.resize(m, true);
+        }
+        self.best.clear();
+        self.best.resize(m, None);
+        self.l_stage.clear();
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.rows.memory_bytes()
+            + self.cols.memory_bytes()
+            + self.counts.memory_bytes()
+            + self.row_active.capacity()
+            + self.col_active.capacity()
+            + self.dirty.capacity()
+            + self.best.capacity() * std::mem::size_of::<Option<Pivot>>()
+            + self.cand.capacity() * std::mem::size_of::<usize>()
+            + (self.merged.capacity() + self.l_stage.capacity())
+                * std::mem::size_of::<(usize, f64)>()
+    }
+
+    /// The value of entry `(r, j)`, if the row holds one.
+    fn entry(&self, r: usize, j: usize) -> Option<f64> {
+        let row = self.rows.get(r);
+        row.binary_search_by_key(&j, |&(c, _)| c)
+            .ok()
+            .map(|p| row[p].1)
+    }
+
+    /// Markowitz selection over the sparsest few active columns, widened to
+    /// every active column when none of those has an admissible entry.
+    /// `None` means the active submatrix is numerically singular.
+    fn choose_pivot(&mut self, tol: f64) -> Option<Pivot> {
+        let mut cand = std::mem::take(&mut self.cand);
+        self.counts.sparsest(MARKOWITZ_CANDIDATES, &mut cand);
+        let mut best = self.best_of(&cand, tol);
+        if best.is_none() && cand.len() == MARKOWITZ_CANDIDATES {
+            cand.clear();
+            cand.extend((0..self.col_active.len()).filter(|&j| self.col_active[j]));
+            best = self.best_of(&cand, tol);
+        }
+        self.cand = cand;
+        best
+    }
+
+    /// The best admissible entry of the columns `cand`, from each column's
+    /// cached best, rescanning the dirty columns.
+    fn best_of(&mut self, cand: &[usize], tol: f64) -> Option<Pivot> {
+        let mut best: Option<Pivot> = None;
+        for &j in cand {
+            if self.dirty[j] {
+                self.best[j] = self.scan_column(j, tol);
+                self.dirty[j] = false;
+            }
+            if let Some(p) = self.best[j] {
+                if best.is_none_or(|b| p.beats(&b)) {
+                    best = Some(p);
+                }
+            }
+        }
+        best
+    }
+
+    /// Column `j`'s best entry among those within `tol` of its largest
+    /// magnitude (and at least [`ABS_PIVOT_MIN`]). Drops retired rows from
+    /// its candidate list in passing.
+    fn scan_column(&mut self, j: usize, tol: f64) -> Option<Pivot> {
+        let row_active = &self.row_active;
+        self.cols.retain(j, |r| row_active[r]);
+        let mut colmax = 0.0f64;
+        for &r in self.cols.get(j) {
+            if let Some(v) = self.entry(r, j) {
+                colmax = colmax.max(v.abs());
+            }
+        }
+        if colmax < ABS_PIVOT_MIN {
+            return None;
+        }
+        let cutoff = (tol * colmax).max(ABS_PIVOT_MIN);
+        let col_count = self.counts.count[j];
+        let mut best: Option<Pivot> = None;
+        for &r in self.cols.get(j) {
+            let Some(val) = self.entry(r, j) else {
+                continue; // cancelled earlier
+            };
+            if val.abs() < cutoff {
+                continue;
+            }
+            let p = Pivot {
+                row: r,
+                col: j,
+                val,
+                score: (self.rows.get(r).len() - 1) * (col_count - 1),
+            };
+            if best.is_none_or(|b| p.beats(&b)) {
+                best = Some(p);
+            }
+        }
+        best
+    }
+
+    /// Retires the pivot row and column, appending the row's other entries
+    /// `(column, value)` to `u_idx`/`u_val`.
+    fn retire(&mut self, p: Pivot, u_idx: &mut Vec<usize>, u_val: &mut Vec<f64>) {
+        self.row_active[p.row] = false;
+        self.col_active[p.col] = false;
+        self.counts.remove(p.col);
+        for &(c, v) in self.rows.get(p.row) {
+            if c != p.col {
+                self.counts.dec(c);
+                self.dirty[c] = true;
+                u_idx.push(c);
+                u_val.push(v);
+            }
+        }
+    }
+
+    /// Eliminates the pivot column from every active row holding it:
+    /// `row ← row − l · prow` with `l = a_{row, pivot column} / pivot`,
+    /// where `prow` is the retired pivot row `(u_idx, u_val)` without the
+    /// pivot column. Records each `l` in `l_stage`.
+    fn eliminate(&mut self, p: Pivot, u_idx: &[usize], u_val: &[f64]) {
+        let targets = self.cols.slots[p.col];
+        for t in targets.start..targets.start + targets.len {
+            // No fill-in lands in the pivot column, so its slot stays put.
+            let r = self.cols.data[t];
+            if !self.row_active[r] {
+                continue;
+            }
+            let Some(a) = self.entry(r, p.col) else {
+                continue; // cancelled earlier; lazily dropped here
+            };
+            let f = a / p.val;
+            self.l_stage.push((r, f));
+            self.merge_row(r, p.col, f, u_idx, u_val);
+        }
+    }
+
+    /// Rewrites row `r` as `r − f · prow`, dropping column `pj`, and keeps
+    /// the column counts, candidate lists and dirty marks current.
+    fn merge_row(&mut self, r: usize, pj: usize, f: f64, u_idx: &[usize], u_val: &[f64]) {
+        let Self {
+            rows,
+            cols,
+            counts,
+            dirty,
+            merged,
+            ..
+        } = self;
+        let a = rows.get(r);
+        merged.clear();
+        let (mut ia, mut ib) = (0, 0);
+        loop {
+            let ca = a.get(ia).map_or(usize::MAX, |e| e.0);
+            let cb = u_idx.get(ib).copied().unwrap_or(usize::MAX);
+            if ca < cb {
+                if ca != pj {
+                    merged.push(a[ia]);
+                    dirty[ca] = true;
+                }
+                ia += 1;
+            } else if cb < ca {
+                // Fill-in.
+                merged.push((cb, -f * u_val[ib]));
+                counts.inc(cb);
+                cols.push(cb, r);
+                dirty[cb] = true;
+                ib += 1;
+            } else if ca == usize::MAX {
+                break;
+            } else {
+                let v = a[ia].1 - f * u_val[ib];
+                if v != 0.0 {
+                    merged.push((ca, v));
+                } else {
+                    counts.dec(ca);
+                }
+                dirty[ca] = true;
+                ia += 1;
+                ib += 1;
+            }
+        }
+        rows.set(r, merged);
     }
 }
 
@@ -1201,7 +1400,8 @@ mod tests {
         let mut out = Vec::new();
         for case in 0..40 {
             let m = 1 + (splitmix(&mut rng) % 150) as usize;
-            let mut index = CountBuckets::new(m);
+            let mut index = CountBuckets::default();
+            index.reset(m);
             // The brute-force mirror: each member column's count.
             let mut member: Vec<Option<usize>> = vec![None; m];
             for step in 0..10 * m {
@@ -1249,5 +1449,10 @@ mod tests {
         assert!(before > 0);
         f.push_eta(0, &[2.0, 1.0]);
         assert!(f.memory_bytes() >= before);
+        // The elimination workspace outlives the call, and is counted.
+        let with_workspace = f.memory_bytes();
+        let workspace = std::mem::take(&mut f.lu.elim);
+        assert!(workspace.memory_bytes() > 0);
+        assert_eq!(with_workspace - f.memory_bytes(), workspace.memory_bytes());
     }
 }

@@ -34,9 +34,10 @@
 use tvnep_telemetry::Telemetry;
 
 /// Why the basis factorization was rebuilt. Fed by [`crate::Simplex`] at every
-/// (successful) refactorization — the single source of truth that also
-/// drives `SolveStats::refactorizations` and the `lp.refactorize` span
-/// call counts.
+/// successful refactorization, the same event that counts into
+/// `SolveStats::refactorizations` (exported as `lp.refactorizations`); the
+/// time of every factorization, singular ones included, is the `lp.factor`
+/// span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefactorCause {
     /// Periodic rebuild after `Params::refactor_every` pivots, an early

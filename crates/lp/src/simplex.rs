@@ -328,10 +328,6 @@ pub struct Simplex {
 }
 
 /// Accumulated nanoseconds and call counts per hot simplex kernel.
-/// Refactorization *counts* are deliberately absent: the single source of
-/// truth is `SolveStats::refactorizations` (incremented exactly once per
-/// successful rebuild in [`Simplex::refactorize`]); `refactor_base` snapshots
-/// it at profile start so the span can report a per-solve call count.
 #[derive(Debug, Clone, Copy, Default)]
 struct KernelClocks {
     pricing_ns: u64,
@@ -340,10 +336,8 @@ struct KernelClocks {
     ftran_calls: u64,
     btran_ns: u64,
     btran_calls: u64,
-    refactor_ns: u64,
-    refactor_base: usize,
-    /// Sparse LU elimination proper (subset of `refactor_ns`, which also
-    /// covers the conditioning scan around it).
+    /// Sparse LU factorizations, singular ones included (the successful
+    /// ones are `SolveStats::refactorizations`).
     factor_ns: u64,
     factor_calls: u64,
     /// Devex weight maintenance (distinct from `pricing_ns`, which times the
@@ -415,7 +409,8 @@ impl SolveStats {
 }
 
 impl Simplex {
-    /// Builds a solver for `problem`, starting from the all-slack basis.
+    /// Builds a solver for `problem`, starting from the all-slack basis,
+    /// which the first solve factorizes. Read no values before that solve.
     pub fn new(problem: &LpProblem) -> Self {
         let m = problem.num_rows();
         let n_struct = problem.num_vars();
@@ -496,7 +491,7 @@ impl Simplex {
             kernels: KernelClocks::default(),
             blackbox: None,
         };
-        s.reset_basis();
+        s.install_slack_basis();
         s
     }
 
@@ -591,19 +586,26 @@ impl Simplex {
     }
 
     /// Resets to the all-slack basis with structural variables at the bound
-    /// closest to zero.
+    /// closest to zero, and factorizes it.
     pub fn reset_basis(&mut self) {
-        self.basis = (self.n_struct..self.n_total).collect();
-        self.status = (0..self.n_total)
-            .map(|j| {
-                if j >= self.n_struct {
-                    VarStatus::Basic
-                } else {
-                    Self::resting_status(self.lo[j], self.up[j])
-                }
-            })
-            .collect();
+        self.install_slack_basis();
         self.rebuild_state();
+    }
+
+    /// Installs the all-slack basis with structural variables at the bound
+    /// closest to zero, leaving the factors stale.
+    fn install_slack_basis(&mut self) {
+        self.basis.clear();
+        self.basis.extend(self.n_struct..self.n_total);
+        self.status.clear();
+        for j in 0..self.n_total {
+            self.status.push(if j >= self.n_struct {
+                VarStatus::Basic
+            } else {
+                Self::resting_status(self.lo[j], self.up[j])
+            });
+        }
+        self.factor.invalidate();
     }
 
     fn resting_status(lo: f64, up: f64) -> VarStatus {
@@ -701,10 +703,8 @@ impl Simplex {
             .factor
             .factorize(&self.cols, &self.basis, self.params.markowitz_tol);
         if let Some(t0) = t0 {
-            let dt = t0.elapsed().as_nanos() as u64;
-            self.kernels.factor_ns += dt;
+            self.kernels.factor_ns += t0.elapsed().as_nanos() as u64;
             self.kernels.factor_calls += 1;
-            self.kernels.refactor_ns += dt;
         }
         if ok {
             self.pivots_since_refactor = 0;
@@ -815,14 +815,7 @@ impl Simplex {
         if !self.refactorize(RefactorCause::Scheduled) {
             // A recorded basis can become singular only through memory
             // corruption; the all-slack basis never is.
-            self.basis = (self.n_struct..self.n_total).collect();
-            for j in 0..self.n_total {
-                self.status[j] = if j >= self.n_struct {
-                    VarStatus::Basic
-                } else {
-                    Self::resting_status(self.lo[j], self.up[j])
-                };
-            }
+            self.install_slack_basis();
             let ok = self.refactorize(RefactorCause::SingularRecovery);
             assert!(ok, "slack basis must be nonsingular");
         }
@@ -951,10 +944,7 @@ impl Simplex {
     fn begin_profile(&mut self) -> Option<Duration> {
         self.spans_on = self.telemetry.spans_enabled();
         if self.spans_on {
-            self.kernels = KernelClocks {
-                refactor_base: self.stats.refactorizations,
-                ..KernelClocks::default()
-            };
+            self.kernels = KernelClocks::default();
             Some(self.telemetry.elapsed())
         } else {
             None
@@ -974,7 +964,6 @@ impl Simplex {
         self.telemetry
             .record_span(name, start, total, vec![("iters", iters)]);
         let k = self.kernels;
-        let refactor_calls = (self.stats.refactorizations - k.refactor_base) as u64;
         let mut cursor = start;
         let limit = start + total;
         for (kname, ns, calls) in [
@@ -983,7 +972,6 @@ impl Simplex {
             ("lp.ftran", k.ftran_ns, k.ftran_calls),
             ("lp.btran", k.btran_ns, k.btran_calls),
             ("lp.factor", k.factor_ns, k.factor_calls),
-            ("lp.refactorize", k.refactor_ns, refactor_calls),
         ] {
             if calls == 0 {
                 continue;

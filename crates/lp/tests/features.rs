@@ -1,8 +1,10 @@
 //! Tests for simplex engine features: the wall-clock deadline, the cost
-//! perturbation + exact cleanup, and stability under repeated warm starts.
+//! perturbation + exact cleanup, stability under repeated warm starts, and
+//! the profiler's booking of factorizations.
 
 use std::time::{Duration, Instant};
 use tvnep_lp::{solve, LpProblem, LpStatus, Params, Simplex, VarId, INF};
+use tvnep_telemetry::Telemetry;
 
 #[test]
 fn deadline_in_the_past_stops_quickly() {
@@ -166,4 +168,43 @@ fn flat_face_lps_exact() {
             s.kkt_violation()
         );
     }
+}
+
+/// Calls booked under the `lp.factor` spans recorded so far.
+fn factor_span_calls(t: &Telemetry) -> usize {
+    t.spans()
+        .iter()
+        .filter(|span| span.name == "lp.factor")
+        .flat_map(|span| &span.args)
+        .filter(|(key, _)| *key == "calls")
+        .map(|&(_, calls)| calls as usize)
+        .sum()
+}
+
+/// Every factorization is timed inside a solve's span: the slack basis that
+/// `Simplex::new` installs is factorized by the first solve, not by the
+/// constructor, and no second span repeats `lp.factor`.
+#[test]
+fn every_factorization_is_booked_under_lp_factor() {
+    let n = 40;
+    let mut lp = LpProblem::new();
+    for j in 0..n {
+        lp.add_var(0.0, 1.0, -((j % 7) as f64) - 1.0);
+    }
+    for i in 0..n {
+        let terms: Vec<_> = (0..n)
+            .map(|j| (VarId(j), (((i * j) % 5) + 1) as f64))
+            .collect();
+        lp.add_le(&terms, 10.0);
+    }
+    let mut s = Simplex::new(&lp);
+    let t = Telemetry::with_spans();
+    s.set_telemetry(t.clone());
+    assert_eq!(s.solve(), LpStatus::Optimal);
+    assert!(s.stats.refactorizations >= 2);
+    assert_eq!(factor_span_calls(&t), s.stats.refactorizations);
+    s.set_var_bounds(0, 0.0, 0.0);
+    assert_eq!(s.solve_warm(), LpStatus::Optimal);
+    assert_eq!(factor_span_calls(&t), s.stats.refactorizations);
+    assert!(t.spans().iter().all(|span| span.name != "lp.refactorize"));
 }
