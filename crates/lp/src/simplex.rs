@@ -1728,6 +1728,25 @@ impl Simplex {
         worst
     }
 
+    /// The status and true-cost (unperturbed) reduced cost `d_j = c_j − yᵀA_j`
+    /// of each structural column in `cols`, in order, into `out` (cleared
+    /// first); a basic column reads `d_j = 0`. One BTRAN plus one column dot
+    /// per nonbasic column. Call after a solve that returned
+    /// [`LpStatus::Optimal`]: the duals are then the optimal basis's.
+    pub fn reduced_costs(&mut self, cols: &[usize], out: &mut Vec<(VarStatus, f64)>) {
+        self.fill_basic_costs(false, false);
+        self.btran_costs();
+        out.clear();
+        out.extend(cols.iter().map(|&j| {
+            assert!(j < self.n_struct, "column {j} is not structural");
+            let d = match self.status[j] {
+                VarStatus::Basic => 0.0,
+                _ => self.reduced_cost(j, false, false),
+            };
+            (self.status[j], d)
+        }));
+    }
+
     /// Condensed numerical-stability report for all solves of this instance
     /// (see [`crate::health`]); call `self.health.reset()` between solves for
     /// per-solve verdicts.

@@ -2,14 +2,15 @@
 //! search's building blocks.
 //!
 //! Classic LP-based branch and bound: best-bound node selection with
-//! depth-first plunging, most-fractional or pseudocost branching, a rounding
-//! heuristic for quick incumbents, and warm-started LP re-solves. A dive
-//! child re-solves from the basis its parent left in the [`Simplex`]; the
-//! sibling that waits in the best-bound pool carries a copy of that basis
-//! and re-solves from it when popped. The one driver that runs the search,
-//! at every thread count, is in `parallel.rs`. Reports the same quantities
-//! the paper's Gurobi runs report: incumbent objective, best bound, relative
-//! *objective gap* and node count.
+//! depth-first plunging, pseudocost branching (an unobserved direction takes
+//! the mean of the observed ones), reduced-cost fixing against the value to
+//! beat, a rounding heuristic for quick incumbents, and warm-started LP
+//! re-solves. A dive child re-solves from the basis its parent left in the
+//! [`Simplex`]; the sibling that waits in the best-bound pool carries a copy
+//! of that basis and re-solves from it when popped. The one driver that runs
+//! the search, at every thread count, is in `parallel.rs`. Reports the same
+//! quantities the paper's Gurobi runs report: incumbent objective, best
+//! bound, relative *objective gap* and node count.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -56,15 +57,6 @@ impl MipStatus {
     }
 }
 
-/// Branching-variable selection rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Branching {
-    /// Pick the integer variable whose fractional part is closest to 1/2.
-    MostFractional,
-    /// Pseudocost branching with most-fractional fallback until initialized.
-    Pseudocost,
-}
-
 /// A progress report handed to the [`ProgressFn`] callback every
 /// [`MipOptions::log_every`] nodes. All objective-like values are in the
 /// user's sense.
@@ -104,8 +96,6 @@ pub struct MipOptions {
     pub rel_gap: f64,
     /// Integrality tolerance.
     pub int_tol: f64,
-    /// Branching rule.
-    pub branching: Branching,
     /// Report progress every N nodes (None = silent). Reports go to
     /// [`progress`](Self::progress) when set, else to a default sink that
     /// prints one line to stderr (the historical behavior).
@@ -155,7 +145,6 @@ impl std::fmt::Debug for MipOptions {
             .field("node_limit", &self.node_limit)
             .field("rel_gap", &self.rel_gap)
             .field("int_tol", &self.int_tol)
-            .field("branching", &self.branching)
             .field("log_every", &self.log_every)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("telemetry", &self.telemetry)
@@ -175,7 +164,6 @@ impl Default for MipOptions {
             node_limit: None,
             rel_gap: tvnep_model::tol::REL_GAP,
             int_tol: tvnep_model::tol::INT_TOL,
-            branching: Branching::Pseudocost,
             log_every: None,
             progress: None,
             telemetry: Telemetry::disabled(),
@@ -338,39 +326,51 @@ impl PseudoCosts {
         }
     }
 
-    /// Estimated objective degradation product (standard score).
-    fn score(&self, k: usize, frac: f64) -> Option<f64> {
-        if self.up_count[k] == 0 || self.down_count[k] == 0 {
-            return None;
-        }
-        let up = self.up_sum[k] / self.up_count[k] as f64;
-        let down = self.down_sum[k] / self.down_count[k] as f64;
-        let u = up * (1.0 - frac);
-        let d = down * frac;
-        Some(u.max(1e-6) * d.max(1e-6))
+    /// Mean of the per-variable average pseudocosts over the variables
+    /// observed in one direction; `None` while no variable is.
+    fn mean(sum: &[f64], count: &[u32]) -> Option<f64> {
+        let (total, observed) = sum
+            .iter()
+            .zip(count)
+            .filter(|&(_, &c)| c > 0)
+            .fold((0.0, 0u32), |(t, n), (&s, &c)| (t + s / c as f64, n + 1));
+        (observed > 0).then(|| total / observed as f64)
     }
 
-    /// The branching candidate `(int idx, frac)` among the fractional
-    /// `frac_vars`: the best pseudocost score once every candidate has
-    /// observations both ways, else (and under
-    /// [`Branching::MostFractional`]) the most fractional one, which
-    /// gathers pseudocost observations broadly.
-    pub(crate) fn select(&self, branching: Branching, frac_vars: &[(usize, f64)]) -> (usize, f64) {
-        if branching == Branching::Pseudocost {
-            let mut best: Option<(usize, f64, f64)> = None; // (k, frac, score)
-            for &(k, f) in frac_vars {
-                let Some(s) = self.score(k, f) else {
-                    return most_fractional(frac_vars);
-                };
-                if best.is_none_or(|(_, _, bs)| s > bs) {
-                    best = Some((k, f, s));
-                }
-            }
-            if let Some((k, f, _)) = best {
-                return (k, f);
+    /// Estimated objective degradation product (standard score) of branching
+    /// on `k` at fractional part `frac`; a direction in which `k` was never
+    /// observed takes that direction's mean.
+    fn score(&self, k: usize, frac: f64, up_mean: f64, down_mean: f64) -> f64 {
+        let avg = |sum: &[f64], count: &[u32], mean: f64| match count[k] {
+            0 => mean,
+            c => sum[k] / c as f64,
+        };
+        let u = avg(&self.up_sum, &self.up_count, up_mean) * (1.0 - frac);
+        let d = avg(&self.down_sum, &self.down_count, down_mean) * frac;
+        u.max(1e-6) * d.max(1e-6)
+    }
+
+    /// The branching candidate `(int idx, frac)` among the non-empty
+    /// fractional `frac_vars`: the best pseudocost score, with unobserved
+    /// directions mean-initialized (Achterberg, Koch & Martin, "Branching
+    /// rules revisited", 2005). While some direction has no observation at
+    /// all, the most fractional candidate, which gathers observations
+    /// broadly.
+    pub(crate) fn select(&self, frac_vars: &[(usize, f64)]) -> (usize, f64) {
+        let (Some(up_mean), Some(down_mean)) = (
+            Self::mean(&self.up_sum, &self.up_count),
+            Self::mean(&self.down_sum, &self.down_count),
+        ) else {
+            return most_fractional(frac_vars);
+        };
+        let mut best = (frac_vars[0], f64::NEG_INFINITY);
+        for &(k, f) in frac_vars {
+            let s = self.score(k, f, up_mean, down_mean);
+            if s > best.1 {
+                best = ((k, f), s);
             }
         }
-        most_fractional(frac_vars)
+        best.0
     }
 }
 
@@ -465,4 +465,32 @@ fn most_fractional(frac_vars: &[(usize, f64)]) -> (usize, f64) {
 
 pub(crate) fn prune_eps(incumbent: f64) -> f64 {
     1e-9 * incumbent.abs().max(1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Candidate 1 was never branched on, so its score borrows the mean of
+    /// the observed pseudocosts (here half of candidate 0's, because
+    /// candidate 2 degrades nothing); candidate 0 then scores higher even
+    /// though candidate 1 sits at exactly 1/2.
+    #[test]
+    fn unobserved_candidates_take_the_mean_pseudocost() {
+        let mut pseudo = PseudoCosts::new(3);
+        for up in [false, true] {
+            pseudo.settle(Some((0, up, 0.0, 0.5)), 4.0);
+            pseudo.settle(Some((2, up, 0.0, 0.5)), 0.0);
+        }
+        let frac_vars = [(0, 0.3), (1, 0.5)];
+        assert_eq!(most_fractional(&frac_vars), (1, 0.5));
+        assert_eq!(pseudo.select(&frac_vars), (0, 0.3));
+    }
+
+    #[test]
+    fn most_fractional_until_both_directions_are_observed() {
+        let mut pseudo = PseudoCosts::new(2);
+        pseudo.settle(Some((0, true, 0.0, 0.5)), 4.0);
+        assert_eq!(pseudo.select(&[(0, 0.3), (1, 0.5)]), (1, 0.5));
+    }
 }

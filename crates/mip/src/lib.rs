@@ -30,7 +30,7 @@ pub mod progress;
 pub mod tree;
 
 pub use branch_and_bound::{
-    solve, solve_with, Branching, MipOptions, MipProgress, MipResult, MipStatus, ProgressFn,
+    solve, solve_with, MipOptions, MipProgress, MipResult, MipStatus, ProgressFn,
 };
 pub use model::{MipModel, Sense, VarKind, MIP_INF};
 pub use progress::{

@@ -46,7 +46,7 @@ use crate::branch_and_bound::{
 use crate::model::{MipModel, Sense, VarKind};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::{NodeOutcome, SearchTree, TreeNode};
-use tvnep_lp::{HealthMonitor, LpProblem, LpStatus, Simplex, SolveStats};
+use tvnep_lp::{HealthMonitor, LpProblem, LpStatus, Simplex, SolveStats, VarStatus};
 use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
 
 /// Monotone bit-packing of `f64` into `u64`: `pack(a) < pack(b)` iff
@@ -377,6 +377,8 @@ struct WorkerOut {
     pruned_acquire: u64,
     /// Nodes pruned by bound after their LP resolved.
     pruned_bound: u64,
+    /// Integer bounds tightened by reduced-cost fixing.
+    rc_fixings: u64,
 }
 
 pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipResult {
@@ -467,11 +469,13 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
     let mut health = HealthMonitor::default();
     let mut lp_iterations = 0usize;
     let mut simplex_bytes = 0usize;
+    let mut rc_fixings = 0u64;
     for out in &outs {
         stats.merge_from(&out.stats);
         health.merge_from(&out.health);
         lp_iterations += out.lp_iterations;
         simplex_bytes += out.simplex_bytes;
+        rc_fixings += out.rc_fixings;
         telemetry.absorb_metrics(&out.telemetry);
     }
 
@@ -528,6 +532,9 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
     if telemetry.is_enabled() {
         telemetry.counter_add("mip.nodes", result.nodes);
         telemetry.counter_add("lp.iterations", result.lp_iterations as u64);
+        if rc_fixings > 0 {
+            telemetry.counter_add("mip.rc_fixings", rc_fixings);
+        }
         stats.flush_into(telemetry);
         health.flush_into(telemetry);
         if threads > 1 {
@@ -632,6 +639,8 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
     let mut nodes_mine: u64 = 0;
     let mut pruned_acquire: u64 = 0;
     let mut pruned_bound: u64 = 0;
+    let mut rc_fixings: u64 = 0;
+    let mut reduced_costs = Vec::new();
     let mut simplex = Simplex::new(&shared.lp_min);
     simplex.set_telemetry(telemetry.clone());
     simplex.set_blackbox(blackbox);
@@ -775,6 +784,18 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                 }
                 break; // leaf
             }
+            // Both children inherit the fixings through `current.bounds`; a
+            // leaf has no children, so it skips the BTRAN.
+            if let Some(beat) = shared.must_beat() {
+                rc_fixings += fix_by_reduced_cost(
+                    &mut simplex,
+                    int_vars,
+                    &mut current.bounds,
+                    lp_obj,
+                    beat - prune_eps(beat),
+                    &mut reduced_costs,
+                );
+            }
 
             // Primal heuristics: a one-shot rounding test, and (on a
             // schedule) an iterative rounding dive. Any bound mutations the
@@ -838,7 +859,7 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
             // Branch: down (x <= floor) and up (x >= ceil) children. Dive
             // into the one on the nearer side of the fraction; the sibling
             // joins the pool with this node's basis.
-            let (bk, bfrac) = pseudo.select(opts.branching, &frac_vars);
+            let (bk, bfrac) = pseudo.select(&frac_vars);
             let j = int_vars[bk];
             let xval = sol.x[j];
             let (lo, up) = current.bounds[bk];
@@ -910,5 +931,72 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
         nodes: nodes_mine,
         pruned_acquire,
         pruned_bound,
+        rc_fixings,
+    }
+}
+
+/// Reduced-cost fixing of a node's integer `bounds` (in `int_vars` order)
+/// from its optimal LP in `simplex`, whose objective `lp_obj` is below the
+/// prune threshold `cut`. By the LP's duals, every feasible point of the
+/// node with `x_j ≥ lo + 1`, for `x_j` nonbasic at its lower bound with
+/// reduced cost `d_j`, costs at least `lp_obj + d_j`; once that reaches
+/// `cut`, the prune test would discard each of them, so `up := lo` loses
+/// nothing (the mirror holds at the upper bound). The LP point satisfies the
+/// fixings and stays optimal, so the node's children inherit them with no
+/// re-solve. Returns the number of variables fixed.
+fn fix_by_reduced_cost(
+    simplex: &mut Simplex,
+    int_vars: &[usize],
+    bounds: &mut [(f64, f64)],
+    lp_obj: f64,
+    cut: f64,
+    reduced_costs: &mut Vec<(VarStatus, f64)>,
+) -> u64 {
+    simplex.reduced_costs(int_vars, reduced_costs);
+    let mut fixed = 0;
+    for (b, &(status, d)) in bounds.iter_mut().zip(reduced_costs.iter()) {
+        match status {
+            VarStatus::AtLower if b.0 < b.1 && lp_obj + d >= cut => b.1 = b.0,
+            VarStatus::AtUpper if b.0 < b.1 && lp_obj - d >= cut => b.0 = b.1,
+            _ => continue,
+        }
+        fixed += 1;
+    }
+    fixed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `min x₀ − x₁` over the unit box: `x₀` rests at its lower bound with
+    /// `d = 1` and `x₁` at its upper bound with `d = −1`, so each is fixed
+    /// exactly when `lp_obj + |d| = 0` reaches the cut.
+    #[test]
+    fn fixing_meets_the_cut_at_both_bounds() {
+        let mut lp = LpProblem::new();
+        let x0 = lp.add_var(0.0, 1.0, 1.0);
+        let x1 = lp.add_var(0.0, 1.0, -1.0);
+        lp.add_le(&[(x0, 1.0), (x1, 1.0)], 2.0);
+        let mut simplex = Simplex::new(&lp);
+        assert_eq!(simplex.solve(), LpStatus::Optimal);
+        let lp_obj = simplex.objective_value();
+        assert_eq!(lp_obj, -1.0);
+        let mut reduced_costs = Vec::new();
+        for (cut, fixed, bounds) in [
+            (1e-9, 0, [(0.0, 1.0), (0.0, 1.0)]),
+            (0.0, 2, [(0.0, 0.0), (1.0, 1.0)]),
+        ] {
+            let mut node = [(0.0, 1.0), (0.0, 1.0)];
+            let n = fix_by_reduced_cost(
+                &mut simplex,
+                &[0, 1],
+                &mut node,
+                lp_obj,
+                cut,
+                &mut reduced_costs,
+            );
+            assert_eq!((n, node), (fixed, bounds), "cut {cut}");
+        }
     }
 }

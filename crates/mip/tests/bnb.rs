@@ -2,7 +2,7 @@
 //! limits, and exhaustive cross-checks on random small integer programs.
 
 use std::time::Duration;
-use tvnep_mip::{solve, solve_with, Branching, MipModel, MipOptions, MipStatus, VarId};
+use tvnep_mip::{solve, solve_with, MipModel, MipOptions, MipStatus, VarId};
 
 /// Tiny deterministic generator (splitmix64) for the randomized sweeps; each
 /// case index derives an independent stream.
@@ -209,41 +209,33 @@ fn maximize_and_minimize_agree() {
     assert!((rn.objective.unwrap() + rx.objective.unwrap()).abs() < 1e-9);
 }
 
+/// A two-row, ten-binary knapsack: its optimum must equal the best of all
+/// 1,024 points.
 #[test]
-fn both_branching_rules_agree() {
+fn two_row_knapsack_matches_enumeration() {
+    let values: Vec<f64> = (0..10).map(|i| ((i * 37) % 11 + 1) as f64).collect();
+    let w1: Vec<f64> = (0..10).map(|i| ((i * 13) % 5 + 1) as f64).collect();
+    let w2: Vec<f64> = (0..10).map(|i| ((i * 7) % 4 + 1) as f64).collect();
     let mut m = MipModel::maximize();
-    let vars: Vec<VarId> = (0..10)
-        .map(|i| m.add_binary(((i * 37) % 11 + 1) as f64))
-        .collect();
-    let t1: Vec<_> = vars
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, ((i * 13) % 5 + 1) as f64))
-        .collect();
-    let t2: Vec<_> = vars
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, ((i * 7) % 4 + 1) as f64))
-        .collect();
-    m.add_le(&t1, 12.0);
-    m.add_le(&t2, 9.0);
-    let r1 = solve_with(
-        &m,
-        &MipOptions {
-            branching: Branching::MostFractional,
-            ..Default::default()
-        },
+    let vars: Vec<VarId> = values.iter().map(|&v| m.add_binary(v)).collect();
+    let row =
+        |w: &[f64]| -> Vec<(VarId, f64)> { vars.iter().copied().zip(w.iter().copied()).collect() };
+    m.add_le(&row(&w1), 12.0);
+    m.add_le(&row(&w2), 9.0);
+    let r = solve(&m);
+    assert_eq!(r.status, MipStatus::Optimal);
+    let mut best = 0.0f64;
+    for mask in 0u32..(1 << 10) {
+        let sum = |c: &[f64]| -> f64 { (0..10).filter(|i| mask >> i & 1 == 1).map(|i| c[i]).sum() };
+        if sum(&w1) <= 12.0 && sum(&w2) <= 9.0 {
+            best = best.max(sum(&values));
+        }
+    }
+    assert!(
+        (r.objective.unwrap() - best).abs() < 1e-6,
+        "bnb {} vs brute {best}",
+        r.objective.unwrap()
     );
-    let r2 = solve_with(
-        &m,
-        &MipOptions {
-            branching: Branching::Pseudocost,
-            ..Default::default()
-        },
-    );
-    assert_eq!(r1.status, MipStatus::Optimal);
-    assert_eq!(r2.status, MipStatus::Optimal);
-    assert!((r1.objective.unwrap() - r2.objective.unwrap()).abs() < 1e-6);
 }
 
 #[test]
@@ -281,9 +273,13 @@ fn fixed_integer_vars_respected() {
 }
 
 /// Random small binary programs: branch and bound must match exhaustive
-/// enumeration exactly (both value and feasibility verdict).
+/// enumeration exactly (both value and feasibility verdict). Each feasible
+/// case is solved again under cutoffs, which put reduced-cost fixing to work
+/// from the root: 0.5 and 1e-4 worse than the optimum must still find it,
+/// and the optimum itself must leave nothing better.
 #[test]
 fn random_binary_programs_match_enumeration() {
+    let telemetry = tvnep_telemetry::Telemetry::metrics_only();
     for case in 0..128u64 {
         let mut rng = TestRng::new(0xb1b0_0000 + case);
         let n = 1 + rng.below(6);
@@ -349,9 +345,34 @@ fn random_binary_programs_match_enumeration() {
                 let x = r.x.unwrap();
                 assert!(m.max_violation(&x) < 1e-6, "case {case}");
                 assert!(m.max_integrality_violation(&x) < 1e-6, "case {case}");
+
+                let under = |cutoff: f64| {
+                    let opts = MipOptions {
+                        cutoff: Some(cutoff),
+                        telemetry: telemetry.clone(),
+                        ..Default::default()
+                    };
+                    solve_with(&m, &opts)
+                };
+                for margin in [0.5, 1e-4] {
+                    let worse = if maximize { b - margin } else { b + margin };
+                    let r = under(worse);
+                    assert_eq!(r.status, MipStatus::Optimal, "case {case}, cutoff {worse}");
+                    let got = r.objective.unwrap();
+                    assert!(
+                        (got - b).abs() < 1e-6,
+                        "case {case}, cutoff {worse}: bnb {got} vs brute {b}"
+                    );
+                }
+                assert_eq!(
+                    under(b).status,
+                    MipStatus::NoBetterThanCutoff,
+                    "case {case}, cutoff {b}"
+                );
             }
         }
     }
+    assert!(telemetry.snapshot().counter("mip.rc_fixings") > 0);
 }
 
 /// Mixed problems: integer vars plus continuous vars; spot-check against a
@@ -447,4 +468,32 @@ fn csigma_node_warm_starts_never_fall_back_to_primal() {
             "threads {threads}: warm solves fell back to the primal phases"
         );
     }
+}
+
+/// Reduced-cost fixing fires on a deep cΣ proof (`small`, seed 7, +1 h)
+/// once the first incumbent exists, and the proof still reaches the
+/// optimum.
+#[test]
+fn reduced_cost_fixing_keeps_a_deep_csigma_optimum() {
+    use tvnep_core::{build_model, BuildOptions, Formulation, Objective};
+    use tvnep_telemetry::Telemetry;
+    use tvnep_workloads::{generate, WorkloadConfig};
+
+    let inst = generate(&WorkloadConfig::small(), 7).with_flexibility_after(1.0);
+    let built = build_model(
+        &inst,
+        Formulation::CSigma,
+        Objective::AccessControl,
+        BuildOptions::default_for(Formulation::CSigma),
+    );
+    let telemetry = Telemetry::metrics_only();
+    let opts = MipOptions {
+        telemetry: telemetry.clone(),
+        ..MipOptions::with_time_limit(Duration::from_secs(300))
+    };
+    let r = solve_with(&built.mip, &opts);
+    assert_eq!(r.status, MipStatus::Optimal);
+    let obj = r.objective.expect("optimal has an objective");
+    assert!((obj - 22.802982182306607).abs() < 1e-9, "objective {obj}");
+    assert!(telemetry.snapshot().counter("mip.rc_fixings") > 0);
 }
