@@ -458,8 +458,9 @@ fn kernel_microbench(seed: u64) -> Json {
 /// cached-bool branch — so their paired ratio is the run-to-run noise
 /// floor, and the "<2% when observability is off" budget is asserted on it
 /// (the alloc-off pattern above). `util_off` (metrics-only telemetry,
-/// tracker off) and `util_on` (tracker + per-admit gauge recompute) record
-/// the opt-in feature costs for information.
+/// tracker off) and `util_on` (metrics-only telemetry, and the tracker
+/// updated at every reservation insert and collection) record the opt-in
+/// feature costs for information.
 fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> Json {
     let substrate = Substrate::uniform(grid(2, 2), 2.0, 5.0);
     // Deterministic contended stream: flexible star requests with rotating

@@ -30,10 +30,7 @@ use tvnep_core::{Formulation, Objective};
 use tvnep_telemetry::{alloc, Json};
 
 use crate::journal::{read_journal, JournalWriter};
-use crate::{
-    run_formulation_cell, run_greedy_cell, run_objective_cell, CellResult, HarnessConfig,
-    CSV_HEADER,
-};
+use crate::{run_formulation_cell, run_greedy_cell, run_objective_cell, HarnessConfig, CSV_HEADER};
 
 /// What a cell runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,10 +180,10 @@ pub fn plan(labels: &[String], cfg: &HarnessConfig) -> Vec<PlannedCell> {
     cells
 }
 
-/// One finished cell as journaled: the [`CellResult`] quantities plus the
-/// cell identity, flattened to JSON-representable primitives. `skipped`
-/// marks objective cells whose greedy pass accepted nothing (no CSV row,
-/// but journaled so resume does not re-run them).
+/// One finished cell as run and journaled: the cell identity plus the
+/// solver run's quantities, flattened to JSON-representable primitives.
+/// `skipped` marks objective cells whose greedy pass accepted nothing (no
+/// CSV row, but journaled so resume does not re-run them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     pub label: String,
@@ -215,29 +212,6 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Flattens a live run result.
-    pub fn from_result(label: &str, r: &CellResult) -> Self {
-        Self {
-            label: label.to_string(),
-            seed: r.seed,
-            flex: r.flex,
-            skipped: false,
-            runtime_s: r.runtime.as_secs_f64(),
-            status: format!("{:?}", r.status),
-            objective: r.objective,
-            best_bound: r.best_bound,
-            gap: r.gap,
-            accepted: r.accepted.map(|a| a as u64),
-            nodes: r.nodes,
-            lp_iterations: r.lp_iterations,
-            verified: r.verified,
-            threads: r.threads as u64,
-            peak_bytes: r.peak_bytes,
-            time_to_first_incumbent_s: r.time_to_first_incumbent,
-            primal_integral: r.primal_integral,
-        }
-    }
-
     /// A journaled placeholder for a skipped cell.
     pub fn skipped(cell: &PlannedCell) -> Self {
         Self {
@@ -507,27 +481,16 @@ impl Progress {
 
 fn run_cell(cfg: &HarnessConfig, cell: &PlannedCell) -> CellRecord {
     match kind_for(&cell.label).expect("planned labels are canonical") {
-        CellKind::Formulation(f) => CellRecord::from_result(
-            &cell.label,
-            &run_formulation_cell(cfg, f, cell.seed, cell.flex),
-        ),
-        CellKind::Objective(o) => match run_objective_cell(cfg, o, cell.seed, cell.flex) {
-            Some(r) => CellRecord::from_result(&cell.label, &r),
-            None => CellRecord::skipped(cell),
-        },
-        CellKind::Greedy => {
-            CellRecord::from_result(&cell.label, &run_greedy_cell(cfg, cell.seed, cell.flex))
-        }
+        CellKind::Formulation(f) => run_formulation_cell(cfg, f, cell),
+        CellKind::Objective(o) => run_objective_cell(cfg, o, cell),
+        CellKind::Greedy => run_greedy_cell(cfg, cell),
         CellKind::PaperScale => {
             // Same knobs (time limit, threads, cutoff), full-size workload.
             let paper_cfg = HarnessConfig {
                 workload: tvnep_workloads::WorkloadConfig::paper(),
                 ..cfg.clone()
             };
-            CellRecord::from_result(
-                &cell.label,
-                &run_formulation_cell(&paper_cfg, Formulation::CSigma, cell.seed, cell.flex),
-            )
+            run_formulation_cell(&paper_cfg, Formulation::CSigma, cell)
         }
     }
 }

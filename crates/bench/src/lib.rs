@@ -27,51 +27,12 @@ pub mod journal;
 
 use std::time::{Duration, Instant};
 
+use campaign::{CellRecord, PlannedCell};
 use tvnep_core::{greedy_csigma, solve_tvnep, BuildOptions, Formulation, GreedyOptions, Objective};
 use tvnep_mip::{MipOptions, MipStatus, ProgressRecorder};
 use tvnep_model::{is_feasible, Instance};
 use tvnep_telemetry::{MemProbe, Telemetry};
 use tvnep_workloads::{generate, WorkloadConfig};
-
-/// One solver run's record.
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// Scenario seed.
-    pub seed: u64,
-    /// Added flexibility in hours.
-    pub flex: f64,
-    /// Wall-clock runtime (capped at the limit).
-    pub runtime: Duration,
-    /// Final MIP status.
-    pub status: MipStatus,
-    /// Incumbent objective (user sense), if any.
-    pub objective: Option<f64>,
-    /// Best bound.
-    pub best_bound: f64,
-    /// Relative gap; `None` ⇒ no solution found (plotted as ∞).
-    pub gap: Option<f64>,
-    /// Requests accepted by the incumbent (access control only).
-    pub accepted: Option<usize>,
-    /// Branch-and-bound nodes.
-    pub nodes: u64,
-    /// Simplex iterations across all LP relaxations of the run (from the
-    /// per-run telemetry snapshot).
-    pub lp_iterations: u64,
-    /// Whether the extracted solution passed the independent verifier.
-    pub verified: Option<bool>,
-    /// Branch-and-bound worker threads used for the run (1 = sequential).
-    pub threads: usize,
-    /// Peak live heap bytes while the cell ran; 0 when the driving binary
-    /// has no [`tvnep_telemetry::CountingAlloc`] or counting is off.
-    pub peak_bytes: u64,
-    /// Wall seconds until branch and bound found its first incumbent
-    /// (greedy-cutoff seeds do not count). `None` for greedy cells and for
-    /// solves where only the cutoff was ever feasible.
-    pub time_to_first_incumbent: Option<f64>,
-    /// Primal integral of the convergence stream (seconds; smaller is
-    /// better; see [`tvnep_mip::ProgressSummary`]). `None` for greedy cells.
-    pub primal_integral: Option<f64>,
-}
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -140,11 +101,10 @@ fn instance_for(cfg: &HarnessConfig, seed: u64, flex: f64) -> Instance {
 pub fn run_formulation_cell(
     cfg: &HarnessConfig,
     formulation: Formulation,
-    seed: u64,
-    flex: f64,
-) -> CellResult {
+    cell: &PlannedCell,
+) -> CellRecord {
     let probe = MemProbe::start();
-    let inst = instance_for(cfg, seed, flex);
+    let inst = instance_for(cfg, cell.seed, cell.flex);
     let telemetry = Telemetry::metrics_only();
     let mut opts = MipOptions::with_time_limit(cfg.time_limit);
     opts.telemetry = telemetry.clone();
@@ -196,40 +156,41 @@ pub fn run_formulation_cell(
         .map(|s| s.accepted_count())
         .or(greedy_acc);
     let psum = progress.summary(runtime, status == MipStatus::Optimal);
-    CellResult {
-        seed,
-        flex,
-        runtime,
-        status,
+    CellRecord {
+        label: cell.label.clone(),
+        seed: cell.seed,
+        flex: cell.flex,
+        skipped: false,
+        runtime_s: runtime.as_secs_f64(),
+        status: format!("{status:?}"),
         objective,
         best_bound: run.mip.best_bound,
         gap: match status {
             MipStatus::Optimal => Some(0.0),
             _ => gap,
         },
-        accepted,
+        accepted: accepted.map(|a| a as u64),
         nodes: run.mip.nodes,
         lp_iterations: telemetry.snapshot().counter("lp.iterations"),
         verified,
-        threads: cfg.effective_threads(),
+        threads: cfg.effective_threads() as u64,
         peak_bytes: probe.finish(),
-        time_to_first_incumbent: psum.time_to_first_incumbent_s,
+        time_to_first_incumbent_s: psum.time_to_first_incumbent_s,
         primal_integral: Some(psum.primal_integral),
     }
 }
 
-/// Runs one fixed-request-set objective cell on the cΣ-Model. Returns `None`
-/// when the greedy pass accepts no request at all — there is no embeddable
-/// set to optimize over, so the cell is skipped (and journaled as such by
-/// the campaign runner, which keeps resume deterministic).
+/// Runs one fixed-request-set objective cell on the cΣ-Model. When the
+/// greedy pass accepts no request at all there is no embeddable set to
+/// optimize over, and the cell is [skipped](CellRecord::skipped) (journaled
+/// as such by the campaign runner, which keeps resume deterministic).
 pub fn run_objective_cell(
     cfg: &HarnessConfig,
     objective: Objective,
-    seed: u64,
-    flex: f64,
-) -> Option<CellResult> {
+    cell: &PlannedCell,
+) -> CellRecord {
     let probe = MemProbe::start();
-    let inst = instance_for(cfg, seed, flex);
+    let inst = instance_for(cfg, cell.seed, cell.flex);
     // Fixed-set objectives need an embeddable request set: keep the
     // subset the greedy accepts (the paper plots the number of
     // requests per flexibility in Fig 8 for the same reason).
@@ -240,7 +201,7 @@ pub fn run_objective_cell(
         .filter(|&r| g.accepted[r])
         .collect();
     if keep.is_empty() {
-        return None;
+        return CellRecord::skipped(cell);
     }
     let maps = inst
         .fixed_node_mappings
@@ -269,30 +230,32 @@ pub fn run_objective_cell(
     let runtime = t0.elapsed();
     let verified = run.solution.as_ref().map(|s| is_feasible(&sub, s));
     let psum = progress.summary(runtime, run.mip.status == MipStatus::Optimal);
-    Some(CellResult {
-        seed,
-        flex,
-        runtime,
-        status: run.mip.status,
+    CellRecord {
+        label: cell.label.clone(),
+        seed: cell.seed,
+        flex: cell.flex,
+        skipped: false,
+        runtime_s: runtime.as_secs_f64(),
+        status: format!("{:?}", run.mip.status),
         objective: run.mip.objective,
         best_bound: run.mip.best_bound,
         gap: run.mip.gap,
-        accepted: Some(keep.len()),
+        accepted: Some(keep.len() as u64),
         nodes: run.mip.nodes,
         lp_iterations: telemetry.snapshot().counter("lp.iterations"),
         verified,
-        threads: cfg.effective_threads(),
+        threads: cfg.effective_threads() as u64,
         peak_bytes: probe.finish(),
-        time_to_first_incumbent: psum.time_to_first_incumbent_s,
+        time_to_first_incumbent_s: psum.time_to_first_incumbent_s,
         primal_integral: Some(psum.primal_integral),
-    })
+    }
 }
 
 /// Runs one greedy cell (Figure 7 numerator; the runtime column backs the
 /// "seconds, not hours" claim of Section VI-B2).
-pub fn run_greedy_cell(cfg: &HarnessConfig, seed: u64, flex: f64) -> CellResult {
+pub fn run_greedy_cell(cfg: &HarnessConfig, cell: &PlannedCell) -> CellRecord {
     let probe = MemProbe::start();
-    let inst = instance_for(cfg, seed, flex);
+    let inst = instance_for(cfg, cell.seed, cell.flex);
     let telemetry = Telemetry::metrics_only();
     let mut subproblem = MipOptions::with_time_limit(cfg.time_limit / 4);
     subproblem.telemetry = telemetry.clone();
@@ -302,22 +265,24 @@ pub fn run_greedy_cell(cfg: &HarnessConfig, seed: u64, flex: f64) -> CellResult 
     let runtime = t0.elapsed();
     let rev = g.solution.revenue(&inst);
     let ok = is_feasible(&inst, &g.solution);
-    CellResult {
-        seed,
-        flex,
-        runtime,
-        status: MipStatus::Feasible,
+    CellRecord {
+        label: cell.label.clone(),
+        seed: cell.seed,
+        flex: cell.flex,
+        skipped: false,
+        runtime_s: runtime.as_secs_f64(),
+        status: format!("{:?}", MipStatus::Feasible),
         objective: Some(rev),
         best_bound: f64::NAN,
         gap: None,
-        accepted: Some(g.solution.accepted_count()),
+        accepted: Some(g.solution.accepted_count() as u64),
         nodes: g.total_nodes,
         lp_iterations: telemetry.snapshot().counter("lp.iterations"),
         verified: Some(ok),
-        threads: cfg.effective_threads(),
+        threads: cfg.effective_threads() as u64,
         peak_bytes: probe.finish(),
         // Greedy runs have no branch-and-bound convergence stream.
-        time_to_first_incumbent: None,
+        time_to_first_incumbent_s: None,
         primal_integral: None,
     }
 }

@@ -305,6 +305,35 @@ fn explain_rejected(instance: &Instance, solution: &TemporalSolution, i: usize) 
     Fate::Rejected { blockers, note }
 }
 
+/// Explains request `i` of `solution` on `instance`: what
+/// [`explain_solution`] reports for it, without explaining the others.
+pub fn explain_request(
+    instance: &Instance,
+    solution: &TemporalSolution,
+    i: usize,
+) -> RequestExplanation {
+    let r = &instance.requests[i];
+    let fate = if solution.scheduled[i].accepted {
+        let (start, end, event_point, start_slack, binding) =
+            explain_accepted(instance, solution, i);
+        Fate::Accepted {
+            start,
+            end,
+            event_point,
+            start_slack,
+            binding,
+        }
+    } else {
+        explain_rejected(instance, solution, i)
+    };
+    RequestExplanation {
+        request: i,
+        name: r.name.clone(),
+        window: (r.earliest_start, r.latest_start()),
+        fate,
+    }
+}
+
 /// Builds the full explanation for `solution` on `instance`.
 pub fn explain_solution(instance: &Instance, solution: &TemporalSolution) -> Explanation {
     assert_eq!(
@@ -313,29 +342,7 @@ pub fn explain_solution(instance: &Instance, solution: &TemporalSolution) -> Exp
         "solution must cover every request"
     );
     let requests = (0..instance.num_requests())
-        .map(|i| {
-            let r = &instance.requests[i];
-            let window = (r.earliest_start, r.latest_start());
-            let fate = if solution.scheduled[i].accepted {
-                let (start, end, event_point, start_slack, binding) =
-                    explain_accepted(instance, solution, i);
-                Fate::Accepted {
-                    start,
-                    end,
-                    event_point,
-                    start_slack,
-                    binding,
-                }
-            } else {
-                explain_rejected(instance, solution, i)
-            };
-            RequestExplanation {
-                request: i,
-                name: r.name.clone(),
-                window,
-                fate,
-            }
-        })
+        .map(|i| explain_request(instance, solution, i))
         .collect();
     Explanation { requests }
 }
@@ -400,74 +407,79 @@ impl Explanation {
     /// JSON rendering, embedded into `--metrics-out` documents and parseable
     /// by the in-repo [`Json`] parser.
     pub fn to_json(&self) -> Json {
-        let requests: Vec<Json> = self
-            .requests
-            .iter()
-            .map(|e| {
-                let mut fields = vec![
-                    ("request".to_string(), Json::from(e.request)),
-                    ("name".to_string(), Json::from(e.name.as_str())),
-                    (
-                        "window".to_string(),
-                        Json::Arr(vec![Json::from(e.window.0), Json::from(e.window.1)]),
-                    ),
-                ];
-                match &e.fate {
-                    Fate::Accepted {
-                        start,
-                        end,
-                        event_point,
-                        start_slack,
-                        binding,
-                    } => {
-                        fields.push(("accepted".into(), Json::from(true)));
-                        fields.push(("start".into(), Json::from(*start)));
-                        fields.push(("end".into(), Json::from(*end)));
-                        fields.push(("event_point".into(), Json::from(event_point.as_str())));
-                        fields.push(("start_slack".into(), Json::from(*start_slack)));
-                        let b: Vec<Json> = binding
-                            .iter()
-                            .map(|b| {
-                                let (kind, id) = match b.resource {
-                                    Resource::Node(n) => ("node", n),
-                                    Resource::Edge(e) => ("edge", e),
-                                };
-                                Json::Obj(vec![
-                                    ("resource".into(), Json::from(kind)),
-                                    ("id".into(), Json::from(id)),
-                                    ("time".into(), Json::from(b.at_time)),
-                                    ("load".into(), Json::from(b.load)),
-                                    ("capacity".into(), Json::from(b.capacity)),
-                                ])
-                            })
-                            .collect();
-                        fields.push(("binding".into(), Json::Arr(b)));
-                    }
-                    Fate::Rejected { blockers, note } => {
-                        fields.push(("accepted".into(), Json::from(false)));
-                        let b: Vec<Json> = blockers
-                            .iter()
-                            .map(|b| {
-                                Json::Obj(vec![
-                                    ("candidate_start".into(), Json::from(b.candidate_start)),
-                                    ("node".into(), Json::from(b.node)),
-                                    ("time".into(), Json::from(b.at_time)),
-                                    ("existing_load".into(), Json::from(b.existing_load)),
-                                    ("demand".into(), Json::from(b.demand)),
-                                    ("capacity".into(), Json::from(b.capacity)),
-                                ])
-                            })
-                            .collect();
-                        fields.push(("blockers".into(), Json::Arr(b)));
-                        if let Some(n) = note {
-                            fields.push(("note".into(), Json::from(n.as_str())));
-                        }
-                    }
+        let requests = self.requests.iter().map(RequestExplanation::to_json);
+        Json::Obj(vec![(
+            "requests".to_string(),
+            Json::Arr(requests.collect()),
+        )])
+    }
+}
+
+impl RequestExplanation {
+    /// One entry of [`Explanation::to_json`]'s `requests` array (the
+    /// `explain` field of a service `decision` event).
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("request".to_string(), Json::from(self.request)),
+            ("name".to_string(), Json::from(self.name.as_str())),
+            (
+                "window".to_string(),
+                Json::Arr(vec![Json::from(self.window.0), Json::from(self.window.1)]),
+            ),
+        ];
+        match &self.fate {
+            Fate::Accepted {
+                start,
+                end,
+                event_point,
+                start_slack,
+                binding,
+            } => {
+                fields.push(("accepted".into(), Json::from(true)));
+                fields.push(("start".into(), Json::from(*start)));
+                fields.push(("end".into(), Json::from(*end)));
+                fields.push(("event_point".into(), Json::from(event_point.as_str())));
+                fields.push(("start_slack".into(), Json::from(*start_slack)));
+                let b: Vec<Json> = binding
+                    .iter()
+                    .map(|b| {
+                        let (kind, id) = match b.resource {
+                            Resource::Node(n) => ("node", n),
+                            Resource::Edge(e) => ("edge", e),
+                        };
+                        Json::Obj(vec![
+                            ("resource".into(), Json::from(kind)),
+                            ("id".into(), Json::from(id)),
+                            ("time".into(), Json::from(b.at_time)),
+                            ("load".into(), Json::from(b.load)),
+                            ("capacity".into(), Json::from(b.capacity)),
+                        ])
+                    })
+                    .collect();
+                fields.push(("binding".into(), Json::Arr(b)));
+            }
+            Fate::Rejected { blockers, note } => {
+                fields.push(("accepted".into(), Json::from(false)));
+                let b: Vec<Json> = blockers
+                    .iter()
+                    .map(|b| {
+                        Json::Obj(vec![
+                            ("candidate_start".into(), Json::from(b.candidate_start)),
+                            ("node".into(), Json::from(b.node)),
+                            ("time".into(), Json::from(b.at_time)),
+                            ("existing_load".into(), Json::from(b.existing_load)),
+                            ("demand".into(), Json::from(b.demand)),
+                            ("capacity".into(), Json::from(b.capacity)),
+                        ])
+                    })
+                    .collect();
+                fields.push(("blockers".into(), Json::Arr(b)));
+                if let Some(n) = note {
+                    fields.push(("note".into(), Json::from(n.as_str())));
                 }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![("requests".to_string(), Json::Arr(requests))])
+            }
+        }
+        Json::Obj(fields)
     }
 }
 
@@ -581,6 +593,41 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn explain_request_matches_the_whole_solution() {
+        // 'a' and 'b' back to back on node 0, 'c' rejected: its release is
+        // blocked and its latest start fits, so it gets blockers and a note.
+        let s = Substrate::uniform(grid(2, 2), 1.0, 5.0);
+        let g = star(1, StarDirection::AwayFromCenter);
+        let mk = |name: &str, le: f64| {
+            Request::new(name, g.clone(), vec![1.0, 0.0], vec![0.1], 0.0, le, 2.0)
+        };
+        let maps = vec![vec![NodeId(0), NodeId(1)]; 3];
+        let inst = Instance::new(
+            s,
+            vec![mk("a", 4.0), mk("b", 4.0), mk("c", 6.0)],
+            10.0,
+            Some(maps),
+        );
+        let run = |accepted: bool, start: f64| ScheduledRequest {
+            accepted,
+            start,
+            end: start + 2.0,
+            embedding: accepted.then(emb),
+        };
+        let sol = TemporalSolution {
+            scheduled: vec![run(true, 0.0), run(true, 2.0), run(false, 0.0)],
+            reported_objective: None,
+        };
+        let whole = explain_solution(&inst, &sol);
+        assert!(matches!(whole.requests[1].fate, Fate::Accepted { .. }));
+        assert!(matches!(whole.requests[2].fate, Fate::Rejected { .. }));
+        for (i, want) in whole.requests.iter().enumerate() {
+            let got = explain_request(&inst, &sol, i);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "request {i}");
+        }
     }
 
     #[test]

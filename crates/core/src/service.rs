@@ -32,7 +32,7 @@
 use std::time::{Duration, Instant};
 
 use crate::explain::{
-    edge_load_at, explain_solution, node_load_at, probe_times, RequestExplanation,
+    edge_load_at, explain_request, node_load_at, probe_times, RequestExplanation,
 };
 use crate::formulation::{build_model, BuildOptions, Formulation, Objective};
 use crate::util::UtilTracker;
@@ -272,7 +272,7 @@ impl ServiceCore {
         }
         let clock = Instant::now();
         self.advance(request.earliest_start);
-        let telemetry = self.opts.subproblem.telemetry.clone();
+        let telemetry = &self.opts.subproblem.telemetry;
         let _span = telemetry.span("serve.admit").arg("id", id as f64);
 
         // The live reservations plus the candidate, rejected at its release
@@ -317,7 +317,7 @@ impl ServiceCore {
         }
 
         self.next_id = self.next_id.max(id + 1);
-        let explain = explain_solution(&inst, &sol).requests.swap_remove(k);
+        let explain = explain_request(&inst, &sol, k);
         let decided = sol.scheduled.swap_remove(k);
         let accept = decided.accepted;
         if accept {
@@ -348,24 +348,10 @@ impl ServiceCore {
             }
         }
 
-        telemetry.counter_add("serve.admissions", 1);
-        if accept {
-            telemetry.counter_add("serve.accepted", 1);
-        } else {
-            telemetry.counter_add("serve.rejected", 1);
-        }
         // Black-box record of the decision (each start's LP already
         // recorded its events through the same handle).
         if let Some(bb) = &self.opts.subproblem.blackbox {
             bb.record(tvnep_telemetry::EventKind::Admit, id, u64::from(accept));
-        }
-        telemetry.gauge_set("serve.reservations", self.reservations.len() as f64);
-        if let (Some(util), true) = (&self.util, telemetry.is_enabled()) {
-            let s = util.summary(self.water_mark);
-            telemetry.gauge_set("serve.util.node_max", s.node_max);
-            telemetry.gauge_set("serve.util.edge_max", s.edge_max);
-            telemetry.gauge_set("serve.util.edge_p95", s.edge_p95);
-            telemetry.gauge_set("serve.util.headroom_next", s.headroom_next);
         }
 
         Ok(AdmitDecision {

@@ -165,7 +165,6 @@ pub struct DecisionRecord {
     pub start: f64,
     pub end: f64,
     pub embedding: Option<Embedding>,
-    pub nodes: u64,
     pub runtime: Duration,
 }
 
@@ -180,7 +179,7 @@ pub struct RecoveryReport {
     pub requeued: usize,
 }
 
-/// Wall-clock service counters (the `stats` event; nondeterministic).
+/// Service counters behind the `metrics` event's funnel.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     pub submitted: u64,
@@ -192,7 +191,6 @@ pub struct ServeStats {
     /// LP solves spent across all decisions, one per tried start
     /// (deterministic effort; the funnel budgets against it).
     pub nodes_spent: u64,
-    pub admit_wall: Duration,
     pub last_epoch_wall: Duration,
 }
 
@@ -438,7 +436,7 @@ impl EpochRunner {
         &self.core
     }
 
-    /// Wall-clock counters for the `stats` event.
+    /// The service counters the `metrics` event reports.
     pub fn stats(&self) -> &ServeStats {
         &self.stats
     }
@@ -619,7 +617,6 @@ impl EpochRunner {
                         start: d.start,
                         end: d.end,
                         embedding: d.embedding.clone(),
-                        nodes: d.nodes,
                         runtime: d.runtime,
                     });
                 }
@@ -635,7 +632,6 @@ impl EpochRunner {
                         start: earliest_start,
                         end: earliest_start + duration,
                         embedding: None,
-                        nodes: 0,
                         runtime: t0.elapsed(),
                     });
                 }
@@ -649,9 +645,7 @@ impl EpochRunner {
             }
         };
         self.stats.decided += 1;
-        let spent = t0.elapsed();
-        self.stats.admit_wall += spent;
-        self.admit_hist.observe(spent.as_secs_f64() * 1e3);
+        self.admit_hist.observe(t0.elapsed().as_secs_f64() * 1e3);
         event
     }
 
@@ -686,45 +680,6 @@ impl EpochRunner {
             ("pending".into(), Json::from(self.pending.len())),
             ("reservations".into(), Json::Arr(reservations)),
         ])
-    }
-
-    /// Wall-clock counters as a `stats` event.
-    pub fn stats_event(&self) -> Json {
-        Json::Obj(vec![
-            ("event".into(), Json::from("stats")),
-            ("submitted".into(), Json::from(self.stats.submitted)),
-            ("decided".into(), Json::from(self.stats.decided)),
-            ("accepted".into(), Json::from(self.stats.accepted)),
-            ("shed".into(), Json::from(self.stats.shed)),
-            ("epochs".into(), Json::from(self.stats.epochs)),
-            ("overruns".into(), Json::from(self.stats.overruns)),
-            ("pending".into(), Json::from(self.pending.len())),
-            (
-                "reservations".into(),
-                Json::from(self.core.reservations().len()),
-            ),
-            (
-                "admit_wall_s".into(),
-                Json::from(self.stats.admit_wall.as_secs_f64()),
-            ),
-            (
-                "last_epoch_wall_s".into(),
-                Json::from(self.stats.last_epoch_wall.as_secs_f64()),
-            ),
-        ])
-    }
-
-    /// Rolling-window funnel totals: `(epochs, decided, accepted, nodes)`.
-    fn window_totals(&self) -> (usize, u64, u64, u64) {
-        let mut d = 0u64;
-        let mut a = 0u64;
-        let mut n = 0u64;
-        for e in &self.window {
-            d += e.decided;
-            a += e.accepted;
-            n += e.nodes;
-        }
-        (self.window.len(), d, a, n)
     }
 
     /// The `blackbox` event answering the `dump-blackbox` protocol verb:
@@ -767,7 +722,9 @@ impl EpochRunner {
     /// rates, WAL accounting, and — when the core tracks it — the substrate
     /// utilization summary. Latency and wall-clock fields are
     /// nondeterministic; everything else is a pure function of the
-    /// admission sequence.
+    /// admission sequence. This is the one place a service number is
+    /// assembled: [`prometheus_text`](Self::prometheus_text) and
+    /// `tvnep-cli top` only render it.
     pub fn metrics_event(&self) -> Json {
         let s = &self.stats;
         let mut fields = vec![
@@ -799,13 +756,15 @@ impl EpochRunner {
             ),
         ];
 
-        let (we, wd, wa, wn) = self.window_totals();
+        let (wd, wa, wn) = self.window.iter().fold((0u64, 0u64, 0u64), |(d, a, n), e| {
+            (d + e.decided, a + e.accepted, n + e.nodes)
+        });
         let ratio = if wd > 0 { wa as f64 / wd as f64 } else { 1.0 };
         let slo = self.opts.slo.clone().unwrap_or_default();
         fields.push((
             "window".into(),
             Json::Obj(vec![
-                ("epochs".into(), Json::from(we)),
+                ("epochs".into(), Json::from(self.window.len())),
                 ("decided".into(), Json::from(wd)),
                 ("accepted".into(), Json::from(wa)),
                 ("acceptance_ratio".into(), Json::from(ratio)),
@@ -866,49 +825,20 @@ impl EpochRunner {
             "collected_total".into(),
             Json::from(self.core.collected_total()),
         ));
+        fields.push((
+            "last_epoch_wall_s".into(),
+            Json::from(self.stats.last_epoch_wall.as_secs_f64()),
+        ));
         Json::Obj(fields)
     }
 
-    /// Hand-rolled Prometheus text exposition of the same numbers the
-    /// `metrics` event reports, plus the solver telemetry registry when one
-    /// is attached (`GET /metrics` on the TCP front end serves this).
+    /// Prometheus text exposition (`GET /metrics` on the TCP front end):
+    /// every numeric leaf of [`metrics_event`](Self::metrics_event) as a
+    /// gauge named by its path under `serve.` (`funnel.decided` →
+    /// `serve_funnel_decided`), then the admission-latency histogram, then
+    /// the solver telemetry registry when one is attached.
     pub fn prometheus_text(&self) -> String {
-        let s = &self.stats;
-        let mut gauges: Vec<(String, f64)> = vec![
-            ("serve.funnel.submitted".into(), s.submitted as f64),
-            ("serve.funnel.shed".into(), s.shed as f64),
-            ("serve.funnel.queued".into(), self.pending.len() as f64),
-            ("serve.funnel.decided".into(), s.decided as f64),
-            ("serve.funnel.accepted".into(), s.accepted as f64),
-            (
-                "serve.funnel.rejected".into(),
-                (s.decided - s.accepted) as f64,
-            ),
-            ("serve.funnel.epochs".into(), s.epochs as f64),
-            ("serve.funnel.overruns".into(), s.overruns as f64),
-            ("serve.funnel.nodes_spent".into(), s.nodes_spent as f64),
-            (
-                "serve.reservations.live".into(),
-                self.core.reservations().len() as f64,
-            ),
-            ("serve.water_mark".into(), self.core.water_mark()),
-            ("serve.wal.records".into(), self.wal_records as f64),
-            ("serve.wal.undecided".into(), self.pending.len() as f64),
-        ];
-        let (we, wd, wa, wn) = self.window_totals();
-        let ratio = if wd > 0 { wa as f64 / wd as f64 } else { 1.0 };
-        gauges.push(("serve.window.epochs".into(), we as f64));
-        gauges.push(("serve.window.decided".into(), wd as f64));
-        gauges.push(("serve.window.acceptance_ratio".into(), ratio));
-        gauges.push(("serve.window.nodes".into(), wn as f64));
-        if let Some(util) = self.core.util() {
-            let u = util.summary(self.core.water_mark());
-            gauges.push(("serve.util.node_max".into(), u.node_max));
-            gauges.push(("serve.util.edge_max".into(), u.edge_max));
-            gauges.push(("serve.util.edge_p95".into(), u.edge_p95));
-            gauges.push(("serve.util.headroom_next".into(), u.headroom_next));
-        }
-        let mut out = prom::render_gauges(&gauges);
+        let mut out = prom::render_json_gauges("serve", &self.metrics_event());
         out.push_str(&prom::render_histogram(
             "serve.admit.latency_ms",
             &self.admit_hist,
@@ -979,6 +909,100 @@ mod tests {
         assert_eq!(marker.get("event").and_then(Json::as_str), Some("epoch"));
         assert_eq!(runner.stats().decided, 2);
         assert!(runner.run_epoch().unwrap().is_empty(), "queue drained");
+    }
+
+    /// A runner with every observability source on (telemetry registry,
+    /// utilization tracker, SLO doc) after one epoch that accepted and
+    /// rejected, with one submission still queued.
+    fn observed_runner() -> EpochRunner {
+        let mut opts = ServeOptions {
+            slo: Some(SloDoc::default()),
+            ..ServeOptions::default()
+        };
+        opts.service.subproblem.telemetry = tvnep_telemetry::Telemetry::metrics_only();
+        opts.service.track_util = true;
+        let mut runner = EpochRunner::new(substrate(), 20.0, opts, None).unwrap();
+        // 'a' fills node 0 over [0, 2]: rigid 'b' is rejected, 'c' waits.
+        for (name, le) in [("a", 10.0), ("b", 2.0), ("c", 10.0)] {
+            runner
+                .submit(doc(name, 0.0, le, 2.0), vec![0, 1])
+                .unwrap()
+                .unwrap();
+        }
+        runner.run_epoch().unwrap();
+        runner
+            .submit(doc("d", 3.0, 12.0, 2.0), vec![0, 1])
+            .unwrap()
+            .unwrap();
+        let s = runner.stats();
+        assert_eq!((s.decided, s.accepted), (3, 2));
+        runner
+    }
+
+    /// The `metrics` event's numeric leaves as `(gauge name, value)`.
+    fn numeric_leaves(path: &str, v: &Json, out: &mut Vec<(String, f64)>) {
+        match v {
+            Json::Num(x) => out.push((prom::metric_name(path), *x)),
+            Json::Obj(fields) => {
+                for (key, child) in fields {
+                    numeric_leaves(&format!("{path}.{key}"), child, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn scrape_names_each_series_once() {
+        let text = observed_runner().prometheus_text();
+        let mut series = BTreeSet::new();
+        for s in prom::parse(&text).unwrap() {
+            assert!(
+                series.insert((s.name.clone(), s.labels.clone())),
+                "{}{{{}}} appears twice",
+                s.name,
+                s.labels
+            );
+        }
+        let mut typed = BTreeSet::new();
+        for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
+            let name = line.split_whitespace().nth(2).unwrap();
+            assert!(typed.insert(name), "# TYPE {name} appears twice");
+        }
+    }
+
+    #[test]
+    fn scrape_is_the_metrics_snapshot_flattened() {
+        let runner = observed_runner();
+        let mut leaves = Vec::new();
+        numeric_leaves("serve", &runner.metrics_event(), &mut leaves);
+        for name in [
+            "serve_window_accepted",
+            "serve_util_points",
+            "serve_slo_latency_burn",
+        ] {
+            assert!(
+                leaves.iter().any(|(n, _)| n == name),
+                "{name} not in snapshot"
+            );
+        }
+        let samples = prom::parse(&runner.prometheus_text()).unwrap();
+        for (name, value) in &leaves {
+            let s = samples
+                .iter()
+                .find(|s| &s.name == name)
+                .unwrap_or_else(|| panic!("{name} missing from the scrape"));
+            assert_eq!(s.value.to_bits(), value.to_bits(), "{name}");
+        }
+        for s in samples.iter().filter(|s| {
+            s.name.starts_with("serve_") && !s.name.starts_with("serve_admit_latency_ms_")
+        }) {
+            assert!(
+                leaves.iter().any(|(n, _)| n == &s.name),
+                "{} is not a leaf of the metrics event",
+                s.name
+            );
+        }
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub struct LoadConfig {
     /// Write the utilization timeline as JSONL to this path after the run
     /// (implies `track_util`).
     pub util_out: Option<PathBuf>,
-    /// Telemetry sink for `serve.*` counters and spans.
+    /// Telemetry sink for the admission LPs' counters and the `serve.admit`
+    /// spans; the service's own counts are in the [`LoadReport`].
     pub telemetry: Telemetry,
 }
 
@@ -262,7 +263,6 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
     let stats = runner.stats();
     let decisions = stats.decided;
     let accepted = stats.accepted;
-    let total_nodes: u64 = log.iter().map(|r| r.nodes).sum();
 
     Ok(LoadReport {
         submitted: stats.submitted,
@@ -275,7 +275,7 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
             0.0
         },
         violations: violations.len(),
-        total_nodes,
+        total_nodes: stats.nodes_spent,
         epochs: stats.epochs,
         overruns: stats.overruns,
         p50_ms: hist.quantile(0.50),

@@ -2,20 +2,20 @@
 //!
 //! Every message is one JSON object per line. Client → server **ops**:
 //!
-//! | op         | fields                                | effect                      |
-//! |------------|---------------------------------------|-----------------------------|
-//! | `submit`   | `request` (RequestDoc), `mapping`     | queue for the next epoch    |
-//! | `tick`     | —                                     | close the epoch now         |
-//! | `stats`    | —                                     | wall-clock service counters |
-//! | `dump`     | —                                     | reservation state snapshot  |
-//! | `dump-blackbox` | —                                | flight-recorder dump        |
-//! | `shutdown` | —                                     | final epoch, then exit      |
+//! | op              | fields                            | effect                         |
+//! |-----------------|-----------------------------------|--------------------------------|
+//! | `submit`        | `request` (RequestDoc), `mapping` | queue for the next epoch       |
+//! | `tick`          | —                                 | close the epoch now            |
+//! | `metrics`       | —                                 | funnel, latency, SLO snapshot  |
+//! | `dump`          | —                                 | reservation state snapshot     |
+//! | `dump-blackbox` | —                                 | flight-recorder dump           |
+//! | `shutdown`      | —                                 | final epoch, then exit         |
 //!
 //! Server → client **events**: `hello`, `ack`, `decision`, `epoch`,
-//! `stats`, `dump`, `error`, `bye`. Decision events carry only
-//! deterministic fields (no wall-clock times), which is what makes the
+//! `metrics`, `dump`, `blackbox`, `error`, `bye`. Decision events carry
+//! only deterministic fields (no wall-clock times), which is what makes the
 //! decision log byte-comparable across a crash/recovery boundary; timing
-//! lives in `stats` and in the load generator's SLO report.
+//! lives in `metrics` and in the load generator's SLO report.
 //!
 //! A submission is decoded by the one request codec
 //! ([`RequestDoc::from_json`]) and checked by the model's constructors
@@ -23,7 +23,6 @@
 //! core's window and mapping checks, so a malformed client line becomes an
 //! `error` event instead of a panic.
 
-use tvnep_core::explain::{Explanation, RequestExplanation};
 use tvnep_core::AdmitDecision;
 use tvnep_harness::format::{embedding_to_json, RequestDoc};
 use tvnep_model::Request;
@@ -39,8 +38,6 @@ pub enum Op {
     },
     /// Close the current admission epoch immediately.
     Tick,
-    /// Report wall-clock service counters.
-    Stats,
     /// Report the deterministic reservation-state snapshot.
     Dump,
     /// Report the observability snapshot (funnel, latency percentiles,
@@ -74,7 +71,6 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
             Ok(Op::Submit { doc, mapping })
         }
         "tick" => Ok(Op::Tick),
-        "stats" => Ok(Op::Stats),
         "dump" => Ok(Op::Dump),
         "metrics" => Ok(Op::Metrics),
         "dump-blackbox" => Ok(Op::DumpBlackbox),
@@ -156,7 +152,7 @@ pub fn decision_event(d: &AdmitDecision) -> Json {
         fields.extend(embedding_to_json(emb));
     }
     if let Some(ex) = &d.explain {
-        fields.push(("explain".into(), explain_to_json(ex)));
+        fields.push(("explain".into(), ex.to_json()));
     }
     Json::Obj(fields)
 }
@@ -181,20 +177,6 @@ pub fn rejected_decision_event(
         ("nodes".into(), Json::from(0u64)),
         ("reason".into(), Json::from(reason)),
     ])
-}
-
-/// Per-request explain narrative as JSON (delegates to the whole-solution
-/// serializer over a singleton explanation).
-pub fn explain_to_json(ex: &RequestExplanation) -> Json {
-    let whole = Explanation {
-        requests: vec![ex.clone()],
-    };
-    let j = whole.to_json();
-    j.get("requests")
-        .and_then(Json::as_array)
-        .and_then(|a| a.first())
-        .cloned()
-        .unwrap_or(Json::Null)
 }
 
 #[cfg(test)]
@@ -270,6 +252,7 @@ mod tests {
         assert!(request_from_doc(&barely_short).is_err());
 
         assert!(parse_op("{\"op\":\"warp\"}").is_err());
+        assert!(parse_op("{\"op\":\"stats\"}").is_err());
         assert!(parse_op("not json").is_err());
         assert!(parse_op("{\"op\":\"submit\"}").is_err());
     }
@@ -277,7 +260,10 @@ mod tests {
     #[test]
     fn simple_ops_parse() {
         assert!(matches!(parse_op("{\"op\":\"tick\"}").unwrap(), Op::Tick));
-        assert!(matches!(parse_op("{\"op\":\"stats\"}").unwrap(), Op::Stats));
+        assert!(matches!(
+            parse_op("{\"op\":\"metrics\"}").unwrap(),
+            Op::Metrics
+        ));
         assert!(matches!(parse_op("{\"op\":\"dump\"}").unwrap(), Op::Dump));
         assert!(matches!(
             parse_op("{\"op\":\"dump-blackbox\"}").unwrap(),

@@ -167,7 +167,6 @@ pub fn serve_connection(
                     emit(out, &l)?;
                 }
             }
-            Ok(Op::Stats) => emit_json(out, &runner.stats_event())?,
             Ok(Op::Dump) => emit_json(out, &runner.dump())?,
             Ok(Op::Metrics) => emit_json(out, &runner.metrics_event())?,
             Ok(Op::DumpBlackbox) => emit_json(out, &runner.blackbox_event())?,
@@ -271,7 +270,7 @@ mod tests {
         )
         .unwrap();
         let script = format!(
-            "{}\n{}\nnot json\n{}\n{{\"op\":\"dump\"}}\n{{\"op\":\"stats\"}}\n",
+            "{}\n{}\nnot json\n{}\n{{\"op\":\"dump\"}}\n{{\"op\":\"metrics\"}}\n",
             submit_line("a", 0.0),
             submit_line("b", 0.5),
             submit_line("c", 1.0),
@@ -287,12 +286,12 @@ mod tests {
             .map(|e| e.get("event").and_then(Json::as_str).unwrap())
             .collect();
         // hello, ack a, ack b, epoch of two decisions, error (bad line),
-        // ack c, dump, stats, then EOF flushes c and says bye.
+        // ack c, dump, metrics, then EOF flushes c and says bye.
         assert_eq!(
             kinds,
             vec![
                 "hello", "ack", "ack", "decision", "decision", "epoch", "error", "ack", "dump",
-                "stats", "decision", "epoch", "bye"
+                "metrics", "decision", "epoch", "bye"
             ]
         );
         let bye = evs.last().unwrap();
@@ -417,7 +416,7 @@ mod tests {
         assert!(String::from_utf8(out).unwrap().starts_with("HTTP/1.0 404"));
 
         // A protocol session on the same runner still greets first.
-        let mut input = io::Cursor::new(b"{\"op\":\"stats\"}\n".to_vec());
+        let mut input = io::Cursor::new(b"{\"op\":\"metrics\"}\n".to_vec());
         let mut out = Vec::new();
         serve_connection(&mut runner, &mut input, &mut out).unwrap();
         let evs = events(&out);

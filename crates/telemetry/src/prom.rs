@@ -1,13 +1,15 @@
 //! # Hand-rolled Prometheus-style text exposition
 //!
-//! Renders a [`MetricsSnapshot`](crate::MetricsSnapshot) (plus any extra
-//! pre-flattened samples) in the Prometheus text format, and parses such
-//! text back into `(name, labels, value)` samples so CI can prove the wire
-//! round-trips. Zero dependencies, deterministic output: metric names are
-//! the dotted telemetry keys with dots replaced by underscores, emitted in
-//! sorted order.
+//! Renders a [`MetricsSnapshot`](crate::MetricsSnapshot), a histogram, or
+//! the numeric leaves of a JSON document in the Prometheus text format, and
+//! parses such text back into `(name, labels, value)` samples so CI can
+//! prove the wire round-trips. Zero dependencies, deterministic output:
+//! metric names are the dotted telemetry keys (or JSON paths) with dots
+//! replaced by underscores, snapshots in sorted order and documents in
+//! document order.
 
 use crate::hist::{bucket_upper, LogHistogram};
+use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
 
 /// One parsed exposition sample.
@@ -101,15 +103,28 @@ pub fn render_histogram(key: &str, hist: &LogHistogram) -> String {
     out
 }
 
-/// Renders a flat list of extra gauge samples (already-computed numbers
-/// such as funnel counts or utilization summaries).
-pub fn render_gauges(samples: &[(String, f64)]) -> String {
-    let mut out = String::new();
-    for (key, v) in samples {
-        let name = metric_name(key);
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        push_sample(&mut out, &name, "", *v);
+/// Renders every numeric leaf of a JSON document as a gauge named by its
+/// object path under `prefix`: `{"funnel": {"decided": 5}}` under `serve`
+/// becomes `serve_funnel_decided 5.0`, in document order. Strings,
+/// booleans, nulls and arrays are skipped: a gauge is one named number.
+pub fn render_json_gauges(prefix: &str, doc: &Json) -> String {
+    fn walk(out: &mut String, path: &str, v: &Json) {
+        match v {
+            Json::Num(x) => {
+                let name = metric_name(path);
+                out.push_str(&format!("# TYPE {name} gauge\n"));
+                push_sample(out, &name, "", *x);
+            }
+            Json::Obj(fields) => {
+                for (key, child) in fields {
+                    walk(out, &format!("{path}.{key}"), child);
+                }
+            }
+            Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) => {}
+        }
     }
+    let mut out = String::new();
+    walk(&mut out, prefix, doc);
     out
 }
 
