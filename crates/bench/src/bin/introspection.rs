@@ -239,7 +239,7 @@ fn kernel_microbench(seed: u64) -> Json {
     let basis: Vec<usize> = (0..M).collect();
 
     let mut factor = BasisFactor::default();
-    assert!(factor.factorize(&cols, &basis, 0.1), "bench basis singular");
+    assert!(factor.factorize(&cols, &basis), "bench basis singular");
 
     // Dense comparator: Gauss–Jordan inverse (the old kernel's refactorize),
     // FTRAN as the old row-scaled accumulation — O(m²) per solve.
@@ -384,13 +384,13 @@ fn kernel_microbench(seed: u64) -> Json {
     // simplex engine's does.
     let mut refactor = BasisFactor::default();
     let factorize_ns = time_min_ns(FACTOR_ITERS, || {
-        assert!(refactor.factorize(&cols, &basis, 0.1));
+        assert!(refactor.factorize(&cols, &basis));
     });
     const SLACK_HEAVY_M: usize = 620;
     let (sh_cols, sh_basis) = slack_heavy_basis(SLACK_HEAVY_M, &mut next_u64);
     let mut sh_factor = BasisFactor::default();
     let factorize_slack_heavy_ns = time_min_ns(FACTOR_ITERS, || {
-        assert!(sh_factor.factorize(&sh_cols, &sh_basis, 0.1));
+        assert!(sh_factor.factorize(&sh_cols, &sh_basis));
     });
     let mut sh_rhs = vec![0.0; SLACK_HEAVY_M];
     for _ in 0..4 {

@@ -24,7 +24,9 @@
 
 use tvnep_telemetry::Json;
 
-/// Per-metric tolerances.
+/// Per-metric tolerances of the wall-derived gates. Deterministic counts
+/// (and status/objective) are always gated exactly when both runs are
+/// single-threaded.
 #[derive(Debug, Clone)]
 pub struct Tolerances {
     /// Allowed wall-clock slowdown per cell, percent of baseline.
@@ -39,9 +41,6 @@ pub struct Tolerances {
     /// Allowed tail-latency (`p99_ms`) growth per cell, percent of
     /// baseline. Wall-derived (`serve_slo` documents), so noisy.
     pub p99_pct: f64,
-    /// Gate deterministic counts (and status/objective) exactly when both
-    /// runs are single-threaded.
-    pub exact_counts: bool,
 }
 
 impl Default for Tolerances {
@@ -52,7 +51,6 @@ impl Default for Tolerances {
             ttfi_pct: 25.0,
             pi_pct: 25.0,
             p99_pct: 50.0,
-            exact_counts: true,
         }
     }
 }
@@ -257,7 +255,7 @@ pub fn compare_docs(
 
         // Deterministic quantities: exact for single-threaded pairs.
         let both_seq = num(base, "threads") == Some(1.0) && num(cand, "threads") == Some(1.0);
-        if serve && tol.exact_counts && both_seq {
+        if serve && both_seq {
             // Service decisions are a pure function of the seed and node
             // budget: any drift in what was decided, accepted, shed, or how
             // much search it took is a behavioral change.
@@ -278,7 +276,7 @@ pub fn compare_docs(
                 }
             }
         }
-        if !serve && tol.exact_counts && both_seq {
+        if !serve && both_seq {
             let bs = base.get("status").and_then(Json::as_str).unwrap_or("");
             let cs = cand.get("status").and_then(Json::as_str).unwrap_or("");
             if bs != cs {
@@ -318,14 +316,8 @@ pub fn render_report(report: &CompareReport, tol: &Tolerances) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "bench-compare: {} cells checked (wall ±{}%, mem ±{}%, ttfi ±{}%, \
-         primal-integral ±{}%, p99 ±{}%, exact counts: {})\n",
-        report.checked,
-        tol.wall_pct,
-        tol.mem_pct,
-        tol.ttfi_pct,
-        tol.pi_pct,
-        tol.p99_pct,
-        tol.exact_counts
+         primal-integral ±{}%, p99 ±{}%, exact counts at threads=1)\n",
+        report.checked, tol.wall_pct, tol.mem_pct, tol.ttfi_pct, tol.pi_pct, tol.p99_pct
     ));
     for i in &report.improvements {
         out.push_str(&format!("  improved  {i}\n"));
@@ -412,12 +404,6 @@ mod tests {
         let r = compare_docs(&base, &cand, &Tolerances::default()).unwrap();
         assert!(r.is_regression());
         assert!(r.regressions[0].contains("nodes"));
-        // Disabled exact gate lets it through.
-        let loose = Tolerances {
-            exact_counts: false,
-            ..Default::default()
-        };
-        assert!(!compare_docs(&base, &cand, &loose).unwrap().is_regression());
     }
 
     #[test]
@@ -539,25 +525,14 @@ mod tests {
             assert!(r.is_regression(), "{key} drift must gate");
             assert!(r.regressions[0].contains(key), "{:?}", r.regressions);
         }
-        // --no-exact-counts lets count drift through.
-        let loose = Tolerances {
-            exact_counts: false,
-            ..Default::default()
-        };
-        let cand = serve_doc((53, 14, 0, 0, 1600, 18, 160.0));
-        assert!(!compare_docs(&base, &cand, &loose).unwrap().is_regression());
     }
 
     #[test]
     fn serve_slo_violations_always_fail() {
-        // Even with exact counts off and an equally-bad baseline, a
+        // Even against an equally-bad baseline, with every count equal, a
         // candidate with violations is a correctness failure.
         let bad = serve_doc((53, 15, 0, 3, 1617, 18, 160.0));
-        let loose = Tolerances {
-            exact_counts: false,
-            ..Default::default()
-        };
-        let r = compare_docs(&bad, &bad, &loose).unwrap();
+        let r = compare_docs(&bad, &bad, &Tolerances::default()).unwrap();
         assert!(r.is_regression());
         assert!(r.regressions[0].contains("Definition-2.1"));
     }

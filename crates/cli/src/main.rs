@@ -81,7 +81,7 @@ const COMMANDS: &[(&str, &str)] = &[
     (
         "bench-compare",
         "BASELINE.json CANDIDATE.json [--wall-tol-pct P] [--mem-tol-pct P] [--ttfi-tol-pct P] \
-         [--pi-tol-pct P] [--no-exact-counts] [--p99-tol-pct P]",
+         [--pi-tol-pct P] [--p99-tol-pct P]",
     ),
     (
         "serve",
@@ -394,13 +394,12 @@ fn render_top_frame(m: &Json) -> String {
         ));
     }
     s.push_str(&format!(
-        "wal      enabled {}  records {}  undecided {}\n",
+        "wal      enabled {}  records {}\n",
         m.get("wal")
             .and_then(|w| w.get("enabled"))
             .and_then(Json::as_bool)
             .unwrap_or(false),
         num("wal", "records"),
-        num("wal", "undecided"),
     ));
     s
 }
@@ -947,9 +946,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             }
             if let Some(p) = args.flags.get("p99-tol-pct") {
                 tol.p99_pct = p.parse().map_err(|e| format!("--p99-tol-pct: {e}"))?;
-            }
-            if args.flags.contains_key("no-exact-counts") {
-                tol.exact_counts = false;
             }
             let report = compare_docs(&baseline, &candidate, &tol)?;
             print!("{}", render_report(&report, &tol));

@@ -29,8 +29,8 @@
 //!   Most steps pivot on a column singleton and leave the other candidates
 //!   clean, so a step usually rescans one column instead of four.
 //! * **Threshold partial pivoting.** A candidate is numerically admissible
-//!   only when `|a_ij| ≥ markowitz_tol · max_i |a_ij|` within its column, so
-//!   sparsity can be traded against growth ([`crate::Params::markowitz_tol`]).
+//!   only when `|a_ij| ≥ MARKOWITZ_TOL · max_i |a_ij|` within its column
+//!   ([`MARKOWITZ_TOL`] = 0.1), which trades sparsity against growth.
 //! * **Stored triangles.** `L` (unit lower) and `U` are stored column-wise
 //!   in pivot order, and `U` once more by rows: each retiring pivot row is
 //!   appended to the row-wise copy as it leaves the active submatrix, and
@@ -57,14 +57,15 @@
 //!   vector built from the already-computed FTRAN spike ([`EtaFile`]); a
 //!   pivot therefore costs work proportional to the spike's nonzeros. The
 //!   eta file is replayed after (FTRAN) or before (BTRAN, transposed, in
-//!   reverse) the LU solves, and its fill is bounded by
-//!   [`crate::Params::eta_file_limit`] which forces an early refactorization.
+//!   reverse) the LU solves, and the simplex bounds its fill at 8·m
+//!   off-pivot nonzeros, past which it refactorizes early.
 //!
 //! [`BasisFactor`] bundles the two pieces plus a solve workspace and is the
 //! only interface the simplex engine uses. The `U`-diagonal ratio
-//! `max|u_kk| / min|u_kk|` is exported as the ill-conditioning proxy feeding
-//! the health monitor (it bounds `κ∞(B)` from below for the unit-scaled
-//! TVNEP rows, replacing the dense engine's `max|B⁻¹|` scan).
+//! `max|u_kk| / min|u_kk|` of each factorization is kept as an
+//! ill-conditioning proxy, read on demand through
+//! [`BasisFactor::u_diag_ratio`] (it bounds `κ∞(B)` from below for the
+//! unit-scaled TVNEP rows).
 
 use crate::bitset::BitSet;
 use crate::sparse::CscMatrix;
@@ -75,6 +76,11 @@ use crate::sparse::CscMatrix;
 /// selection O(candidates · column length) per step. The candidates are the
 /// smallest `(count, column)` pairs, read from [`CountBuckets`].
 const MARKOWITZ_CANDIDATES: usize = 4;
+
+/// Threshold partial-pivoting relaxation of the Markowitz search: an entry
+/// is admissible only when `|a_ij| ≥ MARKOWITZ_TOL · max_i |a_ij|` within
+/// its column. Smaller values would favor sparsity over numerical growth.
+const MARKOWITZ_TOL: f64 = 0.1;
 
 /// Pivots smaller than this are never numerically admissible, matching the
 /// dense factorization's singularity cutoff.
@@ -151,9 +157,9 @@ impl SolveWork {
 impl LuFactors {
     /// Factorizes the basis given by `basis` (indices into `cols`). Returns
     /// `false` — leaving `self` unusable — when the basis is singular at the
-    /// [`ABS_PIVOT_MIN`] cutoff. `markowitz_tol` in `(0, 1]` is the threshold
-    /// partial-pivoting relaxation: smaller values favor sparsity harder.
-    pub fn factorize(&mut self, cols: &CscMatrix, basis: &[usize], markowitz_tol: f64) -> bool {
+    /// [`ABS_PIVOT_MIN`] cutoff. Pivots are chosen under the
+    /// [`MARKOWITZ_TOL`] threshold.
+    pub fn factorize(&mut self, cols: &CscMatrix, basis: &[usize]) -> bool {
         let m = basis.len();
         self.m = m;
         self.u_diag_ratio = 1.0;
@@ -173,12 +179,11 @@ impl LuFactors {
         self.ur_idx.clear();
         self.ur_val.clear();
         self.u_diag.clear();
-        let tol = markowitz_tol.clamp(1e-4, 1.0);
 
         let elim = &mut self.elim;
         elim.load(cols, basis);
         for k in 0..m {
-            let Some(p) = elim.choose_pivot(tol) else {
+            let Some(p) = elim.choose_pivot() else {
                 return false;
             };
             self.rowperm.push(p.row);
@@ -479,8 +484,8 @@ impl LuFactors {
         self.l_val.len() + self.u_val.len() + self.u_diag.len()
     }
 
-    /// `max|u_kk| / min|u_kk|` — the ill-conditioning proxy fed to the
-    /// health monitor (∞ when a diagonal entry underflowed to zero).
+    /// `max|u_kk| / min|u_kk|` — an ill-conditioning proxy of the basis
+    /// (∞ when a diagonal entry underflowed to zero).
     pub fn u_diag_ratio(&self) -> f64 {
         self.u_diag_ratio
     }
@@ -839,14 +844,14 @@ impl Elimination {
     /// Markowitz selection over the sparsest few active columns, widened to
     /// every active column when none of those has an admissible entry.
     /// `None` means the active submatrix is numerically singular.
-    fn choose_pivot(&mut self, tol: f64) -> Option<Pivot> {
+    fn choose_pivot(&mut self) -> Option<Pivot> {
         let mut cand = std::mem::take(&mut self.cand);
         self.counts.sparsest(MARKOWITZ_CANDIDATES, &mut cand);
-        let mut best = self.best_of(&cand, tol);
+        let mut best = self.best_of(&cand);
         if best.is_none() && cand.len() == MARKOWITZ_CANDIDATES {
             cand.clear();
             cand.extend((0..self.col_active.len()).filter(|&j| self.col_active[j]));
-            best = self.best_of(&cand, tol);
+            best = self.best_of(&cand);
         }
         self.cand = cand;
         best
@@ -854,11 +859,11 @@ impl Elimination {
 
     /// The best admissible entry of the columns `cand`, from each column's
     /// cached best, rescanning the dirty columns.
-    fn best_of(&mut self, cand: &[usize], tol: f64) -> Option<Pivot> {
+    fn best_of(&mut self, cand: &[usize]) -> Option<Pivot> {
         let mut best: Option<Pivot> = None;
         for &j in cand {
             if self.dirty[j] {
-                self.best[j] = self.scan_column(j, tol);
+                self.best[j] = self.scan_column(j);
                 self.dirty[j] = false;
             }
             if let Some(p) = self.best[j] {
@@ -870,10 +875,10 @@ impl Elimination {
         best
     }
 
-    /// Column `j`'s best entry among those within `tol` of its largest
-    /// magnitude (and at least [`ABS_PIVOT_MIN`]). Drops retired rows from
-    /// its candidate list in passing.
-    fn scan_column(&mut self, j: usize, tol: f64) -> Option<Pivot> {
+    /// Column `j`'s best entry among those within [`MARKOWITZ_TOL`] of its
+    /// largest magnitude (and at least [`ABS_PIVOT_MIN`]). Drops retired rows
+    /// from its candidate list in passing.
+    fn scan_column(&mut self, j: usize) -> Option<Pivot> {
         let row_active = &self.row_active;
         self.cols.retain(j, |r| row_active[r]);
         let mut colmax = 0.0f64;
@@ -885,7 +890,7 @@ impl Elimination {
         if colmax < ABS_PIVOT_MIN {
             return None;
         }
-        let cutoff = (tol * colmax).max(ABS_PIVOT_MIN);
+        let cutoff = (MARKOWITZ_TOL * colmax).max(ABS_PIVOT_MIN);
         let col_count = self.counts.count[j];
         let mut best: Option<Pivot> = None;
         for &r in self.cols.get(j) {
@@ -1021,8 +1026,8 @@ impl EtaFile {
         self.pivot_row.len()
     }
 
-    /// Total stored off-pivot nonzeros — the fill figure bounded by
-    /// [`crate::Params::eta_file_limit`].
+    /// Total stored off-pivot nonzeros — the fill figure the simplex bounds
+    /// by refactorizing early.
     pub fn nnz(&self) -> usize {
         self.val.len()
     }
@@ -1122,10 +1127,10 @@ impl BasisFactor {
     /// (Re-)factorizes the basis, dropping the eta file. Returns `false` on
     /// a singular basis, in which case the previous factorization is lost
     /// and [`BasisFactor::is_ready`] turns false.
-    pub fn factorize(&mut self, cols: &CscMatrix, basis: &[usize], markowitz_tol: f64) -> bool {
+    pub fn factorize(&mut self, cols: &CscMatrix, basis: &[usize]) -> bool {
         self.etas.clear();
         self.ws.resize(basis.len());
-        self.ready = self.lu.factorize(cols, basis, markowitz_tol);
+        self.ready = self.lu.factorize(cols, basis);
         self.ready
     }
 
@@ -1269,7 +1274,7 @@ mod tests {
     fn identity_factorizes_trivially() {
         let (cols, basis) = basis_matrix(&[&[(0, 1.0)], &[(1, 1.0)], &[(2, 1.0)]]);
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         assert!(f.is_ready(3));
         assert_eq!(f.u_diag_ratio(), 1.0);
         let mut x = vec![3.0, -1.0, 2.0];
@@ -1285,7 +1290,7 @@ mod tests {
         // Two identical columns.
         let (cols, basis) = basis_matrix(&[&[(0, 1.0), (1, 1.0)], &[(0, 1.0), (1, 1.0)]]);
         let mut f = BasisFactor::default();
-        assert!(!f.factorize(&cols, &basis, 0.1));
+        assert!(!f.factorize(&cols, &basis));
         assert!(!f.is_ready(2));
     }
 
@@ -1293,7 +1298,7 @@ mod tests {
     fn structurally_empty_row_is_singular() {
         let (cols, basis) = basis_matrix(&[&[(0, 1.0)], &[(0, 2.0)]]);
         let mut f = BasisFactor::default();
-        assert!(!f.factorize(&cols, &basis, 0.1));
+        assert!(!f.factorize(&cols, &basis));
     }
 
     #[test]
@@ -1305,7 +1310,7 @@ mod tests {
             &[(1, 1.0), (2, 4.0)],
         ]);
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         // Solve B x = [1, 2, 3]': x = B⁻¹ b, checked by multiplying back.
         let b = [1.0, 2.0, 3.0];
         let mut x = b.to_vec();
@@ -1343,7 +1348,7 @@ mod tests {
         cols.push_column(&[(0, 1.0), (1, 2.0), (2, 1.0)]); // column index 3
         let mut basis: Vec<usize> = vec![0, 1, 2];
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         // FTRAN the entering column, pivot at row 1.
         let mut w = vec![0.0; m];
         cols.axpy_column(3, 1.0, &mut w);
@@ -1371,7 +1376,7 @@ mod tests {
             assert!((dot - cvec[pos]).abs() < 1e-12);
         }
         // Refactorizing from the new header clears the eta file.
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         assert_eq!(f.eta_count(), 0);
     }
 
@@ -1380,7 +1385,7 @@ mod tests {
         let eps = 1e-6;
         let (cols, basis) = basis_matrix(&[&[(0, 1.0), (1, 1.0)], &[(0, 1.0), (1, 1.0 + eps)]]);
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         let ratio = f.u_diag_ratio();
         assert!(ratio > 1e5 && ratio < 1e8, "ratio {ratio}");
     }
@@ -1444,7 +1449,7 @@ mod tests {
     fn memory_bytes_counts_factors_and_etas() {
         let (cols, basis) = basis_matrix(&[&[(0, 1.0)], &[(1, 1.0)]]);
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         let before = f.memory_bytes();
         assert!(before > 0);
         f.push_eta(0, &[2.0, 1.0]);

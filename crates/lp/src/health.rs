@@ -1,35 +1,30 @@
 //! Numerical-health monitoring for the simplex engine.
 //!
-//! The sparse-LU product-form kernel (DESIGN.md §2 and ROADMAP item 1)
-//! survives degeneracy and drift by refactorizing and re-verifying — but on
-//! its own it keeps no record of *how close* a solve came to numerical
-//! failure. [`HealthMonitor`] collects that record at two cost tiers:
+//! The sparse-LU product-form kernel (DESIGN.md §2) survives degeneracy and
+//! drift by refactorizing and re-verifying — but on its own it keeps no
+//! record of *how close* a solve came to numerical failure.
+//! [`HealthMonitor`] collects that record with plain field updates (no
+//! locks, nothing sampled): refactorization *cause* counters (scheduled vs.
+//! instability-triggered vs. singular-recovery), singular-basis encounters,
+//! accepted-pivot magnitude extremes, a growth-factor estimate from the
+//! product-form eta columns (`max_i |w_i| / |w_r|` per pivot — large eta
+//! entries are the classic PFI error-amplification signal), and Bland's-rule
+//! anti-cycling episodes with their iteration counts.
 //!
-//! * **Always on (plain field updates, no locks):** refactorization *cause*
-//!   counters (scheduled vs. instability-triggered vs. singular-recovery),
-//!   singular-basis encounters, accepted-pivot magnitude extremes, a
-//!   growth-factor estimate from the product-form eta columns
-//!   (`max_i |w_i| / |w_r|` per pivot — large eta entries are the classic
-//!   PFI error-amplification signal), and Bland's-rule anti-cycling episodes
-//!   with their iteration counts.
-//! * **Sampled (gated on [`crate::Params::health_check_every`] > 0):**
-//!   basis-solve residuals `‖B·x̂_B − b‖∞` re-checked after each
-//!   refactorization and every Nth FTRAN, plus a conditioning proxy fed
-//!   after each refactorization — the U-diagonal ratio
-//!   `max|u_ii| / min|u_ii|` of the sparse LU (the dense kernel fed the
-//!   largest `|B⁻¹|` entry; the channel keeps its name so baselines stay
-//!   comparable). The residual scans are O(m + nnz) per check, so they stay
-//!   off by default and the spans-off / metrics-only introspection overhead
-//!   budget (< 2 %) is unaffected.
+//! Two costlier checks are computed on demand instead of sampled by every
+//! solve: the basis-solve residual `‖B·x_B − b‖∞`
+//! ([`crate::Simplex::basis_residual`], O(m + nnz)) and the conditioning
+//! proxy `max|u_ii| / min|u_ii|` of the last LU factorization
+//! ([`crate::BasisFactor::u_diag_ratio`]).
 //!
 //! [`HealthMonitor::report`] condenses the evidence into a
 //! [`HealthReport`] with a three-level [`HealthVerdict`]; thresholds are the
 //! named constants below. The monitor is cumulative over a [`crate::Simplex`]
 //! instance's lifetime (all solves of a branch-and-bound run); callers that
 //! want a per-solve verdict call [`HealthMonitor::reset`] between solves.
-//! The report is the stability gate the sparse-LU overhaul (ROADMAP item 1)
-//! was validated against — see the DESIGN.md §10.1 validation notes and the
-//! fill-growth test in `tests/health.rs`.
+//! The report is the stability gate the sparse-LU overhaul was validated
+//! against — see the DESIGN.md §10.1 validation notes and the fill-budget
+//! test in `tests/health.rs`.
 
 use tvnep_telemetry::Telemetry;
 
@@ -40,10 +35,9 @@ use tvnep_telemetry::Telemetry;
 /// span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefactorCause {
-    /// Periodic rebuild after `Params::refactor_every` pivots, an early
-    /// rebuild forced by the eta-file fill trigger
-    /// (`Params::eta_file_limit`), the rebuild at (warm-)solve entry, or
-    /// the first verification pass of a solve.
+    /// Periodic rebuild after 150 pivots, an early rebuild forced by the
+    /// eta-file fill budget (8·m off-pivot nonzeros), the rebuild at
+    /// (warm-)solve entry, or the first verification pass of a solve.
     Scheduled,
     /// Rebuild forced by a failed optimality/feasibility verification —
     /// the product-form update sequence had drifted and the solve is
@@ -60,12 +54,10 @@ pub enum HealthVerdict {
     /// No instability signal fired.
     Stable,
     /// Recoverable trouble: drift-triggered refactorizations, Bland
-    /// episodes, elevated residuals, or an ill-conditioning proxy above
-    /// [`BINV_SUSPECT`] / [`GROWTH_SUSPECT`].
+    /// episodes, or eta growth above [`GROWTH_SUSPECT`].
     Suspect,
-    /// Hard evidence: singular bases, residuals above
-    /// [`RESIDUAL_UNSTABLE`], or condition proxies past the unstable
-    /// thresholds — results should be cross-checked.
+    /// Hard evidence: singular bases or eta growth past
+    /// [`GROWTH_UNSTABLE`] — results should be cross-checked.
     Unstable,
 }
 
@@ -80,26 +72,11 @@ impl HealthVerdict {
     }
 }
 
-/// Residual `‖B·x̂_B − b‖∞` above this is a [`HealthVerdict::Suspect`]
-/// signal (an order below the simplex's own feasibility tolerance).
-pub const RESIDUAL_SUSPECT: f64 = 1e-8;
-/// Residual above this is [`HealthVerdict::Unstable`] — the basic solution
-/// is wrong at the verifier's tolerance (`tvnep_model::tol::VERIFY_TOL`).
-pub const RESIDUAL_UNSTABLE: f64 = 1e-5;
-/// Conditioning proxy marking the basis ill-conditioned enough to suspect
-/// the solve. The sparse kernel feeds the U-diagonal ratio
-/// `max|u_ii| / min|u_ii|` of each LU factorization (a lower bound on
-/// κ∞(B) for the unit-scaled TVNEP rows; the dense kernel fed `max|B⁻¹|`,
-/// same digit budget). At 1e6 the conditioning consumes six of the ~16
+/// Product-form eta magnitude (`max_i |w_i| / |w_r|`) above which error
+/// amplification is suspected. At 1e6 the growth consumes six of the ~16
 /// significant digits and sits an order below `1/OPT_TOL` — the magnitude
 /// at which reduced-cost signs solved through the factors start drowning
 /// in rounding noise.
-pub const BINV_SUSPECT: f64 = 1e6;
-/// Conditioning proxy past which results are declared unstable.
-pub const BINV_UNSTABLE: f64 = 1e10;
-/// Product-form eta magnitude (`max_i |w_i| / |w_r|`) above which error
-/// amplification is suspected (same digit-budget rationale as
-/// [`BINV_SUSPECT`]).
 pub const GROWTH_SUSPECT: f64 = 1e6;
 /// Eta magnitude past which the update sequence is declared unstable.
 pub const GROWTH_UNSTABLE: f64 = 1e10;
@@ -109,14 +86,7 @@ pub const GROWTH_UNSTABLE: f64 = 1e10;
 pub struct HealthReport {
     /// The three-level verdict derived from every field below.
     pub verdict: HealthVerdict,
-    /// Worst sampled `‖B·x̂_B − b‖∞` (0 when sampling was off).
-    pub max_residual: f64,
-    /// Number of residual samples taken.
-    pub residual_checks: u64,
-    /// Worst conditioning proxy seen after a refactorization (sampled):
-    /// the LU U-diagonal ratio `max|u_ii| / min|u_ii|`.
-    pub max_binv: f64,
-    /// Largest product-form eta magnitude (always on).
+    /// Largest product-form eta magnitude.
     pub growth_factor: f64,
     /// Smallest accepted pivot magnitude (∞ when no pivot happened).
     pub min_pivot: f64,
@@ -150,9 +120,6 @@ impl HealthReport {
 /// [`HealthMonitor::merge_from`] exactly like `SolveStats`.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthMonitor {
-    max_residual: f64,
-    residual_checks: u64,
-    max_binv: f64,
     growth_factor: f64,
     min_pivot: f64,
     max_pivot: f64,
@@ -162,17 +129,11 @@ pub struct HealthMonitor {
     singular_bases: u64,
     bland_episodes: u64,
     bland_iters: u64,
-    /// FTRAN calls since the last residual sample (drives the every-Nth
-    /// sampling cadence).
-    ftran_since_check: usize,
 }
 
 impl Default for HealthMonitor {
     fn default() -> Self {
         Self {
-            max_residual: 0.0,
-            residual_checks: 0,
-            max_binv: 0.0,
             growth_factor: 0.0,
             min_pivot: f64::INFINITY,
             max_pivot: 0.0,
@@ -182,7 +143,6 @@ impl Default for HealthMonitor {
             singular_bases: 0,
             bland_episodes: 0,
             bland_iters: 0,
-            ftran_since_check: 0,
         }
     }
 }
@@ -207,7 +167,7 @@ impl HealthMonitor {
         self.singular_bases += 1;
     }
 
-    /// Records one accepted pivot magnitude (always on; two compares).
+    /// Records one accepted pivot magnitude (two compares).
     pub(crate) fn record_pivot(&mut self, abs_pivot: f64) {
         if abs_pivot < self.min_pivot {
             self.min_pivot = abs_pivot;
@@ -217,26 +177,10 @@ impl HealthMonitor {
         }
     }
 
-    /// Records one product-form eta magnitude (always on).
+    /// Records one product-form eta magnitude.
     pub(crate) fn record_eta(&mut self, eta_max: f64) {
         if eta_max > self.growth_factor {
             self.growth_factor = eta_max;
-        }
-    }
-
-    /// Records one sampled basis-solve residual.
-    pub(crate) fn record_residual(&mut self, residual: f64) {
-        self.residual_checks += 1;
-        if residual > self.max_residual {
-            self.max_residual = residual;
-        }
-    }
-
-    /// Records the conditioning proxy after a refactorization (sampled);
-    /// the sparse kernel passes the LU U-diagonal ratio.
-    pub(crate) fn record_binv_magnitude(&mut self, max_abs: f64) {
-        if max_abs > self.max_binv {
-            self.max_binv = max_abs;
         }
     }
 
@@ -249,28 +193,10 @@ impl HealthMonitor {
         self.bland_iters += 1;
     }
 
-    /// True when `every > 0` and another FTRAN brings the counter to the
-    /// sampling cadence (resets the counter on a hit).
-    pub(crate) fn ftran_due(&mut self, every: usize) -> bool {
-        if every == 0 {
-            return false;
-        }
-        self.ftran_since_check += 1;
-        if self.ftran_since_check >= every {
-            self.ftran_since_check = 0;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Folds another monitor's evidence into this one (counters add, extremes
     /// min/max) — the per-worker merge of the parallel branch-and-bound
     /// driver, mirroring `SolveStats::merge_from`.
     pub fn merge_from(&mut self, other: &HealthMonitor) {
-        self.max_residual = self.max_residual.max(other.max_residual);
-        self.residual_checks += other.residual_checks;
-        self.max_binv = self.max_binv.max(other.max_binv);
         self.growth_factor = self.growth_factor.max(other.growth_factor);
         self.min_pivot = self.min_pivot.min(other.min_pivot);
         self.max_pivot = self.max_pivot.max(other.max_pivot);
@@ -284,14 +210,9 @@ impl HealthMonitor {
 
     /// Condenses the evidence into a [`HealthReport`] with a verdict.
     pub fn report(&self) -> HealthReport {
-        let unstable = self.singular_bases > 0
-            || self.max_residual > RESIDUAL_UNSTABLE
-            || self.max_binv >= BINV_UNSTABLE
-            || self.growth_factor >= GROWTH_UNSTABLE;
+        let unstable = self.singular_bases > 0 || self.growth_factor >= GROWTH_UNSTABLE;
         let suspect = self.refactor_instability > 0
             || self.bland_episodes > 0
-            || self.max_residual > RESIDUAL_SUSPECT
-            || self.max_binv >= BINV_SUSPECT
             || self.growth_factor >= GROWTH_SUSPECT;
         let verdict = if unstable {
             HealthVerdict::Unstable
@@ -302,9 +223,6 @@ impl HealthMonitor {
         };
         HealthReport {
             verdict,
-            max_residual: self.max_residual,
-            residual_checks: self.residual_checks,
-            max_binv: self.max_binv,
             growth_factor: self.growth_factor,
             min_pivot: self.min_pivot,
             max_pivot: self.max_pivot,
@@ -331,9 +249,6 @@ impl HealthMonitor {
         t.counter_add("lp.health.singular_bases", self.singular_bases);
         t.counter_add("lp.health.bland_episodes", self.bland_episodes);
         t.counter_add("lp.health.bland_iters", self.bland_iters);
-        t.counter_add("lp.health.residual_checks", self.residual_checks);
-        t.gauge_set("lp.health.max_residual", self.max_residual);
-        t.gauge_set("lp.health.max_binv", self.max_binv);
         t.gauge_set("lp.health.growth_factor", self.growth_factor);
         if self.max_pivot > 0.0 {
             t.gauge_set("lp.health.min_pivot", self.min_pivot);
@@ -360,21 +275,6 @@ mod tests {
         let r = m.report();
         assert_eq!(r.verdict, HealthVerdict::Stable);
         assert_eq!(r.refactorizations(), 0);
-        assert_eq!(r.residual_checks, 0);
-    }
-
-    #[test]
-    fn residual_thresholds_drive_verdict() {
-        let mut m = HealthMonitor::default();
-        m.record_residual(1e-10);
-        assert_eq!(m.report().verdict, HealthVerdict::Stable);
-        m.record_residual(1e-7);
-        assert_eq!(m.report().verdict, HealthVerdict::Suspect);
-        m.record_residual(1e-3);
-        let r = m.report();
-        assert_eq!(r.verdict, HealthVerdict::Unstable);
-        assert_eq!(r.max_residual, 1e-3);
-        assert_eq!(r.residual_checks, 3);
     }
 
     #[test]
@@ -392,10 +292,9 @@ mod tests {
     #[test]
     fn conditioning_proxies_drive_verdict() {
         let mut m = HealthMonitor::default();
-        m.record_binv_magnitude(1e4);
         m.record_eta(1e3);
         assert_eq!(m.report().verdict, HealthVerdict::Stable);
-        m.record_binv_magnitude(1e7);
+        m.record_eta(1e7);
         assert_eq!(m.report().verdict, HealthVerdict::Suspect);
         m.record_eta(1e11);
         assert_eq!(m.report().verdict, HealthVerdict::Unstable);
@@ -415,31 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn ftran_cadence() {
-        let mut m = HealthMonitor::default();
-        assert!(!m.ftran_due(0));
-        assert!(!m.ftran_due(0));
-        let hits: usize = (0..10).filter(|_| m.ftran_due(3)).count();
-        assert_eq!(hits, 3);
-    }
-
-    #[test]
     fn merge_combines_extremes_and_counts() {
         let mut a = HealthMonitor::default();
         a.record_pivot(0.5);
-        a.record_residual(1e-9);
         a.record_refactor(RefactorCause::Scheduled);
         let mut b = HealthMonitor::default();
         b.record_pivot(2.0);
-        b.record_residual(1e-6);
         b.record_refactor(RefactorCause::SingularRecovery);
         b.record_bland_iter(true);
         a.merge_from(&b);
         let r = a.report();
         assert_eq!(r.min_pivot, 0.5);
         assert_eq!(r.max_pivot, 2.0);
-        assert_eq!(r.max_residual, 1e-6);
-        assert_eq!(r.residual_checks, 2);
         assert_eq!(r.refactor_scheduled, 1);
         assert_eq!(r.refactor_singular_recovery, 1);
         assert_eq!(r.verdict, HealthVerdict::Suspect);

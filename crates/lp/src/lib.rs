@@ -14,9 +14,16 @@
 //!   product-form eta updates between refactorizations;
 //! * [`simplex::solve`] — one-shot convenience entry point;
 //! * [`health`] — numerical-stability monitoring: refactorization causes,
-//!   pivot extremes, growth estimates, and (gated) basis-residual sampling,
-//!   condensed into a [`health::HealthReport`] with a Stable/Suspect/Unstable
-//!   verdict and exported as `lp.health.*` metrics.
+//!   pivot extremes, eta growth estimates and Bland episodes, condensed into
+//!   a [`health::HealthReport`] with a Stable/Suspect/Unstable verdict and
+//!   exported as `lp.health.*` metrics. The basis residual
+//!   ([`Simplex::basis_residual`]) is computed on demand.
+//!
+//! The engine's only numeric configuration is the tolerance ladder of
+//! `tvnep_model::tol` plus fixed schedule constants (refactorization
+//! period, eta-file fill budget, Bland switch, Markowitz threshold); a
+//! caller sets only the per-solve limits, [`Simplex::set_deadline`] and
+//! [`Simplex::set_iteration_limit`].
 //!
 //! ```
 //! use tvnep_lp::{LpProblem, solve, LpStatus, INF};
@@ -41,4 +48,4 @@ pub mod sparse;
 pub use factor::{BasisFactor, EtaFile, LuFactors};
 pub use health::{HealthMonitor, HealthReport, HealthVerdict, RefactorCause};
 pub use problem::{LpProblem, RowId, VarId, INF};
-pub use simplex::{solve, Basis, LpSolution, LpStatus, Params, Simplex, SolveStats, VarStatus};
+pub use simplex::{solve, Basis, LpSolution, LpStatus, Simplex, SolveStats, VarStatus};

@@ -39,12 +39,19 @@
 //! The basis is held as a sparse LU factorization (Markowitz pivot order,
 //! threshold partial pivoting — see [`crate::factor`]) with product-form eta
 //! updates between refactorizations, so FTRAN/BTRAN cost O(fill) instead of
-//! O(m²). The factorization is rebuilt every [`Params::refactor_every`]
-//! pivots or earlier when the eta file outgrows
-//! [`Params::eta_file_limit`] × m nonzeros, and claimed optima are
-//! re-verified after a fresh factorization before being reported. Pricing
-//! uses devex reference weights (primal and dual); prolonged degeneracy
-//! switches to Bland's rule.
+//! O(m²). The factorization is rebuilt every [`REFACTOR_EVERY`] pivots or
+//! earlier when the eta file outgrows [`ETA_FILL_PER_ROW`] × m nonzeros,
+//! and claimed optima are re-verified after a fresh factorization before
+//! being reported. Pricing uses devex reference weights (primal and dual)
+//! over a rotating candidate window; prolonged degeneracy switches to
+//! Bland's rule.
+//!
+//! # Numeric configuration
+//!
+//! The tolerances are the workspace ladder in `tvnep_model::tol`
+//! ([`FEAS_TOL`], [`OPT_TOL`], [`PIVOT_TOL`]) and the schedule constants
+//! below are fixed; only the two per-solve limits are settable,
+//! [`Simplex::set_deadline`] and [`Simplex::set_iteration_limit`].
 //!
 //! A pivot costs what its nonzeros cost (Hall & McKinnon, "Hyper-sparsity
 //! in the revised simplex method and how to exploit it", COAP 2005). The
@@ -65,8 +72,25 @@ use crate::health::{HealthMonitor, HealthReport, RefactorCause};
 use crate::pricing::Devex;
 use crate::problem::{LpProblem, INF};
 use crate::sparse::CscMatrix;
+use tvnep_model::tol::{FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use tvnep_telemetry::blackbox::LP_MILESTONE_EVERY;
 use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
+
+/// Rebuild the basis factorization after this many pivots.
+const REFACTOR_EVERY: usize = 150;
+
+/// Eta-file fill budget: refactorize early once the eta file holds more
+/// than `ETA_FILL_PER_ROW × m` off-pivot nonzeros (dense-spike pivots fill
+/// the file fast; replay cost then rivals a fresh factorization).
+const ETA_FILL_PER_ROW: usize = 8;
+
+/// Consecutive degenerate pivots before the primal phases switch to
+/// Bland's rule and the dual simplex hands over to them.
+const DEGEN_SWITCH: usize = 300;
+
+/// Per-solve iteration cap (phases combined) until
+/// [`Simplex::set_iteration_limit`] sets another.
+const ITERATION_LIMIT: usize = 500_000;
 
 /// Outcome of a simplex run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +103,7 @@ pub enum LpStatus {
     Unbounded,
     /// Iteration limit hit before convergence.
     IterationLimit,
-    /// The deadline in [`Params::deadline`] passed mid-solve.
+    /// The deadline set by [`Simplex::set_deadline`] passed mid-solve.
     TimeLimit,
     /// Numerical verification failed repeatedly.
     Numerical,
@@ -153,64 +177,6 @@ impl Basis {
     }
 }
 
-/// Solver tolerances and limits.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Dual (reduced-cost) tolerance.
-    pub opt_tol: f64,
-    /// Smallest acceptable pivot magnitude.
-    pub pivot_tol: f64,
-    /// Rebuild the basis factorization after this many pivots.
-    pub refactor_every: usize,
-    /// Threshold partial-pivoting relaxation for the Markowitz LU: a pivot
-    /// must satisfy `|a_ij| ≥ markowitz_tol · max|column|`. Smaller values
-    /// favor sparsity over numerical growth.
-    pub markowitz_tol: f64,
-    /// Eta-file fill budget: refactorize early once the eta file holds more
-    /// than `eta_file_limit × m` off-pivot nonzeros (dense-spike pivots fill
-    /// the file fast; replay cost then rivals a fresh factorization).
-    /// `0` disables the fill trigger, leaving only `refactor_every`.
-    pub eta_file_limit: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub degen_switch: usize,
-    /// Hard iteration cap (phases combined).
-    pub max_iters: usize,
-    /// Optional wall-clock deadline, checked periodically mid-solve.
-    pub deadline: Option<Instant>,
-    /// Candidate-list partial pricing: scan a rotating window of columns and
-    /// enter the best eligible one found there, falling back to a full
-    /// Dantzig scan only when the window prices out. Optimality is still
-    /// only ever declared after a full scan finds no eligible column.
-    pub partial_pricing: bool,
-    /// Numerical-health sampling cadence: `0` (default) disables the
-    /// O(m·nnz) basis-residual checks and the per-refactorization
-    /// conditioning proxy (the `U`-diagonal ratio); `N > 0` re-checks the
-    /// basis-solve residual after every refactorization and every `N`th
-    /// FTRAN. The cheap health signals (refactorization causes, pivot
-    /// extremes, eta growth, Bland episodes) are always collected.
-    pub health_check_every: usize,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            feas_tol: tvnep_model::tol::FEAS_TOL,
-            opt_tol: tvnep_model::tol::OPT_TOL,
-            pivot_tol: tvnep_model::tol::PIVOT_TOL,
-            refactor_every: 150,
-            markowitz_tol: 0.1,
-            eta_file_limit: 8,
-            degen_switch: 300,
-            max_iters: 500_000,
-            deadline: None,
-            partial_pricing: true,
-            health_check_every: 0,
-        }
-    }
-}
-
 /// Result of [`solve`]: status plus (when feasible) the optimal point.
 #[derive(Debug, Clone)]
 pub struct LpSolution {
@@ -232,11 +198,6 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
     let mut s = Simplex::new(problem);
     let status = s.solve();
     s.extract(status)
-}
-
-enum Pricing {
-    Dantzig,
-    Bland,
 }
 
 /// Reusable simplex instance; supports bound changes and warm starts, which
@@ -270,9 +231,12 @@ pub struct Simplex {
     pivots_since_refactor: usize,
     iterations: usize,
     /// Iteration count at entry to the current public solve; the
-    /// `max_iters` budget is per solve, not per instance lifetime.
+    /// iteration limit is per solve, not per instance lifetime.
     iter_base: usize,
-    params: Params,
+    /// Per-solve iteration cap; see [`Simplex::set_iteration_limit`].
+    iteration_limit: usize,
+    /// Wall-clock deadline, checked every 64 iterations mid-solve.
+    deadline: Option<Instant>,
     /// Rotating start column for candidate-list partial pricing; survives
     /// across solves so successive prices walk different windows.
     pricing_cursor: usize,
@@ -308,7 +272,7 @@ pub struct Simplex {
     /// Cumulative counters for performance diagnosis.
     pub stats: SolveStats,
     /// Numerical-stability evidence (refactorization causes, pivot extremes,
-    /// sampled residuals); see [`crate::health`].
+    /// eta growth, Bland episodes); see [`crate::health`].
     pub health: HealthMonitor,
     /// Observability sink; disabled (free) by default.
     telemetry: Telemetry,
@@ -317,8 +281,8 @@ pub struct Simplex {
     /// profiler costs one branch per kernel call when off.
     spans_on: bool,
     /// Wall-time accumulators for the hot kernels of the *current* solve.
-    /// One span per kernel call would swamp the buffers (simplex runs up to
-    /// `max_iters` iterations); the totals are emitted as one aggregate child
+    /// One span per kernel call would swamp the buffers (a solve runs up to
+    /// its iteration limit); the totals are emitted as one aggregate child
     /// span each inside the enclosing `lp.solve`/`lp.solve_warm` span.
     kernels: KernelClocks,
     /// Black-box flight-recorder handle; `None` (one branch per event site)
@@ -469,7 +433,8 @@ impl Simplex {
             pivots_since_refactor: 0,
             iterations: 0,
             iter_base: 0,
-            params: Params::default(),
+            iteration_limit: ITERATION_LIMIT,
+            deadline: None,
             pricing_cursor: 0,
             scratch_w: vec![0.0; m],
             w_support: Vec::with_capacity(m),
@@ -495,14 +460,18 @@ impl Simplex {
         s
     }
 
-    /// Overrides the default tolerances/limits.
-    pub fn set_params(&mut self, params: Params) {
-        self.params = params;
+    /// Sets the wall-clock deadline after which a solve returns
+    /// [`LpStatus::TimeLimit`] (`None`, the default, for no deadline).
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
-    /// Sets only the deadline, keeping other parameters.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.params.deadline = deadline;
+    /// Sets the number of iterations (phases combined) after which a solve
+    /// returns [`LpStatus::IterationLimit`]; the count restarts at every
+    /// [`solve`](Self::solve) and [`solve_warm`](Self::solve_warm). The
+    /// default is 500,000.
+    pub fn set_iteration_limit(&mut self, limit: usize) {
+        self.iteration_limit = limit;
     }
 
     /// Attaches an observability sink. Each top-level [`solve`](Self::solve)
@@ -687,21 +656,18 @@ impl Simplex {
     }
 
     fn deadline_hit(&self) -> bool {
-        self.params.deadline.is_some_and(|d| Instant::now() >= d)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Rebuilds the sparse LU factorization of the basis (Markowitz pivot
     /// order with threshold partial pivoting), dropping the eta file.
     /// Returns `false` on a singular basis. This wrapper is the single
     /// source of truth for refactorization accounting: it increments
-    /// `SolveStats::refactorizations`, records the cause in the health
-    /// monitor, and (when health sampling is on) reads the fresh `U`
-    /// diagonal ratio as the ill-conditioning proxy.
+    /// `SolveStats::refactorizations` and records the cause in the health
+    /// monitor.
     fn refactorize(&mut self, cause: RefactorCause) -> bool {
         let t0 = self.spans_on.then(Instant::now);
-        let ok = self
-            .factor
-            .factorize(&self.cols, &self.basis, self.params.markowitz_tol);
+        let ok = self.factor.factorize(&self.cols, &self.basis);
         if let Some(t0) = t0 {
             self.kernels.factor_ns += t0.elapsed().as_nanos() as u64;
             self.kernels.factor_calls += 1;
@@ -710,10 +676,6 @@ impl Simplex {
             self.pivots_since_refactor = 0;
             self.stats.refactorizations += 1;
             self.health.record_refactor(cause);
-            if self.params.health_check_every > 0 {
-                self.health
-                    .record_binv_magnitude(self.factor.u_diag_ratio());
-            }
         } else {
             self.health.record_singular();
         }
@@ -747,11 +709,12 @@ impl Simplex {
         ok
     }
 
-    /// True when the eta file has outgrown its fill budget and the periodic
-    /// refactorization should happen early (see [`Params::eta_file_limit`]).
-    fn eta_fill_exceeded(&self) -> bool {
-        self.params.eta_file_limit > 0
-            && self.factor.eta_nnz() > self.params.eta_file_limit * self.m
+    /// True when the periodic refactorization is due: [`REFACTOR_EVERY`]
+    /// pivots have passed, or the eta file has outgrown its fill budget
+    /// ([`ETA_FILL_PER_ROW`]) early.
+    fn refactor_due(&self) -> bool {
+        self.pivots_since_refactor >= REFACTOR_EVERY
+            || self.factor.eta_nnz() > ETA_FILL_PER_ROW * self.m
     }
 
     /// Recomputes `xb = B⁻¹ (0 − N x_N)` in place.
@@ -769,46 +732,6 @@ impl Simplex {
         self.xb.resize(m, 0.0);
         self.xb.copy_from_slice(&self.scratch_rhs);
         self.factor.ftran(&mut self.xb);
-        // `pivots_since_refactor == 0` means the factors are fresh — this is
-        // the "after each refactorization" residual sample.
-        if self.params.health_check_every > 0 && self.pivots_since_refactor == 0 {
-            self.health_residual_check();
-        }
-    }
-
-    /// Sampled basis-solve residual `‖B·x̂_B − b‖∞` with `b = −N x_N`
-    /// recomputed fresh. Clobbers `scratch_rhs` and `scratch_rho` (leaving
-    /// the latter zero, with an empty support); both are dead at the call
-    /// sites (end of [`Simplex::recompute_xb`] and after an FTRAN, before
-    /// the pivot applies).
-    fn health_residual_check(&mut self) {
-        self.scratch_rhs.iter_mut().for_each(|v| *v = 0.0);
-        for j in 0..self.n_total {
-            if self.status[j] != VarStatus::Basic {
-                let v = self.nonbasic_value(j);
-                if v != 0.0 {
-                    self.cols.axpy_column(j, -v, &mut self.scratch_rhs);
-                }
-            }
-        }
-        self.scratch_rho.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..self.m {
-            let v = self.xb[i];
-            if v != 0.0 {
-                self.cols
-                    .axpy_column(self.basis[i], v, &mut self.scratch_rho);
-            }
-        }
-        let mut resid = 0.0f64;
-        for (bx, rhs) in self.scratch_rho.iter().zip(&self.scratch_rhs) {
-            let r = (bx - rhs).abs();
-            if r > resid {
-                resid = r;
-            }
-        }
-        self.health.record_residual(resid);
-        self.scratch_rho.iter_mut().for_each(|v| *v = 0.0);
-        self.rho_support.clear();
     }
 
     fn rebuild_state(&mut self) {
@@ -840,11 +763,6 @@ impl Simplex {
             self.kernels.ftran_ns += t0.elapsed().as_nanos() as u64;
             self.kernels.ftran_calls += 1;
         }
-        // Every-Nth-FTRAN drift sample (one branch when sampling is off).
-        let every = self.params.health_check_every;
-        if every > 0 && self.health.ftran_due(every) {
-            self.health_residual_check();
-        }
     }
 
     /// Fills `scratch_cb` with the basic costs for the given phase and
@@ -854,9 +772,9 @@ impl Simplex {
         for i in 0..self.m {
             let j = self.basis[i];
             self.scratch_cb[i] = if phase1 {
-                if self.xb[i] < self.lo[j] - self.params.feas_tol {
+                if self.xb[i] < self.lo[j] - FEAS_TOL {
                     -1.0
-                } else if self.xb[i] > self.up[j] + self.params.feas_tol {
+                } else if self.xb[i] > self.up[j] + FEAS_TOL {
                     1.0
                 } else {
                     0.0
@@ -1013,7 +931,7 @@ impl Simplex {
             LpStatus::Optimal => {}
             other => return other,
         }
-        if self.infeasibility() > self.params.feas_tol * 10.0 {
+        if self.infeasibility() > FEAS_TOL * 10.0 {
             return LpStatus::Infeasible;
         }
         // Phase 2: fast perturbed pass, exact cleanup pass, verification
@@ -1037,17 +955,14 @@ impl Simplex {
                 RefactorCause::Instability
             });
             self.recompute_xb();
-            if ok1
-                && self.infeasibility() <= self.params.feas_tol * 100.0
-                && !self.has_improving_direction()
-            {
+            if ok1 && self.infeasibility() <= FEAS_TOL * 100.0 && !self.has_improving_direction() {
                 return LpStatus::Optimal;
             }
             match self.run_phase(true, false) {
                 LpStatus::Optimal => {}
                 other => return other,
             }
-            if self.infeasibility() > self.params.feas_tol * 10.0 {
+            if self.infeasibility() > FEAS_TOL * 10.0 {
                 return LpStatus::Infeasible;
             }
         }
@@ -1085,9 +1000,7 @@ impl Simplex {
             LpStatus::Optimal => {
                 // The dual optimized perturbed costs; clean up against the
                 // true costs from this (near-optimal) basis, then verify.
-                if self.infeasibility() <= self.params.feas_tol * 100.0
-                    && !self.has_improving_direction()
-                {
+                if self.infeasibility() <= FEAS_TOL * 100.0 && !self.has_improving_direction() {
                     self.stats.dual_successes += 1;
                     return LpStatus::Optimal;
                 }
@@ -1095,9 +1008,7 @@ impl Simplex {
                     LpStatus::Optimal => {}
                     other => return other,
                 }
-                if self.infeasibility() <= self.params.feas_tol * 100.0
-                    && !self.has_improving_direction()
-                {
+                if self.infeasibility() <= FEAS_TOL * 100.0 && !self.has_improving_direction() {
                     self.stats.dual_successes += 1;
                     LpStatus::Optimal
                 } else {
@@ -1124,7 +1035,7 @@ impl Simplex {
     fn has_improving_direction(&mut self) -> bool {
         self.fill_basic_costs(false, false);
         self.btran_costs();
-        let tol = self.params.opt_tol * 100.0;
+        let tol = OPT_TOL * 100.0;
         for j in 0..self.n_total {
             if self.status[j] == VarStatus::Basic || self.lo[j] == self.up[j] {
                 continue;
@@ -1188,7 +1099,7 @@ impl Simplex {
         self.scratch_alpha.iter_mut().for_each(|a| *a = 0.0);
         // Verify dual feasibility within a loose tolerance, flipping boxed
         // violators to the bound their reduced cost favors.
-        let dtol = self.params.opt_tol * 100.0;
+        let dtol = OPT_TOL * 100.0;
         let mut flipped = false;
         for j in 0..self.n_total {
             if self.lo[j] == self.up[j] {
@@ -1226,13 +1137,13 @@ impl Simplex {
         // genuinely steep dual edges instead of the raw worst violation.
         self.dual_devex.reset(m);
         loop {
-            if self.iterations - self.iter_base >= self.params.max_iters {
+            if self.iterations - self.iter_base >= self.iteration_limit {
                 return LpStatus::IterationLimit;
             }
             if self.iterations.is_multiple_of(64) && self.deadline_hit() {
                 return LpStatus::TimeLimit;
             }
-            if degen_run > self.params.degen_switch {
+            if degen_run > DEGEN_SWITCH {
                 // The TVNEP LPs are massively dual-degenerate (nearly all
                 // costs are zero); prolonged zero-progress pivoting is better
                 // handled by the primal phases. Caller falls back.
@@ -1246,9 +1157,9 @@ impl Simplex {
             for i in 0..m {
                 let j = self.basis[i];
                 let v = self.xb[i];
-                let (viol, below) = if v < self.lo[j] - self.params.feas_tol {
+                let (viol, below) = if v < self.lo[j] - FEAS_TOL {
                     (self.lo[j] - v, true)
-                } else if v > self.up[j] + self.params.feas_tol {
+                } else if v > self.up[j] + FEAS_TOL {
                     (v - self.up[j], false)
                 } else {
                     continue;
@@ -1277,7 +1188,7 @@ impl Simplex {
             let mut best: Option<(usize, f64, f64)> = None; // (var, ratio, |alpha|)
             for &j in &self.alpha_cols {
                 let a = self.scratch_alpha[j];
-                if a.abs() <= self.params.pivot_tol {
+                if a.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let eligible = match (self.status[j], below) {
@@ -1320,7 +1231,7 @@ impl Simplex {
             // Pivot: move x_B[r] exactly onto its violated bound.
             self.ftran(q);
             let w_r = self.scratch_w[r];
-            if w_r.abs() <= self.params.pivot_tol {
+            if w_r.abs() <= PIVOT_TOL {
                 return LpStatus::Numerical;
             }
             self.health.record_pivot(w_r.abs());
@@ -1393,8 +1304,7 @@ impl Simplex {
             } else {
                 degen_run = 0;
             }
-            if self.pivots_since_refactor >= self.params.refactor_every || self.eta_fill_exceeded()
-            {
+            if self.refactor_due() {
                 if !self.refactorize(RefactorCause::Scheduled) {
                     return LpStatus::Numerical;
                 }
@@ -1426,13 +1336,13 @@ impl Simplex {
         // d²_j/γ_j instead of |d_j|.
         self.primal_devex.reset(self.n_total);
         loop {
-            if self.iterations - self.iter_base >= self.params.max_iters {
+            if self.iterations - self.iter_base >= self.iteration_limit {
                 return LpStatus::IterationLimit;
             }
             if self.iterations.is_multiple_of(64) && self.deadline_hit() {
                 return LpStatus::TimeLimit;
             }
-            if phase1 && self.infeasibility() <= self.params.feas_tol {
+            if phase1 && self.infeasibility() <= FEAS_TOL {
                 return LpStatus::Optimal;
             }
             // Price. Candidate-list partial pricing (Dantzig only): scan a
@@ -1444,22 +1354,17 @@ impl Simplex {
             self.fill_basic_costs(phase1, pert);
             self.btran_costs();
             let price_t0 = self.spans_on.then(Instant::now);
-            let pricing = if degen_run > self.params.degen_switch {
+            let bland = degen_run > DEGEN_SWITCH;
+            if bland {
                 self.health.record_bland_iter(!in_bland);
-                in_bland = true;
-                Pricing::Bland
-            } else {
-                in_bland = false;
-                Pricing::Dantzig
-            };
+            }
+            in_bland = bland;
             let n = self.n_total;
-            let partial = self.params.partial_pricing && matches!(pricing, Pricing::Dantzig);
-            let window = if partial {
-                (n / 8).clamp(64.min(n), n)
+            let (start, window) = if bland {
+                (0, n)
             } else {
-                n
+                (self.pricing_cursor % n, (n / 8).clamp(64.min(n), n))
             };
-            let start = if partial { self.pricing_cursor % n } else { 0 };
             let mut entering: Option<(usize, f64, f64)> = None; // (var, d, sigma)
             let mut best_score = 0.0f64;
             let mut scanned = 0usize;
@@ -1474,33 +1379,26 @@ impl Simplex {
                 }
                 let d = self.reduced_cost(j, phase1, pert);
                 let (eligible, sigma) = match self.status[j] {
-                    VarStatus::AtLower => (d < -self.params.opt_tol, 1.0),
-                    VarStatus::AtUpper => (d > self.params.opt_tol, -1.0),
-                    VarStatus::Free => (
-                        d.abs() > self.params.opt_tol,
-                        if d < 0.0 { 1.0 } else { -1.0 },
-                    ),
+                    VarStatus::AtLower => (d < -OPT_TOL, 1.0),
+                    VarStatus::AtUpper => (d > OPT_TOL, -1.0),
+                    VarStatus::Free => (d.abs() > OPT_TOL, if d < 0.0 { 1.0 } else { -1.0 }),
                     VarStatus::Basic => unreachable!(),
                 };
                 if !eligible {
                     continue;
                 }
-                match pricing {
-                    Pricing::Bland => {
-                        entering = Some((j, d, sigma));
-                        break;
-                    }
-                    Pricing::Dantzig => {
-                        // Devex score d²/γ_j layered on the candidate scan.
-                        let score = self.primal_devex.score(j, d);
-                        if entering.is_none() || score > best_score {
-                            entering = Some((j, d, sigma));
-                            best_score = score;
-                        }
-                    }
+                if bland {
+                    entering = Some((j, d, sigma));
+                    break;
+                }
+                // Devex score d²/γ_j layered on the candidate scan.
+                let score = self.primal_devex.score(j, d);
+                if entering.is_none() || score > best_score {
+                    entering = Some((j, d, sigma));
+                    best_score = score;
                 }
             }
-            if partial {
+            if !bland {
                 self.pricing_cursor = (start + scanned) % n;
                 if entering.is_some() && scanned < n {
                     self.stats.pricing_window_hits += 1;
@@ -1530,14 +1428,14 @@ impl Simplex {
             let mut best_piv: f64 = 0.0;
             for &i in &self.w_support {
                 let w = self.scratch_w[i];
-                if w.abs() <= self.params.pivot_tol {
+                if w.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let rate = -sigma * w; // dx_B[i]/dt
                 let bj = self.basis[i];
                 let v = self.xb[i];
-                let below = v < self.lo[bj] - self.params.feas_tol;
-                let above = v > self.up[bj] + self.params.feas_tol;
+                let below = v < self.lo[bj] - FEAS_TOL;
+                let above = v > self.up[bj] + FEAS_TOL;
                 let (limit, at_upper) = if phase1 && below {
                     if rate > 0.0 {
                         ((self.lo[bj] - v) / rate, false)
@@ -1639,8 +1537,7 @@ impl Simplex {
             self.btran_unit(r);
             let price_t0 = self.spans_on.then(Instant::now);
             let inv_piv2 = 1.0 / (best_piv * best_piv);
-            let upd_window = window.min(n);
-            for s in 0..upd_window {
+            for s in 0..window {
                 let mut j = (self.pricing_cursor + s) % n;
                 if j >= n {
                     j -= n;
@@ -1673,8 +1570,7 @@ impl Simplex {
             } else {
                 degen_run = 0;
             }
-            if self.pivots_since_refactor >= self.params.refactor_every || self.eta_fill_exceeded()
-            {
+            if self.refactor_due() {
                 if !self.refactorize(RefactorCause::Scheduled) {
                     return LpStatus::Numerical;
                 }
@@ -1726,6 +1622,39 @@ impl Simplex {
             worst = worst.max(viol);
         }
         worst
+    }
+
+    /// The basis-solve residual `‖B·x_B − b‖∞` of the current point, with
+    /// `b = −N x_N` recomputed from the nonbasic values: how far the basic
+    /// values the factors and the eta file produced are from solving the
+    /// basis system. Computed on demand, in one pass over the matrix; no
+    /// solve samples it. Call after a solve.
+    pub fn basis_residual(&mut self) -> f64 {
+        self.scratch_rhs.iter_mut().for_each(|v| *v = 0.0);
+        for j in 0..self.n_total {
+            if self.status[j] != VarStatus::Basic {
+                let v = self.nonbasic_value(j);
+                if v != 0.0 {
+                    self.cols.axpy_column(j, -v, &mut self.scratch_rhs);
+                }
+            }
+        }
+        // `B·x_B` goes to `scratch_rho`, which is dead between solves; it is
+        // left zero with an empty support, as the next BTRAN expects.
+        self.scratch_rho.iter_mut().for_each(|v| *v = 0.0);
+        for (&j, &v) in self.basis.iter().zip(&self.xb) {
+            if v != 0.0 {
+                self.cols.axpy_column(j, v, &mut self.scratch_rho);
+            }
+        }
+        let residual = self
+            .scratch_rho
+            .iter()
+            .zip(&self.scratch_rhs)
+            .fold(0.0f64, |worst, (bx, rhs)| worst.max((bx - rhs).abs()));
+        self.scratch_rho.iter_mut().for_each(|v| *v = 0.0);
+        self.rho_support.clear();
+        residual
     }
 
     /// The status and true-cost (unperturbed) reduced cost `d_j = c_j − yᵀA_j`

@@ -157,7 +157,7 @@ fn sparse_solves_match_dense_inverse_on_random_bases() {
         let (cols, basis) = random_basis(&mut rng, m, extra);
         let dense = dense_inverse(&cols, &basis);
         let mut f = BasisFactor::default();
-        let ok = f.factorize(&cols, &basis, 0.1);
+        let ok = f.factorize(&cols, &basis);
         assert_eq!(
             ok,
             dense.is_some(),
@@ -208,7 +208,7 @@ fn eta_updates_match_dense_product_form_updates() {
             cols.push_column(&col);
         }
         let mut f = BasisFactor::default();
-        if !f.factorize(&cols, &basis, 0.1) {
+        if !f.factorize(&cols, &basis) {
             continue;
         }
         // Perform up to 6 random basis exchanges tracked by etas; the dense
@@ -251,7 +251,7 @@ fn eta_updates_match_dense_product_form_updates() {
         }
         // Refactorizing from the updated header must agree too.
         if updates > 0 {
-            assert!(f.factorize(&cols, &basis, 0.1), "case {case}: refactorize");
+            assert!(f.factorize(&cols, &basis), "case {case}: refactorize");
             assert_eq!(f.eta_count(), 0);
             let binv = dense_inverse(&cols, &basis).unwrap();
             let mut b = vec![0.0; m];
@@ -274,7 +274,7 @@ fn slack_heavy_bases_factor_exactly() {
     }
     let basis: Vec<usize> = (0..m).collect();
     let mut f = BasisFactor::default();
-    assert!(f.factorize(&cols, &basis, 0.1));
+    assert!(f.factorize(&cols, &basis));
     // nnz = m diagonal entries only: no fill on a diagonal basis.
     assert_eq!(f.lu_nnz(), m);
     assert_eq!(f.u_diag_ratio(), 1.0);
@@ -331,7 +331,7 @@ fn factorization_is_bit_stable_on_golden_bases() {
     for (case, &(m, extra, nnz, ratio, ftran, btran)) in GOLDEN.iter().enumerate() {
         let (cols, basis) = dyadic_basis(&mut rng, m, extra);
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1), "case {case}: singular");
+        assert!(f.factorize(&cols, &basis), "case {case}: singular");
         let mut x: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
         let mut y: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
         f.ftran(&mut x);
@@ -432,11 +432,11 @@ fn factorization_is_bit_stable_on_slack_heavy_bases() {
         let mut rng = Rng(99);
         let (cols, basis) = slack_heavy_basis(&mut rng, m);
         let mut lu = LuFactors::default();
-        assert!(lu.factorize(&cols, &basis, 0.1), "m = {m}: singular");
+        assert!(lu.factorize(&cols, &basis), "m = {m}: singular");
         let empty = (0..m).filter(|&k| lu.l_column(k).0.is_empty()).count();
         assert!(10 * empty >= 9 * m, "m = {m}: {empty} empty L columns");
         let mut f = BasisFactor::default();
-        assert!(f.factorize(&cols, &basis, 0.1));
+        assert!(f.factorize(&cols, &basis));
         let mut x: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
         let mut y: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
         f.ftran(&mut x);
@@ -528,7 +528,7 @@ fn hypersparse_solves_equal_the_sweep_bit_for_bit() {
     for (name, cols, basis) in &bases {
         let m = basis.len();
         let mut lu = LuFactors::default();
-        assert!(lu.factorize(cols, basis, 0.1), "{name}: singular");
+        assert!(lu.factorize(cols, basis), "{name}: singular");
         match name.as_str() {
             "slack-heavy" => assert!((1..=m / 10).contains(&l_nnz(&lu)), "{name}"),
             "dense-L" => assert!(l_nnz(&lu) > m / 10, "{name}"),
@@ -539,7 +539,7 @@ fn hypersparse_solves_equal_the_sweep_bit_for_bit() {
             let mut cols = cols.clone();
             let mut basis = basis.clone();
             let mut f = BasisFactor::default();
-            assert!(f.factorize(&cols, &basis, 0.1));
+            assert!(f.factorize(&cols, &basis));
             let mut etas = EtaFile::default();
             let mut x = vec![0.0; m];
             let mut support = Vec::new();

@@ -27,7 +27,7 @@ fn refactorization_allocates_a_bounded_amount() {
         let live_before = alloc::stats().live_bytes;
         let mut f = BasisFactor::default();
         // The warm-up call sizes the factors and the workspace.
-        assert!(f.factorize(&cols, &basis, 0.1), "m = {m}: singular");
+        assert!(f.factorize(&cols, &basis), "m = {m}: singular");
         let held = alloc::stats().live_bytes - live_before;
         assert_eq!(
             held,
@@ -37,7 +37,7 @@ fn refactorization_allocates_a_bounded_amount() {
         );
         for call in 0..3 {
             let before = alloc::stats().allocs;
-            assert!(f.factorize(&cols, &basis, 0.1), "m = {m}: singular");
+            assert!(f.factorize(&cols, &basis), "m = {m}: singular");
             let allocs = alloc::stats().allocs - before;
             assert!(
                 allocs <= MAX_ALLOCS_PER_CALL,

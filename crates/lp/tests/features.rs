@@ -3,7 +3,7 @@
 //! the profiler's booking of factorizations.
 
 use std::time::{Duration, Instant};
-use tvnep_lp::{solve, LpProblem, LpStatus, Params, Simplex, VarId, INF};
+use tvnep_lp::{solve, LpProblem, LpStatus, Simplex, VarId, INF};
 use tvnep_telemetry::Telemetry;
 
 #[test]
@@ -124,10 +124,7 @@ fn iteration_limit_reported() {
         lp.add_le(&terms, 50.0);
     }
     let mut s = Simplex::new(&lp);
-    s.set_params(Params {
-        max_iters: 1,
-        ..Params::default()
-    });
+    s.set_iteration_limit(1);
     let status = s.solve();
     assert!(matches!(status, LpStatus::IterationLimit), "{status:?}");
 }

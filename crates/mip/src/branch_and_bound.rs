@@ -20,6 +20,7 @@ use crate::model::{MipModel, Sense};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::SearchTree;
 use tvnep_lp::{Basis, LpStatus, Simplex, SolveStats};
+use tvnep_model::tol::INT_TOL;
 use tvnep_telemetry::{FlightHandle, Telemetry};
 
 /// Termination status of a MIP solve.
@@ -92,13 +93,8 @@ pub struct MipOptions {
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes.
     pub node_limit: Option<u64>,
-    /// Terminate when the relative gap drops to this value.
-    pub rel_gap: f64,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Report progress every N nodes (None = silent). Reports go to
-    /// [`progress`](Self::progress) when set, else to a default sink that
-    /// prints one line to stderr (the historical behavior).
+    /// Report progress every N nodes to the [`progress`](Self::progress)
+    /// callback, which it needs: without one, nothing is reported.
     pub log_every: Option<u64>,
     /// Progress callback invoked every [`log_every`](Self::log_every) nodes.
     pub progress: Option<ProgressFn>,
@@ -143,8 +139,6 @@ impl std::fmt::Debug for MipOptions {
         f.debug_struct("MipOptions")
             .field("time_limit", &self.time_limit)
             .field("node_limit", &self.node_limit)
-            .field("rel_gap", &self.rel_gap)
-            .field("int_tol", &self.int_tol)
             .field("log_every", &self.log_every)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("telemetry", &self.telemetry)
@@ -162,8 +156,6 @@ impl Default for MipOptions {
         Self {
             time_limit: None,
             node_limit: None,
-            rel_gap: tvnep_model::tol::REL_GAP,
-            int_tol: tvnep_model::tol::INT_TOL,
             log_every: None,
             progress: None,
             telemetry: Telemetry::disabled(),
@@ -375,14 +367,13 @@ impl PseudoCosts {
 }
 
 /// Iterative rounding dive: from the current (fractional) LP, repeatedly fix
-/// the most-integral fractional integer variable to its rounding and
-/// re-solve, hoping to land on an integer-feasible point. Bounds mutated
-/// here are overwritten by the next node's bound assignment, so no explicit
-/// restore is needed.
+/// the most-integral fractional integer variable (farther than [`INT_TOL`]
+/// from an integer) to its rounding and re-solve, hoping to land on an
+/// integer-feasible point. Bounds mutated here are overwritten by the next
+/// node's bound assignment, so no explicit restore is needed.
 pub(crate) fn dive_heuristic(
     simplex: &mut Simplex,
     int_vars: &[usize],
-    int_tol: f64,
     max_solves: usize,
 ) -> Option<(f64, Vec<f64>)> {
     for _ in 0..max_solves {
@@ -392,7 +383,7 @@ pub(crate) fn dive_heuristic(
         for &j in int_vars {
             let v = sol.x[j];
             let dist = (v - v.round()).abs();
-            if dist > int_tol && pick.is_none_or(|(_, _, d)| dist < d) {
+            if dist > INT_TOL && pick.is_none_or(|(_, _, d)| dist < d) {
                 pick = Some((j, v, dist));
             }
         }
@@ -439,15 +430,6 @@ pub fn solve_with(model: &MipModel, opts: &MipOptions) -> MipResult {
             .gauge_set("mem.mip.model_bytes", model.memory_bytes() as f64);
     }
     crate::parallel::solve(model, opts, threads)
-}
-
-/// The historical `log_every` behavior: one summary line per report on
-/// stderr. Installed when no [`MipOptions::progress`] callback is set.
-pub(crate) fn default_progress_sink(p: &MipProgress) {
-    eprintln!(
-        "[mip] node {} open {} inc {:?} bound {:.6} t {:?} lp_it {} {:?}",
-        p.nodes, p.open, p.incumbent, p.bound, p.elapsed, p.lp_iterations, p.lp_stats,
-    );
 }
 
 fn most_fractional(frac_vars: &[(usize, f64)]) -> (usize, f64) {

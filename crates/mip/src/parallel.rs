@@ -40,13 +40,13 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::branch_and_bound::{
-    default_progress_sink, dive_heuristic, prune_eps, MipOptions, MipProgress, MipResult,
-    MipStatus, Node, PseudoCosts,
+    dive_heuristic, prune_eps, MipOptions, MipProgress, MipResult, MipStatus, Node, PseudoCosts,
 };
 use crate::model::{MipModel, Sense, VarKind};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::{NodeOutcome, SearchTree, TreeNode};
 use tvnep_lp::{HealthMonitor, LpProblem, LpStatus, Simplex, SolveStats, VarStatus};
+use tvnep_model::tol::{INT_TOL, REL_GAP};
 use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
 
 /// Monotone bit-packing of `f64` into `u64`: `pack(a) < pack(b)` iff
@@ -249,9 +249,11 @@ impl Shared<'_> {
         }
     }
 
-    /// One [`MipProgress`] report, to the options' callback or the default
-    /// stderr line.
+    /// One [`MipProgress`] report to the options' callback, if any.
     fn report_progress(&self, nodes: u64, simplex: &Simplex) {
+        let Some(callback) = &self.opts.progress else {
+            return;
+        };
         let (bound, open) = self.global_bound();
         let incumbent = self.incumbent.lock().unwrap().as_ref().map(|(o, _)| *o);
         let report = MipProgress {
@@ -263,10 +265,7 @@ impl Shared<'_> {
             lp_iterations: simplex.iterations(),
             lp_stats: simplex.stats,
         };
-        match &self.opts.progress {
-            Some(callback) => callback(&report),
-            None => default_progress_sink(&report),
-        }
+        callback(&report);
     }
 }
 
@@ -760,7 +759,7 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                 .enumerate()
                 .filter_map(|(k, &j)| {
                     let f = sol.x[j] - sol.x[j].floor();
-                    (f.min(1.0 - f) > opts.int_tol).then_some((k, f))
+                    (f.min(1.0 - f) > INT_TOL).then_some((k, f))
                 })
                 .collect();
             if frac_vars.is_empty() {
@@ -778,7 +777,7 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                         current.depth,
                         IncumbentSource::IntegralLp,
                     );
-                    if rel_gap(lp_obj, b) <= opts.rel_gap {
+                    if rel_gap(lp_obj, b) <= REL_GAP {
                         shared.request_stop(Stop::GapOptimal(b));
                     }
                 }
@@ -822,15 +821,15 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
             if node_id % dive_period == 1 {
                 let budget = int_vars.len() + 10;
                 let lp_start = Instant::now();
-                let dived = dive_heuristic(&mut simplex, int_vars, opts.int_tol, budget);
+                let dived = dive_heuristic(&mut simplex, int_vars, budget);
                 lp_time += lp_start.elapsed();
                 if let Some((obj, x)) = dived {
-                    if shared.model.max_integrality_violation(&x) <= opts.int_tol * 10.0
+                    if shared.model.max_integrality_violation(&x) <= INT_TOL * 10.0
                         && shared.offer_incumbent(obj, x)
                     {
                         let b = shared.bound_or(current.bound);
                         obs.incumbent(obj, b, node_id, current.depth, IncumbentSource::Dive);
-                        if rel_gap(obj, b) <= opts.rel_gap {
+                        if rel_gap(obj, b) <= REL_GAP {
                             obs.close(node_id, &current, NodeOutcome::PrunedBound);
                             shared.request_stop(Stop::GapOptimal(b));
                             break;

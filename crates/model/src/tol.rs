@@ -16,6 +16,13 @@
 //! and two formulations solved to optimality must agree within
 //! [`OBJ_EQ_TOL`]. The differential fuzzing harness asserts exactly these
 //! relations on every generated instance.
+//!
+//! The ladder is the LP and MIP engines' only numeric configuration: the
+//! simplex reads [`FEAS_TOL`], [`OPT_TOL`] and [`PIVOT_TOL`], branch and
+//! bound reads [`INT_TOL`] and [`REL_GAP`], and no option, flag or setter
+//! moves a rung at run time (the engines' other constants — refactorization
+//! period, eta-fill budget, Bland switch, Markowitz threshold — are private
+//! to `tvnep-lp`).
 
 /// Primal feasibility tolerance of the simplex engine (`tvnep-lp`).
 pub const FEAS_TOL: f64 = 1e-7;

@@ -813,7 +813,6 @@ impl EpochRunner {
             Json::Obj(vec![
                 ("enabled".into(), Json::from(self.wal.is_some())),
                 ("records".into(), Json::from(self.wal_records)),
-                ("undecided".into(), Json::from(self.pending.len())),
             ]),
         ));
         fields.push((
@@ -835,18 +834,13 @@ impl EpochRunner {
     /// Prometheus text exposition (`GET /metrics` on the TCP front end):
     /// every numeric leaf of [`metrics_event`](Self::metrics_event) as a
     /// gauge named by its path under `serve.` (`funnel.decided` →
-    /// `serve_funnel_decided`), then the admission-latency histogram, then
-    /// the solver telemetry registry when one is attached.
+    /// `serve_funnel_decided`), then the admission-latency histogram.
     pub fn prometheus_text(&self) -> String {
         let mut out = prom::render_json_gauges("serve", &self.metrics_event());
         out.push_str(&prom::render_histogram(
             "serve.admit.latency_ms",
             &self.admit_hist,
         ));
-        let telemetry = &self.opts.service.subproblem.telemetry;
-        if telemetry.is_enabled() {
-            out.push_str(&prom::render_snapshot(&telemetry.snapshot()));
-        }
         out
     }
 }
@@ -994,9 +988,12 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} missing from the scrape"));
             assert_eq!(s.value.to_bits(), value.to_bits(), "{name}");
         }
-        for s in samples.iter().filter(|s| {
-            s.name.starts_with("serve_") && !s.name.starts_with("serve_admit_latency_ms_")
-        }) {
+        // The solver telemetry is attached, yet nothing but the snapshot's
+        // leaves and the latency histogram reaches the scrape.
+        for s in samples
+            .iter()
+            .filter(|s| !s.name.starts_with("serve_admit_latency_ms_"))
+        {
             assert!(
                 leaves.iter().any(|(n, _)| n == &s.name),
                 "{} is not a leaf of the metrics event",

@@ -1,16 +1,14 @@
 //! # Hand-rolled Prometheus-style text exposition
 //!
-//! Renders a [`MetricsSnapshot`](crate::MetricsSnapshot), a histogram, or
-//! the numeric leaves of a JSON document in the Prometheus text format, and
-//! parses such text back into `(name, labels, value)` samples so CI can
-//! prove the wire round-trips. Zero dependencies, deterministic output:
-//! metric names are the dotted telemetry keys (or JSON paths) with dots
-//! replaced by underscores, snapshots in sorted order and documents in
+//! Renders a histogram or the numeric leaves of a JSON document in the
+//! Prometheus text format, and parses such text back into
+//! `(name, labels, value)` samples so CI can prove the wire round-trips.
+//! Zero dependencies, deterministic output: metric names are the dotted
+//! telemetry keys (or JSON paths) with dots replaced by underscores, in
 //! document order.
 
 use crate::hist::{bucket_upper, LogHistogram};
 use crate::json::Json;
-use crate::metrics::MetricsSnapshot;
 
 /// One parsed exposition sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,23 +55,6 @@ fn format_value(v: f64) -> String {
         }
         s
     }
-}
-
-/// Renders counters and gauges from a snapshot. Counters get a `_total`
-/// suffix per Prometheus convention.
-pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (key, v) in &snap.counters {
-        let name = format!("{}_total", metric_name(key));
-        out.push_str(&format!("# TYPE {name} counter\n"));
-        push_sample(&mut out, &name, "", *v as f64);
-    }
-    for (key, v) in &snap.gauges {
-        let name = metric_name(key);
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        push_sample(&mut out, &name, "", *v);
-    }
-    out
 }
 
 /// Renders one histogram in cumulative-bucket form (`_bucket{le=…}`,
@@ -176,21 +157,6 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
-
-    #[test]
-    fn snapshot_render_parses_back() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("serve.admissions", 7);
-        reg.gauge_set("serve.util.node_max", 0.625);
-        let text = render_snapshot(&reg.snapshot());
-        let samples = parse(&text).unwrap();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].name, "serve_admissions_total");
-        assert_eq!(samples[0].value, 7.0);
-        assert_eq!(samples[1].name, "serve_util_node_max");
-        assert_eq!(samples[1].value, 0.625);
-    }
 
     #[test]
     fn histogram_render_is_cumulative_and_parses_back() {
