@@ -451,16 +451,14 @@ fn kernel_microbench(seed: u64) -> Json {
 }
 
 /// Service-observability ladder: the same deterministic admission stream
-/// through [`ServiceCore`] under four configurations, sampled round-robin
+/// through [`ServiceCore`] under three configurations, sampled round-robin
 /// by [`measure_ladder`] like the solver ladder. `disabled` and
-/// `disabled_2` both run with telemetry off and utilization tracking off —
-/// every observability site in the admission path collapses to one
-/// cached-bool branch — so their paired ratio is the run-to-run noise
-/// floor, and the "<2% when observability is off" budget is asserted on it
-/// (the alloc-off pattern above). `util_off` (metrics-only telemetry,
-/// tracker off) and `util_on` (metrics-only telemetry, and the tracker
-/// updated at every reservation insert and collection) record the opt-in
-/// feature costs for information.
+/// `disabled_2` both run with telemetry off — every observability site in
+/// the admission path collapses to one cached-bool branch — so their paired
+/// ratio is the run-to-run noise floor, and the "<2% when observability is
+/// off" budget is asserted on it (the alloc-off pattern above).
+/// `metrics_only` (metrics-only telemetry) records the cost of live
+/// recording for information.
 fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> Json {
     let substrate = Substrate::uniform(grid(2, 2), 2.0, 5.0);
     // Deterministic contended stream: flexible star requests with rotating
@@ -495,7 +493,7 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
         }
         std::hint::black_box(accepted);
     };
-    let rung = |label: &'static str, telemetry: fn() -> Telemetry, track_util: bool| Rung {
+    let rung = |label: &'static str, telemetry: fn() -> Telemetry| Rung {
         label,
         counting: false,
         prepare: Box::new(move || ServiceOptions {
@@ -503,7 +501,6 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
                 telemetry: telemetry(),
                 ..MipOptions::default()
             },
-            track_util,
             ..ServiceOptions::default()
         }),
     };
@@ -511,21 +508,20 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
     let measured = measure_ladder(
         budget,
         &[
-            rung("disabled", Telemetry::disabled, false),
-            rung("disabled_2", Telemetry::disabled, false),
-            rung("util_off", Telemetry::metrics_only, false),
-            rung("util_on", Telemetry::metrics_only, true),
+            rung("disabled", Telemetry::disabled),
+            rung("disabled_2", Telemetry::disabled),
+            rung("metrics_only", Telemetry::metrics_only),
         ],
         run_once,
     );
-    let [dis, d2, off, on] = &measured[..] else {
-        unreachable!("serve ladder has four rungs");
+    let [dis, d2, metrics] = &measured[..] else {
+        unreachable!("serve ladder has three rungs");
     };
     let disabled_overhead_pct = d2.overhead_pct;
     eprintln!(
         "[introspection] serve observability-off overhead {disabled_overhead_pct:+.3}% \
-         (budget {tolerance_pct}%), util-off {:+.3}%, util-on {:+.3}%",
-        off.overhead_pct, on.overhead_pct
+         (budget {tolerance_pct}%), metrics-only {:+.3}%",
+        metrics.overhead_pct
     );
     if assert_budget {
         assert!(
@@ -541,16 +537,17 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
             Json::Arr(vec![
                 run_json("disabled", dis),
                 run_json("disabled_2", d2),
-                run_json("util_off", off),
-                run_json("util_on", on),
+                run_json("metrics_only", metrics),
             ]),
         ),
         (
             "disabled_overhead_pct".into(),
             Json::from(disabled_overhead_pct),
         ),
-        ("util_off_overhead_pct".into(), Json::from(off.overhead_pct)),
-        ("util_on_overhead_pct".into(), Json::from(on.overhead_pct)),
+        (
+            "metrics_only_overhead_pct".into(),
+            Json::from(metrics.overhead_pct),
+        ),
     ])
 }
 

@@ -256,9 +256,9 @@ pub fn compare_docs(
         // Deterministic quantities: exact for single-threaded pairs.
         let both_seq = num(base, "threads") == Some(1.0) && num(cand, "threads") == Some(1.0);
         if serve && both_seq {
-            // Service decisions are a pure function of the seed and node
-            // budget: any drift in what was decided, accepted, shed, or how
-            // much search it took is a behavioral change.
+            // Service decisions are a pure function of the seed and the
+            // load configuration: any drift in what was decided, accepted,
+            // shed, or how many LP solves it took is a behavioral change.
             for key in [
                 "decisions",
                 "accepted",

@@ -143,8 +143,7 @@ fn committed_bench_documents_still_parse() {
         "admissions",
         "runs",
         "disabled_overhead_pct",
-        "util_off_overhead_pct",
-        "util_on_overhead_pct",
+        "metrics_only_overhead_pct",
     ] {
         get(serve, key);
     }

@@ -86,14 +86,14 @@ const COMMANDS: &[(&str, &str)] = &[
     (
         "serve",
         "[--instance FILE] [--wal FILE] [--listen ADDR] [--tick-ms N] [--epoch N] \
-         [--max-pending N] [--slo FILE] [--track-util] [--blackbox] [--blackbox-out FILE] \
-         [--watchdog-ms N] [--fault-panic-epoch N]",
+         [--max-pending N] [--slo FILE] [--blackbox] [--blackbox-out FILE] [--watchdog-ms N] \
+         [--fault-panic-epoch N]",
     ),
     (
         "load",
         "[--seed N] [--rate R] [--duration H] [--flex H] [--preset tiny|small|medium|paper] \
-         [--epoch N] [--tick-budget-ms N] [--max-pending N] [--wal FILE] [--track-util] \
-         [--util-out FILE] [-o FILE] [--metrics-out FILE] [--trace] [--chrome-trace FILE]",
+         [--epoch N] [--tick-budget-ms N] [--max-pending N] [--wal FILE] [--util-out FILE] \
+         [-o FILE] [--metrics-out FILE] [--trace] [--chrome-trace FILE]",
     ),
     ("top", "ADDR [--interval-ms N] [--frames N] [--raw]"),
     ("postmortem", "DUMP.json [--raw]"),
@@ -379,20 +379,19 @@ fn render_top_frame(m: &Json) -> String {
             num("slo", "latency_burn"),
         ));
     }
-    if let Some(util) = m.get("util") {
-        let peaks: Vec<f64> = util
-            .get("node_peaks")
-            .and_then(Json::as_array)
-            .map(|a| a.iter().filter_map(Json::as_f64).collect())
-            .unwrap_or_default();
-        s.push_str(&format!(
-            "util     node max {:.0}%  edge p95 {:.0}%  headroom {:.0}%  [{}]\n",
-            num("util", "node_max") * 100.0,
-            num("util", "edge_p95") * 100.0,
-            num("util", "headroom_next") * 100.0,
-            heatline(&peaks),
-        ));
-    }
+    let peaks: Vec<f64> = m
+        .get("util")
+        .and_then(|u| u.get("node_peaks"))
+        .and_then(Json::as_array)
+        .map(|a| a.iter().filter_map(Json::as_f64).collect())
+        .unwrap_or_default();
+    s.push_str(&format!(
+        "util     node max {:.0}%  edge p95 {:.0}%  headroom {:.0}%  [{}]\n",
+        num("util", "node_max") * 100.0,
+        num("util", "edge_p95") * 100.0,
+        num("util", "headroom_next") * 100.0,
+        heatline(&peaks),
+    ));
     s.push_str(&format!(
         "wal      enabled {}  records {}\n",
         m.get("wal")
@@ -989,7 +988,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                         ..MipOptions::default()
                     },
                     leak_every: None,
-                    track_util: args.flags.contains_key("track-util"),
                 },
                 epoch_size: get_usize("epoch", 4)?,
                 max_pending: get_usize("max-pending", 1024)?,
@@ -1104,7 +1102,6 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                     .transpose()?
                     .unwrap_or(defaults.max_pending),
                 wal: args.flags.get("wal").map(PathBuf::from),
-                track_util: args.flags.contains_key("track-util"),
                 util_out: args.flags.get("util-out").map(PathBuf::from),
                 telemetry: telemetry_for(args),
             };

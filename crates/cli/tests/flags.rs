@@ -22,12 +22,18 @@ fn load_refuses_unknown_and_removed_flags() {
         "--bogus-flag",
     );
     refused(&["load", "--node-budget", "5"], "--node-budget");
+    refused(&["load", "--track-util"], "--track-util");
 }
 
 #[test]
 fn serve_refuses_the_removed_budget_flags() {
     refused(&["serve", "--node-budget", "500"], "--node-budget");
     refused(&["serve", "--deadline-ms", "50"], "--deadline-ms");
+}
+
+#[test]
+fn serve_refuses_the_removed_tracker_flag() {
+    refused(&["serve", "--track-util"], "--track-util");
 }
 
 #[test]
@@ -39,7 +45,7 @@ fn usage_lists_the_flags_load_reads() {
         .lines()
         .find(|l| l.trim_start().starts_with("tvnep-cli load"))
         .expect("a load usage line");
-    for flag in ["--track-util", "--trace", "--chrome-trace", "--metrics-out"] {
+    for flag in ["--util-out", "--trace", "--chrome-trace", "--metrics-out"] {
         assert!(load.contains(flag), "{load}");
     }
     assert!(!load.contains("--node-budget"), "{load}");
@@ -51,7 +57,7 @@ fn a_flag_the_subcommand_reads_is_accepted() {
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = dir.join("m.json");
     let out = Command::new(bin())
-        .args(["load", "--duration", "0.5", "--track-util", "--metrics-out"])
+        .args(["load", "--duration", "0.5", "--metrics-out"])
         .arg(&metrics)
         .args(["-o"])
         .arg(dir.join("slo.json"))

@@ -74,7 +74,7 @@ fn spawn_server(dir: &Path) -> (Child, String) {
     std::fs::write(
         &slo,
         "{\"window_epochs\": 8, \"acceptance_ratio_min\": 0.4, \
-         \"p99_ms_max\": 30000.0, \"node_budget_per_decision\": 200000}",
+         \"p99_ms_max\": 30000.0}",
     )
     .expect("write slo doc");
 
@@ -89,7 +89,6 @@ fn spawn_server(dir: &Path) -> (Child, String) {
             "100",
             "--epoch",
             "2",
-            "--track-util",
             "--slo",
             &slo.display().to_string(),
         ])
@@ -138,7 +137,7 @@ fn kind(e: &Json) -> &str {
 
 /// Verifier-style recomputation of the utilization summary from the decision
 /// transcript: same probe times, same open-interval activity test, same
-/// summation order as `UtilTracker` — Definition 2.1 from scratch.
+/// summation order as the verifier — Definition 2.1 from scratch.
 struct Recomputed {
     points: usize,
     node_max: f64,
@@ -251,7 +250,7 @@ fn live_server_metrics_scrape_and_top() {
     assert_eq!(funnel.get("decided").and_then(Json::as_u64), Some(2));
     assert_eq!(funnel.get("queued").and_then(Json::as_u64), Some(1));
     assert!(m1.get("slo").is_some(), "SLO doc was configured");
-    assert!(m1.get("util").is_some(), "--track-util was set");
+    assert!(m1.get("util").is_some(), "util is always in the snapshot");
 
     // --- Session 2 (regression: the accept loop serves back-to-back
     // sessions): the rest of the stream, state carried over.

@@ -35,7 +35,6 @@ use crate::explain::{
     edge_load_at, explain_request, node_load_at, probe_times, RequestExplanation,
 };
 use crate::formulation::{build_model, BuildOptions, Formulation, Objective};
-use crate::util::UtilTracker;
 use tvnep_mip::{solve_with, MipOptions};
 use tvnep_model::{
     check_mapping, check_window, Embedding, Instance, NodeMapping, Request, ScheduledRequest,
@@ -54,10 +53,6 @@ pub struct ServiceOptions {
     /// observable effect of a reservation leak (capacity double-booking).
     /// The `online_consistency` oracle must catch this.
     pub leak_every: Option<usize>,
-    /// Maintain the [`UtilTracker`] substrate-utilization timeline alongside
-    /// the reservation set (default off: the tracker is `None` and every
-    /// hook is a single branch).
-    pub track_util: bool,
 }
 
 /// An admitted request holding substrate capacity: the pinned schedule and
@@ -133,8 +128,6 @@ pub struct ServiceCore {
     next_id: u64,
     accepted_total: u64,
     collected_total: u64,
-    /// Utilization timeline; `Some` iff `opts.track_util`.
-    util: Option<UtilTracker>,
 }
 
 impl ServiceCore {
@@ -144,7 +137,6 @@ impl ServiceCore {
             horizon > 0.0 && horizon.is_finite(),
             "horizon must be positive"
         );
-        let util = opts.track_util.then(|| UtilTracker::new(&substrate));
         Self {
             substrate,
             horizon,
@@ -154,13 +146,7 @@ impl ServiceCore {
             next_id: 0,
             accepted_total: 0,
             collected_total: 0,
-            util,
         }
-    }
-
-    /// The utilization timeline, when `track_util` is on.
-    pub fn util(&self) -> Option<&UtilTracker> {
-        self.util.as_ref()
     }
 
     /// The substrate this core allocates on.
@@ -203,11 +189,6 @@ impl ServiceCore {
         }
         let before = self.reservations.len();
         let mark = self.water_mark;
-        if let Some(util) = &mut self.util {
-            // Same mark, same retain predicate: the tracker's entries stay
-            // an exact mirror of the reservation list.
-            util.gc(mark);
-        }
         self.reservations.retain(|r| r.end > mark + 1e-12);
         let dropped = before - self.reservations.len();
         self.collected_total += dropped as u64;
@@ -220,9 +201,6 @@ impl ServiceCore {
     pub fn restore(&mut self, res: Reservation) {
         self.next_id = self.next_id.max(res.id + 1);
         self.accepted_total += 1;
-        if let Some(util) = &mut self.util {
-            util.insert(&res);
-        }
         self.reservations.push(res);
     }
 
@@ -330,7 +308,7 @@ impl ServiceCore {
                 let mut pinned = request.clone();
                 pinned.earliest_start = decided.start;
                 pinned.latest_end = decided.end;
-                let res = Reservation {
+                self.reservations.push(Reservation {
                     id,
                     request: pinned,
                     mapping,
@@ -340,11 +318,7 @@ impl ServiceCore {
                         .embedding
                         .clone()
                         .expect("accepted implies embedding"),
-                };
-                if let Some(util) = &mut self.util {
-                    util.insert(&res);
-                }
-                self.reservations.push(res);
+                });
             }
         }
 
@@ -451,6 +425,7 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{util_points, util_summary};
     use tvnep_graph::{grid, star, NodeId, StarDirection};
     use tvnep_model::tol::VERIFY_TOL;
     use tvnep_model::verify_with_tol;
@@ -579,14 +554,13 @@ mod tests {
         assert!(d2.accepted, "leak makes the core over-accept");
     }
 
-    /// Recomputes the tracker's numbers the verifier's way — same probe
+    /// Recomputes the on-read utilization the verifier's way — same probe
     /// times, same open-interval activity test, same summation order — and
     /// demands bitwise equality.
     fn assert_util_matches_verifier(c: &ServiceCore) {
-        let util = c.util().expect("tracking enabled");
         let (inst, sol) = c.reservation_snapshot();
         let times = sol.critical_times();
-        let points = util.sample();
+        let points = util_points(&inst, &sol);
         assert_eq!(points.len(), times.len());
         for (p, &t) in points.iter().zip(&times) {
             assert_eq!(p.t, t, "probe times must match bitwise");
@@ -615,15 +589,7 @@ mod tests {
 
     #[test]
     fn util_timeline_matches_verifier_bitwise() {
-        let substrate = Substrate::uniform(grid(2, 2), 1.0, 5.0);
-        let mut c = ServiceCore::new(
-            substrate,
-            20.0,
-            ServiceOptions {
-                track_util: true,
-                ..ServiceOptions::default()
-            },
-        );
+        let mut c = core();
         for (name, es, le, d) in [
             ("a", 0.0, 10.0, 2.0),
             ("b", 0.0, 10.0, 2.0),
@@ -633,24 +599,15 @@ mod tests {
             let (r, m) = tight(name, es, le, d);
             c.admit(r, m).unwrap();
             assert_util_matches_verifier(&c);
-            assert_eq!(c.util().unwrap().live_entries(), c.reservations().len());
         }
-        // GC keeps tracker and reservations in lockstep, and the exported
-        // timeline retains the collected history.
-        let timeline_before = c.util().unwrap().timeline();
+        // 'b' runs [2, 4] and 'd' [4, 8], each saturating node 0; the first
+        // point past the water mark (3, d's release) is d's interval.
+        let (inst, sol) = c.reservation_snapshot();
+        let summary = util_summary(c.substrate(), &util_points(&inst, &sol), c.water_mark());
+        assert_eq!((summary.points, summary.node_max), (2, 1.0));
+        assert_eq!(summary.headroom_next, 0.0);
         c.advance(11.0);
         assert_util_matches_verifier(&c);
-        assert_eq!(c.util().unwrap().live_entries(), c.reservations().len());
-        let timeline_after = c.util().unwrap().timeline();
-        assert_eq!(timeline_before, timeline_after, "GC must not lose history");
-        let summary = c.util().unwrap().summary(c.water_mark());
-        assert!(summary.node_max >= 0.0 && summary.node_max <= 1.0 + 1e-9);
-        assert!(summary.headroom_next >= -1e-9 && summary.headroom_next <= 1.0);
-        // The JSONL export replays deterministically.
-        assert_eq!(
-            c.util().unwrap().export_jsonl(),
-            c.util().unwrap().export_jsonl()
-        );
     }
 
     #[test]

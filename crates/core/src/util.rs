@@ -1,26 +1,22 @@
-//! # Substrate utilization timeline
+//! # Substrate utilization, computed from a schedule when it is read
 //!
-//! [`UtilTracker`] maintains, incrementally alongside the admission core's
-//! reservation set, the per-resource loads of Definition 2.1 at every event
-//! point of the live reservations. Each tracked entry caches the pure
-//! per-resource allocations of its embedding (`Embedding::node_allocation`
-//! / `edge_allocation`); a sample sums those caches **in reservation
-//! order** over the entries whose open execution interval contains the
-//! probe time — exactly the computation the independent verifier performs
-//! from scratch, so tracker occupancy and verifier recomputation agree
-//! bitwise, not just within tolerance (the `online_consistency` oracle
-//! enforces this).
+//! Definition 2.1 makes substrate load a pure function of the schedule: the
+//! load of a resource at instant `t` is the sum of the allocations of the
+//! accepted requests whose open execution interval contains `t`, and by the
+//! event-point argument of Section III-A it is constant between consecutive
+//! event points. [`util_points`] evaluates it at the midpoint of every event
+//! interval of a solution ([`TemporalSolution::event_intervals`], the
+//! intervals behind `critical_times`) with the per-instant load functions
+//! the admission scan and the explanations use — the verifier's sweep, so
+//! its numbers equal a from-scratch recomputation bit for bit (the
+//! `online_consistency` oracle enforces this).
 //!
-//! Probe times mirror [`TemporalSolution::critical_times`]: the sorted,
-//! deduplicated starts/ends of live reservations, probed at interval
-//! midpoints. Intervals that fall entirely behind the GC water mark are
-//! frozen into a bounded history buffer before their reservations are
-//! collected, so the JSONL export covers the whole run, not just the live
-//! window.
+//! The service runs it over its live reservation snapshot when the
+//! `metrics` event is read, and `tvnep-cli load --util-out` runs it once
+//! over the whole run's decided schedule; no admission pays for it.
 
-use crate::service::Reservation;
-use tvnep_graph::{EdgeId, NodeId};
-use tvnep_model::Substrate;
+use crate::explain::{edge_load_at, node_load_at};
+use tvnep_model::{Instance, Substrate, TemporalSolution};
 use tvnep_telemetry::{exact_quantile, Json};
 
 /// Loads at one allocation-invariant interval, probed at its midpoint.
@@ -40,7 +36,7 @@ pub struct UtilPoint {
 /// Scalar roll-up of a set of [`UtilPoint`]s for gauges and `top`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilSummary {
-    /// Number of live probe points.
+    /// Number of probe points.
     pub points: usize,
     /// Peak node utilization (load/capacity) over all points and nodes.
     pub node_max: f64,
@@ -54,247 +50,110 @@ pub struct UtilSummary {
     pub headroom_next: f64,
 }
 
-#[derive(Debug, Clone)]
-struct UtilEntry {
-    start: f64,
-    end: f64,
-    node_load: Vec<f64>,
-    edge_load: Vec<f64>,
+/// The loads of every substrate resource at every event interval of `sol`.
+pub fn util_points(inst: &Instance, sol: &TemporalSolution) -> Vec<UtilPoint> {
+    let graph = inst.substrate.graph();
+    sol.event_intervals()
+        .into_iter()
+        .map(|(lo, hi)| {
+            let t = 0.5 * (lo + hi);
+            UtilPoint {
+                t,
+                lo,
+                hi,
+                node_load: graph
+                    .nodes()
+                    .map(|n| node_load_at(inst, sol, n, t))
+                    .collect(),
+                edge_load: graph
+                    .edge_ids()
+                    .map(|e| edge_load_at(inst, sol, e, t))
+                    .collect(),
+            }
+        })
+        .collect()
 }
 
-/// Incremental Definition-2.1 occupancy over the live reservation set.
-#[derive(Debug, Clone)]
-pub struct UtilTracker {
-    node_caps: Vec<f64>,
-    edge_caps: Vec<f64>,
-    /// Mirrors `ServiceCore::reservations` element-for-element.
-    entries: Vec<UtilEntry>,
-    /// Intervals that ended at or before the GC water mark, kept so the
-    /// export covers collected history (bounded by `MAX_FROZEN`).
-    frozen: Vec<UtilPoint>,
-    /// Upper bound of the last frozen interval; live points at or below it
-    /// are duplicates of frozen history.
-    frozen_up_to: f64,
-    /// Frozen points dropped because the history buffer was full.
-    dropped_frozen: u64,
+fn util(load: f64, cap: f64) -> f64 {
+    if cap > 0.0 {
+        load / cap
+    } else {
+        0.0
+    }
 }
 
-/// History cap: a long-running service keeps the most recent frozen
-/// intervals and counts the rest in [`UtilTracker::dropped_frozen`].
-const MAX_FROZEN: usize = 4096;
-
-impl UtilTracker {
-    pub fn new(substrate: &Substrate) -> Self {
-        Self {
-            node_caps: substrate.node_capacities().to_vec(),
-            edge_caps: substrate.edge_capacities().to_vec(),
-            entries: Vec::new(),
-            frozen: Vec::new(),
-            frozen_up_to: f64::NEG_INFINITY,
-            dropped_frozen: 0,
+/// Gauge roll-up of `points` on `substrate`; `mark` is the admission water
+/// mark (for headroom-at-next-epoch).
+pub fn util_summary(substrate: &Substrate, points: &[UtilPoint], mark: f64) -> UtilSummary {
+    let (node_caps, edge_caps) = (substrate.node_capacities(), substrate.edge_capacities());
+    let mut node_max = 0.0f64;
+    let mut edge_max = 0.0f64;
+    let mut edge_peak = vec![0.0f64; edge_caps.len()];
+    let mut headroom_next = 1.0f64;
+    let mut next_found = false;
+    for p in points {
+        let mut point_max = 0.0f64;
+        for (&load, &cap) in p.node_load.iter().zip(node_caps) {
+            let u = util(load, cap);
+            node_max = node_max.max(u);
+            point_max = point_max.max(u);
+        }
+        for (e, (&load, &cap)) in p.edge_load.iter().zip(edge_caps).enumerate() {
+            let u = util(load, cap);
+            edge_max = edge_max.max(u);
+            edge_peak[e] = edge_peak[e].max(u);
+            point_max = point_max.max(u);
+        }
+        if !next_found && p.t > mark {
+            headroom_next = 1.0 - point_max;
+            next_found = true;
         }
     }
-
-    /// Tracks a reservation the core just installed (admit or WAL restore).
-    pub fn insert(&mut self, res: &Reservation) {
-        let node_load = (0..self.node_caps.len())
-            .map(|n| res.embedding.node_allocation(&res.request, NodeId(n)))
-            .collect();
-        let edge_load = (0..self.edge_caps.len())
-            .map(|e| res.embedding.edge_allocation(&res.request, EdgeId(e)))
-            .collect();
-        self.entries.push(UtilEntry {
-            start: res.start,
-            end: res.end,
-            node_load,
-            edge_load,
-        });
+    edge_peak.sort_by(|a, b| a.partial_cmp(b).expect("finite utils"));
+    UtilSummary {
+        points: points.len(),
+        node_max,
+        edge_max,
+        edge_p95: exact_quantile(&edge_peak, 0.95),
+        headroom_next,
     }
+}
 
-    /// Mirrors the core's GC: freezes intervals that lie entirely at or
-    /// before `mark`, then drops entries with the core's exact retain
-    /// predicate. Must be called with the same `mark` values, in the same
-    /// order, as `ServiceCore::advance`.
-    pub fn gc(&mut self, mark: f64) {
-        if self.entries.iter().any(|e| e.end <= mark + 1e-12) {
-            let done: Vec<UtilPoint> = self
-                .sample()
-                .into_iter()
-                .filter(|p| p.hi <= mark + 1e-12 && p.hi > self.frozen_up_to + 1e-12)
-                .collect();
-            if let Some(last) = done.last() {
-                self.frozen_up_to = last.hi;
-            }
-            self.frozen.extend(done);
-            if self.frozen.len() > MAX_FROZEN {
-                let excess = self.frozen.len() - MAX_FROZEN;
-                self.frozen.drain(..excess);
-                self.dropped_frozen += excess as u64;
-            }
-            self.entries.retain(|e| e.end > mark + 1e-12);
+/// Per-node peak utilization over `points` (the `top` heatline).
+pub fn node_peaks(substrate: &Substrate, points: &[UtilPoint]) -> Vec<f64> {
+    let caps = substrate.node_capacities();
+    let mut peaks = vec![0.0f64; caps.len()];
+    for p in points {
+        for (n, (&load, &cap)) in p.node_load.iter().zip(caps).enumerate() {
+            peaks[n] = peaks[n].max(util(load, cap));
         }
     }
+    peaks
+}
 
-    /// Number of live tracked reservations (must equal the core's count).
-    pub fn live_entries(&self) -> usize {
-        self.entries.len()
-    }
+fn floats(values: &[f64]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
+}
 
-    /// Frozen points dropped to bound history memory.
-    pub fn dropped_frozen(&self) -> u64 {
-        self.dropped_frozen
-    }
-
-    /// Event-point loads of the live reservation set. Probe times and sums
-    /// reproduce the verifier's sweep bitwise (see module docs).
-    pub fn sample(&self) -> Vec<UtilPoint> {
-        // Mirror of `TemporalSolution::critical_times` on the live set.
-        let mut times: Vec<f64> = self.entries.iter().flat_map(|e| [e.start, e.end]).collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        times.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        times
-            .windows(2)
-            .map(|w| {
-                let t = 0.5 * (w[0] + w[1]);
-                // Mirror of the verifier's load sweep: open-interval
-                // activity, summed in reservation order.
-                let node_load = (0..self.node_caps.len())
-                    .map(|n| {
-                        self.entries
-                            .iter()
-                            .filter(|e| e.start < t && t < e.end)
-                            .map(|e| e.node_load[n])
-                            .sum()
-                    })
-                    .collect();
-                let edge_load = (0..self.edge_caps.len())
-                    .map(|e| {
-                        self.entries
-                            .iter()
-                            .filter(|en| en.start < t && t < en.end)
-                            .map(|en| en.edge_load[e])
-                            .sum()
-                    })
-                    .collect();
-                UtilPoint {
-                    t,
-                    lo: w[0],
-                    hi: w[1],
-                    node_load,
-                    edge_load,
-                }
-            })
-            .collect()
-    }
-
-    /// The full timeline: frozen history plus live points beyond it.
-    pub fn timeline(&self) -> Vec<UtilPoint> {
-        let mut out = self.frozen.clone();
-        out.extend(
-            self.sample()
-                .into_iter()
-                .filter(|p| p.hi > self.frozen_up_to + 1e-12),
-        );
-        out
-    }
-
-    fn util(load: f64, cap: f64) -> f64 {
-        if cap > 0.0 {
-            load / cap
-        } else {
-            0.0
-        }
-    }
-
-    /// Gauge roll-up over the live points; `mark` is the admission water
-    /// mark (for headroom-at-next-epoch).
-    pub fn summary(&self, mark: f64) -> UtilSummary {
-        let points = self.sample();
-        let mut node_max = 0.0f64;
-        let mut edge_max = 0.0f64;
-        let mut edge_peak = vec![0.0f64; self.edge_caps.len()];
-        let mut headroom_next = 1.0f64;
-        let mut next_found = false;
-        for p in &points {
-            let mut point_max = 0.0f64;
-            for (n, &load) in p.node_load.iter().enumerate() {
-                let u = Self::util(load, self.node_caps[n]);
-                node_max = node_max.max(u);
-                point_max = point_max.max(u);
-            }
-            for (e, &load) in p.edge_load.iter().enumerate() {
-                let u = Self::util(load, self.edge_caps[e]);
-                edge_max = edge_max.max(u);
-                edge_peak[e] = edge_peak[e].max(u);
-                point_max = point_max.max(u);
-            }
-            if !next_found && p.t > mark {
-                headroom_next = 1.0 - point_max;
-                next_found = true;
-            }
-        }
-        edge_peak.sort_by(|a, b| a.partial_cmp(b).expect("finite utils"));
-        UtilSummary {
-            points: points.len(),
-            node_max,
-            edge_max,
-            edge_p95: exact_quantile(&edge_peak, 0.95),
-            headroom_next,
-        }
-    }
-
-    /// Per-node peak utilization over the live points (the `top` heatline).
-    pub fn node_peaks(&self) -> Vec<f64> {
-        let mut peaks = vec![0.0f64; self.node_caps.len()];
-        for p in self.sample() {
-            for (n, &load) in p.node_load.iter().enumerate() {
-                peaks[n] = peaks[n].max(Self::util(load, self.node_caps[n]));
-            }
-        }
-        peaks
-    }
-
-    fn point_json(p: &UtilPoint) -> Json {
-        Json::Obj(vec![
+/// Deterministic JSONL export: a header line with the capacities, then one
+/// `{"t", "interval", "node_load", "edge_load"}` line per point.
+pub fn util_jsonl(substrate: &Substrate, points: &[UtilPoint]) -> String {
+    let header = Json::Obj(vec![
+        ("kind".into(), Json::from("tvnep-util-timeline")),
+        ("node_caps".into(), floats(substrate.node_capacities())),
+        ("edge_caps".into(), floats(substrate.edge_capacities())),
+    ]);
+    let mut out = header.to_string();
+    out.push('\n');
+    for p in points {
+        let line = Json::Obj(vec![
             ("t".into(), Json::from(p.t)),
-            (
-                "interval".into(),
-                Json::Arr(vec![Json::from(p.lo), Json::from(p.hi)]),
-            ),
-            (
-                "node_load".into(),
-                Json::Arr(p.node_load.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            (
-                "edge_load".into(),
-                Json::Arr(p.edge_load.iter().map(|&v| Json::from(v)).collect()),
-            ),
-        ])
-    }
-
-    /// Deterministic JSONL export: a header line with the capacities, then
-    /// one line per timeline point. Byte-identical across reruns of the
-    /// same admission sequence.
-    pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        let header = Json::Obj(vec![
-            ("kind".into(), Json::from("tvnep-util-timeline")),
-            (
-                "node_caps".into(),
-                Json::Arr(self.node_caps.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            (
-                "edge_caps".into(),
-                Json::Arr(self.edge_caps.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            ("dropped_frozen".into(), Json::from(self.dropped_frozen)),
+            ("interval".into(), floats(&[p.lo, p.hi])),
+            ("node_load".into(), floats(&p.node_load)),
+            ("edge_load".into(), floats(&p.edge_load)),
         ]);
-        out.push_str(&header.to_string());
+        out.push_str(&line.to_string());
         out.push('\n');
-        for p in self.timeline() {
-            out.push_str(&Self::point_json(&p).to_string());
-            out.push('\n');
-        }
-        out
     }
+    out
 }

@@ -33,8 +33,9 @@
 use std::time::Duration;
 
 use tvnep_core::{
-    build_model, explain_solution, greedy_csigma, solve_discrete, solve_tvnep, BuildOptions, Fate,
-    Formulation, GreedyOptions, Objective, Resource, ServiceCore, ServiceOptions, TvnepOutcome,
+    build_model, explain_solution, greedy_csigma, solve_discrete, solve_tvnep, util_points,
+    BuildOptions, Fate, Formulation, GreedyOptions, Objective, Resource, ServiceCore,
+    ServiceOptions, TvnepOutcome,
 };
 use tvnep_graph::{EdgeId, NodeId};
 use tvnep_lp::{LpStatus, Simplex};
@@ -332,15 +333,14 @@ fn load_at(instance: &Instance, solution: &TemporalSolution, res: Resource, t: f
         .sum()
 }
 
-/// Cross-checks the service's incremental utilization timeline against the
-/// verifier-style recomputation from the core's own reservation snapshot:
-/// same probe times, same open-interval activity test, bitwise-equal loads
-/// (online-consistency oracle, PR-9 observability plane).
+/// Cross-checks the service's utilization, computed from the core's
+/// reservation snapshot as the `metrics` event reads it, against the
+/// verifier-style recomputation: same probe times, same open-interval
+/// activity test, bitwise-equal loads (online-consistency oracle).
 fn util_mismatch(core: &ServiceCore) -> Option<String> {
-    let util = core.util()?;
     let (inst, sol) = core.reservation_snapshot();
     let times = sol.critical_times();
-    let points = util.sample();
+    let points = util_points(&inst, &sol);
     if points.len() != times.len() {
         return Some(format!(
             "util timeline has {} probe points, verifier recomputation has {}",
@@ -1016,9 +1016,6 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                     ServiceOptions {
                         subproblem: opts.mip_opts(1),
                         leak_every: leak,
-                        // Cross-checked below against the Definition-2.1
-                        // recomputation from the reservation snapshot.
-                        track_util: true,
                     },
                 );
                 // The service requires monotone arrivals; replay in
@@ -1081,10 +1078,10 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                 match refused {
                     Some(why) => report.skip(Oracle::OnlineConsistency, why),
                     None => {
-                        // The live utilization timeline must equal, bitwise,
-                        // the verifier-style recomputation over the core's
-                        // own reservation snapshot (Definition 2.1 loads at
-                        // every event-interval midpoint).
+                        // The utilization the service reports must equal,
+                        // bitwise, the verifier-style recomputation over the
+                        // core's own reservation snapshot (Definition 2.1
+                        // loads at every event-interval midpoint).
                         if let Some(why) = util_mismatch(&core) {
                             report.violate(Oracle::OnlineConsistency, why);
                         }

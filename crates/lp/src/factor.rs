@@ -1,8 +1,8 @@
 //! Sparse LU basis factorization with Markowitz pivoting and an eta file.
 //!
 //! This module replaces the dense `m × m` basis inverse of the original
-//! engine (ROADMAP item 1, DESIGN.md §2). The basis `B` — the columns of the
-//! constraint matrix selected by the current basis header — is factorized as
+//! engine (DESIGN.md §2). The basis `B` — the columns of the constraint
+//! matrix selected by the current basis header — is factorized as
 //! `P B Q = L U` by right-looking sparse Gaussian elimination:
 //!
 //! * **Markowitz pivot selection.** At every elimination step the candidate

@@ -162,10 +162,10 @@ impl TemporalSolution {
         used.iter().filter(|&&u| !u).count()
     }
 
-    /// Midpoints of the maximal allocation-invariant intervals — checking
-    /// capacities at these instants is equivalent to checking all `t ∈ [0,T]`
-    /// (the event-point argument of Section III-A).
-    pub fn critical_times(&self) -> Vec<f64> {
+    /// The maximal allocation-invariant intervals `[lo, hi]`, in time order:
+    /// consecutive event points (the accepted starts and ends, sorted, equal
+    /// within 1e-12 merged).
+    pub fn event_intervals(&self) -> Vec<(f64, f64)> {
         let mut times: Vec<f64> = self
             .scheduled
             .iter()
@@ -174,7 +174,17 @@ impl TemporalSolution {
             .collect();
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
         times.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        times.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
+        times.windows(2).map(|w| (w[0], w[1])).collect()
+    }
+
+    /// Midpoints of the [`event_intervals`](Self::event_intervals) —
+    /// checking capacities at these instants is equivalent to checking all
+    /// `t ∈ [0,T]` (the event-point argument of Section III-A).
+    pub fn critical_times(&self) -> Vec<f64> {
+        self.event_intervals()
+            .into_iter()
+            .map(|(lo, hi)| 0.5 * (lo + hi))
+            .collect()
     }
 }
 

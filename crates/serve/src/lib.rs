@@ -1,4 +1,4 @@
-//! # tvnep-serve — the online embedding service (ROADMAP item 2)
+//! # tvnep-serve — the online embedding service
 //!
 //! Turns the paper's batch machinery into a long-running admission system:
 //!
@@ -37,7 +37,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use tvnep_bench::journal::{read_journal, JournalWriter};
-use tvnep_core::{Reservation, ServiceCore, ServiceOptions};
+use tvnep_core::{node_peaks, util_points, util_summary, Reservation, ServiceCore, ServiceOptions};
 use tvnep_graph::NodeId;
 use tvnep_harness::format::{embedding_from_json, InstanceDoc, RequestDoc};
 use tvnep_model::{
@@ -719,10 +719,10 @@ impl EpochRunner {
 
     /// The self-describing `metrics` event: admission funnel, rolling
     /// window, latency percentiles from the histogram sketch, SLO burn
-    /// rates, WAL accounting, and — when the core tracks it — the substrate
-    /// utilization summary. Latency and wall-clock fields are
-    /// nondeterministic; everything else is a pure function of the
-    /// admission sequence. This is the one place a service number is
+    /// rates, WAL accounting, and the substrate utilization summary,
+    /// computed here from the live reservations. Latency and wall-clock
+    /// fields are nondeterministic; everything else is a pure function of
+    /// the admission sequence. This is the one place a service number is
     /// assembled: [`prometheus_text`](Self::prometheus_text) and
     /// `tvnep-cli top` only render it.
     pub fn metrics_event(&self) -> Json {
@@ -791,23 +791,24 @@ impl EpochRunner {
                 ]),
             ));
         }
-        if let Some(util) = self.core.util() {
-            let u = util.summary(self.core.water_mark());
-            fields.push((
-                "util".into(),
-                Json::Obj(vec![
-                    ("points".into(), Json::from(u.points)),
-                    ("node_max".into(), Json::from(u.node_max)),
-                    ("edge_max".into(), Json::from(u.edge_max)),
-                    ("edge_p95".into(), Json::from(u.edge_p95)),
-                    ("headroom_next".into(), Json::from(u.headroom_next)),
-                    (
-                        "node_peaks".into(),
-                        Json::Arr(util.node_peaks().into_iter().map(Json::from).collect()),
-                    ),
-                ]),
-            ));
-        }
+        let (inst, sol) = self.core.reservation_snapshot();
+        let points = util_points(&inst, &sol);
+        let u = util_summary(&inst.substrate, &points, self.core.water_mark());
+        let peaks = node_peaks(&inst.substrate, &points);
+        fields.push((
+            "util".into(),
+            Json::Obj(vec![
+                ("points".into(), Json::from(u.points)),
+                ("node_max".into(), Json::from(u.node_max)),
+                ("edge_max".into(), Json::from(u.edge_max)),
+                ("edge_p95".into(), Json::from(u.edge_p95)),
+                ("headroom_next".into(), Json::from(u.headroom_next)),
+                (
+                    "node_peaks".into(),
+                    Json::Arr(peaks.into_iter().map(Json::from).collect()),
+                ),
+            ]),
+        ));
         fields.push((
             "wal".into(),
             Json::Obj(vec![
@@ -906,15 +907,14 @@ mod tests {
     }
 
     /// A runner with every observability source on (telemetry registry,
-    /// utilization tracker, SLO doc) after one epoch that accepted and
-    /// rejected, with one submission still queued.
+    /// SLO doc) after one epoch that accepted and rejected, with one
+    /// submission still queued.
     fn observed_runner() -> EpochRunner {
         let mut opts = ServeOptions {
             slo: Some(SloDoc::default()),
             ..ServeOptions::default()
         };
         opts.service.subproblem.telemetry = tvnep_telemetry::Telemetry::metrics_only();
-        opts.service.track_util = true;
         let mut runner = EpochRunner::new(substrate(), 20.0, opts, None).unwrap();
         // 'a' fills node 0 over [0, 2]: rigid 'b' is rejected, 'c' waits.
         for (name, le) in [("a", 10.0), ("b", 2.0), ("c", 10.0)] {
@@ -1000,6 +1000,24 @@ mod tests {
                 s.name
             );
         }
+    }
+
+    #[test]
+    fn slo_doc_keeps_defaults_and_refuses_bad_values() {
+        let parse = |text: &str| SloDoc::from_json(&Json::parse(text).unwrap());
+        assert_eq!(parse("{}"), Ok(SloDoc::default()));
+        let partial = SloDoc {
+            p99_ms_max: 40.0,
+            ..SloDoc::default()
+        };
+        assert_eq!(parse("{\"p99_ms_max\": 40.0}"), Ok(partial));
+        assert_eq!(
+            parse("{\"node_budget_per_decision\": 200000}"),
+            Ok(SloDoc::default()),
+            "unknown keys are ignored"
+        );
+        assert_eq!(parse("{\"window_epochs\": 0}").unwrap().window_epochs, 1);
+        assert!(parse("{\"p99_ms_max\": \"fast\"}").is_err());
     }
 
     #[test]
@@ -1103,6 +1121,8 @@ mod tests {
             }
         }
         let dump_full = full.dump().to_string();
+        let util_full = full.metrics_event().get("util").cloned().unwrap();
+        assert!(util_full.get("points").and_then(Json::as_u64) > Some(0));
         drop(full);
 
         // Interrupted after the first epoch; recovery decides the rest.
@@ -1120,6 +1140,10 @@ mod tests {
         }
         rec.run_epoch().unwrap();
         assert_eq!(rec.dump().to_string(), dump_full);
+        // Utilization, read from the recovered reservations, is the
+        // uninterrupted runner's to the bit.
+        let util_rec = rec.metrics_event().get("util").cloned().unwrap();
+        assert_eq!(util_rec.to_string(), util_full.to_string());
 
         // The decision lines of both WALs are byte-identical.
         let decisions = |p: &Path| -> Vec<String> {

@@ -17,14 +17,15 @@
 //!
 //! At the end every accepted schedule is re-checked by the independent
 //! Definition-2.1 verifier over the full submitted stream; any violation
-//! means the service over-committed capacity and fails the run.
+//! means the service over-committed capacity and fails the run. The same
+//! audit instance and solution give the `util_out` utilization timeline.
 
 use std::io;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use crate::{EpochRunner, ServeOptions};
-use tvnep_core::ServiceOptions;
+use tvnep_core::{util_jsonl, util_points, ServiceOptions};
 use tvnep_graph::{grid, star, NodeId, StarDirection};
 use tvnep_harness::format::RequestDoc;
 use tvnep_mip::MipOptions;
@@ -59,10 +60,9 @@ pub struct LoadConfig {
     pub max_pending: usize,
     /// Optional WAL path (exercises the journal in load runs).
     pub wal: Option<PathBuf>,
-    /// Track the substrate utilization timeline during the run.
-    pub track_util: bool,
-    /// Write the utilization timeline as JSONL to this path after the run
-    /// (implies `track_util`).
+    /// Write the run's utilization timeline as JSONL to this path: one line
+    /// per event interval of every accepted decision, computed from the
+    /// end-of-run audit.
     pub util_out: Option<PathBuf>,
     /// Telemetry sink for the admission LPs' counters and the `serve.admit`
     /// spans; the service's own counts are in the [`LoadReport`].
@@ -85,7 +85,6 @@ impl LoadConfig {
             tick_budget_ms: Some(30_000),
             max_pending: 1024,
             wal: None,
-            track_util: false,
             util_out: None,
             telemetry: Telemetry::disabled(),
         }
@@ -198,7 +197,6 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
                 ..MipOptions::default()
             },
             leak_every: None,
-            track_util: cfg.track_util || cfg.util_out.is_some(),
         },
         epoch_size: cfg.epoch_size,
         max_pending: cfg.max_pending,
@@ -238,23 +236,15 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
             embedding: rec.embedding.clone(),
         });
     }
-    let violations = if requests.is_empty() {
-        Vec::new()
-    } else {
-        let audit = Instance::new(substrate, requests, horizon, Some(mappings));
-        let solution = TemporalSolution {
-            scheduled,
-            reported_objective: None,
-        };
-        verify_with_tol(&audit, &solution, VERIFY_TOL)
+    let audit = Instance::new(substrate, requests, horizon, Some(mappings));
+    let solution = TemporalSolution {
+        scheduled,
+        reported_objective: None,
     };
-
+    let violations = verify_with_tol(&audit, &solution, VERIFY_TOL);
     if let Some(path) = &cfg.util_out {
-        let util = runner
-            .core()
-            .util()
-            .expect("util_out implies track_util in ServiceOptions");
-        std::fs::write(path, util.export_jsonl())?;
+        let points = util_points(&audit, &solution);
+        std::fs::write(path, util_jsonl(&audit.substrate, &points))?;
     }
 
     // Latency percentiles come from the shared telemetry histogram: bounded
@@ -420,15 +410,63 @@ mod tests {
 
     #[test]
     fn util_out_writes_consistent_timeline() {
+        use tvnep_bench::journal::read_journal;
+        use tvnep_harness::format::embedding_from_json;
+
         let dir = std::env::temp_dir().join(format!("tvnep-loadgen-util-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("util.jsonl");
+        let (path, wal) = (dir.join("util.jsonl"), dir.join("load.wal"));
         let cfg = LoadConfig {
             util_out: Some(path.clone()),
+            wal: Some(wal.clone()),
             ..quick_cfg(9)
         };
         let r = run(&cfg).unwrap();
         assert_eq!(r.violations, 0);
+
+        // The run's audit, rebuilt from its WAL: every submitted request
+        // with its decided schedule, in id order.
+        let (mut requests, mut scheduled) = (Vec::new(), Vec::new());
+        for ev in read_journal(&wal).unwrap() {
+            let id = ev.get("id").and_then(Json::as_u64);
+            match ev.get("event").and_then(Json::as_str) {
+                Some("submitted") => {
+                    let doc = RequestDoc::from_json(ev.get("request").unwrap()).unwrap();
+                    requests.push((id, doc.to_request().unwrap()));
+                }
+                Some("decision") => scheduled.push((
+                    id,
+                    ScheduledRequest {
+                        accepted: ev.get("accepted").and_then(Json::as_bool).unwrap(),
+                        start: ev.get("start").and_then(Json::as_f64).unwrap(),
+                        end: ev.get("end").and_then(Json::as_f64).unwrap(),
+                        embedding: embedding_from_json(&ev).unwrap(),
+                    },
+                )),
+                _ => {}
+            }
+        }
+        requests.sort_by_key(|(id, _)| *id);
+        scheduled.sort_by_key(|(id, _)| *id);
+        assert_eq!(requests.len() as u64, r.decisions);
+        assert_eq!(scheduled.len() as u64, r.decisions);
+        let solution = TemporalSolution {
+            scheduled: scheduled.into_iter().map(|(_, s)| s).collect(),
+            reported_objective: None,
+        };
+        let load_at = |t: f64, alloc: &dyn Fn(&tvnep_model::Embedding, &Request) -> f64| -> f64 {
+            solution
+                .scheduled
+                .iter()
+                .zip(requests.iter().map(|(_, r)| r))
+                .filter(|(s, _)| s.accepted && s.start < t && t < s.end)
+                .filter_map(|(s, r)| s.embedding.as_ref().map(|e| alloc(e, r)))
+                .sum()
+        };
+
+        // A header, then one line per event interval of the whole run, each
+        // carrying the loads recomputed here.
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines = text.lines();
         let header = Json::parse(lines.next().unwrap()).unwrap();
@@ -436,10 +474,30 @@ mod tests {
             header.get("kind").and_then(Json::as_str),
             Some("tvnep-util-timeline")
         );
-        for line in lines {
-            let point = Json::parse(line).unwrap();
-            assert!(point.get("t").and_then(Json::as_f64).is_some());
-            assert!(point.get("node_load").and_then(Json::as_array).is_some());
+        let floats = |v: &Json, key: &str| -> Vec<f64> {
+            let arr = v.get(key).and_then(Json::as_array).unwrap();
+            arr.iter().map(|x| x.as_f64().unwrap()).collect()
+        };
+        let points: Vec<Json> = lines.map(|l| Json::parse(l).unwrap()).collect();
+        let intervals = solution.event_intervals();
+        assert!(intervals.len() > 1);
+        assert_eq!(points.len(), intervals.len());
+        for (p, &(lo, hi)) in points.iter().zip(&intervals) {
+            let t = 0.5 * (lo + hi);
+            assert_eq!(floats(p, "interval"), [lo, hi]);
+            assert_eq!(p.get("t").and_then(Json::as_f64), Some(t));
+            let nodes = floats(p, "node_load");
+            assert_eq!(nodes.len(), floats(&header, "node_caps").len());
+            for (n, &load) in nodes.iter().enumerate() {
+                let want = load_at(t, &|e, r| e.node_allocation(r, NodeId(n)));
+                assert_eq!(load, want, "node {n} at t={t}");
+            }
+            let edges = floats(p, "edge_load");
+            assert_eq!(edges.len(), floats(&header, "edge_caps").len());
+            for (e, &load) in edges.iter().enumerate() {
+                let want = load_at(t, &|em, r| em.edge_allocation(r, tvnep_graph::EdgeId(e)));
+                assert_eq!(load, want, "edge {e} at t={t}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
