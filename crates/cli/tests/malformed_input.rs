@@ -225,20 +225,26 @@ fn recovery_refuses_wal_records_that_break_the_model() {
     negative.substrate.node_capacities[0] = -1.0;
     let mut zero = pair_request("zero", 3.0);
     zero.duration = 0.0;
-    // Request 0 accepted past the horizon, on a node map and flow that fit.
+    // A decision on request 0 at `start` with the `verdict` fields, on a
+    // node map and flow that fit.
     let embedding = Embedding {
         node_map: vec![NodeId(0), NodeId(1)],
         edge_flows: vec![vec![(EdgeId(0), 1.0)]],
     };
-    let mut decision = vec![
-        ("event".into(), Json::from("decision")),
-        ("id".into(), Json::from(0u64)),
-        ("accepted".into(), Json::from(true)),
-        ("start".into(), Json::from(horizon + 3.0)),
-        ("end".into(), Json::from(horizon + 5.0)),
-    ];
-    decision.extend(embedding_to_json(&embedding));
-    let decision = Json::Obj(decision).to_string();
+    let decision = |start: f64, verdict: &[(&str, Json)]| {
+        let mut fields = vec![
+            ("event".into(), Json::from("decision")),
+            ("id".into(), Json::from(0u64)),
+        ];
+        fields.extend(verdict.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        fields.push(("start".into(), Json::from(start)));
+        fields.push(("end".into(), Json::from(start + 2.0)));
+        fields.extend(embedding_to_json(&embedding));
+        Json::Obj(fields).to_string()
+    };
+    let ok = submitted(&pair_request("ok", 3.0));
+    let yes = [("accepted", Json::from(true))];
+    let accepted = decision(0.0, &yes);
     // One more submission makes the recovered service admit against the
     // restored reservation.
     let later = format!("{}\n", submit_line(&pair_request("later", 3.0)));
@@ -253,11 +259,42 @@ fn recovery_refuses_wal_records_that_break_the_model() {
         (
             "decision_past_horizon",
             format!(
-                "{}\n{}\n{decision}",
+                "{}\n{ok}\n{}",
                 header(&config),
-                submitted(&pair_request("ok", 3.0))
+                decision(horizon + 3.0, &yes)
             ),
             "decision #0",
+        ),
+        // Would replay as a rejection.
+        (
+            "decision_without_accepted",
+            format!("{}\n{ok}\n{}", header(&config), decision(0.0, &[])),
+            "decision #0 without accepted",
+        ),
+        // Would replay as a rejection before the solver ran.
+        (
+            "accepted_with_reason",
+            format!(
+                "{}\n{ok}\n{}",
+                header(&config),
+                decision(
+                    0.0,
+                    &[yes[0].clone(), ("reason", Json::from("stale window"))]
+                )
+            ),
+            "decision #0 accepted with a reason",
+        ),
+        // Would restore the reservation twice.
+        (
+            "decision_twice",
+            format!("{}\n{ok}\n{accepted}\n{accepted}", header(&config)),
+            "decision #0 twice",
+        ),
+        // Would queue the request twice.
+        (
+            "submitted_twice",
+            format!("{}\n{ok}\n{ok}", header(&config)),
+            "submitted #0 twice",
         ),
     ] {
         let path = write(&dir.join(format!("{name}.wal")), &format!("{wal}\n"));

@@ -149,6 +149,10 @@ pub enum Fault {
     SolverStall(u64),
 }
 
+/// Slot counts for the discrete baseline; a doubling chain, which the
+/// gap-monotonicity oracle needs to be sound.
+const DISCRETE_SLOTS: [usize; 3] = [4, 8, 16];
+
 /// Options of one oracle pass.
 #[derive(Debug, Clone)]
 pub struct OracleOptions {
@@ -156,12 +160,6 @@ pub struct OracleOptions {
     pub solve_time_limit: Duration,
     /// Thread count for the equivalence oracle (compared against 1).
     pub threads_alt: usize,
-    /// Slot counts for the discrete baseline; must be a doubling chain for
-    /// the gap-monotonicity oracle to be sound.
-    pub discrete_slots: Vec<usize>,
-    /// Verifier tolerance (explicit everywhere; defaults to
-    /// [`tvnep_model::tol::VERIFY_TOL`]).
-    pub verify_tol: f64,
     /// Which oracles to run.
     pub oracles: Vec<Oracle>,
     /// Injected defect (testing the harness itself).
@@ -177,8 +175,6 @@ impl Default for OracleOptions {
         Self {
             solve_time_limit: Duration::from_secs(10),
             threads_alt: 2,
-            discrete_slots: vec![4, 8, 16],
-            verify_tol: VERIFY_TOL,
             oracles: ORACLES.to_vec(),
             fault: Fault::None,
             blackbox: None,
@@ -283,9 +279,8 @@ fn check_ground_truth(
     producer: &str,
     solution: &TemporalSolution,
     optimal_access_objective: Option<f64>,
-    tol: f64,
 ) {
-    let violations = verify_with_tol(instance, solution, tol);
+    let violations = verify_with_tol(instance, solution, VERIFY_TOL);
     if !violations.is_empty() {
         let shown: Vec<String> = violations
             .iter()
@@ -464,7 +459,6 @@ fn check_explain_consistency(
     instance: &Instance,
     producer: &str,
     solution: &TemporalSolution,
-    tol: f64,
 ) {
     let ex = explain_solution(instance, solution);
     for e in &ex.requests {
@@ -488,7 +482,7 @@ fn check_explain_consistency(
                         continue;
                     }
                     let load = load_at(instance, solution, b.resource, b.at_time);
-                    if (load - b.load).abs() > tol {
+                    if (load - b.load).abs() > VERIFY_TOL {
                         report.violate(
                             Oracle::ExplainConsistency,
                             format!(
@@ -501,12 +495,12 @@ fn check_explain_consistency(
                             ),
                         );
                     }
-                    if b.capacity - load > tol {
+                    if b.capacity - load > VERIFY_TOL {
                         report.violate(
                             Oracle::ExplainConsistency,
                             format!(
                                 "{producer}: request {} claims {} binding at t={} but \
-                                 load {load} leaves slack {} > {tol}",
+                                 load {load} leaves slack {} > {VERIFY_TOL}",
                                 e.request,
                                 b.resource.describe(),
                                 b.at_time,
@@ -544,7 +538,9 @@ fn check_explain_consistency(
                         })
                         .unwrap_or(0.0);
                     let load = load_at(instance, solution, Resource::Node(b.node), b.at_time);
-                    if (load - b.existing_load).abs() > tol || (demand - b.demand).abs() > tol {
+                    if (load - b.existing_load).abs() > VERIFY_TOL
+                        || (demand - b.demand).abs() > VERIFY_TOL
+                    {
                         report.violate(
                             Oracle::ExplainConsistency,
                             format!(
@@ -554,7 +550,7 @@ fn check_explain_consistency(
                             ),
                         );
                     }
-                    if load + demand <= b.capacity - tol {
+                    if load + demand <= b.capacity - VERIFY_TOL {
                         report.violate(
                             Oracle::ExplainConsistency,
                             format!(
@@ -705,14 +701,7 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                 let optimal_obj = (out.mip.status == MipStatus::Optimal)
                     .then_some(out.mip.objective)
                     .flatten();
-                check_ground_truth(
-                    &mut report,
-                    instance,
-                    f.as_str(),
-                    sol,
-                    optimal_obj,
-                    opts.verify_tol,
-                );
+                check_ground_truth(&mut report, instance, f.as_str(), sol, optimal_obj);
             }
         }
     }
@@ -720,7 +709,7 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
     if opts.wants(Oracle::ExplainConsistency) {
         for (f, out) in formulations.iter().zip(&outcomes) {
             if let Some(sol) = &out.solution {
-                check_explain_consistency(&mut report, instance, f.as_str(), sol, opts.verify_tol);
+                check_explain_consistency(&mut report, instance, f.as_str(), sol);
             }
         }
     }
@@ -890,7 +879,7 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
             ),
             Some(cont) => {
                 let mut gaps: Vec<(usize, f64)> = Vec::new();
-                for &slots in &opts.discrete_slots {
+                for slots in DISCRETE_SLOTS {
                     let (res, sol) = solve_discrete(instance, slots, &opts.mip_opts(1));
                     report.solves += 1;
                     if res.status != MipStatus::Optimal {
@@ -922,7 +911,6 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                                 &format!("discrete({slots})"),
                                 sol,
                                 None,
-                                opts.verify_tol,
                             );
                         }
                     }
@@ -962,23 +950,10 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
             );
             report.solves += greedy.iterations;
             if opts.wants(Oracle::GroundTruth) {
-                check_ground_truth(
-                    &mut report,
-                    instance,
-                    "greedy",
-                    &greedy.solution,
-                    None,
-                    opts.verify_tol,
-                );
+                check_ground_truth(&mut report, instance, "greedy", &greedy.solution, None);
             }
             if opts.wants(Oracle::ExplainConsistency) {
-                check_explain_consistency(
-                    &mut report,
-                    instance,
-                    "greedy",
-                    &greedy.solution,
-                    opts.verify_tol,
-                );
+                check_explain_consistency(&mut report, instance, "greedy", &greedy.solution);
             }
             match proven_optimum {
                 None => report.skip(
@@ -1092,7 +1067,7 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                                 .collect(),
                             reported_objective: None,
                         };
-                        let violations = verify_with_tol(instance, &solution, opts.verify_tol);
+                        let violations = verify_with_tol(instance, &solution, VERIFY_TOL);
                         if !violations.is_empty() {
                             let shown: Vec<String> = violations
                                 .iter()
@@ -1109,13 +1084,7 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                             );
                         }
                         if opts.wants(Oracle::ExplainConsistency) {
-                            check_explain_consistency(
-                                &mut report,
-                                instance,
-                                "service",
-                                &solution,
-                                opts.verify_tol,
-                            );
+                            check_explain_consistency(&mut report, instance, "service", &solution);
                         }
                         // Online admission is a restriction of the joint
                         // problem: its revenue cannot beat the optimum.
@@ -1166,7 +1135,6 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                             &format!("csigma(threads={})", opts.threads_alt),
                             sol,
                             Some(parobj),
-                            opts.verify_tol,
                         );
                     }
                 }
@@ -1177,7 +1145,6 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                             instance,
                             &format!("csigma(threads={})", opts.threads_alt),
                             sol,
-                            opts.verify_tol,
                         );
                     }
                 }

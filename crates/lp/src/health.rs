@@ -1,15 +1,25 @@
-//! Numerical-health monitoring for the simplex engine.
+//! The LP engine's one record of work and numerical health.
 //!
-//! The sparse-LU product-form kernel (DESIGN.md §2) survives degeneracy and
-//! drift by refactorizing and re-verifying — but on its own it keeps no
-//! record of *how close* a solve came to numerical failure.
-//! [`HealthMonitor`] collects that record with plain field updates (no
-//! locks, nothing sampled): refactorization *cause* counters (scheduled vs.
-//! instability-triggered vs. singular-recovery), singular-basis encounters,
-//! accepted-pivot magnitude extremes, a growth-factor estimate from the
-//! product-form eta columns (`max_i |w_i| / |w_r|` per pivot — large eta
-//! entries are the classic PFI error-amplification signal), and Bland's-rule
-//! anti-cycling episodes with their iteration counts.
+//! Each [`crate::Simplex`] keeps one [`SolveStats`] (public field `stats`)
+//! and updates it with plain field writes (no locks, nothing sampled): solves
+//! and warm calls, dual successes and fallbacks, primal and dual iterations,
+//! refactorizations by cause, degenerate pivots, bound flips, pricing-window
+//! hits, and the stability evidence of the sparse-LU product-form kernel
+//! (DESIGN.md §2), which survives degeneracy and drift by refactorizing and
+//! re-verifying but would otherwise keep no record of *how close* a solve
+//! came to numerical failure: singular-basis encounters, accepted-pivot
+//! magnitude extremes, a growth estimate from the product-form eta columns
+//! (`max_i |w_i| / |w_r|` per pivot — large eta entries are the classic PFI
+//! error-amplification signal), and Bland's-rule anti-cycling episodes with
+//! their iteration counts.
+//!
+//! The record is cumulative over a `Simplex`'s lifetime (every solve of a
+//! branch-and-bound worker). The branch-and-bound driver merges one record
+//! per worker with [`SolveStats::merge_from`] and exports the sum once with
+//! [`SolveStats::flush_into`], as the `lp.*` and `lp.health.*` series, so
+//! the exported verdict is the worst over the whole MIP solve.
+//! [`SolveStats::verdict`] condenses the evidence into a three-level
+//! [`HealthVerdict`]; thresholds are the named constants below.
 //!
 //! Two costlier checks are computed on demand instead of sampled by every
 //! solve: the basis-solve residual `‖B·x_B − b‖∞`
@@ -17,48 +27,44 @@
 //! proxy `max|u_ii| / min|u_ii|` of the last LU factorization
 //! ([`crate::BasisFactor::u_diag_ratio`]).
 //!
-//! [`HealthMonitor::report`] condenses the evidence into a
-//! [`HealthReport`] with a three-level [`HealthVerdict`]; thresholds are the
-//! named constants below. The monitor is cumulative over a [`crate::Simplex`]
-//! instance's lifetime (all solves of a branch-and-bound run); callers that
-//! want a per-solve verdict call [`HealthMonitor::reset`] between solves.
-//! The report is the stability gate the sparse-LU overhaul was validated
+//! The verdict is the stability gate the sparse-LU overhaul was validated
 //! against — see the DESIGN.md §10.1 validation notes and the fill-budget
 //! test in `tests/health.rs`.
 
 use tvnep_telemetry::Telemetry;
 
-/// Why the basis factorization was rebuilt. Fed by [`crate::Simplex`] at every
-/// successful refactorization, the same event that counts into
-/// `SolveStats::refactorizations` (exported as `lp.refactorizations`); the
-/// time of every factorization, singular ones included, is the `lp.factor`
-/// span.
+/// Why the basis factorization was rebuilt. Recorded by [`crate::Simplex`]
+/// at every successful refactorization; the causes sum to
+/// [`SolveStats::refactorizations`] (exported as `lp.refactorizations`), and
+/// the discriminant is the flight recorder's `Refactor` cause code. The time
+/// of every factorization, singular ones included, is the `lp.factor` span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefactorCause {
     /// Periodic rebuild after 150 pivots, an early rebuild forced by the
     /// eta-file fill budget (8·m off-pivot nonzeros), the rebuild at
     /// (warm-)solve entry, or the first verification pass of a solve.
-    Scheduled,
+    Scheduled = 0,
     /// Rebuild forced by a failed optimality/feasibility verification —
     /// the product-form update sequence had drifted and the solve is
     /// retrying.
-    Instability,
+    Instability = 1,
     /// A recorded basis factorized singular and the all-slack basis was
     /// reinstalled.
-    SingularRecovery,
+    SingularRecovery = 2,
 }
 
-/// Three-level stability verdict for a (set of) simplex solve(s).
+/// Three-level stability verdict for a (set of) simplex solve(s). The
+/// discriminant is the `lp.health.verdict` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthVerdict {
     /// No instability signal fired.
-    Stable,
+    Stable = 0,
     /// Recoverable trouble: drift-triggered refactorizations, Bland
     /// episodes, or eta growth above [`GROWTH_SUSPECT`].
-    Suspect,
+    Suspect = 1,
     /// Hard evidence: singular bases or eta growth past
     /// [`GROWTH_UNSTABLE`] — results should be cross-checked.
-    Unstable,
+    Unstable = 2,
 }
 
 impl HealthVerdict {
@@ -81,76 +87,87 @@ pub const GROWTH_SUSPECT: f64 = 1e6;
 /// Eta magnitude past which the update sequence is declared unstable.
 pub const GROWTH_UNSTABLE: f64 = 1e10;
 
-/// Condensed per-instance stability evidence; see [`HealthMonitor::report`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthReport {
-    /// The three-level verdict derived from every field below.
-    pub verdict: HealthVerdict,
+/// Everything one LP engine counts, cumulative over all its solves.
+#[derive(Debug, Clone, Copy)]
+pub struct SolveStats {
+    /// Calls to [`crate::Simplex::solve`] and
+    /// [`crate::Simplex::solve_warm`].
+    pub solves: usize,
+    /// Calls to [`crate::Simplex::solve_warm`].
+    pub warm_calls: usize,
+    /// Warm calls where the dual simplex finished the job.
+    pub dual_successes: usize,
+    /// Warm calls that fell back to the primal phases.
+    pub dual_fallbacks: usize,
+    /// Iterations spent inside the dual simplex.
+    pub dual_iters: usize,
+    /// Iterations spent inside the primal phases.
+    pub primal_iters: usize,
+    /// Successful refactorizations caused by [`RefactorCause::Scheduled`].
+    pub refactor_scheduled: usize,
+    /// Refactorizations forced by verification failure (drift).
+    pub refactor_instability: usize,
+    /// Refactorizations that reinstalled the all-slack basis.
+    pub refactor_singular_recovery: usize,
+    /// Pivots with (near-)zero step length or dual progress.
+    pub degenerate_pivots: usize,
+    /// Nonbasic bound flips (ratio test won by the entering variable).
+    pub bound_flips: usize,
+    /// Primal prices resolved inside the partial-pricing window.
+    pub pricing_window_hits: usize,
+    /// Primal prices that needed a full Dantzig scan (window priced out, or
+    /// the scan proved optimality).
+    pub pricing_full_scans: usize,
+    /// Bases that factorized singular (each triggers recovery or a
+    /// `Numerical` status).
+    pub singular_bases: usize,
+    /// Entries into Bland's-rule anti-cycling mode.
+    pub bland_episodes: usize,
+    /// Iterations spent priced by Bland's rule across all episodes.
+    pub bland_iters: usize,
     /// Largest product-form eta magnitude.
     pub growth_factor: f64,
     /// Smallest accepted pivot magnitude (∞ when no pivot happened).
     pub min_pivot: f64,
     /// Largest accepted pivot magnitude.
     pub max_pivot: f64,
-    /// Successful refactorizations by cause.
-    pub refactor_scheduled: u64,
-    /// Refactorizations forced by verification failure (drift).
-    pub refactor_instability: u64,
-    /// Refactorizations that reinstalled the all-slack basis.
-    pub refactor_singular_recovery: u64,
-    /// Bases that factorized singular (each triggers recovery or a
-    /// `Numerical` status).
-    pub singular_bases: u64,
-    /// Entries into Bland's-rule anti-cycling mode.
-    pub bland_episodes: u64,
-    /// Iterations spent priced by Bland's rule across all episodes.
-    pub bland_iters: u64,
 }
 
-impl HealthReport {
-    /// Total successful refactorizations — by construction equal to
-    /// `SolveStats::refactorizations` of the same instance.
-    pub fn refactorizations(&self) -> u64 {
-        self.refactor_scheduled + self.refactor_instability + self.refactor_singular_recovery
-    }
-}
-
-/// The collector embedded in [`crate::Simplex`] (public field `health`).
-/// Plain `Copy` data, merged across parallel workers with
-/// [`HealthMonitor::merge_from`] exactly like `SolveStats`.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthMonitor {
-    growth_factor: f64,
-    min_pivot: f64,
-    max_pivot: f64,
-    refactor_scheduled: u64,
-    refactor_instability: u64,
-    refactor_singular_recovery: u64,
-    singular_bases: u64,
-    bland_episodes: u64,
-    bland_iters: u64,
-}
-
-impl Default for HealthMonitor {
+impl Default for SolveStats {
     fn default() -> Self {
         Self {
-            growth_factor: 0.0,
-            min_pivot: f64::INFINITY,
-            max_pivot: 0.0,
+            solves: 0,
+            warm_calls: 0,
+            dual_successes: 0,
+            dual_fallbacks: 0,
+            dual_iters: 0,
+            primal_iters: 0,
             refactor_scheduled: 0,
             refactor_instability: 0,
             refactor_singular_recovery: 0,
+            degenerate_pivots: 0,
+            bound_flips: 0,
+            pricing_window_hits: 0,
+            pricing_full_scans: 0,
             singular_bases: 0,
             bland_episodes: 0,
             bland_iters: 0,
+            growth_factor: 0.0,
+            min_pivot: f64::INFINITY,
+            max_pivot: 0.0,
         }
     }
 }
 
-impl HealthMonitor {
-    /// Clears all evidence (for callers wanting per-solve verdicts).
-    pub fn reset(&mut self) {
-        *self = Self::default();
+impl SolveStats {
+    /// Simplex iterations, both algorithms.
+    pub fn iterations(&self) -> usize {
+        self.primal_iters + self.dual_iters
+    }
+
+    /// Successful refactorizations, every cause.
+    pub fn refactorizations(&self) -> usize {
+        self.refactor_scheduled + self.refactor_instability + self.refactor_singular_recovery
     }
 
     /// Records a successful refactorization of the given cause.
@@ -160,11 +177,6 @@ impl HealthMonitor {
             RefactorCause::Instability => self.refactor_instability += 1,
             RefactorCause::SingularRecovery => self.refactor_singular_recovery += 1,
         }
-    }
-
-    /// Records a basis that factorized singular.
-    pub(crate) fn record_singular(&mut self) {
-        self.singular_bases += 1;
     }
 
     /// Records one accepted pivot magnitude (two compares).
@@ -193,75 +205,83 @@ impl HealthMonitor {
         self.bland_iters += 1;
     }
 
-    /// Folds another monitor's evidence into this one (counters add, extremes
-    /// min/max) — the per-worker merge of the parallel branch-and-bound
-    /// driver, mirroring `SolveStats::merge_from`.
-    pub fn merge_from(&mut self, other: &HealthMonitor) {
-        self.growth_factor = self.growth_factor.max(other.growth_factor);
-        self.min_pivot = self.min_pivot.min(other.min_pivot);
-        self.max_pivot = self.max_pivot.max(other.max_pivot);
-        self.refactor_scheduled += other.refactor_scheduled;
-        self.refactor_instability += other.refactor_instability;
-        self.refactor_singular_recovery += other.refactor_singular_recovery;
-        self.singular_bases += other.singular_bases;
-        self.bland_episodes += other.bland_episodes;
-        self.bland_iters += other.bland_iters;
-    }
-
-    /// Condenses the evidence into a [`HealthReport`] with a verdict.
-    pub fn report(&self) -> HealthReport {
-        let unstable = self.singular_bases > 0 || self.growth_factor >= GROWTH_UNSTABLE;
-        let suspect = self.refactor_instability > 0
-            || self.bland_episodes > 0
-            || self.growth_factor >= GROWTH_SUSPECT;
-        let verdict = if unstable {
+    /// The three-level verdict of the evidence so far.
+    pub fn verdict(&self) -> HealthVerdict {
+        if self.singular_bases > 0 || self.growth_factor >= GROWTH_UNSTABLE {
             HealthVerdict::Unstable
-        } else if suspect {
+        } else if self.refactor_instability > 0
+            || self.bland_episodes > 0
+            || self.growth_factor >= GROWTH_SUSPECT
+        {
             HealthVerdict::Suspect
         } else {
             HealthVerdict::Stable
-        };
-        HealthReport {
-            verdict,
-            growth_factor: self.growth_factor,
-            min_pivot: self.min_pivot,
-            max_pivot: self.max_pivot,
-            refactor_scheduled: self.refactor_scheduled,
-            refactor_instability: self.refactor_instability,
-            refactor_singular_recovery: self.refactor_singular_recovery,
-            singular_bases: self.singular_bases,
-            bland_episodes: self.bland_episodes,
-            bland_iters: self.bland_iters,
         }
     }
 
-    /// Exports the evidence as `lp.health.*` counters and gauges.
+    /// Folds another engine's record into this one: counters add, extremes
+    /// take the min/max. The branch-and-bound driver gives each worker its
+    /// own [`crate::Simplex`] and merges the per-worker records at the end,
+    /// so reported quantities are identical regardless of thread count.
+    pub fn merge_from(&mut self, other: &SolveStats) {
+        self.solves += other.solves;
+        self.warm_calls += other.warm_calls;
+        self.dual_successes += other.dual_successes;
+        self.dual_fallbacks += other.dual_fallbacks;
+        self.dual_iters += other.dual_iters;
+        self.primal_iters += other.primal_iters;
+        self.refactor_scheduled += other.refactor_scheduled;
+        self.refactor_instability += other.refactor_instability;
+        self.refactor_singular_recovery += other.refactor_singular_recovery;
+        self.degenerate_pivots += other.degenerate_pivots;
+        self.bound_flips += other.bound_flips;
+        self.pricing_window_hits += other.pricing_window_hits;
+        self.pricing_full_scans += other.pricing_full_scans;
+        self.singular_bases += other.singular_bases;
+        self.bland_episodes += other.bland_episodes;
+        self.bland_iters += other.bland_iters;
+        self.growth_factor = self.growth_factor.max(other.growth_factor);
+        self.min_pivot = self.min_pivot.min(other.min_pivot);
+        self.max_pivot = self.max_pivot.max(other.max_pivot);
+    }
+
+    /// Adds every counter to `t` under the `lp.` prefix and the stability
+    /// evidence as `lp.health.*` counters and gauges.
     pub fn flush_into(&self, t: &Telemetry) {
         if !t.is_enabled() {
             return;
         }
-        t.counter_add("lp.health.refactor_scheduled", self.refactor_scheduled);
-        t.counter_add("lp.health.refactor_instability", self.refactor_instability);
-        t.counter_add(
-            "lp.health.refactor_singular_recovery",
-            self.refactor_singular_recovery,
-        );
-        t.counter_add("lp.health.singular_bases", self.singular_bases);
-        t.counter_add("lp.health.bland_episodes", self.bland_episodes);
-        t.counter_add("lp.health.bland_iters", self.bland_iters);
+        for (name, value) in [
+            ("lp.solves", self.solves),
+            ("lp.iterations", self.iterations()),
+            ("lp.warm_calls", self.warm_calls),
+            ("lp.dual_successes", self.dual_successes),
+            ("lp.dual_fallbacks", self.dual_fallbacks),
+            ("lp.dual_iters", self.dual_iters),
+            ("lp.primal_iters", self.primal_iters),
+            ("lp.refactorizations", self.refactorizations()),
+            ("lp.degenerate_pivots", self.degenerate_pivots),
+            ("lp.bound_flips", self.bound_flips),
+            ("lp.pricing_window_hits", self.pricing_window_hits),
+            ("lp.pricing_full_scans", self.pricing_full_scans),
+            ("lp.health.refactor_scheduled", self.refactor_scheduled),
+            ("lp.health.refactor_instability", self.refactor_instability),
+            (
+                "lp.health.refactor_singular_recovery",
+                self.refactor_singular_recovery,
+            ),
+            ("lp.health.singular_bases", self.singular_bases),
+            ("lp.health.bland_episodes", self.bland_episodes),
+            ("lp.health.bland_iters", self.bland_iters),
+        ] {
+            t.counter_add(name, value as u64);
+        }
         t.gauge_set("lp.health.growth_factor", self.growth_factor);
         if self.max_pivot > 0.0 {
             t.gauge_set("lp.health.min_pivot", self.min_pivot);
             t.gauge_set("lp.health.max_pivot", self.max_pivot);
         }
-        t.gauge_set(
-            "lp.health.verdict",
-            match self.report().verdict {
-                HealthVerdict::Stable => 0.0,
-                HealthVerdict::Suspect => 1.0,
-                HealthVerdict::Unstable => 2.0,
-            },
-        );
+        t.gauge_set("lp.health.verdict", self.verdict() as u8 as f64);
     }
 }
 
@@ -271,64 +291,65 @@ mod tests {
 
     #[test]
     fn fresh_monitor_is_stable() {
-        let m = HealthMonitor::default();
-        let r = m.report();
-        assert_eq!(r.verdict, HealthVerdict::Stable);
-        assert_eq!(r.refactorizations(), 0);
+        let s = SolveStats::default();
+        assert_eq!(s.verdict(), HealthVerdict::Stable);
+        assert_eq!(s.refactorizations(), 0);
     }
 
     #[test]
     fn singular_basis_is_unstable_and_drift_is_suspect() {
-        let mut m = HealthMonitor::default();
-        m.record_refactor(RefactorCause::Scheduled);
-        assert_eq!(m.report().verdict, HealthVerdict::Stable);
-        m.record_refactor(RefactorCause::Instability);
-        assert_eq!(m.report().verdict, HealthVerdict::Suspect);
-        m.record_singular();
-        assert_eq!(m.report().verdict, HealthVerdict::Unstable);
-        assert_eq!(m.report().refactorizations(), 2);
+        let mut s = SolveStats::default();
+        s.record_refactor(RefactorCause::Scheduled);
+        assert_eq!(s.verdict(), HealthVerdict::Stable);
+        s.record_refactor(RefactorCause::Instability);
+        assert_eq!(s.verdict(), HealthVerdict::Suspect);
+        s.singular_bases += 1;
+        assert_eq!(s.verdict(), HealthVerdict::Unstable);
+        assert_eq!(s.refactorizations(), 2);
     }
 
     #[test]
     fn conditioning_proxies_drive_verdict() {
-        let mut m = HealthMonitor::default();
-        m.record_eta(1e3);
-        assert_eq!(m.report().verdict, HealthVerdict::Stable);
-        m.record_eta(1e7);
-        assert_eq!(m.report().verdict, HealthVerdict::Suspect);
-        m.record_eta(1e11);
-        assert_eq!(m.report().verdict, HealthVerdict::Unstable);
+        let mut s = SolveStats::default();
+        s.record_eta(1e3);
+        assert_eq!(s.verdict(), HealthVerdict::Stable);
+        s.record_eta(1e7);
+        assert_eq!(s.verdict(), HealthVerdict::Suspect);
+        s.record_eta(1e11);
+        assert_eq!(s.verdict(), HealthVerdict::Unstable);
     }
 
     #[test]
     fn bland_episode_counting() {
-        let mut m = HealthMonitor::default();
-        m.record_bland_iter(true);
-        m.record_bland_iter(false);
-        m.record_bland_iter(false);
-        m.record_bland_iter(true);
-        let r = m.report();
-        assert_eq!(r.bland_episodes, 2);
-        assert_eq!(r.bland_iters, 4);
-        assert_eq!(r.verdict, HealthVerdict::Suspect);
+        let mut s = SolveStats::default();
+        s.record_bland_iter(true);
+        s.record_bland_iter(false);
+        s.record_bland_iter(false);
+        s.record_bland_iter(true);
+        assert_eq!(s.bland_episodes, 2);
+        assert_eq!(s.bland_iters, 4);
+        assert_eq!(s.verdict(), HealthVerdict::Suspect);
     }
 
     #[test]
     fn merge_combines_extremes_and_counts() {
-        let mut a = HealthMonitor::default();
+        let mut a = SolveStats::default();
         a.record_pivot(0.5);
         a.record_refactor(RefactorCause::Scheduled);
-        let mut b = HealthMonitor::default();
+        a.dual_iters = 3;
+        let mut b = SolveStats::default();
         b.record_pivot(2.0);
         b.record_refactor(RefactorCause::SingularRecovery);
         b.record_bland_iter(true);
+        b.primal_iters = 4;
         a.merge_from(&b);
-        let r = a.report();
-        assert_eq!(r.min_pivot, 0.5);
-        assert_eq!(r.max_pivot, 2.0);
-        assert_eq!(r.refactor_scheduled, 1);
-        assert_eq!(r.refactor_singular_recovery, 1);
-        assert_eq!(r.verdict, HealthVerdict::Suspect);
+        assert_eq!(a.min_pivot, 0.5);
+        assert_eq!(a.max_pivot, 2.0);
+        assert_eq!(a.refactor_scheduled, 1);
+        assert_eq!(a.refactor_singular_recovery, 1);
+        assert_eq!(a.refactorizations(), 2);
+        assert_eq!(a.iterations(), 7);
+        assert_eq!(a.verdict(), HealthVerdict::Suspect);
     }
 
     #[test]

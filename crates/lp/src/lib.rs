@@ -13,11 +13,13 @@
 //!   threshold partial pivoting, hypersparse triangular solves, and
 //!   product-form eta updates between refactorizations;
 //! * [`simplex::solve`] — one-shot convenience entry point;
-//! * [`health`] — numerical-stability monitoring: refactorization causes,
-//!   pivot extremes, eta growth estimates and Bland episodes, condensed into
-//!   a [`health::HealthReport`] with a Stable/Suspect/Unstable verdict and
-//!   exported as `lp.health.*` metrics. The basis residual
-//!   ([`Simplex::basis_residual`]) is computed on demand.
+//! * [`health`] — [`SolveStats`], each engine's one record of work and
+//!   numerical health: solves, iterations, refactorizations by cause, pivot
+//!   extremes, eta growth estimates and Bland episodes, with a
+//!   Stable/Suspect/Unstable [`SolveStats::verdict`], merged across
+//!   branch-and-bound workers and exported as the `lp.*` and `lp.health.*`
+//!   metrics. The basis residual ([`Simplex::basis_residual`]) is computed
+//!   on demand.
 //!
 //! The engine's only numeric configuration is the tolerance ladder of
 //! `tvnep_model::tol` plus fixed schedule constants (refactorization
@@ -46,6 +48,6 @@ pub mod simplex;
 pub mod sparse;
 
 pub use factor::{BasisFactor, EtaFile, LuFactors};
-pub use health::{HealthMonitor, HealthReport, HealthVerdict, RefactorCause};
+pub use health::{HealthVerdict, RefactorCause, SolveStats};
 pub use problem::{LpProblem, RowId, VarId, INF};
-pub use simplex::{solve, Basis, LpSolution, LpStatus, Simplex, SolveStats, VarStatus};
+pub use simplex::{solve, Basis, LpSolution, LpStatus, Simplex, VarStatus};

@@ -68,12 +68,12 @@ use std::time::{Duration, Instant};
 
 use crate::bitset::BitSet;
 use crate::factor::BasisFactor;
-use crate::health::{HealthMonitor, HealthReport, RefactorCause};
+use crate::health::{RefactorCause, SolveStats};
 use crate::pricing::Devex;
 use crate::problem::{LpProblem, INF};
 use crate::sparse::CscMatrix;
 use tvnep_model::tol::{FEAS_TOL, OPT_TOL, PIVOT_TOL};
-use tvnep_telemetry::blackbox::LP_MILESTONE_EVERY;
+use tvnep_telemetry::blackbox::{HEALTH_STABLE, LP_MILESTONE_EVERY};
 use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
 
 /// Rebuild the basis factorization after this many pivots.
@@ -269,11 +269,9 @@ pub struct Simplex {
     /// Devex reference weights for dual leaving-row pricing (length `m`),
     /// reset per dual run.
     dual_devex: Devex,
-    /// Cumulative counters for performance diagnosis.
+    /// The engine's record of work and numerical health, cumulative over
+    /// all solves; see [`crate::health`].
     pub stats: SolveStats,
-    /// Numerical-stability evidence (refactorization causes, pivot extremes,
-    /// eta growth, Bland episodes); see [`crate::health`].
-    pub health: HealthMonitor,
     /// Observability sink; disabled (free) by default.
     telemetry: Telemetry,
     /// Cached `telemetry.spans_enabled()`, refreshed at every public solve
@@ -301,75 +299,13 @@ struct KernelClocks {
     btran_ns: u64,
     btran_calls: u64,
     /// Sparse LU factorizations, singular ones included (the successful
-    /// ones are `SolveStats::refactorizations`).
+    /// ones are `SolveStats::refactorizations()`).
     factor_ns: u64,
     factor_calls: u64,
     /// Devex weight maintenance (distinct from `pricing_ns`, which times the
     /// candidate scan itself).
     price_ns: u64,
     price_calls: u64,
-}
-
-/// Cumulative solver statistics (updated across all solves of an instance).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveStats {
-    /// Calls to [`Simplex::solve_warm`].
-    pub warm_calls: usize,
-    /// Warm calls where the dual simplex finished the job.
-    pub dual_successes: usize,
-    /// Warm calls that fell back to the primal phases.
-    pub dual_fallbacks: usize,
-    /// Iterations spent inside the dual simplex.
-    pub dual_iters: usize,
-    /// Iterations spent inside the primal phases.
-    pub primal_iters: usize,
-    /// Basis-inverse rebuilds (periodic and recovery).
-    pub refactorizations: usize,
-    /// Pivots with (near-)zero step length or dual progress.
-    pub degenerate_pivots: usize,
-    /// Nonbasic bound flips (ratio test won by the entering variable).
-    pub bound_flips: usize,
-    /// Primal prices resolved inside the partial-pricing window.
-    pub pricing_window_hits: usize,
-    /// Primal prices that needed a full Dantzig scan (window priced out, or
-    /// the scan proved optimality).
-    pub pricing_full_scans: usize,
-}
-
-impl SolveStats {
-    /// Adds every counter to `t` under the `lp.` prefix.
-    pub fn flush_into(&self, t: &Telemetry) {
-        if !t.is_enabled() {
-            return;
-        }
-        t.counter_add("lp.warm_calls", self.warm_calls as u64);
-        t.counter_add("lp.dual_successes", self.dual_successes as u64);
-        t.counter_add("lp.dual_fallbacks", self.dual_fallbacks as u64);
-        t.counter_add("lp.dual_iters", self.dual_iters as u64);
-        t.counter_add("lp.primal_iters", self.primal_iters as u64);
-        t.counter_add("lp.refactorizations", self.refactorizations as u64);
-        t.counter_add("lp.degenerate_pivots", self.degenerate_pivots as u64);
-        t.counter_add("lp.bound_flips", self.bound_flips as u64);
-        t.counter_add("lp.pricing_window_hits", self.pricing_window_hits as u64);
-        t.counter_add("lp.pricing_full_scans", self.pricing_full_scans as u64);
-    }
-
-    /// Accumulates another instance's counters into this one. The parallel
-    /// branch-and-bound driver gives each worker its own [`Simplex`] and
-    /// merges the per-worker stats at the end, so reported quantities are
-    /// identical regardless of thread count.
-    pub fn merge_from(&mut self, other: &SolveStats) {
-        self.warm_calls += other.warm_calls;
-        self.dual_successes += other.dual_successes;
-        self.dual_fallbacks += other.dual_fallbacks;
-        self.dual_iters += other.dual_iters;
-        self.primal_iters += other.primal_iters;
-        self.refactorizations += other.refactorizations;
-        self.degenerate_pivots += other.degenerate_pivots;
-        self.bound_flips += other.bound_flips;
-        self.pricing_window_hits += other.pricing_window_hits;
-        self.pricing_full_scans += other.pricing_full_scans;
-    }
 }
 
 impl Simplex {
@@ -450,7 +386,6 @@ impl Simplex {
             primal_devex: Devex::default(),
             dual_devex: Devex::default(),
             stats: SolveStats::default(),
-            health: HealthMonitor::default(),
             telemetry: Telemetry::disabled(),
             spans_on: false,
             kernels: KernelClocks::default(),
@@ -475,10 +410,11 @@ impl Simplex {
     }
 
     /// Attaches an observability sink. Each top-level [`solve`](Self::solve)
-    /// or [`solve_warm`](Self::solve_warm) counts into `lp.solves` and
+    /// or [`solve_warm`](Self::solve_warm) observes its iterations into
     /// `lp.iters_per_solve`, and records an `lp.solve` / `lp.solve_warm` span
     /// when the sink records spans; a disabled handle costs one pointer
-    /// check per solve.
+    /// check per solve. The counters stay in [`stats`](Self::stats) until
+    /// its owner flushes them.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -509,11 +445,6 @@ impl Simplex {
     /// Number of structural variables.
     pub fn num_vars(&self) -> usize {
         self.n_struct
-    }
-
-    /// Total simplex iterations across all calls to [`solve`](Self::solve).
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Heap bytes held by this solver instance: the constraint matrix and
@@ -661,10 +592,10 @@ impl Simplex {
 
     /// Rebuilds the sparse LU factorization of the basis (Markowitz pivot
     /// order with threshold partial pivoting), dropping the eta file.
-    /// Returns `false` on a singular basis. This wrapper is the single
-    /// source of truth for refactorization accounting: it increments
-    /// `SolveStats::refactorizations` and records the cause in the health
-    /// monitor.
+    /// Returns `false` on a singular basis. Each rebuild is recorded here
+    /// once: its cause (or the singular basis) in `stats`, and, with a
+    /// flight recorder attached, a `Refactor` event and the verdict in the
+    /// recorder's health register.
     fn refactorize(&mut self, cause: RefactorCause) -> bool {
         let t0 = self.spans_on.then(Instant::now);
         let ok = self.factor.factorize(&self.cols, &self.basis);
@@ -674,37 +605,19 @@ impl Simplex {
         }
         if ok {
             self.pivots_since_refactor = 0;
-            self.stats.refactorizations += 1;
-            self.health.record_refactor(cause);
+            self.stats.record_refactor(cause);
         } else {
-            self.health.record_singular();
+            self.stats.singular_bases += 1;
         }
         if let Some(bb) = &self.blackbox {
-            let cause_code = match cause {
-                RefactorCause::Scheduled => 0,
-                RefactorCause::Instability => 1,
-                RefactorCause::SingularRecovery => 2,
-            };
-            bb.record(
-                EventKind::Refactor,
-                cause_code,
-                self.stats.refactorizations as u64,
-            );
+            let total = self.stats.refactorizations() as u64;
+            bb.record(EventKind::Refactor, cause as u64, total);
             // Keep the recorder's health register fresh so a crash dump
             // carries the verdict as of the last factorization, not the
-            // last clean solve exit.
+            // last clean solve exit. The register's codes follow the
+            // verdict's order, one above it.
             bb.recorder()
-                .set_health(match self.health.report().verdict {
-                    crate::health::HealthVerdict::Stable => {
-                        tvnep_telemetry::blackbox::HEALTH_STABLE
-                    }
-                    crate::health::HealthVerdict::Suspect => {
-                        tvnep_telemetry::blackbox::HEALTH_SUSPECT
-                    }
-                    crate::health::HealthVerdict::Unstable => {
-                        tvnep_telemetry::blackbox::HEALTH_UNSTABLE
-                    }
-                });
+                .set_health(HEALTH_STABLE + self.stats.verdict() as u64);
         }
         ok
     }
@@ -828,7 +741,7 @@ impl Simplex {
             .push_eta_sparse(r, &self.scratch_w, &self.w_support);
         // Eta growth estimate `max_i |w_i| / |w_r|`: large eta entries are
         // the classic product-form error-amplification signal.
-        self.health.record_eta(eta_max * inv_piv.abs());
+        self.stats.record_eta(eta_max * inv_piv.abs());
         self.pivots_since_refactor += 1;
     }
 
@@ -904,16 +817,16 @@ impl Simplex {
         }
     }
 
-    /// Records a finished solve: its flight-recorder event and the
-    /// per-solve iteration count.
-    fn record_solve(&self, iters_before: usize, status: LpStatus) {
+    /// Records a finished solve: its count, its flight-recorder event and
+    /// its iteration count.
+    fn record_solve(&mut self, iters_before: usize, status: LpStatus) {
         let iters = (self.iterations - iters_before) as u64;
+        self.stats.solves += 1;
         // Black-box record is independent of the telemetry sink: crash
         // diagnostics stay on even when metrics are off.
         if let Some(bb) = &self.blackbox {
             bb.record(EventKind::LpSolve, iters, status.code());
         }
-        self.telemetry.counter_add("lp.solves", 1);
         self.telemetry.observe("lp.iters_per_solve", iters as f64);
     }
 
@@ -1234,7 +1147,7 @@ impl Simplex {
             if w_r.abs() <= PIVOT_TOL {
                 return LpStatus::Numerical;
             }
-            self.health.record_pivot(w_r.abs());
+            self.stats.record_pivot(w_r.abs());
 
             // Devex row-weight update (Forrest–Goldfarb), free of extra
             // solves: reuses the FTRAN spike already in `scratch_w`.
@@ -1328,7 +1241,7 @@ impl Simplex {
     /// cleanup pass always runs with `pert = false`.
     fn run_phase(&mut self, phase1: bool, pert: bool) -> LpStatus {
         let mut degen_run = 0usize;
-        // Tracks entry into Bland's-rule mode so the health monitor can count
+        // Tracks entry into Bland's-rule mode so the record can count
         // anti-cycling episodes and the iterations spent inside them.
         let mut in_bland = false;
         // Fresh devex reference framework per phase: column weights
@@ -1356,7 +1269,7 @@ impl Simplex {
             let price_t0 = self.spans_on.then(Instant::now);
             let bland = degen_run > DEGEN_SWITCH;
             if bland {
-                self.health.record_bland_iter(!in_bland);
+                self.stats.record_bland_iter(!in_bland);
             }
             in_bland = bland;
             let n = self.n_total;
@@ -1516,7 +1429,7 @@ impl Simplex {
             for &i in &self.w_support {
                 self.xb[i] -= sigma * t * self.scratch_w[i];
             }
-            self.health.record_pivot(best_piv.abs());
+            self.stats.record_pivot(best_piv.abs());
             let leaving = self.basis[r];
             self.status[leaving] = if at_upper {
                 VarStatus::AtUpper
@@ -1676,13 +1589,6 @@ impl Simplex {
         }));
     }
 
-    /// Condensed numerical-stability report for all solves of this instance
-    /// (see [`crate::health`]); call `self.health.reset()` between solves for
-    /// per-solve verdicts.
-    pub fn health_report(&self) -> HealthReport {
-        self.health.report()
-    }
-
     /// Objective of the current point (including offset); bit-equal to the
     /// `objective` of [`extract`](Self::extract).
     pub fn objective_value(&self) -> f64 {
@@ -1754,7 +1660,6 @@ const _: () = {
     assert_send::<Simplex>();
     assert_send::<Basis>();
     assert_send::<SolveStats>();
-    assert_send::<HealthMonitor>();
 };
 
 #[cfg(test)]

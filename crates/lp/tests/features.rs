@@ -198,10 +198,10 @@ fn every_factorization_is_booked_under_lp_factor() {
     let t = Telemetry::with_spans();
     s.set_telemetry(t.clone());
     assert_eq!(s.solve(), LpStatus::Optimal);
-    assert!(s.stats.refactorizations >= 2);
-    assert_eq!(factor_span_calls(&t), s.stats.refactorizations);
+    assert!(s.stats.refactorizations() >= 2);
+    assert_eq!(factor_span_calls(&t), s.stats.refactorizations());
     s.set_var_bounds(0, 0.0, 0.0);
     assert_eq!(s.solve_warm(), LpStatus::Optimal);
-    assert_eq!(factor_span_calls(&t), s.stats.refactorizations);
+    assert_eq!(factor_span_calls(&t), s.stats.refactorizations());
     assert!(t.spans().iter().all(|span| span.name != "lp.refactorize"));
 }

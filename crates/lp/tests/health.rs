@@ -1,9 +1,10 @@
-//! Health-monitor integration tests: well-conditioned solves must report
-//! `Stable`, a crafted near-singular basis must not, and the deduplicated
-//! refactorization counter must agree between `SolveStats` and the report.
+//! Numerical-health integration tests: well-conditioned solves must report
+//! `Stable`, a crafted near-singular basis must not, and the refactorization
+//! total in `SolveStats`, its flight-recorder events and its flushed metric
+//! must agree with each other and with the flushed causes.
 
 use tvnep_lp::{solve, HealthVerdict, LpProblem, LpStatus, Simplex, INF};
-use tvnep_telemetry::Telemetry;
+use tvnep_telemetry::{FlightRecorder, Telemetry};
 
 /// A small, well-conditioned LP: max 3x + 2y subject to two ≤ rows.
 fn clean_lp() -> LpProblem {
@@ -39,8 +40,8 @@ fn clean_solve_stays_stable_with_sampling_on() {
     let lp = clean_lp();
     let mut s = Simplex::new(&lp);
     assert_eq!(s.solve(), LpStatus::Optimal);
-    let r = s.health_report();
-    assert_eq!(r.verdict, HealthVerdict::Stable, "report: {r:?}");
+    let r = s.stats;
+    assert_eq!(r.verdict(), HealthVerdict::Stable, "stats: {r:?}");
     let residual = s.basis_residual();
     assert!(residual < 1e-8, "basis residual {residual}");
     assert_eq!(r.singular_bases, 0);
@@ -56,11 +57,11 @@ fn near_singular_basis_is_flagged() {
     let lp = near_singular_lp(1e-6);
     let mut s = Simplex::new(&lp);
     let status = s.solve();
-    let r = s.health_report();
+    let r = s.stats;
     assert_ne!(
-        r.verdict,
+        r.verdict(),
         HealthVerdict::Stable,
-        "ill-conditioned basis must not report Stable (status {status:?}, report {r:?})"
+        "ill-conditioned basis must not report Stable (status {status:?}, stats {r:?})"
     );
     assert!(
         r.growth_factor >= 1e6,
@@ -74,7 +75,7 @@ fn moderately_conditioned_lp_is_not_unstable() {
     let lp = near_singular_lp(1e-3);
     let mut s = Simplex::new(&lp);
     assert_eq!(s.solve(), LpStatus::Optimal);
-    assert_eq!(s.health_report().verdict, HealthVerdict::Stable);
+    assert_eq!(s.stats.verdict(), HealthVerdict::Stable);
 }
 
 #[test]
@@ -88,21 +89,35 @@ fn degenerate_conditioning_stays_stable_without_the_bad_basis() {
     lp.add_eq(&[(x, 1.0), (y, 1.0 + 1e-3)], 1.0);
     let mut s = Simplex::new(&lp);
     assert_eq!(s.solve(), LpStatus::Optimal);
-    assert_eq!(s.health_report().verdict, HealthVerdict::Stable);
+    assert_eq!(s.stats.verdict(), HealthVerdict::Stable);
 }
 
 #[test]
 fn refactorization_counter_is_single_sourced() {
     let lp = clean_lp();
     let mut s = Simplex::new(&lp);
+    let rec = FlightRecorder::new(1024);
+    s.set_blackbox(Some(rec.handle(0)));
     assert_eq!(s.solve(), LpStatus::Optimal);
-    let r = s.health_report();
-    assert_eq!(
-        r.refactorizations() as usize,
-        s.stats.refactorizations,
-        "cause counters must sum to SolveStats::refactorizations"
-    );
-    assert!(s.stats.refactorizations > 0);
+    let total = s.stats.refactorizations();
+    assert!(total > 0);
+    // Each factorization attempt is one `refactor` event; the successful
+    // ones are the record's total, and the last event carries that total.
+    let dump = rec.dump("test", "Clean", "single-sourced refactorizations");
+    let workers = dump.get("workers").and_then(|w| w.as_array()).unwrap();
+    let refactors: Vec<u64> = workers[0]
+        .get("events")
+        .and_then(|e| e.as_array())
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("refactor"))
+        .map(|e| e.get("b").and_then(|b| b.as_u64()).unwrap())
+        .collect();
+    assert_eq!(refactors.len(), total + s.stats.singular_bases);
+    assert_eq!(refactors.last().copied(), Some(total as u64));
+    let t = Telemetry::metrics_only();
+    s.stats.flush_into(&t);
+    assert_eq!(t.snapshot().counter("lp.refactorizations"), total as u64);
 }
 
 #[test]
@@ -110,10 +125,10 @@ fn sampling_off_skips_expensive_checks_but_keeps_cheap_signals() {
     let lp = clean_lp();
     let mut s = Simplex::new(&lp);
     assert_eq!(s.solve(), LpStatus::Optimal);
-    let r = s.health_report();
+    let r = s.stats;
     assert!(r.refactorizations() > 0, "cause counters are always on");
     assert!(r.max_pivot > 0.0, "pivot extremes are always on");
-    assert_eq!(r.verdict, HealthVerdict::Stable);
+    assert_eq!(r.verdict(), HealthVerdict::Stable);
 }
 
 #[test]
@@ -122,22 +137,20 @@ fn health_metrics_flush_under_lp_prefix() {
     let mut s = Simplex::new(&lp);
     assert_eq!(s.solve(), LpStatus::Optimal);
     let t = Telemetry::metrics_only();
-    s.health.flush_into(&t);
+    s.stats.flush_into(&t);
     let snap = t.snapshot();
     assert!(snap.counter("lp.health.refactor_scheduled") > 0);
     assert_eq!(snap.gauge("lp.health.verdict"), Some(0.0));
-}
-
-#[test]
-fn reset_clears_evidence_for_per_solve_verdicts() {
-    let lp = near_singular_lp(1e-6);
-    let mut s = Simplex::new(&lp);
-    let _ = s.solve();
-    assert_ne!(s.health_report().verdict, HealthVerdict::Stable);
-    s.health.reset();
-    let r = s.health_report();
-    assert_eq!(r.verdict, HealthVerdict::Stable);
-    assert_eq!(r.refactorizations(), 0);
+    // The total is the sum of the causes, each counted once.
+    let causes: u64 = ["scheduled", "instability", "singular_recovery"]
+        .iter()
+        .map(|c| snap.counter(&format!("lp.health.refactor_{c}")))
+        .sum();
+    assert_eq!(snap.counter("lp.refactorizations"), causes);
+    assert_eq!(
+        snap.counter("lp.refactorizations"),
+        s.stats.refactorizations() as u64
+    );
 }
 
 #[test]
@@ -193,8 +206,8 @@ fn eta_fill_budget_forces_early_refactorizations() {
     let lp = pivot_heavy_lp(7);
     let mut s = Simplex::new(&lp);
     assert_eq!(s.solve(), LpStatus::Optimal);
-    let iters = s.iterations();
-    let refactors = s.stats.refactorizations;
+    let iters = s.stats.iterations();
+    let refactors = s.stats.refactorizations();
     assert!(
         iters > 20,
         "LP too easy to exercise the eta file ({iters} iters)"
@@ -205,6 +218,6 @@ fn eta_fill_budget_forces_early_refactorizations() {
     );
     let kkt = s.kkt_violation();
     assert!(kkt < 1e-9, "KKT violation {kkt}");
-    let r = s.health_report();
-    assert_eq!(r.verdict, HealthVerdict::Stable, "report: {r:?}");
+    let r = s.stats;
+    assert_eq!(r.verdict(), HealthVerdict::Stable, "stats: {r:?}");
 }

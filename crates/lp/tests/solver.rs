@@ -185,9 +185,9 @@ fn warm_start_after_bound_tightening() {
     let before = s.stats;
     s.load_basis(&basis);
     // Loading only installs the statuses; the solve factorizes.
-    assert_eq!(s.stats.refactorizations, before.refactorizations);
+    assert_eq!(s.stats.refactorizations(), before.refactorizations());
     assert_eq!(s.solve_warm(), LpStatus::Optimal);
-    assert!(s.stats.refactorizations > before.refactorizations);
+    assert!(s.stats.refactorizations() > before.refactorizations());
     assert!((s.objective_value() - (-1.0)).abs() < 1e-7);
     assert_eq!(s.stats.dual_fallbacks, before.dual_fallbacks);
     assert_eq!(s.stats.dual_successes, before.dual_successes + 1);

@@ -19,7 +19,7 @@ use std::time::Duration;
 use crate::model::{MipModel, Sense};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::SearchTree;
-use tvnep_lp::{Basis, LpStatus, Simplex, SolveStats};
+use tvnep_lp::{Basis, LpStatus, Simplex};
 use tvnep_model::tol::INT_TOL;
 use tvnep_telemetry::{FlightHandle, Telemetry};
 
@@ -74,13 +74,6 @@ pub struct MipProgress {
     pub bound: f64,
     /// Wall-clock time since the solve started.
     pub elapsed: Duration,
-    /// Total simplex iterations so far. With `threads > 1` this is the
-    /// reporting worker's own LP engine (per-worker counters are merged into
-    /// the final [`MipResult`] and telemetry, not into progress reports).
-    pub lp_iterations: usize,
-    /// Cumulative LP engine counters (same per-worker caveat as
-    /// [`lp_iterations`](Self::lp_iterations)).
-    pub lp_stats: SolveStats,
 }
 
 /// Pluggable progress sink; see [`MipOptions::progress`].
@@ -206,7 +199,7 @@ pub struct MipResult {
     pub gap: Option<f64>,
     /// Nodes processed.
     pub nodes: u64,
-    /// Total simplex iterations.
+    /// Total simplex iterations, every worker's primal and dual ones.
     pub lp_iterations: usize,
     /// Wall-clock time spent.
     pub runtime: Duration,

@@ -16,15 +16,18 @@
 //! * **Per-worker LP engines** — each worker owns a [`Simplex`]; pseudocosts
 //!   and LP scratch memory stay thread-local. A node pushed to the pool
 //!   carries its parent's basis, so whichever worker pops it re-solves from
-//!   that basis rather than from its own last dive. With more than one
-//!   worker, per-worker `SolveStats`, telemetry registries and span buffers
-//!   are merged after the workers join, so `--metrics-out` and the bench CSV
-//!   report identical quantities regardless of thread count, and the spans
-//!   hold every worker's, each under its own `tid`.
+//!   that basis rather than from its own last dive. Each worker hands back
+//!   its engine's one `SolveStats` record, which the driver merges and
+//!   flushes once; with more than one worker, per-worker telemetry
+//!   registries and span buffers are merged after the workers join too, so
+//!   `--metrics-out` and the bench CSV report identical quantities
+//!   regardless of thread count, and the spans hold every worker's, each
+//!   under its own `tid`.
 //! * **One writer per node fact** — [`NodeObserver`] is the only place a
 //!   node's open and close, a global-bound tightening or an incumbent is
-//!   written to the search tree, the progress stream, the flight recorder
-//!   or the telemetry handle.
+//!   written to the search tree, the progress stream or the flight
+//!   recorder; it counts the incumbents, and the driver writes their sum
+//!   to `mip.incumbents`.
 //!
 //! Correctness of the global dual bound: each worker publishes the bound of
 //! its in-flight dive node in a per-worker atomic. A dive node's bound only
@@ -45,7 +48,7 @@ use crate::branch_and_bound::{
 use crate::model::{MipModel, Sense, VarKind};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::{NodeOutcome, SearchTree, TreeNode};
-use tvnep_lp::{HealthMonitor, LpProblem, LpStatus, Simplex, SolveStats, VarStatus};
+use tvnep_lp::{LpProblem, LpStatus, Simplex, SolveStats, VarStatus};
 use tvnep_model::tol::{INT_TOL, REL_GAP};
 use tvnep_telemetry::{EventKind, FlightHandle, Telemetry};
 
@@ -250,7 +253,7 @@ impl Shared<'_> {
     }
 
     /// One [`MipProgress`] report to the options' callback, if any.
-    fn report_progress(&self, nodes: u64, simplex: &Simplex) {
+    fn report_progress(&self, nodes: u64) {
         let Some(callback) = &self.opts.progress else {
             return;
         };
@@ -262,8 +265,6 @@ impl Shared<'_> {
             incumbent: incumbent.map(|o| self.sign * o),
             bound: self.sign * bound,
             elapsed: self.start.elapsed(),
-            lp_iterations: simplex.iterations(),
-            lp_stats: simplex.stats,
         };
         callback(&report);
     }
@@ -273,13 +274,14 @@ impl Shared<'_> {
 /// once and writes a fact to every sink that carries it; `tid` is the
 /// progress stream's logical thread (0 for the inline worker, `w + 1` for
 /// worker `w`). Values arrive in minimize sense and leave in user sense.
+/// Incumbents are counted here and handed back with the worker's output.
 struct NodeObserver<'a> {
     shared: &'a Shared<'a>,
     tid: u32,
     tree: Option<&'a SearchTree>,
     progress: Option<&'a ProgressRecorder>,
     blackbox: Option<FlightHandle>,
-    telemetry: &'a Telemetry,
+    incumbents: u64,
 }
 
 impl NodeObserver<'_> {
@@ -338,14 +340,21 @@ impl NodeObserver<'_> {
 
     /// An incumbent `obj_min` found at node `id` was accepted while the
     /// global dual bound stood at `bound_min`.
-    fn incumbent(&self, obj_min: f64, bound_min: f64, id: u64, depth: u32, src: IncumbentSource) {
+    fn incumbent(
+        &mut self,
+        obj_min: f64,
+        bound_min: f64,
+        id: u64,
+        depth: u32,
+        src: IncumbentSource,
+    ) {
         let sign = self.shared.sign;
         let obj = sign * obj_min;
         if let Some(bb) = &self.blackbox {
             bb.recorder().set_incumbent(obj);
             bb.record(EventKind::Incumbent, id, obj.to_bits());
         }
-        self.telemetry.counter_add("mip.incumbents", 1);
+        self.incumbents += 1;
         if let Some(rec) = self.progress {
             let nodes = self.shared.nodes.load(Ordering::Relaxed);
             rec.record_incumbent(obj, sign * bound_min, nodes, id, depth, self.tid, src);
@@ -355,15 +364,13 @@ impl NodeObserver<'_> {
 
 /// What each worker hands back for the end-of-solve merge.
 struct WorkerOut {
-    lp_iterations: usize,
     /// Final heap footprint of this worker's private simplex (summed across
     /// workers into the `mem.lp.simplex_bytes` gauge).
     simplex_bytes: usize,
+    /// The record of this worker's private LP engine; the driver merges
+    /// one per worker and flushes the sum.
     stats: SolveStats,
     telemetry: Telemetry,
-    /// Numerical-health evidence from this worker's private LP engine;
-    /// merged into one solve-wide verdict by the driver.
-    health: HealthMonitor,
     /// Wall time between worker entry and exit.
     wall: Duration,
     /// Time inside LP solves (`solve`/`solve_warm`/dive heuristic).
@@ -378,6 +385,8 @@ struct WorkerOut {
     pruned_bound: u64,
     /// Integer bounds tightened by reduced-cost fixing.
     rc_fixings: u64,
+    /// Incumbents this worker found and installed.
+    incumbents: u64,
 }
 
 pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipResult {
@@ -465,16 +474,14 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
     // thread count (the inline worker's telemetry is the caller's own, so
     // absorbing it is a no-op).
     let mut stats = SolveStats::default();
-    let mut health = HealthMonitor::default();
-    let mut lp_iterations = 0usize;
     let mut simplex_bytes = 0usize;
     let mut rc_fixings = 0u64;
+    let mut incumbents = 0u64;
     for out in &outs {
         stats.merge_from(&out.stats);
-        health.merge_from(&out.health);
-        lp_iterations += out.lp_iterations;
         simplex_bytes += out.simplex_bytes;
         rc_fixings += out.rc_fixings;
+        incumbents += out.incumbents;
         telemetry.absorb_metrics(&out.telemetry);
     }
 
@@ -517,7 +524,7 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
         x,
         gap: objective.map(|o| rel_gap(o, sign * bound_min).max(0.0)),
         nodes,
-        lp_iterations,
+        lp_iterations: stats.iterations(),
         runtime: start.elapsed(),
     };
     // Final-state registers for crash/stall dumps written after the solve
@@ -530,12 +537,13 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
     }
     if telemetry.is_enabled() {
         telemetry.counter_add("mip.nodes", result.nodes);
-        telemetry.counter_add("lp.iterations", result.lp_iterations as u64);
         if rc_fixings > 0 {
             telemetry.counter_add("mip.rc_fixings", rc_fixings);
         }
+        if incumbents > 0 {
+            telemetry.counter_add("mip.incumbents", incumbents);
+        }
         stats.flush_into(telemetry);
-        health.flush_into(telemetry);
         if threads > 1 {
             parallel_report(telemetry, &outs, pool.peak);
         }
@@ -621,13 +629,13 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
         Some(bb) if !inline => Some(bb.for_worker(tid)),
         bb => bb.clone(),
     };
-    let obs = NodeObserver {
+    let mut obs = NodeObserver {
         shared,
         tid,
         tree: opts.tree.as_deref(),
         progress: opts.progress_events.as_ref(),
         blackbox: blackbox.clone(),
-        telemetry: &opts.telemetry,
+        incumbents: 0,
     };
     // Runtime accounting: wall measured worker entry → exit, LP time summed
     // around every simplex call, condvar-wait accumulated in `Shared`; busy
@@ -693,7 +701,7 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                 .log_every
                 .is_some_and(|every| node_id.is_multiple_of(every))
             {
-                shared.report_progress(node_id, &simplex);
+                shared.report_progress(node_id);
             }
 
             // Apply this node's integer bounds and solve the LP; on numerical
@@ -919,10 +927,8 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
         );
     }
     WorkerOut {
-        lp_iterations: simplex.iterations(),
         simplex_bytes: simplex.memory_bytes(),
         stats: simplex.stats,
-        health: simplex.health,
         telemetry,
         wall,
         lp_time,
@@ -931,6 +937,7 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
         pruned_acquire,
         pruned_bound,
         rc_fixings,
+        incumbents: obs.incumbents,
     }
 }
 

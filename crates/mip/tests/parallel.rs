@@ -181,6 +181,19 @@ fn parallel_telemetry_merges_per_worker_counters() {
     // Per-worker LP engines each count their solves; the merge must have
     // collected at least one per processed node.
     assert!(snap.counter("lp.solves") >= r.nodes);
+    assert!(snap.counter("lp.solves") >= snap.counter("lp.warm_calls"));
+    // One record per worker: every total is the sum of its parts.
+    let causes: u64 = ["scheduled", "instability", "singular_recovery"]
+        .iter()
+        .map(|c| snap.counter(&format!("lp.health.refactor_{c}")))
+        .sum();
+    assert_eq!(snap.counter("lp.refactorizations"), causes);
+    assert_eq!(
+        snap.counter("lp.iterations"),
+        snap.counter("lp.dual_iters") + snap.counter("lp.primal_iters")
+    );
+    assert_eq!(snap.gauge("lp.health.verdict"), Some(0.0));
+    assert!(snap.counter("mip.incumbents") >= 1);
     assert_eq!(snap.gauge("mip.threads"), Some(4.0));
 }
 

@@ -261,7 +261,10 @@ impl EpochRunner {
     /// reservations (windows pinned, embeddings restored), the water mark is
     /// re-advanced in decision order, and journaled-but-undecided
     /// submissions are re-queued. The WAL stays open for appending, so the
-    /// continued decision log is the same file.
+    /// continued decision log is the same file. A record the live service
+    /// never writes (a second `submitted` or `decision` for an id, or a
+    /// `decision` without `accepted` or accepted with a `reason`) is
+    /// refused, naming the record.
     pub fn recover(wal_path: &Path, opts: ServeOptions) -> io::Result<(Self, RecoveryReport)> {
         let events = read_journal(wal_path)?;
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
@@ -295,6 +298,9 @@ impl EpochRunner {
                         .get("id")
                         .and_then(Json::as_u64)
                         .ok_or_else(|| bad("submitted without id".into()))?;
+                    if submissions.iter().any(|p| p.id == id) {
+                        return Err(bad(format!("submitted #{id} twice")));
+                    }
                     let request = RequestDoc::from_json(
                         ev.get("request")
                             .ok_or_else(|| bad(format!("submitted #{id} without request")))?,
@@ -327,10 +333,18 @@ impl EpochRunner {
                         .iter()
                         .find(|p| p.id == id)
                         .ok_or_else(|| bad(format!("decision #{id} without submission")))?;
-                    decided.insert(id);
+                    if !decided.insert(id) {
+                        return Err(bad(format!("decision #{id} twice")));
+                    }
                     report.decisions_replayed += 1;
-                    let accepted = ev.get("accepted").and_then(Json::as_bool).unwrap_or(false);
+                    let accepted = ev
+                        .get("accepted")
+                        .and_then(Json::as_bool)
+                        .ok_or_else(|| bad(format!("decision #{id} without accepted")))?;
                     if ev.get("reason").is_some() {
+                        if accepted {
+                            return Err(bad(format!("decision #{id} accepted with a reason")));
+                        }
                         // Rejected before the solver ran (stale window): the
                         // live path never advanced the water mark for it.
                         core.restore_rejected(id);

@@ -52,7 +52,8 @@ pub const DEFAULT_RING_CAP: usize = 256;
 pub const WATCHDOG_TID: u32 = u32::MAX;
 
 /// Health verdict codes published into the recorder by the LP engine
-/// (mirrors `tvnep-lp`'s `HealthVerdict` without a dependency cycle).
+/// (mirrors `tvnep-lp`'s `HealthVerdict` without a dependency cycle, in its
+/// order: the engine publishes `HEALTH_STABLE` plus the verdict).
 pub const HEALTH_UNKNOWN: u64 = 0;
 pub const HEALTH_STABLE: u64 = 1;
 pub const HEALTH_SUSPECT: u64 = 2;
