@@ -1,23 +1,29 @@
 //! Observability overhead microbench: solves the same fixed-seed cΣ cell
 //! with (1) telemetry fully disabled, (2) metrics-only telemetry — the span
 //! toggle present but **off** — and (3) spans **on**, plus the heap
-//! accounting toggle off/on, and writes `BENCH_introspection.json` with the
-//! wall times and overhead percentages.
+//! accounting toggle off/on and the flight recorder off/on, and writes
+//! `BENCH_introspection.json` with the wall times and overhead percentages.
 //!
-//! Overhead budgets asserted here:
+//! The rungs run in two ladders, each against its own `disabled` baseline.
+//! The asserted ladder holds the configurations whose budget is asserted
+//! (`spans_off`, `alloc_off`, `blackbox_off`); the enabled ladder holds
+//! `spans_on`, `alloc_on` and `blackbox_on`, recorded for information. An
+//! enabled sample leaves the allocator and the caches in another state
+//! (span buffers, counted allocations, a recorder ring), and the sample
+//! after it pays for that, so no asserted sample runs right after one.
+//!
+//! Overhead budgets asserted here, each `--tolerance-pct` (default 2.0):
 //!
 //! * **Spans off**: with `Telemetry::spans_enabled() == false` every kernel
 //!   timing site in the simplex collapses to one cached-bool branch. The
-//!   rung still pays for live *metrics* recording (counters, histograms) —
-//!   paired interleaved measurement puts that at ~2–3% on the reference
-//!   cell, which the original sequential methodology under-reported — so
-//!   this rung's budget is `--spans-tolerance-pct` (default 3.0) rather
-//!   than the noise-floor tolerance below.
+//!   rung still pays for live *metrics* recording: the counters, gauges and
+//!   histogram a solve writes, each into an interned slot of a fresh
+//!   registry.
 //! * **Allocator counting off**: this binary installs
 //!   [`tvnep_telemetry::CountingAlloc`], so *every* configuration already
 //!   pays the counting-off path (one relaxed load + branch per allocation).
 //!   The `alloc_off` run re-measures the disabled configuration and must
-//!   land within the same tolerance of the first `disabled` run — i.e. the
+//!   land within the same tolerance of the `disabled` run — i.e. the
 //!   wrapper's disabled cost is indistinguishable from run-to-run noise.
 //!   `alloc_on` records the full-accounting cost for information, and a
 //!   direct allocation microbench reports ns/alloc with counting off vs on.
@@ -26,9 +32,13 @@
 //!   `blackbox_off` re-measurement must also land within the tolerance of
 //!   the baseline; `blackbox_on` records the live-ring cost for information.
 //!
+//! `alloc_off` and `blackbox_off` run the code of `disabled`, so they are
+//! the ladder's controls: their overheads show what the sampling itself
+//! reads on identical work.
+//!
 //! ```text
 //! introspection [--out FILE] [--seed N] [--budget-secs S]
-//!               [--tolerance-pct P] [--spans-tolerance-pct P] [--no-assert]
+//!               [--tolerance-pct P] [--no-assert]
 //! ```
 
 use std::time::{Duration, Instant};
@@ -75,8 +85,10 @@ struct RungStats {
 /// once under near-identical machine conditions — so the overhead is
 /// computed as the median of per-round ratios against the baseline rung,
 /// which cancels both slow patches (hitting all rungs of a round alike)
-/// and isolated outlier samples. The min/median wall times are reported
-/// alongside for scale.
+/// and isolated outlier samples. The order is counterbalanced: odd rounds
+/// run the rungs in reverse, so every rung follows each of its neighbours
+/// equally often and no rung owns a position in the round. The min/median
+/// wall times are reported alongside for scale.
 fn measure_ladder<T>(
     per_rung_budget: Duration,
     rungs: &[Rung<T>],
@@ -91,14 +103,17 @@ fn measure_ladder<T>(
     let mut times: Vec<Vec<Duration>> = rungs.iter().map(|_| Vec::new()).collect();
     let start = Instant::now();
     while times[0].len() < 5 || (start.elapsed() < budget && times[0].len() < 500) {
-        for (rung, samples) in rungs.iter().zip(&mut times) {
+        let reverse = times[0].len() % 2 == 1;
+        for k in 0..rungs.len() {
+            let i = if reverse { rungs.len() - 1 - k } else { k };
+            let rung = &rungs[i];
             let input = (rung.prepare)();
             alloc::set_counting(rung.counting);
             let t0 = Instant::now();
             run(input);
             let dt = t0.elapsed();
             alloc::set_counting(false);
-            samples.push(dt);
+            times[i].push(dt);
         }
     }
     let baseline = times[0].clone();
@@ -535,9 +550,9 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
         (
             "runs".into(),
             Json::Arr(vec![
-                run_json("disabled", dis),
-                run_json("disabled_2", d2),
-                run_json("metrics_only", metrics),
+                run_json("disabled", "serve", dis),
+                run_json("disabled_2", "serve", d2),
+                run_json("metrics_only", "serve", metrics),
             ]),
         ),
         (
@@ -552,9 +567,10 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
 }
 
 /// One ladder rung's entry in the bench document.
-fn run_json(label: &str, s: &RungStats) -> Json {
+fn run_json(label: &str, ladder: &str, s: &RungStats) -> Json {
     Json::Obj(vec![
         ("config".into(), Json::from(label)),
+        ("ladder".into(), Json::from(ladder)),
         ("samples".into(), Json::from(s.samples)),
         ("min_s".into(), Json::from(s.min.as_secs_f64())),
         ("median_s".into(), Json::from(s.median.as_secs_f64())),
@@ -567,7 +583,6 @@ fn main() {
     let mut seed = 7u64;
     let mut budget_secs = 3u64;
     let mut tolerance_pct = 2.0f64;
-    let mut spans_tolerance_pct = 3.0f64;
     let mut assert_budget = true;
     let mut i = 0;
     while i < args.len() {
@@ -588,10 +603,6 @@ fn main() {
                 i += 1;
                 tolerance_pct = args[i].parse().expect("--tolerance-pct P");
             }
-            "--spans-tolerance-pct" => {
-                i += 1;
-                spans_tolerance_pct = args[i].parse().expect("--spans-tolerance-pct P");
-            }
             "--no-assert" => assert_budget = false,
             other => panic!("unknown flag {other}"),
         }
@@ -607,13 +618,12 @@ fn main() {
             .unwrap_or(1)
     );
 
-    // The ladder: `disabled` is the baseline; `alloc_off` re-measures it
-    // (counting still off — the noise floor for the wrapper's disabled
-    // path); `blackbox_off` re-measures it again (`opts.blackbox == None` —
-    // every recording site is one `Option` check). All three "off" budgets
-    // are asserted against `disabled`; `spans_on`, `alloc_on`, and
-    // `blackbox_on` (a live recorder ring attached) record the enabled
-    // costs for information.
+    // Two ladders, each led by its own `disabled` baseline (see the module
+    // doc). Asserted: `spans_off` (metrics-only telemetry), and the controls
+    // `alloc_off` (counting still off — the noise floor for the wrapper's
+    // disabled path) and `blackbox_off` (`opts.blackbox == None` — every
+    // recording site is one `Option` check). Enabled, for information:
+    // `spans_on`, `alloc_on` and `blackbox_on` (a live recorder ring).
     let tel_rung = |label: &'static str, f: fn() -> Telemetry| Rung {
         label,
         counting: false,
@@ -623,33 +633,12 @@ fn main() {
             opts
         }),
     };
-    let rungs = vec![
-        tel_rung("disabled", Telemetry::disabled),
-        tel_rung("spans_off", Telemetry::metrics_only),
-        tel_rung("spans_on", Telemetry::with_spans),
-        tel_rung("alloc_off", Telemetry::disabled),
-        Rung {
-            label: "alloc_on",
-            counting: true,
-            prepare: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
-        },
-        Rung {
-            label: "blackbox_off",
-            counting: false,
-            prepare: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
-        },
-        Rung {
-            label: "blackbox_on",
-            counting: false,
-            prepare: Box::new(|| {
-                let rec = FlightRecorder::new(tvnep_telemetry::blackbox::DEFAULT_RING_CAP);
-                let mut opts = MipOptions::with_time_limit(Duration::from_secs(60));
-                opts.blackbox = Some(rec.handle(0));
-                opts
-            }),
-        },
-    ];
-    let measured = measure_ladder(budget, &rungs, |opts: MipOptions| {
+    let plain_rung = |label: &'static str, counting: bool| Rung {
+        label,
+        counting,
+        prepare: Box::new(|| MipOptions::with_time_limit(Duration::from_secs(60))),
+    };
+    let solve_cell = |opts: MipOptions| {
         let out = solve_tvnep(
             &inst,
             Formulation::CSigma,
@@ -658,9 +647,41 @@ fn main() {
             &opts,
         );
         std::hint::black_box(out.mip.nodes);
-    });
-    let [dis, off, on, aoff, aon, boff, bon] = &measured[..] else {
-        unreachable!("ladder has seven rungs");
+    };
+    eprintln!("[introspection] asserted ladder");
+    let asserted = measure_ladder(
+        budget,
+        &[
+            tel_rung("disabled", Telemetry::disabled),
+            tel_rung("spans_off", Telemetry::metrics_only),
+            plain_rung("alloc_off", false),
+            plain_rung("blackbox_off", false),
+        ],
+        solve_cell,
+    );
+    eprintln!("[introspection] enabled ladder");
+    let enabled = measure_ladder(
+        budget,
+        &[
+            tel_rung("disabled", Telemetry::disabled),
+            tel_rung("spans_on", Telemetry::with_spans),
+            plain_rung("alloc_on", true),
+            Rung {
+                label: "blackbox_on",
+                counting: false,
+                prepare: Box::new(|| {
+                    let rec = FlightRecorder::new(tvnep_telemetry::blackbox::DEFAULT_RING_CAP);
+                    let mut opts = MipOptions::with_time_limit(Duration::from_secs(60));
+                    opts.blackbox = Some(rec.handle(0));
+                    opts
+                }),
+            },
+        ],
+        solve_cell,
+    );
+    let ([dis, off, aoff, boff], [dis_enabled, on, aon, bon]) = (&asserted[..], &enabled[..])
+    else {
+        unreachable!("each ladder has four rungs");
     };
     let alloc_ns_off = alloc_ns_per_op();
     alloc::set_counting(true);
@@ -675,7 +696,7 @@ fn main() {
     let blackbox_on_overhead_pct = bon.overhead_pct;
     eprintln!(
         "[introspection] spans-off overhead {off_overhead_pct:+.3}% \
-         (budget {spans_tolerance_pct}%), spans-on {on_overhead_pct:+.3}%"
+         (budget {tolerance_pct}%), spans-on {on_overhead_pct:+.3}%"
     );
     eprintln!(
         "[introspection] alloc-off overhead {alloc_off_overhead_pct:+.3}% \
@@ -704,13 +725,14 @@ fn main() {
         (
             "runs".into(),
             Json::Arr(vec![
-                run_json("disabled", dis),
-                run_json("spans_off", off),
-                run_json("spans_on", on),
-                run_json("alloc_off", aoff),
-                run_json("alloc_on", aon),
-                run_json("blackbox_off", boff),
-                run_json("blackbox_on", bon),
+                run_json("disabled", "asserted", dis),
+                run_json("spans_off", "asserted", off),
+                run_json("alloc_off", "asserted", aoff),
+                run_json("blackbox_off", "asserted", boff),
+                run_json("disabled", "enabled", dis_enabled),
+                run_json("spans_on", "enabled", on),
+                run_json("alloc_on", "enabled", aon),
+                run_json("blackbox_on", "enabled", bon),
             ]),
         ),
         (
@@ -737,10 +759,6 @@ fn main() {
         ("alloc_ns_per_op_off".into(), Json::from(alloc_ns_off)),
         ("alloc_ns_per_op_on".into(), Json::from(alloc_ns_on)),
         ("tolerance_pct".into(), Json::from(tolerance_pct)),
-        (
-            "spans_tolerance_pct".into(),
-            Json::from(spans_tolerance_pct),
-        ),
         ("kernel".into(), kernel_microbench(seed)),
         (
             "serve".into(),
@@ -752,9 +770,9 @@ fn main() {
 
     if assert_budget {
         assert!(
-            off_overhead_pct < spans_tolerance_pct,
+            off_overhead_pct < tolerance_pct,
             "spans-disabled overhead {off_overhead_pct:.3}% exceeds the \
-             {spans_tolerance_pct}% budget"
+             {tolerance_pct}% budget"
         );
         assert!(
             alloc_off_overhead_pct < tolerance_pct,

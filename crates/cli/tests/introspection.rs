@@ -253,11 +253,13 @@ fn trace_prints_worker_spans_at_two_threads() {
         spans.contains(&(0, "mip.solve")),
         "no tid=0 mip.solve line in\n{stderr}"
     );
+    // A worker's LPs are dual solves (`lp.solve_warm`); a primal fallback
+    // would print as `lp.solve`. Either is a worker's LP span.
     assert!(
         spans
             .iter()
-            .any(|&(tid, name)| tid >= 1 && name == "lp.solve"),
-        "no worker lp.solve line in\n{stderr}"
+            .any(|&(tid, name)| tid >= 1 && matches!(name, "lp.solve" | "lp.solve_warm")),
+        "no worker LP solve line in\n{stderr}"
     );
 
     let mdoc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();

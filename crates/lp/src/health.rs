@@ -17,7 +17,9 @@
 //! branch-and-bound worker). The branch-and-bound driver merges one record
 //! per worker with [`SolveStats::merge_from`] and exports the sum once with
 //! [`SolveStats::flush_into`], as the `lp.*` and `lp.health.*` series, so
-//! the exported verdict is the worst over the whole MIP solve.
+//! the exported verdict is the worst over the whole MIP solve; the
+//! `lp.health.*` gauges keep the worst over every MIP solve flushed into one
+//! handle.
 //! [`SolveStats::verdict`] condenses the evidence into a three-level
 //! [`HealthVerdict`]; thresholds are the named constants below.
 //!
@@ -246,7 +248,10 @@ impl SolveStats {
     }
 
     /// Adds every counter to `t` under the `lp.` prefix and the stability
-    /// evidence as `lp.health.*` counters and gauges.
+    /// evidence as `lp.health.*` counters and gauges. The gauges keep the
+    /// worst over every flush into `t`: the largest verdict, growth factor
+    /// and pivot, and the smallest pivot, so a run of several MIP solves on
+    /// one handle does not hide an earlier solve's trouble.
     pub fn flush_into(&self, t: &Telemetry) {
         if !t.is_enabled() {
             return;
@@ -276,12 +281,12 @@ impl SolveStats {
         ] {
             t.counter_add(name, value as u64);
         }
-        t.gauge_set("lp.health.growth_factor", self.growth_factor);
+        t.gauge_max("lp.health.growth_factor", self.growth_factor);
         if self.max_pivot > 0.0 {
-            t.gauge_set("lp.health.min_pivot", self.min_pivot);
-            t.gauge_set("lp.health.max_pivot", self.max_pivot);
+            t.gauge_min("lp.health.min_pivot", self.min_pivot);
+            t.gauge_max("lp.health.max_pivot", self.max_pivot);
         }
-        t.gauge_set("lp.health.verdict", self.verdict() as u8 as f64);
+        t.gauge_max("lp.health.verdict", self.verdict() as u8 as f64);
     }
 }
 
@@ -350,6 +355,33 @@ mod tests {
         assert_eq!(a.refactorizations(), 2);
         assert_eq!(a.iterations(), 7);
         assert_eq!(a.verdict(), HealthVerdict::Suspect);
+    }
+
+    /// A greedy run or a service session flushes one record per MIP solve
+    /// into one handle: a Suspect solve followed by a clean one still
+    /// exports the Suspect verdict and its extremes.
+    #[test]
+    fn flushed_gauges_keep_the_worst_solve() {
+        let t = Telemetry::metrics_only();
+        let mut suspect = SolveStats::default();
+        suspect.record_eta(1e7);
+        suspect.record_pivot(1e-6);
+        suspect.record_pivot(4.0);
+        suspect.solves = 1;
+        let mut clean = SolveStats::default();
+        clean.record_eta(2.0);
+        clean.record_pivot(0.5);
+        clean.solves = 1;
+        assert_eq!(suspect.verdict(), HealthVerdict::Suspect);
+        assert_eq!(clean.verdict(), HealthVerdict::Stable);
+        suspect.flush_into(&t);
+        clean.flush_into(&t);
+        let snap = t.snapshot();
+        assert_eq!(snap.gauge("lp.health.verdict"), Some(1.0));
+        assert_eq!(snap.gauge("lp.health.growth_factor"), Some(1e7));
+        assert_eq!(snap.gauge("lp.health.min_pivot"), Some(1e-6));
+        assert_eq!(snap.gauge("lp.health.max_pivot"), Some(4.0));
+        assert_eq!(snap.counter("lp.solves"), 2);
     }
 
     #[test]

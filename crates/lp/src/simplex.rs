@@ -34,6 +34,13 @@
 //! installed by [`Simplex::load_basis`] is factorized by the next solve, so
 //! each branch-and-bound node can re-solve from its parent's basis.
 //!
+//! The same repair makes a fresh engine's all-slack basis a dual start when
+//! every structural column has two finite bounds, as in the TVNEP models, so
+//! the branch-and-bound driver solves its root with `solve_warm` too.
+//! [`Simplex::solve`] is the primal entry (phase 1, a perturbed phase 2, a
+//! cleanup pass and a verification after a fresh factorization) for the
+//! dual simplex's fallbacks and for callers outside the search.
+//!
 //! # Basis kernel and numerical safety
 //!
 //! The basis is held as a sparse LU factorization (Markowitz pivot order,
@@ -884,7 +891,11 @@ impl Simplex {
 
     /// Re-optimizes after bound changes: dual simplex from the current basis
     /// (dual feasibility survives bound changes), falling back to the primal
-    /// phases on any trouble. This is the branch-and-bound workhorse.
+    /// phases on any trouble. This is the branch-and-bound workhorse, and it
+    /// solves the root as well: on a fresh engine it factorizes the
+    /// all-slack basis, and bound flips make that start dual feasible
+    /// unless a wrong-signed reduced cost sits on a column with an infinite
+    /// bound (counted in `stats.dual_fallbacks`).
     pub fn solve_warm(&mut self) -> LpStatus {
         let before = self.iterations;
         self.iter_base = before;

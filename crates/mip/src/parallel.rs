@@ -14,15 +14,18 @@
 //!   so every worker prunes against the global best immediately and
 //!   lock-free; the incumbent point itself sits behind a rarely-taken mutex.
 //! * **Per-worker LP engines** — each worker owns a [`Simplex`]; pseudocosts
-//!   and LP scratch memory stay thread-local. A node pushed to the pool
-//!   carries its parent's basis, so whichever worker pops it re-solves from
-//!   that basis rather than from its own last dive. Each worker hands back
-//!   its engine's one `SolveStats` record, which the driver merges and
-//!   flushes once; with more than one worker, per-worker telemetry
-//!   registries and span buffers are merged after the workers join too, so
-//!   `--metrics-out` and the bench CSV report identical quantities
-//!   regardless of thread count, and the spans hold every worker's, each
-//!   under its own `tid`.
+//!   and LP scratch memory stay thread-local. Every node LP, the root
+//!   included, is a dual solve ([`Simplex::solve_warm`]): the root starts
+//!   from the all-slack basis, which bound flips make dual feasible, and
+//!   only a dual fallback or a numerical retry reaches the primal phases.
+//!   A node pushed to the pool carries its parent's basis, so whichever
+//!   worker pops it re-solves from that basis rather than from its own last
+//!   dive. Each worker hands back its engine's one `SolveStats` record,
+//!   which the driver merges and flushes once; with more than one worker,
+//!   per-worker telemetry registries and span buffers are merged after the
+//!   workers join too, so `--metrics-out` and the bench CSV report
+//!   identical quantities regardless of thread count, and the spans hold
+//!   every worker's, each under its own `tid`.
 //! * **One writer per node fact** — [`NodeObserver`] is the only place a
 //!   node's open and close, a global-bound tightening or an incumbent is
 //!   written to the search tree, the progress stream or the flight
@@ -656,7 +659,6 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
     if let Some(tl) = opts.time_limit {
         simplex.set_deadline(Some(shared.start + tl));
     }
-    let mut first_lp = true;
     let mut pseudo = PseudoCosts::new(int_vars.len());
 
     while let Some(mut current) = shared.acquire(wid) {
@@ -669,7 +671,6 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
         // (with the dual simplex, even as this worker's first LP).
         if let Some(basis) = current.basis.take() {
             simplex.load_basis(&basis);
-            first_lp = false;
         }
 
         // Dive from this node until pruned (thread-local plunging).
@@ -704,19 +705,16 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                 shared.report_progress(node_id);
             }
 
-            // Apply this node's integer bounds and solve the LP; on numerical
-            // trouble, retry once from a fresh basis.
+            // Apply this node's integer bounds and solve the LP with the
+            // dual simplex, the root included (its all-slack start is made
+            // dual feasible by bound flips); on numerical trouble, retry
+            // once with the primal phases from a fresh basis.
             for (k, &j) in int_vars.iter().enumerate() {
                 let (lo, up) = current.bounds[k];
                 simplex.set_var_bounds(j, lo, up);
             }
             let lp_start = Instant::now();
-            let mut status = if first_lp {
-                simplex.solve()
-            } else {
-                simplex.solve_warm()
-            };
-            first_lp = false;
+            let mut status = simplex.solve_warm();
             if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
                 simplex.reset_basis();
                 status = simplex.solve();

@@ -102,12 +102,23 @@ fn lp_infeasible_detected() {
     assert_eq!(solve(&m).status, MipStatus::Infeasible);
 }
 
+/// The root's dual solve finds `x` dual infeasible with an infinite upper
+/// bound, which no bound flip can repair: that is the root's one way into
+/// the primal phases, and they prove the ray.
 #[test]
 fn unbounded_detected() {
+    use tvnep_telemetry::Telemetry;
+
     let mut m = MipModel::maximize();
     let x = m.add_integer(0.0, tvnep_mip::INF, 1.0);
     let _ = x;
-    assert_eq!(solve(&m).status, MipStatus::Unbounded);
+    let telemetry = Telemetry::metrics_only();
+    let opts = MipOptions {
+        telemetry: telemetry.clone(),
+        ..MipOptions::default()
+    };
+    assert_eq!(solve_with(&m, &opts).status, MipStatus::Unbounded);
+    assert_eq!(telemetry.snapshot().counter("lp.dual_fallbacks"), 1);
 }
 
 #[test]
@@ -428,11 +439,12 @@ fn random_mixed_programs_match_seminumeration() {
     }
 }
 
-/// Every queued node re-solves from its parent's basis with the dual
-/// simplex, and a start whose boxed variables rest at the wrong bound is
-/// repaired by bound flips, so no warm solve falls back to the primal
-/// phases — at one thread and when a worker pops a node another branched.
-/// The cell is the campaign's cΣ tiny / seed 1 / +2 h cell.
+/// Every LP of the search runs the dual simplex: the root from the
+/// all-slack basis, every queued node from its parent's basis. A start whose
+/// boxed variables rest at the wrong bound is repaired by bound flips, so no
+/// solve falls back to the primal phases — at one thread and when a worker
+/// pops a node another branched. The cell is the campaign's cΣ tiny / seed
+/// 1 / +2 h cell.
 #[test]
 fn csigma_node_warm_starts_never_fall_back_to_primal() {
     use tvnep_core::{build_model, BuildOptions, Formulation, Objective};
@@ -467,6 +479,13 @@ fn csigma_node_warm_starts_never_fall_back_to_primal() {
             0,
             "threads {threads}: warm solves fell back to the primal phases"
         );
+        // Every LP of the search, the root included, is a dual solve.
+        assert_eq!(
+            snap.counter("lp.warm_calls"),
+            snap.counter("lp.solves"),
+            "threads {threads}: an LP took the primal entry"
+        );
+        assert_eq!(snap.counter("lp.primal_iters"), 0, "threads {threads}");
     }
 }
 

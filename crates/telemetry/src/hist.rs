@@ -1,12 +1,15 @@
 //! # Log-bucketed HDR-style histogram
 //!
 //! [`LogHistogram`] is the repo's single source of truth for latency and
-//! size percentiles. It is a constant-size sketch: 64 octaves (exponents
+//! size percentiles. Its bucket grid is fixed: 64 octaves (exponents
 //! −32..=31) of 16 log-linear sub-buckets each, plus one underflow and one
-//! overflow bucket. Bucketing is integer-only — the octave comes straight
-//! from the f64 exponent bits and the sub-bucket from the top four mantissa
-//! bits — so two histograms fed the same values are bitwise identical
-//! regardless of insertion order, platform, or optimization level.
+//! overflow bucket. It stores the counts of the buckets from the lowest to
+//! the highest one observed, so a histogram of a few nearby values holds a
+//! few counts and a fresh one allocates nothing. Bucketing is integer-only
+//! — the octave comes straight from the f64 exponent bits and the
+//! sub-bucket from the top four mantissa bits — so two histograms fed the
+//! same values are bitwise identical regardless of insertion order,
+//! platform, or optimization level.
 //!
 //! Quantile queries return the midpoint of the covering bucket, clamped to
 //! the observed `[min, max]`. Bucket width is at most 1/16 of the bucket's
@@ -34,10 +37,14 @@ pub const NUM_BUCKETS: usize = OCTAVES * SUB_BUCKETS + 2;
 const UNDERFLOW: usize = 0;
 const OVERFLOW: usize = NUM_BUCKETS - 1;
 
-/// Constant-size mergeable histogram with bounded-relative-error quantiles.
+/// Mergeable histogram with bounded-relative-error quantiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
-    counts: Vec<u64>, // always NUM_BUCKETS long
+    /// Index of the bucket `counts[0]` counts (0 while empty).
+    first: usize,
+    /// Counts of buckets `first..first + counts.len()`: the lowest to the
+    /// highest observed, so the first and last are nonzero.
+    counts: Vec<u64>,
     count: u64,
     sum: f64,
     min: f64,
@@ -137,7 +144,8 @@ pub fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 impl LogHistogram {
     pub fn new() -> Self {
         Self {
-            counts: vec![0; NUM_BUCKETS],
+            first: 0,
+            counts: Vec::new(),
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -145,8 +153,24 @@ impl LogHistogram {
         }
     }
 
+    /// Adds `c` to bucket `i`, widening the stored range to reach it.
+    fn add(&mut self, i: usize, c: u64) {
+        if self.counts.is_empty() {
+            self.first = i;
+        } else if i < self.first {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.first - i));
+            self.first = i;
+        }
+        let k = i - self.first;
+        if k >= self.counts.len() {
+            self.counts.resize(k + 1, 0);
+        }
+        self.counts[k] += c;
+    }
+
     pub fn observe(&mut self, v: f64) {
-        self.counts[bucket_index(v)] += 1;
+        self.add(bucket_index(v), 1);
         self.count += 1;
         self.sum += v;
         if v < self.min {
@@ -191,8 +215,8 @@ impl LogHistogram {
 
     /// Bucket-wise merge: equivalent to having observed both streams.
     pub fn merge_from(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        for (i, c) in other.nonzero() {
+            self.add(i, c);
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -222,7 +246,7 @@ impl LogHistogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, c) in self.nonzero() {
             cum += c;
             if cum >= rank {
                 return bucket_mid(i).clamp(self.min, self.max);
@@ -237,7 +261,7 @@ impl LogHistogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
+            .map(|(k, &c)| (self.first + k, c))
     }
 
     /// Sparse deterministic JSON form: counts as `[[index, count], …]`.
@@ -292,7 +316,9 @@ impl LogHistogram {
             if idx >= NUM_BUCKETS {
                 return Err(format!("histogram: bucket index {idx} out of range"));
             }
-            h.counts[idx] = cnt;
+            if cnt > 0 {
+                h.add(idx, cnt);
+            }
         }
         Ok(h)
     }

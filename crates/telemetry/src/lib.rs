@@ -6,7 +6,8 @@
 //!
 //! * [`MetricsRegistry`] — monotonically-increasing counters, last-write
 //!   gauges, and histograms over fixed log-scale (power-of-two) buckets.
-//!   Aggregates only; cheap to snapshot at any point.
+//!   Aggregates only; cheap to snapshot at any point. The names the solvers
+//!   write on every solve are interned into fixed slots.
 //! * [`span`] — completed intervals of work ([`SpanRecord`]: name, start,
 //!   duration, logical thread id, numeric args). This is the one "what
 //!   happened when" record: model builds, LP solves and their kernels,
@@ -136,6 +137,20 @@ impl Telemetry {
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(inner) = &self.0 {
             inner.metrics.lock().unwrap().gauge_set(name, value);
+        }
+    }
+
+    /// Raises the named gauge to `value` if it is unset or lower.
+    pub fn gauge_max(&self, name: &str, value: f64) {
+        if let Some(inner) = &self.0 {
+            inner.metrics.lock().unwrap().gauge_max(name, value);
+        }
+    }
+
+    /// Lowers the named gauge to `value` if it is unset or higher.
+    pub fn gauge_min(&self, name: &str, value: f64) {
+        if let Some(inner) = &self.0 {
+            inner.metrics.lock().unwrap().gauge_min(name, value);
         }
     }
 
