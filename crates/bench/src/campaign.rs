@@ -395,7 +395,6 @@ fn config_json(opts: &CampaignOptions) -> Json {
             "time_limit_s".into(),
             Json::from(opts.cfg.time_limit.as_secs_f64()),
         ),
-        ("greedy_cutoff".into(), Json::from(opts.cfg.greedy_cutoff)),
         ("threads".into(), Json::from(opts.cfg.threads)),
         (
             "workload".into(),
@@ -485,7 +484,7 @@ fn run_cell(cfg: &HarnessConfig, cell: &PlannedCell) -> CellRecord {
         CellKind::Objective(o) => run_objective_cell(cfg, o, cell),
         CellKind::Greedy => run_greedy_cell(cfg, cell),
         CellKind::PaperScale => {
-            // Same knobs (time limit, threads, cutoff), full-size workload.
+            // Same time limit, threads and greedy cutoff, full-size workload.
             let paper_cfg = HarnessConfig {
                 workload: tvnep_workloads::WorkloadConfig::paper(),
                 ..cfg.clone()

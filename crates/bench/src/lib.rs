@@ -45,10 +45,6 @@ pub struct HarnessConfig {
     pub flexibilities: Vec<f64>,
     /// Per-instance time limit (paper: 1 h on Gurobi).
     pub time_limit: Duration,
-    /// Seed the exact solver with the greedy objective as a cutoff (plays
-    /// the role of Gurobi's primal heuristics; keeps the formulation
-    /// comparison fair because every formulation gets the same cutoff).
-    pub greedy_cutoff: bool,
     /// Branch-and-bound worker threads per solve (1 = deterministic
     /// sequential, 0 = all available cores). Recorded per cell so speedup
     /// comparisons across runs stay attributable.
@@ -62,7 +58,6 @@ impl Default for HarnessConfig {
             seeds: vec![1, 2, 3],
             flexibilities: (0..=6).map(|i| i as f64).collect(),
             time_limit: Duration::from_secs(20),
-            greedy_cutoff: true,
             threads: 1,
         }
     }
@@ -77,7 +72,6 @@ impl HarnessConfig {
             seeds: (1..=24).collect(),
             flexibilities: tvnep_workloads::paper_flexibilities(),
             time_limit: Duration::from_secs(3600),
-            greedy_cutoff: true,
             threads: 1,
         }
     }
@@ -97,7 +91,11 @@ fn instance_for(cfg: &HarnessConfig, seed: u64, flex: f64) -> Instance {
 }
 
 /// Runs one formulation / access-control cell — the campaign runner's unit
-/// behind Figures 3, 4, 8 and 9.
+/// behind Figures 3, 4, 8 and 9. The greedy cΣᴳ_A runs first and its
+/// revenue seeds the exact solver as a cutoff: it plays the role of
+/// Gurobi's primal heuristics, and it is the only primal heuristic the
+/// branch and bound has. Every formulation gets the same cutoff, which
+/// keeps the comparison fair.
 pub fn run_formulation_cell(
     cfg: &HarnessConfig,
     formulation: Formulation,
@@ -111,18 +109,12 @@ pub fn run_formulation_cell(
     opts.threads = cfg.threads;
     let progress = ProgressRecorder::new();
     opts.progress_events = Some(progress.clone());
-    let mut greedy_obj = None;
-    let mut greedy_acc = None;
-    if cfg.greedy_cutoff {
-        let mut sub = MipOptions::with_time_limit(cfg.time_limit / 4);
-        sub.threads = cfg.threads;
-        let g = greedy_csigma(&inst, &GreedyOptions { subproblem: sub });
-        let rev = g.solution.revenue(&inst);
-        greedy_obj = Some(rev);
-        greedy_acc = Some(g.solution.accepted_count());
-        // Search only for strictly better solutions.
-        opts.cutoff = Some(rev - 1e-6);
-    }
+    let mut sub = MipOptions::with_time_limit(cfg.time_limit / 4);
+    sub.threads = cfg.threads;
+    let greedy = greedy_csigma(&inst, &GreedyOptions { subproblem: sub });
+    let greedy_obj = greedy.solution.revenue(&inst);
+    // Search only for strictly better solutions.
+    opts.cutoff = Some(greedy_obj - 1e-6);
     let t0 = Instant::now();
     let run = solve_tvnep(
         &inst,
@@ -134,27 +126,20 @@ pub fn run_formulation_cell(
     let runtime = t0.elapsed();
     // Merge the greedy cutoff back in: if branch and bound proved
     // nothing better exists, the greedy solution is optimal.
-    let (status, objective) = match (run.mip.status, run.mip.objective, greedy_obj) {
-        (MipStatus::NoBetterThanCutoff, _, Some(g)) => (MipStatus::Optimal, Some(g)),
-        (MipStatus::NoSolution, None, Some(g)) => (MipStatus::Feasible, Some(g)),
-        (MipStatus::Infeasible, None, Some(g)) => (MipStatus::Optimal, Some(g)),
-        (st, o, g) => {
-            let best = match (o, g) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-            (st, best)
-        }
+    let (status, objective) = match (run.mip.status, run.mip.objective) {
+        (MipStatus::NoBetterThanCutoff, _) => (MipStatus::Optimal, greedy_obj),
+        (MipStatus::NoSolution, None) => (MipStatus::Feasible, greedy_obj),
+        (st, o) => (st, o.map_or(greedy_obj, |a| a.max(greedy_obj))),
     };
-    let gap = objective.map(|o| ((run.mip.best_bound - o).abs() / o.abs().max(1e-10)).max(0.0));
+    let gap = ((run.mip.best_bound - objective).abs() / objective.abs().max(1e-10)).max(0.0);
     let verified = run.solution.as_ref().map(|s| is_feasible(&inst, s));
     // When branch and bound holds the incumbent, count from it;
     // otherwise the greedy cutoff solution is the incumbent.
     let accepted = run
         .solution
         .as_ref()
-        .map(|s| s.accepted_count())
-        .or(greedy_acc);
+        .unwrap_or(&greedy.solution)
+        .accepted_count();
     let psum = progress.summary(runtime, status == MipStatus::Optimal);
     CellRecord {
         label: cell.label.clone(),
@@ -163,13 +148,13 @@ pub fn run_formulation_cell(
         skipped: false,
         runtime_s: runtime.as_secs_f64(),
         status: format!("{status:?}"),
-        objective,
+        objective: Some(objective),
         best_bound: run.mip.best_bound,
         gap: match status {
             MipStatus::Optimal => Some(0.0),
-            _ => gap,
+            _ => Some(gap),
         },
-        accepted: accepted.map(|a| a as u64),
+        accepted: Some(accepted as u64),
         nodes: run.mip.nodes,
         lp_iterations: telemetry.snapshot().counter("lp.iterations"),
         verified,

@@ -195,6 +195,20 @@ fn threads_for(args: &Args) -> Result<usize, String> {
         .map(|t| t.unwrap_or(0))
 }
 
+/// `--preset tiny|small|medium|paper`, or `default` when the flag is
+/// absent: the preset's name and its workload.
+fn preset_for<'a>(args: &'a Args, default: &'a str) -> Result<(&'a str, WorkloadConfig), String> {
+    let preset = args.flags.get("preset").map_or(default, String::as_str);
+    let workload = match preset {
+        "tiny" => WorkloadConfig::tiny(),
+        "small" => WorkloadConfig::small(),
+        "medium" => WorkloadConfig::medium(),
+        "paper" => WorkloadConfig::paper(),
+        other => return Err(format!("unknown preset {other}")),
+    };
+    Ok((preset, workload))
+}
+
 /// Builds the telemetry handle requested by `--metrics-out`, `--trace` and
 /// `--chrome-trace`. Spans are only recorded when something will print or
 /// write them.
@@ -534,18 +548,7 @@ fn main() -> ExitCode {
 fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
     match cmd {
         "generate" => {
-            let preset = args
-                .flags
-                .get("preset")
-                .map(String::as_str)
-                .unwrap_or("small");
-            let cfg = match preset {
-                "tiny" => WorkloadConfig::tiny(),
-                "small" => WorkloadConfig::small(),
-                "medium" => WorkloadConfig::medium(),
-                "paper" => WorkloadConfig::paper(),
-                other => return Err(format!("unknown preset {other}")),
-            };
+            let (_, cfg) = preset_for(args, "small")?;
             let seed: u64 = args
                 .flags
                 .get("seed")
@@ -854,16 +857,10 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             {
                 labels.push(PAPER_SCALE_LABEL.to_string());
             }
-            let mut cfg = HarnessConfig::default();
-            if let Some(preset) = args.flags.get("preset") {
-                cfg.workload = match preset.as_str() {
-                    "tiny" => WorkloadConfig::tiny(),
-                    "small" => WorkloadConfig::small(),
-                    "medium" => WorkloadConfig::medium(),
-                    "paper" => WorkloadConfig::paper(),
-                    other => return Err(format!("unknown preset {other}")),
-                };
-            }
+            let mut cfg = HarnessConfig {
+                workload: preset_for(args, "small")?.1,
+                ..HarnessConfig::default()
+            };
             if let Some(n) = args.flags.get("seeds") {
                 let n: u64 = n.parse().map_err(|e| format!("--seeds: {e}"))?;
                 cfg.seeds = (1..=n).collect();
@@ -1058,18 +1055,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                     .transpose()
                     .map(|v| v.unwrap_or(default))
             };
-            let preset = args
-                .flags
-                .get("preset")
-                .map(String::as_str)
-                .unwrap_or("tiny");
-            let workload = match preset {
-                "tiny" => WorkloadConfig::tiny(),
-                "small" => WorkloadConfig::small(),
-                "medium" => WorkloadConfig::medium(),
-                "paper" => WorkloadConfig::paper(),
-                other => return Err(format!("unknown preset {other}")),
-            };
+            let (preset, workload) = preset_for(args, "tiny")?;
             let defaults = LoadConfig::slo_default();
             let cfg = LoadConfig {
                 seed: args

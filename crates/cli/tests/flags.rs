@@ -1,5 +1,6 @@
 //! Every subcommand refuses a flag it does not read, through the real
 //! binary: exit code 2 and an error naming the flag and the subcommand.
+//! A value a flag does not accept, such as an unknown preset, exits 1.
 
 use std::process::Command;
 
@@ -13,6 +14,31 @@ fn refused(args: &[&str], flag: &str) {
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains(flag), "{args:?}: {stderr}");
     assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+}
+
+fn refuses_unknown_preset(cmd: &str) {
+    let out = Command::new(bin())
+        .args([cmd, "--preset", "bogus"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+    assert!(stderr.contains("unknown preset bogus"), "{cmd}: {stderr}");
+}
+
+#[test]
+fn generate_refuses_an_unknown_preset() {
+    refuses_unknown_preset("generate");
+}
+
+#[test]
+fn campaign_refuses_an_unknown_preset() {
+    refuses_unknown_preset("campaign");
+}
+
+#[test]
+fn load_refuses_an_unknown_preset() {
+    refuses_unknown_preset("load");
 }
 
 #[test]

@@ -4,13 +4,17 @@
 //! Classic LP-based branch and bound: best-bound node selection with
 //! depth-first plunging, pseudocost branching (an unobserved direction takes
 //! the mean of the observed ones), reduced-cost fixing against the value to
-//! beat, a rounding heuristic for quick incumbents, and warm-started LP
-//! re-solves. A dive child re-solves from the basis its parent left in the
-//! [`Simplex`]; the sibling that waits in the best-bound pool carries a copy
-//! of that basis and re-solves from it when popped. The one driver that runs
-//! the search, at every thread count, is in `parallel.rs`. Reports the same
-//! quantities the paper's Gurobi runs report: incumbent objective, best
-//! bound, relative *objective gap* and node count.
+//! beat, and warm-started LP re-solves. A dive child re-solves from the
+//! basis its parent left in the worker's [`Simplex`](tvnep_lp::Simplex);
+//! the sibling that waits in the best-bound pool carries a copy of that
+//! basis and re-solves from it when popped. The search has no primal
+//! heuristic of its own: an incumbent is a node whose LP optimum is
+//! integral, and a caller with a heuristic solution passes its objective as
+//! [`MipOptions::cutoff`]. Every counted node therefore costs one LP solve,
+//! plus one for a numerical retry. The one driver that runs the search, at
+//! every thread count, is in `parallel.rs`. Reports the same quantities the
+//! paper's Gurobi runs report: incumbent objective, best bound, relative
+//! *objective gap* and node count.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -19,8 +23,7 @@ use std::time::Duration;
 use crate::model::{MipModel, Sense};
 use crate::progress::{IncumbentSource, ProgressRecorder};
 use crate::tree::SearchTree;
-use tvnep_lp::{Basis, LpStatus, Simplex};
-use tvnep_model::tol::INT_TOL;
+use tvnep_lp::Basis;
 use tvnep_telemetry::{FlightHandle, Telemetry};
 
 /// Termination status of a MIP solve.
@@ -100,7 +103,7 @@ pub struct MipOptions {
     pub cutoff: Option<f64>,
     /// Worker threads for the branch-and-bound search; `0` means "use all
     /// available parallelism". Each worker owns its own warm-started
-    /// [`Simplex`]; nodes are drawn from a shared best-bound pool and every
+    /// [`Simplex`](tvnep_lp::Simplex); nodes are drawn from a shared best-bound pool and every
     /// worker prunes against the shared incumbent immediately. `1` (the
     /// default) runs the one worker inline on the caller's thread, where the
     /// search has a total order and is bit-for-bit deterministic.
@@ -357,43 +360,6 @@ impl PseudoCosts {
         }
         best.0
     }
-}
-
-/// Iterative rounding dive: from the current (fractional) LP, repeatedly fix
-/// the most-integral fractional integer variable (farther than [`INT_TOL`]
-/// from an integer) to its rounding and re-solve, hoping to land on an
-/// integer-feasible point. Bounds mutated here are overwritten by the next
-/// node's bound assignment, so no explicit restore is needed.
-pub(crate) fn dive_heuristic(
-    simplex: &mut Simplex,
-    int_vars: &[usize],
-    max_solves: usize,
-) -> Option<(f64, Vec<f64>)> {
-    for _ in 0..max_solves {
-        let sol = simplex.extract(LpStatus::Optimal);
-        // Most-integral fractional variable.
-        let mut pick: Option<(usize, f64, f64)> = None; // (var, value, dist)
-        for &j in int_vars {
-            let v = sol.x[j];
-            let dist = (v - v.round()).abs();
-            if dist > INT_TOL && pick.is_none_or(|(_, _, d)| dist < d) {
-                pick = Some((j, v, dist));
-            }
-        }
-        let Some((j, v, _)) = pick else {
-            return Some((sol.objective, sol.x));
-        };
-        let r = v.round();
-        let (lo, up) = simplex.var_bounds(j);
-        if r < lo - 1e-9 || r > up + 1e-9 {
-            return None;
-        }
-        simplex.set_var_bounds(j, r, r);
-        if simplex.solve_warm() != LpStatus::Optimal {
-            return None;
-        }
-    }
-    None
 }
 
 /// Solves `model` with `opts` on the node-pool driver, with

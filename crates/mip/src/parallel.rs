@@ -26,6 +26,10 @@
 //!   workers join too, so `--metrics-out` and the bench CSV report
 //!   identical quantities regardless of thread count, and the spans hold
 //!   every worker's, each under its own `tid`.
+//! * **One LP per node** — a counted node costs one LP solve, plus one for
+//!   a numerical retry. The worker runs no primal heuristic: an incumbent
+//!   is a node whose LP optimum is integral, and the only other value to
+//!   beat is the caller's cutoff.
 //! * **One writer per node fact** — [`NodeObserver`] is the only place a
 //!   node's open and close, a global-bound tightening or an incumbent is
 //!   written to the search tree, the progress stream or the flight
@@ -46,7 +50,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::branch_and_bound::{
-    dive_heuristic, prune_eps, MipOptions, MipProgress, MipResult, MipStatus, Node, PseudoCosts,
+    prune_eps, MipOptions, MipProgress, MipResult, MipStatus, Node, PseudoCosts,
 };
 use crate::model::{MipModel, Sense, VarKind};
 use crate::progress::{IncumbentSource, ProgressRecorder};
@@ -111,7 +115,6 @@ impl Pool {
 /// Everything the workers share: the problem and options, read-only, and
 /// the synchronized search state.
 struct Shared<'a> {
-    model: &'a MipModel,
     opts: &'a MipOptions,
     /// The relaxation in minimize sense; `sign` maps its values back to the
     /// user's sense.
@@ -134,7 +137,6 @@ struct Shared<'a> {
     /// Incumbent point (minimize sense). All updates hold this lock;
     /// `cutoff` is lowered inside it so the two never disagree.
     incumbent: Mutex<Option<(f64, Vec<f64>)>>,
-    has_incumbent: AtomicBool,
     nodes: AtomicU64,
     numerical_failures: AtomicU32,
     stop: Mutex<Option<Stop>>,
@@ -230,7 +232,6 @@ impl Shared<'_> {
         }
         *guard = Some((obj_min, x));
         self.cutoff.fetch_min(pack(obj_min), Ordering::Relaxed);
-        self.has_incumbent.store(true, Ordering::Relaxed);
         true
     }
 
@@ -341,16 +342,9 @@ impl NodeObserver<'_> {
         }
     }
 
-    /// An incumbent `obj_min` found at node `id` was accepted while the
-    /// global dual bound stood at `bound_min`.
-    fn incumbent(
-        &mut self,
-        obj_min: f64,
-        bound_min: f64,
-        id: u64,
-        depth: u32,
-        src: IncumbentSource,
-    ) {
+    /// The integral LP `obj_min` of node `id` was accepted as the incumbent
+    /// while the global dual bound stood at `bound_min`.
+    fn incumbent(&mut self, obj_min: f64, bound_min: f64, id: u64, depth: u32) {
         let sign = self.shared.sign;
         let obj = sign * obj_min;
         if let Some(bb) = &self.blackbox {
@@ -360,7 +354,15 @@ impl NodeObserver<'_> {
         self.incumbents += 1;
         if let Some(rec) = self.progress {
             let nodes = self.shared.nodes.load(Ordering::Relaxed);
-            rec.record_incumbent(obj, sign * bound_min, nodes, id, depth, self.tid, src);
+            rec.record_incumbent(
+                obj,
+                sign * bound_min,
+                nodes,
+                id,
+                depth,
+                self.tid,
+                IncumbentSource::IntegralLp,
+            );
         }
     }
 }
@@ -376,7 +378,7 @@ struct WorkerOut {
     telemetry: Telemetry,
     /// Wall time between worker entry and exit.
     wall: Duration,
-    /// Time inside LP solves (`solve`/`solve_warm`/dive heuristic).
+    /// Time inside node LP solves (`solve_warm` and its numerical retry).
     lp_time: Duration,
     /// Time blocked on the pool condvar (mirror of `Shared::worker_wait_ns`).
     wait: Duration,
@@ -419,7 +421,6 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
     let cutoff_min: Option<f64> = opts.cutoff.map(|c| sign * c);
 
     let shared = Shared {
-        model,
         opts,
         lp_min,
         sign,
@@ -439,7 +440,6 @@ pub(crate) fn solve(model: &MipModel, opts: &MipOptions, threads: usize) -> MipR
             .collect(),
         worker_wait_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         incumbent: Mutex::new(None),
-        has_incumbent: AtomicBool::new(false),
         nodes: AtomicU64::new(0),
         numerical_failures: AtomicU32::new(0),
         stop: Mutex::new(None),
@@ -776,13 +776,7 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                 if shared.offer_incumbent(lp_obj, sol.x) {
                     shared.worker_bounds[wid].store(pack(f64::INFINITY), Ordering::Relaxed);
                     let b = shared.bound_or(lp_obj);
-                    obs.incumbent(
-                        lp_obj,
-                        b,
-                        node_id,
-                        current.depth,
-                        IncumbentSource::IntegralLp,
-                    );
+                    obs.incumbent(lp_obj, b, node_id, current.depth);
                     if rel_gap(lp_obj, b) <= REL_GAP {
                         shared.request_stop(Stop::GapOptimal(b));
                     }
@@ -800,65 +794,6 @@ fn worker(shared: &Shared, wid: usize) -> WorkerOut {
                     beat - prune_eps(beat),
                     &mut reduced_costs,
                 );
-            }
-
-            // Primal heuristics: a one-shot rounding test, and (on a
-            // schedule) an iterative rounding dive. Any bound mutations the
-            // dive makes are overwritten when the next node applies its own
-            // bounds.
-            if !shared.has_incumbent.load(Ordering::Relaxed) {
-                let mut rounded = sol.x.clone();
-                for &j in int_vars {
-                    rounded[j] = rounded[j].round();
-                }
-                if shared.lp_min.max_violation(&rounded) < 1e-7 {
-                    let obj = shared.lp_min.eval_objective(&rounded);
-                    if shared.offer_incumbent(obj, rounded) {
-                        let b = shared.bound_or(current.bound);
-                        obs.incumbent(obj, b, node_id, current.depth, IncumbentSource::Rounding);
-                    }
-                }
-            }
-            let dive_period = if shared.has_incumbent.load(Ordering::Relaxed) {
-                200
-            } else {
-                10
-            };
-            if node_id % dive_period == 1 {
-                let budget = int_vars.len() + 10;
-                let lp_start = Instant::now();
-                let dived = dive_heuristic(&mut simplex, int_vars, budget);
-                lp_time += lp_start.elapsed();
-                if let Some((obj, x)) = dived {
-                    if shared.model.max_integrality_violation(&x) <= INT_TOL * 10.0
-                        && shared.offer_incumbent(obj, x)
-                    {
-                        let b = shared.bound_or(current.bound);
-                        obs.incumbent(obj, b, node_id, current.depth, IncumbentSource::Dive);
-                        if rel_gap(obj, b) <= REL_GAP {
-                            obs.close(node_id, &current, NodeOutcome::PrunedBound);
-                            shared.request_stop(Stop::GapOptimal(b));
-                            break;
-                        }
-                    }
-                }
-                // Restore this node's bounds and re-solve so branching below
-                // uses the node's own relaxation. The dive left the basis
-                // near-optimal, so this is cheap.
-                for (k, &j) in int_vars.iter().enumerate() {
-                    let (lo, up) = current.bounds[k];
-                    simplex.set_var_bounds(j, lo, up);
-                }
-                let lp_start = Instant::now();
-                let restored = simplex.solve_warm();
-                lp_time += lp_start.elapsed();
-                if restored != LpStatus::Optimal {
-                    // Should not happen (this exact LP solved above); requeue
-                    // conservatively.
-                    obs.close(node_id, &current, NodeOutcome::Numerical);
-                    shared.requeue(current);
-                    break;
-                }
             }
 
             // Branch: down (x <= floor) and up (x >= ceil) children. Dive

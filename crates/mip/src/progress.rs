@@ -30,15 +30,11 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which primal mechanism produced an incumbent.
+/// Where an incumbent came from: the search itself, or the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncumbentSource {
     /// The node's LP relaxation was integer feasible.
     IntegralLp,
-    /// The one-shot rounding heuristic.
-    Rounding,
-    /// The iterative rounding dive heuristic.
-    Dive,
     /// The caller-provided cutoff, recorded at solve start as the initial
     /// value to beat.
     Cutoff,
@@ -49,8 +45,6 @@ impl IncumbentSource {
     pub fn as_str(self) -> &'static str {
         match self {
             IncumbentSource::IntegralLp => "integral_lp",
-            IncumbentSource::Rounding => "rounding",
-            IncumbentSource::Dive => "dive",
             IncumbentSource::Cutoff => "cutoff",
         }
     }
@@ -458,8 +452,8 @@ mod tests {
     #[test]
     fn incumbents_must_improve() {
         let r = recorder();
-        r.record_incumbent(10.0, 30.0, 1, 1, 0, 0, IncumbentSource::Rounding);
-        r.record_incumbent(9.0, 30.0, 2, 2, 1, 0, IncumbentSource::Dive); // worse: dropped
+        r.record_incumbent(10.0, 30.0, 1, 1, 0, 0, IncumbentSource::IntegralLp);
+        r.record_incumbent(9.0, 30.0, 2, 2, 1, 0, IncumbentSource::IntegralLp); // worse: dropped
         r.record_incumbent(12.0, 28.0, 3, 3, 1, 0, IncumbentSource::IntegralLp);
         let ev = r.events();
         assert_eq!(ev.len(), 2);
@@ -486,7 +480,7 @@ mod tests {
     #[test]
     fn bounds_clamp_at_the_incumbent() {
         let r = recorder();
-        r.record_incumbent(10.0, 30.0, 1, 1, 0, 0, IncumbentSource::Rounding);
+        r.record_incumbent(10.0, 30.0, 1, 1, 0, 0, IncumbentSource::IntegralLp);
         // An open-node bound that crossed the incumbent reports the proof,
         // not a contradiction.
         r.offer_bound(9.5, 2, 2, 1, 0);
@@ -506,15 +500,15 @@ mod tests {
         r.offer_bound(5.0, 1, 1, 0, 0);
         r.offer_bound(7.0, 2, 2, 0, 0); // tighter lower bound when minimizing
         r.offer_bound(6.0, 3, 3, 0, 0); // looser: dropped
-        r.record_incumbent(20.0, 7.0, 3, 3, 0, 0, IncumbentSource::Rounding);
-        r.record_incumbent(15.0, 7.0, 4, 4, 0, 0, IncumbentSource::Dive);
+        r.record_incumbent(20.0, 7.0, 3, 3, 0, 0, IncumbentSource::IntegralLp);
+        r.record_incumbent(15.0, 7.0, 4, 4, 0, 0, IncumbentSource::IntegralLp);
         assert_eq!(r.len(), 4);
     }
 
     #[test]
     fn jsonl_has_no_wall_times_and_stable_fields() {
         let r = recorder();
-        r.record_incumbent(10.0, f64::INFINITY, 2, 2, 1, 0, IncumbentSource::Rounding);
+        r.record_incumbent(10.0, f64::INFINITY, 2, 2, 1, 0, IncumbentSource::IntegralLp);
         r.offer_bound(25.0, 3, 3, 2, 0);
         let mut buf = Vec::new();
         r.write_jsonl(&mut buf).unwrap();
@@ -524,7 +518,7 @@ mod tests {
         assert_eq!(
             lines[0],
             "{\"seq\":0,\"event\":\"incumbent\",\"nodes\":2,\"node\":2,\"depth\":1,\
-             \"thread\":0,\"source\":\"rounding\",\"incumbent\":10,\"bound\":null,\"gap\":null}"
+             \"thread\":0,\"source\":\"integral_lp\",\"incumbent\":10,\"bound\":null,\"gap\":null}"
         );
         assert_eq!(
             lines[1],
@@ -550,7 +544,7 @@ mod tests {
     fn summary_counts_and_ttfi_skips_cutoff() {
         let r = recorder();
         r.record_incumbent(8.0, f64::INFINITY, 0, 0, 0, 0, IncumbentSource::Cutoff);
-        r.record_incumbent(10.0, 30.0, 2, 2, 1, 0, IncumbentSource::Rounding);
+        r.record_incumbent(10.0, 30.0, 2, 2, 1, 0, IncumbentSource::IntegralLp);
         r.offer_bound(20.0, 3, 3, 1, 0);
         let s = r.summary(Duration::from_millis(10), true);
         assert_eq!(s.incumbents, 2);
@@ -575,7 +569,7 @@ mod tests {
     #[test]
     fn begin_resets_the_stream() {
         let r = recorder();
-        r.record_incumbent(10.0, 30.0, 1, 1, 0, 0, IncumbentSource::Dive);
+        r.record_incumbent(10.0, 30.0, 1, 1, 0, 0, IncumbentSource::IntegralLp);
         assert!(!r.is_empty());
         r.begin(false);
         assert!(r.is_empty());

@@ -486,12 +486,14 @@ fn csigma_node_warm_starts_never_fall_back_to_primal() {
             "threads {threads}: an LP took the primal entry"
         );
         assert_eq!(snap.counter("lp.primal_iters"), 0, "threads {threads}");
+        // Every counted node is one LP solve.
+        assert_eq!(snap.counter("lp.solves"), r.nodes, "threads {threads}");
     }
 }
 
 /// Reduced-cost fixing fires on a deep cΣ proof (`small`, seed 7, +1 h)
 /// once the first incumbent exists, and the proof still reaches the
-/// optimum.
+/// optimum with one LP solve per node.
 #[test]
 fn reduced_cost_fixing_keeps_a_deep_csigma_optimum() {
     use tvnep_core::{build_model, BuildOptions, Formulation, Objective};
@@ -514,5 +516,7 @@ fn reduced_cost_fixing_keeps_a_deep_csigma_optimum() {
     assert_eq!(r.status, MipStatus::Optimal);
     let obj = r.objective.expect("optimal has an objective");
     assert!((obj - 22.802982182306607).abs() < 1e-9, "objective {obj}");
-    assert!(telemetry.snapshot().counter("mip.rc_fixings") > 0);
+    let snap = telemetry.snapshot();
+    assert!(snap.counter("mip.rc_fixings") > 0);
+    assert_eq!(snap.counter("lp.solves"), r.nodes, "one LP per node");
 }
