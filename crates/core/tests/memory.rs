@@ -5,7 +5,8 @@
 //!
 //! Single test function on purpose: the allocation counters are
 //! process-global, and the default test harness runs `#[test]` functions
-//! concurrently.
+//! concurrently. The exact checks read the test thread's own counters, as
+//! the harness's thread allocates while the test runs.
 
 use tvnep_core::{build_model, BuildOptions, Formulation, Objective};
 use tvnep_telemetry::{alloc, MemProbe};
@@ -66,7 +67,7 @@ fn allocator_accounts_for_delta_model_build() {
         );
         built.mip.relaxation_min()
     };
-    let live_before_simplex = alloc::stats().live_bytes;
+    let live_before_simplex = alloc::thread_stats().net_bytes;
     let mut simplex = tvnep_lp::Simplex::new(&lp);
     let fresh_bytes = simplex.memory_bytes() as u64;
     simplex.solve();
@@ -77,12 +78,12 @@ fn allocator_accounts_for_delta_model_build() {
          fresh {fresh_bytes} B, solved {solved_bytes} B"
     );
     // The gauge counts every heap block the solver holds, and nothing else:
-    // the allocator's live counter grew by exactly the reported bytes, so an
-    // array left out of `memory_bytes` fails here.
-    let live_with_simplex = alloc::stats().live_bytes;
+    // the live bytes of the thread that built and solved it grew by exactly
+    // the reported bytes, so an array left out of `memory_bytes` fails here.
+    let live_with_simplex = alloc::thread_stats().net_bytes;
     assert_eq!(
         live_with_simplex - live_before_simplex,
-        solved_bytes,
+        solved_bytes as i64,
         "the solver holds {} B live but reports {solved_bytes} B",
         live_with_simplex - live_before_simplex
     );
@@ -107,10 +108,10 @@ fn allocator_accounts_for_delta_model_build() {
         simplex.set_telemetry(telemetry);
         // The first solve registers the metric names.
         assert_eq!(simplex.solve_warm(), tvnep_lp::LpStatus::Optimal);
-        let allocs = alloc::stats().allocs;
+        let allocs = alloc::thread_stats().allocs;
         assert_eq!(simplex.solve_warm(), tvnep_lp::LpStatus::Optimal);
         assert_eq!(
-            alloc::stats().allocs - allocs,
+            alloc::thread_stats().allocs - allocs,
             0,
             "{mode}: a warm re-solve of an optimal LP allocated"
         );

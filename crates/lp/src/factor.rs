@@ -264,6 +264,42 @@ impl LuFactors {
         true
     }
 
+    /// Sets the factors of the all-slack basis `B = −I` of dimension `m`
+    /// directly: identity permutations, a `−1` diagonal and empty `L` and
+    /// `U`, which is what [`LuFactors::factorize`] produces for it (every
+    /// step pivots on the lowest singleton column). The elimination
+    /// workspace is neither used nor sized.
+    fn factorize_slack(&mut self, m: usize) {
+        self.m = m;
+        self.u_diag_ratio = 1.0;
+        for perm in [
+            &mut self.rowperm,
+            &mut self.rowpos,
+            &mut self.colperm,
+            &mut self.colpos,
+        ] {
+            perm.clear();
+            perm.extend(0..m);
+        }
+        for ptr in [&mut self.l_ptr, &mut self.u_ptr, &mut self.ur_ptr] {
+            ptr.clear();
+            ptr.resize(m + 1, 0);
+        }
+        for idx in [
+            &mut self.l_idx,
+            &mut self.u_idx,
+            &mut self.ur_idx,
+            &mut self.l_nonempty,
+        ] {
+            idx.clear();
+        }
+        self.l_val.clear();
+        self.u_val.clear();
+        self.ur_val.clear();
+        self.u_diag.clear();
+        self.u_diag.resize(m, -1.0);
+    }
+
     /// Solves `B x = b` in place by the plain sweep over all `m` pivot
     /// steps. On entry `x[r]` is the rhs indexed by *original row* `r`; on
     /// return `x[i]` is the solution indexed by *basis position* `i`. `work`
@@ -1127,10 +1163,23 @@ impl BasisFactor {
     /// (Re-)factorizes the basis, dropping the eta file. Returns `false` on
     /// a singular basis, in which case the previous factorization is lost
     /// and [`BasisFactor::is_ready`] turns false.
+    ///
+    /// A basis whose column at every position `i` is `−e_i` (the all-slack
+    /// basis of the simplex engine) gets its factors set directly, without
+    /// the elimination; they are the ones the elimination would produce.
     pub fn factorize(&mut self, cols: &CscMatrix, basis: &[usize]) -> bool {
         self.etas.clear();
         self.ws.resize(basis.len());
-        self.ready = self.lu.factorize(cols, basis);
+        let slack = basis
+            .iter()
+            .enumerate()
+            .all(|(i, &j)| cols.column(j) == (&[i][..], &[-1.0][..]));
+        self.ready = if slack {
+            self.lu.factorize_slack(basis.len());
+            true
+        } else {
+            self.lu.factorize(cols, basis)
+        };
         self.ready
     }
 
@@ -1442,6 +1491,76 @@ mod tests {
                 let expect: Vec<usize> = expect.into_iter().take(k).map(|(_, j)| j).collect();
                 assert_eq!(out, expect, "case {case} (m = {m}) step {step}");
             }
+        }
+    }
+
+    /// The all-slack basis `−I` gets from the direct path the factors the
+    /// elimination produces, and the same solves bit for bit, without the
+    /// elimination workspace.
+    #[test]
+    fn slack_factors_equal_the_elimination() {
+        for m in [1, 7, 150] {
+            let mut cols = CscMatrix::empty(m);
+            // A structural column first, so the basis is not `0..m`.
+            cols.push_column(&[(0, 2.0)]);
+            for i in 0..m {
+                cols.push_column(&[(i, -1.0)]);
+            }
+            let basis: Vec<usize> = (1..=m).collect();
+            let mut lu = LuFactors::default();
+            assert!(lu.factorize(&cols, &basis));
+            let mut eliminated = BasisFactor {
+                lu,
+                ready: true,
+                ..BasisFactor::default()
+            };
+            eliminated.ws.resize(m);
+            let mut direct = BasisFactor::default();
+            assert!(direct.factorize(&cols, &basis));
+            let (a, b) = (&eliminated.lu, &direct.lu);
+            assert_eq!(a.row_perm(), b.row_perm(), "m = {m}");
+            assert_eq!(a.col_perm(), b.col_perm(), "m = {m}");
+            assert_eq!((&a.rowpos, &a.colpos), (&b.rowpos, &b.colpos), "m = {m}");
+            for k in 0..m {
+                assert_eq!(a.l_column(k), b.l_column(k), "m = {m}, step {k}");
+                assert_eq!(a.u_column(k), b.u_column(k), "m = {m}, step {k}");
+            }
+            assert_eq!((&a.ur_ptr, &a.ur_idx), (&b.ur_ptr, &b.ur_idx), "m = {m}");
+            assert_eq!(a.l_nonempty, b.l_nonempty, "m = {m}");
+            let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.u_diag()), bits(b.u_diag()), "m = {m}");
+            assert_eq!(
+                a.u_diag_ratio().to_bits(),
+                b.u_diag_ratio().to_bits(),
+                "m = {m}"
+            );
+            assert_eq!(a.hypersparse(), b.hypersparse(), "m = {m}");
+            // FTRAN and BTRAN of every unit vector, dense and hypersparse.
+            for i in 0..m {
+                let mut out = Vec::new();
+                for f in [&mut eliminated, &mut direct] {
+                    let mut e = vec![0.0; m];
+                    e[i] = 1.0;
+                    let (mut x, mut y, mut xs, mut ys) = (e.clone(), e.clone(), e.clone(), e);
+                    let (mut x_support, mut y_support) = (Vec::new(), Vec::new());
+                    f.ftran(&mut x);
+                    f.btran(&mut y);
+                    f.ftran_sparse(&mut xs, &[i], &mut x_support);
+                    f.btran_sparse(&mut ys, &[i], &mut y_support);
+                    out.push((
+                        bits(&x),
+                        bits(&y),
+                        bits(&xs),
+                        bits(&ys),
+                        x_support,
+                        y_support,
+                    ));
+                }
+                assert_eq!(out[0], out[1], "m = {m}, unit vector {i}");
+            }
+            assert_eq!(direct.lu.elim.memory_bytes(), 0, "m = {m}");
+            assert!(eliminated.lu.elim.memory_bytes() > 0, "m = {m}");
+            assert!(direct.memory_bytes() < eliminated.memory_bytes(), "m = {m}");
         }
     }
 

@@ -5,8 +5,6 @@
 //! `[b, ∞)` and `= b` is `[b, b]`. Maximization is handled by callers negating
 //! the objective (the MIP layer does this).
 
-use crate::sparse::{CscMatrix, TripletMatrix};
-
 /// Positive infinity used to mark absent bounds.
 pub const INF: f64 = f64::INFINITY;
 
@@ -20,17 +18,35 @@ pub struct RowId(pub usize);
 
 /// A linear program in "computational form": bounds on variables and on row
 /// activities.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LpProblem {
     obj: Vec<f64>,
     var_lo: Vec<f64>,
     var_up: Vec<f64>,
     row_lo: Vec<f64>,
     row_up: Vec<f64>,
-    /// Rows as sparse (column, coefficient) lists.
-    rows: Vec<Vec<(usize, f64)>>,
+    /// Row `i` holds `terms[row_ptr[i]..row_ptr[i + 1]]`.
+    row_ptr: Vec<usize>,
+    /// Every row's `(column, coefficient)` terms, row after row, each row
+    /// sorted by column with no repeated column and no zero.
+    terms: Vec<(usize, f64)>,
     /// Constant added to the objective value (useful after presolve).
     obj_offset: f64,
+}
+
+impl Default for LpProblem {
+    fn default() -> Self {
+        Self {
+            obj: Vec::new(),
+            var_lo: Vec::new(),
+            var_up: Vec::new(),
+            row_lo: Vec::new(),
+            row_up: Vec::new(),
+            row_ptr: vec![0],
+            terms: Vec::new(),
+            obj_offset: 0.0,
+        }
+    }
 }
 
 impl LpProblem {
@@ -49,33 +65,40 @@ impl LpProblem {
         VarId(self.obj.len() - 1)
     }
 
-    /// Adds a row with activity bounds `[lo, up]` over the given terms.
-    /// Duplicate variable references within one row are summed.
+    /// Adds a row with activity bounds `[lo, up]` over the given terms,
+    /// appended to the row store and tidied there: zero coefficients are
+    /// skipped, the terms sorted by column, duplicate variable references
+    /// summed in that order and terms that sum to zero dropped.
     pub fn add_row(&mut self, lo: f64, up: f64, terms: &[(VarId, f64)]) -> RowId {
         assert!(lo <= up, "row bounds crossed: [{lo}, {up}]");
-        let mut entries: Vec<(usize, f64)> = terms
-            .iter()
-            .filter(|&&(_, c)| c != 0.0)
-            .map(|&(VarId(j), c)| {
+        let start = self.terms.len();
+        for &(VarId(j), c) in terms {
+            if c != 0.0 {
                 assert!(j < self.num_vars(), "row references unknown variable");
                 assert!(c.is_finite(), "non-finite row coefficient");
-                (j, c)
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(j, _)| j);
-        entries.dedup_by(|b, a| {
-            if a.0 == b.0 {
-                a.1 += b.1;
-                true
-            } else {
-                false
+                self.terms.push((j, c));
             }
-        });
-        entries.retain(|&(_, c)| c != 0.0);
-        self.rows.push(entries);
+        }
+        self.terms[start..].sort_unstable_by_key(|&(j, _)| j);
+        let mut end = start;
+        let mut k = start;
+        while k < self.terms.len() {
+            let (j, mut sum) = self.terms[k];
+            k += 1;
+            while k < self.terms.len() && self.terms[k].0 == j {
+                sum += self.terms[k].1;
+                k += 1;
+            }
+            if sum != 0.0 {
+                self.terms[end] = (j, sum);
+                end += 1;
+            }
+        }
+        self.terms.truncate(end);
+        self.row_ptr.push(end);
         self.row_lo.push(lo);
         self.row_up.push(up);
-        RowId(self.rows.len() - 1)
+        RowId(self.row_lo.len() - 1)
     }
 
     /// Convenience: `terms ≤ rhs`.
@@ -123,24 +146,21 @@ impl LpProblem {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.row_lo.len()
     }
 
     /// Heap bytes held by the problem data (vector capacities): objective,
-    /// bound arrays, and the per-row sparse term lists. Feeds the
-    /// `mem.mip.model_bytes` gauge.
+    /// bound arrays and the row store. Feeds the `mem.mip.model_bytes`
+    /// gauge.
     pub fn memory_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        let term = std::mem::size_of::<(usize, f64)>();
-        let row_vec = std::mem::size_of::<Vec<(usize, f64)>>();
         (self.obj.capacity()
             + self.var_lo.capacity()
             + self.var_up.capacity()
             + self.row_lo.capacity()
             + self.row_up.capacity())
-            * f
-            + self.rows.capacity() * row_vec
-            + self.rows.iter().map(|r| r.capacity() * term).sum::<usize>()
+            * std::mem::size_of::<f64>()
+            + self.row_ptr.capacity() * std::mem::size_of::<usize>()
+            + self.terms.capacity() * std::mem::size_of::<(usize, f64)>()
     }
 
     /// Objective coefficients.
@@ -168,20 +188,14 @@ impl LpProblem {
         &self.row_up
     }
 
-    /// The terms of row `r`.
+    /// The terms of row `r`, sorted by column.
     pub fn row(&self, r: RowId) -> &[(usize, f64)] {
-        &self.rows[r.0]
+        &self.terms[self.row_ptr[r.0]..self.row_ptr[r.0 + 1]]
     }
 
-    /// Builds the column-wise constraint matrix.
-    pub fn matrix(&self) -> CscMatrix {
-        let mut t = TripletMatrix::new(self.num_rows(), self.num_vars());
-        for (i, row) in self.rows.iter().enumerate() {
-            for &(j, c) in row {
-                t.push(i, j, c);
-            }
-        }
-        t.to_csc()
+    /// The row store: row `i` is `terms[row_ptr[i]..row_ptr[i + 1]]`.
+    pub(crate) fn row_store(&self) -> (&[usize], &[(usize, f64)]) {
+        (&self.row_ptr, &self.terms)
     }
 
     /// Objective value of a point (including offset); no feasibility check.
@@ -197,8 +211,8 @@ impl LpProblem {
         for ((&xj, &lo), &up) in x.iter().zip(&self.var_lo).zip(&self.var_up) {
             worst = worst.max(lo - xj).max(xj - up);
         }
-        for (i, row) in self.rows.iter().enumerate() {
-            let act: f64 = row.iter().map(|&(j, c)| c * x[j]).sum();
+        for i in 0..self.num_rows() {
+            let act: f64 = self.row(RowId(i)).iter().map(|&(j, c)| c * x[j]).sum();
             worst = worst.max(self.row_lo[i] - act).max(act - self.row_up[i]);
         }
         worst.max(0.0)
@@ -218,17 +232,26 @@ mod tests {
         lp.add_eq(&[(x, 2.0)], 4.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_rows(), 2);
-        assert_eq!(lp.matrix().nnz(), 3);
+        assert_eq!(
+            lp.row_store(),
+            (&[0, 2, 3][..], &[(0, 1.0), (1, 1.0), (0, 2.0)][..])
+        );
         assert_eq!(lp.row_lower()[0], -INF);
         assert_eq!(lp.row_upper()[1], 4.0);
     }
 
+    /// Terms come out sorted by column, duplicates summed, in every row of
+    /// the store.
     #[test]
     fn duplicate_terms_merge() {
         let mut lp = LpProblem::new();
         let x = lp.add_var(0.0, 1.0, 0.0);
+        let y = lp.add_var(0.0, 1.0, 0.0);
         let r = lp.add_le(&[(x, 1.0), (x, 2.0)], 5.0);
         assert_eq!(lp.row(r), &[(0, 3.0)]);
+        let r = lp.add_le(&[(y, 4.0), (x, 1.0), (y, -1.0), (x, 2.0)], 5.0);
+        assert_eq!(lp.row(r), &[(0, 3.0), (1, 3.0)]);
+        assert_eq!(lp.row(RowId(0)), &[(0, 3.0)]);
     }
 
     #[test]
@@ -238,6 +261,28 @@ mod tests {
         let y = lp.add_var(0.0, 1.0, 0.0);
         let r = lp.add_le(&[(x, 1.0), (x, -1.0), (y, 1.0)], 5.0);
         assert_eq!(lp.row(r), &[(1, 1.0)]);
+        let r = lp.add_le(&[(y, 1.5), (x, 2.0), (y, -1.5)], 5.0);
+        assert_eq!(lp.row(r), &[(0, 2.0)]);
+    }
+
+    /// A zero coefficient is no term; a row of them is an empty row, and
+    /// the rows after it keep their own terms.
+    #[test]
+    fn zero_terms_are_skipped() {
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(0.0, 1.0, 0.0);
+        let empty = lp.add_le(&[(x, 0.0)], 1.0);
+        let r = lp.add_le(&[(x, 0.0), (x, 2.0)], 1.0);
+        assert_eq!(lp.row(empty), &[]);
+        assert_eq!(lp.row(r), &[(0, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown variable")]
+    fn unknown_variable_rejected() {
+        let mut lp = LpProblem::new();
+        lp.add_var(0.0, 1.0, 0.0);
+        lp.add_le(&[(VarId(1), 1.0)], 1.0);
     }
 
     #[test]

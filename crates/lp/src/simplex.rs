@@ -215,8 +215,7 @@ pub struct Simplex {
     n_total: usize,
     /// `m × n_total` matrix: structural columns then `−1`-diagonal slacks.
     cols: CscMatrix,
-    /// The same matrix stored by rows (`cols` transposed), for the dual
-    /// simplex's pivot row.
+    /// The same matrix stored by rows, for the dual simplex's pivot row.
     rows: CscMatrix,
     obj: Vec<f64>,
     /// Slightly perturbed costs used for *pricing only*: the TVNEP LPs have
@@ -253,6 +252,10 @@ pub struct Simplex {
     /// of the last FTRAN spike.
     w_support: Vec<usize>,
     scratch_y: Vec<f64>,
+    /// `scratch_y` holds the true-cost duals `c_Bᵀ B⁻¹` of the current
+    /// basis and factors (see [`Simplex::true_duals`]); any other BTRAN of
+    /// costs, pivot, refactorization or new basis clears it.
+    duals_current: bool,
     /// Basic-cost vector consumed by [`Simplex::btran_costs`] (length `m`).
     scratch_cb: Vec<f64>,
     /// Dual-simplex reduced costs (length `n_total`).
@@ -322,18 +325,10 @@ impl Simplex {
         let m = problem.num_rows();
         let n_struct = problem.num_vars();
         let n_total = n_struct + m;
-        let mut cols = CscMatrix::empty(m);
-        let a = problem.matrix();
-        for j in 0..n_struct {
-            let (rows, vals) = a.column(j);
-            let entries: Vec<(usize, f64)> =
-                rows.iter().copied().zip(vals.iter().copied()).collect();
-            cols.push_column(&entries);
-        }
-        for i in 0..m {
-            cols.push_column(&[(i, -1.0)]);
-        }
-        let mut obj = problem.objective().to_vec();
+        let (row_ptr, terms) = problem.row_store();
+        let (cols, rows) = CscMatrix::with_slacks(n_struct, row_ptr, terms);
+        let mut obj = Vec::with_capacity(n_total);
+        obj.extend_from_slice(problem.objective());
         obj.resize(n_total, 0.0);
         // Deterministic tiny perturbation (splitmix64 per index).
         let obj_pert: Vec<f64> = obj
@@ -350,12 +345,8 @@ impl Simplex {
                 c + sign * eps
             })
             .collect();
-        let mut lo = problem.var_lower().to_vec();
-        let mut up = problem.var_upper().to_vec();
-        lo.extend_from_slice(problem.row_lower());
-        up.extend_from_slice(problem.row_upper());
-
-        let rows = cols.transpose();
+        let lo = [problem.var_lower(), problem.row_lower()].concat();
+        let up = [problem.var_upper(), problem.row_upper()].concat();
         let mut alpha_touched = BitSet::default();
         alpha_touched.resize(n_total);
         let mut s = Self {
@@ -382,6 +373,7 @@ impl Simplex {
             scratch_w: vec![0.0; m],
             w_support: Vec::with_capacity(m),
             scratch_y: vec![0.0; m],
+            duals_current: false,
             scratch_cb: vec![0.0; m],
             scratch_d: vec![0.0; n_total],
             scratch_rho: vec![0.0; m],
@@ -505,14 +497,15 @@ impl Simplex {
         self.basis.clear();
         self.basis.extend(self.n_struct..self.n_total);
         self.status.clear();
-        for j in 0..self.n_total {
-            self.status.push(if j >= self.n_struct {
+        self.status.extend((0..self.n_total).map(|j| {
+            if j >= self.n_struct {
                 VarStatus::Basic
             } else {
                 Self::resting_status(self.lo[j], self.up[j])
-            });
-        }
+            }
+        }));
         self.factor.invalidate();
+        self.duals_current = false;
     }
 
     fn resting_status(lo: f64, up: f64) -> VarStatus {
@@ -569,6 +562,7 @@ impl Simplex {
             "recorded basis has the wrong size"
         );
         self.factor.invalidate();
+        self.duals_current = false;
     }
 
     /// Re-clamps nonbasic statuses after bound changes: a status pointing at
@@ -604,6 +598,7 @@ impl Simplex {
     /// flight recorder attached, a `Refactor` event and the verdict in the
     /// recorder's health register.
     fn refactorize(&mut self, cause: RefactorCause) -> bool {
+        self.duals_current = false;
         let t0 = self.spans_on.then(Instant::now);
         let ok = self.factor.factorize(&self.cols, &self.basis);
         if let Some(t0) = t0 {
@@ -710,6 +705,7 @@ impl Simplex {
     /// `y = c_B' B⁻¹` into `scratch_y`, with `c_B` read from `scratch_cb`
     /// (filled by [`Simplex::fill_basic_costs`]).
     fn btran_costs(&mut self) {
+        self.duals_current = false;
         let t0 = self.spans_on.then(Instant::now);
         let m = self.m;
         self.scratch_y[..m].copy_from_slice(&self.scratch_cb[..m]);
@@ -717,6 +713,17 @@ impl Simplex {
         if let Some(t0) = t0 {
             self.kernels.btran_ns += t0.elapsed().as_nanos() as u64;
             self.kernels.btran_calls += 1;
+        }
+    }
+
+    /// The true-cost duals `y = c_Bᵀ B⁻¹` into `scratch_y`, unless it holds
+    /// them already: the optimality check that ends a solve leaves them
+    /// there, and reduced-cost fixing reads them with no second BTRAN.
+    fn true_duals(&mut self) {
+        if !self.duals_current {
+            self.fill_basic_costs(false, false);
+            self.btran_costs();
+            self.duals_current = true;
         }
     }
 
@@ -750,6 +757,7 @@ impl Simplex {
         // the classic product-form error-amplification signal.
         self.stats.record_eta(eta_max * inv_piv.abs());
         self.pivots_since_refactor += 1;
+        self.duals_current = false;
     }
 
     /// Total bound violation of the basic variables.
@@ -957,8 +965,7 @@ impl Simplex {
 
     /// True if any nonbasic variable has an improving reduced cost (phase 2).
     fn has_improving_direction(&mut self) -> bool {
-        self.fill_basic_costs(false, false);
-        self.btran_costs();
+        self.true_duals();
         let tol = OPT_TOL * 100.0;
         for j in 0..self.n_total {
             if self.status[j] == VarStatus::Basic || self.lo[j] == self.up[j] {
@@ -1583,12 +1590,12 @@ impl Simplex {
 
     /// The status and true-cost (unperturbed) reduced cost `d_j = c_j − yᵀA_j`
     /// of each structural column in `cols`, in order, into `out` (cleared
-    /// first); a basic column reads `d_j = 0`. One BTRAN plus one column dot
-    /// per nonbasic column. Call after a solve that returned
+    /// first); a basic column reads `d_j = 0`. One column dot per nonbasic
+    /// column, on the duals the solve's optimality check computed (a BTRAN
+    /// only when the basis changed since). Call after a solve that returned
     /// [`LpStatus::Optimal`]: the duals are then the optimal basis's.
     pub fn reduced_costs(&mut self, cols: &[usize], out: &mut Vec<(VarStatus, f64)>) {
-        self.fill_basic_costs(false, false);
-        self.btran_costs();
+        self.true_duals();
         out.clear();
         out.extend(cols.iter().map(|&j| {
             assert!(j < self.n_struct, "column {j} is not structural");
@@ -1676,7 +1683,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::TripletMatrix;
+    use crate::problem::VarId;
 
     /// splitmix64, the repo-wide test RNG.
     fn splitmix(state: &mut u64) -> u64 {
@@ -1701,14 +1708,22 @@ mod tests {
         for case in 0..200 {
             let m = 1 + (splitmix(&mut rng) % 40) as usize;
             let n = 1 + (splitmix(&mut rng) % 80) as usize;
-            let mut t = TripletMatrix::new(m, n);
+            let mut dense = vec![vec![0.0; n]; m];
             for _ in 0..(splitmix(&mut rng) % (3 * n as u64 + 1)) {
                 let r = (splitmix(&mut rng) % m as u64) as usize;
                 let c = (splitmix(&mut rng) % n as u64) as usize;
-                t.push(r, c, VALS[(splitmix(&mut rng) % 12) as usize]);
+                dense[r][c] = VALS[(splitmix(&mut rng) % 12) as usize];
             }
-            let a = t.to_csc();
-            let rows = a.transpose();
+            // `A` by columns and by rows, each list ascending.
+            let (mut a, mut rows) = (CscMatrix::empty(m), CscMatrix::empty(n));
+            for c in 0..n {
+                let col: Vec<_> = dense.iter().map(|row| row[c]).enumerate().collect();
+                a.push_column(&col);
+            }
+            for row in &dense {
+                let row: Vec<_> = row.iter().copied().enumerate().collect();
+                rows.push_column(&row);
+            }
             // A sparse ρ with a few exact zeros inside its support.
             let mut rho = vec![0.0; m];
             let mut support = Vec::new();
@@ -1756,5 +1771,77 @@ mod tests {
             touched.drain(|j| panic!("case {case}: column {j} left marked"));
         }
         assert!(touched_total > 1000, "only {touched_total} touched columns");
+    }
+
+    /// `Simplex::new` lays out `[A −I]` by columns and by rows as a dense
+    /// sum of the terms says, on random problems with duplicate terms,
+    /// terms that cancel, empty rows and empty columns. Dyadic values keep
+    /// every sum exact, whatever its order.
+    #[test]
+    fn engine_matrices_match_a_dense_reference() {
+        const VALS: [f64; 8] = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0];
+        let entries = |(idx, vals): (&[usize], &[f64])| -> Vec<(usize, f64)> {
+            idx.iter().copied().zip(vals.iter().copied()).collect()
+        };
+        let mut rng = 17u64;
+        let (mut empty_rows, mut empty_cols, mut cancelled) = (0, 0, 0);
+        for case in 0..100 {
+            let m = (splitmix(&mut rng) % 30) as usize;
+            let n = 1 + (splitmix(&mut rng) % 40) as usize;
+            let mut lp = LpProblem::new();
+            for _ in 0..n {
+                lp.add_var(0.0, 1.0, 0.0);
+            }
+            let mut dense = vec![vec![0.0; n]; m];
+            for row in dense.iter_mut() {
+                let mut terms = Vec::new();
+                for _ in 0..(splitmix(&mut rng) % 6) {
+                    let j = (splitmix(&mut rng) % n as u64) as usize;
+                    let v = VALS[(splitmix(&mut rng) % 8) as usize];
+                    terms.push((VarId(j), v));
+                    // A duplicate, half of them cancelling.
+                    match splitmix(&mut rng) % 8 {
+                        0 => terms.push((VarId(j), v)),
+                        1 => terms.push((VarId(j), -v)),
+                        _ => {}
+                    }
+                }
+                for &(VarId(j), v) in &terms {
+                    row[j] += v;
+                }
+                cancelled += terms.iter().filter(|t| row[t.0 .0] == 0.0).count();
+                lp.add_le(&terms, 1.0);
+            }
+            let s = Simplex::new(&lp);
+            assert_eq!((s.cols.nrows(), s.cols.ncols()), (m, n + m), "case {case}");
+            assert_eq!((s.rows.nrows(), s.rows.ncols()), (n + m, m), "case {case}");
+            for j in 0..n {
+                let expect: Vec<(usize, f64)> = dense
+                    .iter()
+                    .map(|row| row[j])
+                    .enumerate()
+                    .filter(|&(_, v)| v != 0.0)
+                    .collect();
+                assert_eq!(entries(s.cols.column(j)), expect, "case {case}: column {j}");
+                empty_cols += usize::from(expect.is_empty());
+            }
+            for (i, row) in dense.iter().enumerate() {
+                let slack = entries(s.cols.column(n + i));
+                assert_eq!(slack, [(i, -1.0)], "case {case}: slack {i}");
+                let mut expect: Vec<(usize, f64)> = row
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, v)| v != 0.0)
+                    .collect();
+                empty_rows += usize::from(expect.is_empty());
+                expect.push((n + i, -1.0));
+                assert_eq!(entries(s.rows.column(i)), expect, "case {case}: row {i}");
+            }
+        }
+        assert!(
+            empty_rows > 50 && empty_cols > 50 && cancelled > 20,
+            "{empty_rows} empty rows, {empty_cols} empty columns, {cancelled} cancelled terms"
+        );
     }
 }

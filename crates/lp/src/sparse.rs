@@ -2,103 +2,9 @@
 //!
 //! The solver stores the constraint matrix column-wise ([`CscMatrix`]) because
 //! both pricing (`c_j - y'A_j`) and the forward transformation (`B⁻¹ A_j`)
-//! traverse individual columns. Matrices are assembled from a [`TripletMatrix`]
-//! which tolerates duplicate entries (summed on compression).
-
-/// Coordinate-format accumulator for building sparse matrices.
-#[derive(Debug, Clone, Default)]
-pub struct TripletMatrix {
-    nrows: usize,
-    ncols: usize,
-    rows: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-}
-
-impl TripletMatrix {
-    /// Creates an empty `nrows × ncols` accumulator.
-    pub fn new(nrows: usize, ncols: usize) -> Self {
-        Self {
-            nrows,
-            ncols,
-            rows: Vec::new(),
-            cols: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    /// Adds `val` at `(row, col)`. Duplicates are summed during compression.
-    pub fn push(&mut self, row: usize, col: usize, val: f64) {
-        assert!(
-            row < self.nrows && col < self.ncols,
-            "triplet out of bounds"
-        );
-        if val != 0.0 {
-            self.rows.push(row);
-            self.cols.push(col);
-            self.vals.push(val);
-        }
-    }
-
-    /// Number of stored (possibly duplicate) entries.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Compresses into column-major form, summing duplicates and dropping
-    /// entries that cancel to zero.
-    pub fn to_csc(&self) -> CscMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.cols {
-            counts[c + 1] += 1;
-        }
-        for c in 0..self.ncols {
-            counts[c + 1] += counts[c];
-        }
-        let mut row_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0f64; self.nnz()];
-        let mut cursor = counts.clone();
-        for k in 0..self.nnz() {
-            let c = self.cols[k];
-            let slot = cursor[c];
-            row_idx[slot] = self.rows[k];
-            values[slot] = self.vals[k];
-            cursor[c] += 1;
-        }
-        // Sort each column by row index and merge duplicates.
-        let mut col_ptr = vec![0usize; self.ncols + 1];
-        let mut out_rows = Vec::with_capacity(self.nnz());
-        let mut out_vals = Vec::with_capacity(self.nnz());
-        for c in 0..self.ncols {
-            let span = counts[c]..counts[c + 1];
-            let mut entries: Vec<(usize, f64)> = span.map(|k| (row_idx[k], values[k])).collect();
-            entries.sort_unstable_by_key(|&(r, _)| r);
-            let mut i = 0;
-            while i < entries.len() {
-                let r = entries[i].0;
-                let mut v = entries[i].1;
-                let mut j = i + 1;
-                while j < entries.len() && entries[j].0 == r {
-                    v += entries[j].1;
-                    j += 1;
-                }
-                if v != 0.0 {
-                    out_rows.push(r);
-                    out_vals.push(v);
-                }
-                i = j;
-            }
-            col_ptr[c + 1] = out_rows.len();
-        }
-        CscMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            col_ptr,
-            row_idx: out_rows,
-            values: out_vals,
-        }
-    }
-}
+//! traverse individual columns, and once more by rows for the dual simplex's
+//! pivot row. [`CscMatrix::with_slacks`] builds both copies from the row
+//! store of an [`LpProblem`](crate::LpProblem) in one counting pass.
 
 /// Compressed sparse column matrix.
 #[derive(Debug, Clone)]
@@ -120,6 +26,66 @@ impl CscMatrix {
             row_idx: Vec::new(),
             values: Vec::new(),
         }
+    }
+
+    /// `[A  −I]` stored by columns and by rows, for the `m × n` matrix `A`
+    /// given by its rows: row `i` is `terms[row_ptr[i]..row_ptr[i + 1]]`,
+    /// sorted by column, with no repeated column. Slack column `n + i` holds
+    /// `−1` at row `i`. One pass counts the column lengths and one pass over
+    /// the rows fills both copies, so column `j` lists its rows ascending and
+    /// row `i` (column `i` of the second matrix) its columns ascending, the
+    /// slack last.
+    pub(crate) fn with_slacks(n: usize, row_ptr: &[usize], terms: &[(usize, f64)]) -> (Self, Self) {
+        let m = row_ptr.len() - 1;
+        let ncols = n + m;
+        let nnz = terms.len() + m;
+        // Column `j`'s length goes to `col_ptr[j + 1]`; after the prefix
+        // sum `col_ptr[j]` is its start, used as its fill cursor and shifted
+        // back into place afterwards.
+        let mut col_ptr = vec![0usize; ncols + 1];
+        for &(j, _) in terms {
+            col_ptr[j + 1] += 1;
+        }
+        col_ptr[n + 1..].fill(1);
+        for j in 0..ncols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
+        let mut by_row = Self {
+            nrows: ncols,
+            ncols: m,
+            col_ptr: Vec::with_capacity(m + 1),
+            row_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        };
+        by_row.col_ptr.push(0);
+        for i in 0..m {
+            let slack = std::iter::once((n + i, -1.0));
+            for (j, v) in terms[row_ptr[i]..row_ptr[i + 1]]
+                .iter()
+                .copied()
+                .chain(slack)
+            {
+                let p = col_ptr[j];
+                row_idx[p] = i;
+                values[p] = v;
+                col_ptr[j] += 1;
+                by_row.row_idx.push(j);
+                by_row.values.push(v);
+            }
+            by_row.col_ptr.push(by_row.row_idx.len());
+        }
+        col_ptr.copy_within(0..ncols, 1);
+        col_ptr[0] = 0;
+        let by_col = Self {
+            nrows: m,
+            ncols,
+            col_ptr,
+            row_idx,
+            values,
+        };
+        (by_col, by_row)
     }
 
     /// Identity-free access to the shape.
@@ -166,37 +132,6 @@ impl CscMatrix {
         self.col_ptr.push(self.row_idx.len());
     }
 
-    /// The transpose, i.e. this matrix stored by rows: column `r` of the
-    /// result holds row `r` of `self` as `(column, value)` pairs in
-    /// ascending column order.
-    pub fn transpose(&self) -> CscMatrix {
-        let mut col_ptr = vec![0usize; self.nrows + 1];
-        for &r in &self.row_idx {
-            col_ptr[r + 1] += 1;
-        }
-        for r in 0..self.nrows {
-            col_ptr[r + 1] += col_ptr[r];
-        }
-        let mut next = col_ptr.clone();
-        let mut row_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        for c in 0..self.ncols {
-            let (rows, vals) = self.column(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                row_idx[next[r]] = c;
-                values[next[r]] = v;
-                next[r] += 1;
-            }
-        }
-        CscMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            col_ptr,
-            row_idx,
-            values,
-        }
-    }
-
     /// Sparse dot product `y' A_c` of a dense vector with column `c`.
     pub fn column_dot(&self, c: usize, y: &[f64]) -> f64 {
         let (rows, vals) = self.column(c);
@@ -231,16 +166,30 @@ impl CscMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LpProblem, VarId};
+
+    /// The column-wise `[A  −I]` of the `nrows × ncols` matrix `A` given as
+    /// `(row, column, value)` triplets, entered row by row through
+    /// `LpProblem::add_row`.
+    fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> CscMatrix {
+        let mut lp = LpProblem::new();
+        let x: Vec<VarId> = (0..ncols).map(|_| lp.add_var(0.0, 1.0, 0.0)).collect();
+        for i in 0..nrows {
+            let terms: Vec<(VarId, f64)> = triplets
+                .iter()
+                .filter(|t| t.0 == i)
+                .map(|&(_, j, v)| (x[j], v))
+                .collect();
+            lp.add_le(&terms, 1.0);
+        }
+        let (row_ptr, terms) = lp.row_store();
+        CscMatrix::with_slacks(ncols, row_ptr, terms).0
+    }
 
     #[test]
     fn triplet_compression_sums_duplicates() {
-        let mut t = TripletMatrix::new(3, 2);
-        t.push(0, 0, 1.0);
-        t.push(0, 0, 2.0);
-        t.push(2, 1, -1.0);
-        t.push(1, 1, 4.0);
-        let m = t.to_csc();
-        assert_eq!(m.nnz(), 3);
+        let m = from_triplets(3, 2, &[(0, 0, 1.0), (0, 0, 2.0), (2, 1, -1.0), (1, 1, 4.0)]);
+        assert_eq!(m.nnz(), 3 + 3, "three entries and one slack per row");
         let (rows, vals) = m.column(0);
         assert_eq!(rows, &[0]);
         assert_eq!(vals, &[3.0]);
@@ -251,12 +200,8 @@ mod tests {
 
     #[test]
     fn triplet_drops_cancelling_entries() {
-        let mut t = TripletMatrix::new(2, 1);
-        t.push(0, 0, 1.5);
-        t.push(0, 0, -1.5);
-        t.push(1, 0, 2.0);
-        let m = t.to_csc();
-        assert_eq!(m.nnz(), 1);
+        let m = from_triplets(2, 1, &[(0, 0, 1.5), (0, 0, -1.5), (1, 0, 2.0)]);
+        assert_eq!(m.nnz(), 1 + 2, "one entry and one slack per row");
         let (rows, _) = m.column(0);
         assert_eq!(rows, &[1]);
     }
@@ -273,39 +218,20 @@ mod tests {
     }
 
     #[test]
-    fn transpose_stores_rows_in_column_order() {
-        let mut t = TripletMatrix::new(2, 3);
-        t.push(1, 0, 1.0);
-        t.push(0, 2, 2.0);
-        t.push(1, 2, 3.0);
-        let rows = t.to_csc().transpose();
-        assert_eq!((rows.nrows(), rows.ncols(), rows.nnz()), (3, 2, 3));
-        assert_eq!(rows.column(0), (&[2][..], &[2.0][..]));
-        assert_eq!(rows.column(1), (&[0, 2][..], &[1.0, 3.0][..]));
-    }
-
-    #[test]
     fn mul_dense_matches_manual() {
-        let mut t = TripletMatrix::new(2, 3);
-        t.push(0, 0, 1.0);
-        t.push(0, 2, 2.0);
-        t.push(1, 1, 3.0);
-        let m = t.to_csc();
+        let mut m = CscMatrix::empty(2);
+        m.push_column(&[(0, 1.0)]);
+        m.push_column(&[(1, 3.0)]);
+        m.push_column(&[(0, 2.0)]);
         assert_eq!(m.mul_dense(&[1.0, 1.0, 1.0]), vec![3.0, 3.0]);
         assert_eq!(m.mul_dense(&[0.0, 2.0, -1.0]), vec![-2.0, 6.0]);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn triplet_bounds_checked() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(2, 0, 1.0);
-    }
-
-    #[test]
     fn zero_entries_are_skipped() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 0, 0.0);
-        assert_eq!(t.nnz(), 0);
+        let mut m = CscMatrix::empty(2);
+        m.push_column(&[(0, 0.0), (1, 2.0)]);
+        assert_eq!(m.nnz(), 1);
+        assert_eq!(m.column(0), (&[1][..], &[2.0][..]));
     }
 }

@@ -6,7 +6,8 @@
 //! `#[global_allocator]` — a library cannot install one without forcing it on
 //! every downstream user. All counters live in this module as process-global
 //! atomics so the accounting works no matter which binary installed the
-//! wrapper:
+//! wrapper, and each thread also counts its own share (see
+//! [`thread_stats`]):
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -23,15 +24,18 @@
 //! "cached bool" discipline as the span profiler, asserted against a <2%
 //! budget by `bench/src/bin/introspection.rs`. With counting **on** each
 //! allocation/deallocation performs a handful of relaxed atomic adds plus a
-//! `fetch_max` for the live-bytes high-water mark.
+//! `fetch_max` for the live-bytes high-water mark, and updates two
+//! thread-local counters.
 //!
 //! Counting enabled mid-process is well-defined but approximate: frees of
 //! blocks allocated before enabling are counted while their allocations were
 //! not, so the live-bytes counter is clamped at zero instead of going
 //! negative. Enable counting before the workload of interest and read deltas
-//! through [`MemProbe`] / [`AllocStats`] for exact attribution.
+//! through [`MemProbe`] / [`AllocStats`] for exact attribution, or through
+//! [`thread_stats`] while other threads allocate too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use crate::json::Json;
@@ -44,6 +48,13 @@ static BYTES_FREED: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 
+thread_local! {
+    /// This thread's allocations and the bytes it allocated minus the bytes
+    /// it freed. Constant-initialized without a destructor, so reading it
+    /// from the allocator never allocates.
+    static THREAD: Cell<(u64, i64)> = const { Cell::new((0, 0)) };
+}
+
 /// Counting wrapper around [`System`]. Install with `#[global_allocator]`
 /// in a binary; counting starts only after [`set_counting`]`(true)`.
 pub struct CountingAlloc;
@@ -54,6 +65,10 @@ fn on_alloc(size: usize) {
     BYTES_ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
     let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    let _ = THREAD.try_with(|t| {
+        let (allocs, net) = t.get();
+        t.set((allocs + 1, net + size as i64));
+    });
 }
 
 #[inline]
@@ -66,6 +81,10 @@ fn on_dealloc(size: usize) {
     if prev < size as i64 {
         LIVE.fetch_max(0, Ordering::Relaxed);
     }
+    let _ = THREAD.try_with(|t| {
+        let (allocs, net) = t.get();
+        t.set((allocs, net - size as i64));
+    });
 }
 
 // SAFETY: delegates every allocation verbatim to `System`; the bookkeeping
@@ -161,6 +180,24 @@ pub fn stats() -> AllocStats {
     }
 }
 
+/// The calling thread's own share of the counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ThreadAllocStats {
+    /// Allocations this thread made (incl. the alloc half of every realloc).
+    pub allocs: u64,
+    /// Bytes this thread allocated minus the bytes it freed, whichever
+    /// thread allocated them; only its deltas mean anything.
+    pub net_bytes: i64,
+}
+
+/// Reads the calling thread's counters. A delta of these attributes what
+/// ran on this thread exactly, whatever other threads (a test harness's
+/// own, say) allocate meanwhile; [`stats`] counts every thread.
+pub fn thread_stats() -> ThreadAllocStats {
+    let (allocs, net_bytes) = THREAD.with(Cell::get);
+    ThreadAllocStats { allocs, net_bytes }
+}
+
 /// Cumulative bytes allocated so far — the monotone counter used for
 /// per-span attribution (cheap single load).
 #[inline]
@@ -253,7 +290,15 @@ mod tests {
         on_dealloc(100);
         on_dealloc(1 << 20);
         assert_eq!(stats().live_bytes, 0);
+        let mine = thread_stats();
         on_alloc(64);
+        assert_eq!(
+            thread_stats(),
+            ThreadAllocStats {
+                allocs: mine.allocs + 1,
+                net_bytes: mine.net_bytes + 64
+            }
+        );
         let s = stats();
         assert!(s.live_bytes >= 64);
         assert!(s.peak_bytes >= 100);

@@ -31,7 +31,7 @@ mod metrics;
 pub mod prom;
 pub mod span;
 
-pub use alloc::{AllocStats, CountingAlloc, MemProbe};
+pub use alloc::{AllocStats, CountingAlloc, MemProbe, ThreadAllocStats};
 pub use blackbox::{
     render_raw, BlackboxEvent, BusyGuard, EventKind, FlightHandle, FlightRecorder, ProgressPulse,
     Watchdog,
