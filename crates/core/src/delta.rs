@@ -110,5 +110,8 @@ pub fn build_delta_states(
         }
     }
 
-    StateLoads { node: node_loads }
+    StateLoads {
+        node: node_loads,
+        capacity_rows: Vec::new(),
+    }
 }

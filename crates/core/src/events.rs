@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use tvnep_mip::{MipModel, VarId};
-use tvnep_model::{DepNode, DependencyGraph, Instance};
+use tvnep_model::{DepNode, DependencyGraph, Instance, Request};
 
 /// How requests map onto event points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,16 @@ pub struct EventVars {
     pub end_range: Vec<(usize, usize)>,
 }
 
+/// The bounds of `t⁺_R` and `t⁻_R`, in that order: the request's window.
+/// Rigid windows can produce `latest_start` a few ulps below
+/// `earliest_start` (`t^e − d` in floating point); both are clamped.
+pub fn time_bounds(r: &Request) -> [(f64, f64); 2] {
+    [
+        (r.earliest_start, r.latest_start().max(r.earliest_start)),
+        (r.earliest_end().min(r.latest_end), r.latest_end),
+    ]
+}
+
 /// Options controlling the strength of the event model.
 #[derive(Debug, Clone, Copy)]
 pub struct EventOptions {
@@ -100,14 +110,9 @@ impl EventVars {
         let mut t_plus = Vec::with_capacity(k);
         let mut t_minus = Vec::with_capacity(k);
         for r in &instance.requests {
-            // Rigid windows can produce latest_start a few ulps below
-            // earliest_start (t^e − d in floating point); clamp both ways.
-            t_plus.push(m.add_continuous(
-                r.earliest_start,
-                r.latest_start().max(r.earliest_start),
-                0.0,
-            ));
-            t_minus.push(m.add_continuous(r.earliest_end().min(r.latest_end), r.latest_end, 0.0));
+            let [(slo, sup), (elo, eup)] = time_bounds(r);
+            t_plus.push(m.add_continuous(slo, sup, 0.0));
+            t_minus.push(m.add_continuous(elo, eup, 0.0));
         }
         // Constraint (18): t⁻ − t⁺ = d.
         for (r, req) in instance.requests.iter().enumerate() {

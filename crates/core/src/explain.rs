@@ -17,7 +17,8 @@ use tvnep_graph::{EdgeId, NodeId};
 use tvnep_model::{tol, Instance, TemporalSolution};
 use tvnep_telemetry::Json;
 
-/// A substrate resource named by an explanation.
+/// A substrate resource: one an explanation names, or the one a capacity
+/// row bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resource {
     /// Substrate node index.

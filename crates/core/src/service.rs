@@ -16,6 +16,15 @@
 //! with a solution is accepted at exactly `s`; a candidate with none is
 //! rejected. DESIGN §11.1 has the equivalence argument.
 //!
+//! An admission builds that LP once, with one engine over it. With one
+//! pinned request every Σ is statically one, so a start enters the model
+//! only through the bounds of `t⁺` and `t⁻` and the residual capacities only
+//! through the upper bounds of the capacity rows (9): each start overwrites
+//! those bounds and restarts the engine from the all-slack basis, which
+//! gives the LP, the pivots and the point of a fresh build on the residual
+//! substrate, bit for bit. No branch and bound runs; the harness's
+//! `online_consistency` oracle checks the scan against it.
+//!
 //! Reservations whose end lies at or before the admission **water mark** (a
 //! monotone lower bound on every future candidate's earliest start, i.e. the
 //! arrival clock) can never overlap a future candidate and are garbage
@@ -31,22 +40,27 @@
 
 use std::time::{Duration, Instant};
 
+use crate::events::time_bounds;
 use crate::explain::{
-    edge_load_at, explain_request, node_load_at, probe_times, RequestExplanation,
+    edge_load_at, explain_request, node_load_at, probe_times, RequestExplanation, Resource,
 };
-use crate::formulation::{build_model, BuildOptions, Formulation, Objective};
-use tvnep_mip::{solve_with, MipOptions};
+use crate::formulation::{build_model, BuildOptions, BuiltModel, Formulation, Objective};
+use tvnep_graph::{EdgeId, NodeId};
+use tvnep_lp::{LpStatus, Simplex};
+use tvnep_mip::MipOptions;
 use tvnep_model::{
     check_mapping, check_window, Embedding, Instance, NodeMapping, Request, ScheduledRequest,
     Substrate, TemporalSolution,
 };
+use tvnep_telemetry::FlightHandle;
 
 /// Options of the admission core.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
-    /// Solver options of each candidate start's LP (telemetry, flight
-    /// recorder, an optional time limit). An LP that fails leaves its start
-    /// untaken.
+    /// What each candidate start's LP reads of these: `telemetry`,
+    /// `blackbox` and `time_limit`, a deadline for each start's LP from the
+    /// moment it is solved, and nothing else (no branch and bound runs). An
+    /// LP that fails leaves its start untaken.
     pub subproblem: MipOptions,
     /// **Fault injection for the harness only**: when `Some(k)`, every k-th
     /// accepted reservation is silently dropped instead of recorded — the
@@ -253,37 +267,20 @@ impl ServiceCore {
         let telemetry = &self.opts.subproblem.telemetry;
         let _span = telemetry.span("serve.admit").arg("id", id as f64);
 
-        // The live reservations plus the candidate, rejected at its release
-        // until a start fits: the residual loads and the explain narrative
-        // both read this one snapshot.
-        let (mut inst, mut sol) = self.reservation_snapshot();
-        let k = inst.num_requests();
-        inst.requests.push(request.clone());
-        if let Some(maps) = &mut inst.fixed_node_mappings {
-            maps.push(mapping.clone());
-        }
-        sol.scheduled.push(ScheduledRequest {
-            accepted: false,
-            start: request.earliest_start,
-            end: request.earliest_start + request.duration,
-            embedding: None,
-        });
-
-        // Candidate starts, ascending: the release, then every live
-        // reservation end inside the window.
-        let mut starts: Vec<f64> = self
-            .reservations
-            .iter()
-            .map(|r| r.end)
-            .filter(|&t| t > request.earliest_start && t <= request.latest_start())
-            .collect();
-        starts.push(request.earliest_start);
-        starts.sort_by(f64::total_cmp);
-        starts.dedup();
+        let (inst, mut sol) = self.candidate_snapshot(&request, &mapping);
+        let k = inst.num_requests() - 1;
+        let mut scan = StartScan::new(
+            &self.substrate,
+            self.horizon,
+            &request,
+            &mapping,
+            &self.opts.subproblem,
+        );
         let mut tried = 0u64;
-        for &s in &starts {
+        for s in self.candidate_starts(&request) {
             tried += 1;
-            if let Some(embedding) = self.fit_at(&inst, &sol, &request, &mapping, s) {
+            scan.rebound(&inst, &sol, s);
+            if let Some(embedding) = scan.solve(self.opts.subproblem.time_limit) {
                 sol.scheduled[k] = ScheduledRequest {
                     accepted: true,
                     start: s,
@@ -293,6 +290,7 @@ impl ServiceCore {
                 break;
             }
         }
+        scan.engine.stats.flush_into(telemetry);
 
         self.next_id = self.next_id.max(id + 1);
         let explain = explain_request(&inst, &sol, k);
@@ -341,51 +339,41 @@ impl ServiceCore {
         })
     }
 
-    /// The candidate's embedding at start `s`, or `None` when its LP on the
-    /// residual substrate is infeasible or fails. `inst`/`sol` hold the live
-    /// reservations (the candidate, still rejected, adds no load).
-    fn fit_at(
+    /// The live reservations plus the candidate, last and rejected at its
+    /// release until a start fits: the residual loads and the explain
+    /// narrative both read this one snapshot.
+    fn candidate_snapshot(
         &self,
-        inst: &Instance,
-        sol: &TemporalSolution,
         request: &Request,
         mapping: &NodeMapping,
-        s: f64,
-    ) -> Option<Embedding> {
-        let end = s + request.duration;
-        let times = probe_times(sol, s, end);
-        let peak = |load: &dyn Fn(f64) -> f64| times.iter().map(|&t| load(t)).fold(0.0, f64::max);
-        let sub = &self.substrate;
-        let node_cap = sub
-            .graph()
-            .nodes()
-            .map(|n| (sub.node_capacity(n) - peak(&|t| node_load_at(inst, sol, n, t))).max(0.0))
+    ) -> (Instance, TemporalSolution) {
+        let (mut inst, mut sol) = self.reservation_snapshot();
+        inst.requests.push(request.clone());
+        if let Some(maps) = &mut inst.fixed_node_mappings {
+            maps.push(mapping.clone());
+        }
+        sol.scheduled.push(ScheduledRequest {
+            accepted: false,
+            start: request.earliest_start,
+            end: request.earliest_start + request.duration,
+            embedding: None,
+        });
+        (inst, sol)
+    }
+
+    /// Candidate starts, ascending: the release, then every live
+    /// reservation end inside the window.
+    fn candidate_starts(&self, request: &Request) -> Vec<f64> {
+        let mut starts: Vec<f64> = self
+            .reservations
+            .iter()
+            .map(|r| r.end)
+            .filter(|&t| t > request.earliest_start && t <= request.latest_start())
             .collect();
-        let edge_cap = sub
-            .graph()
-            .edge_ids()
-            .map(|e| (sub.edge_capacity(e) - peak(&|t| edge_load_at(inst, sol, e, t))).max(0.0))
-            .collect();
-        let mut pinned = request.clone();
-        pinned.earliest_start = s;
-        pinned.latest_end = end;
-        let one = Instance::new(
-            Substrate::new(sub.graph().clone(), node_cap, edge_cap),
-            vec![pinned],
-            self.horizon,
-            Some(vec![mapping.clone()]),
-        );
-        let mut built = build_model(
-            &one,
-            Formulation::CSigma,
-            Objective::AccessControl,
-            BuildOptions::default_for(Formulation::CSigma),
-        );
-        built.mip.fix_var(built.emb.x_r[0], 1.0);
-        // Any point the solve returns will do: with `x_R` and the window
-        // fixed, (21) is settled, and it does not rank routings.
-        let x = solve_with(&built.mip, &self.opts.subproblem).x?;
-        built.extract_solution(&one, &x).scheduled.pop()?.embedding
+        starts.push(request.earliest_start);
+        starts.sort_by(f64::total_cmp);
+        starts.dedup();
+        starts
     }
 
     /// The live reservation state as a standalone solution over a synthetic
@@ -419,6 +407,121 @@ impl ServiceCore {
                 reported_objective: None,
             },
         )
+    }
+}
+
+/// One admission's LP: the candidate alone as a cΣ model, window pinned and
+/// `x_R = 1`, built once, and one engine over its relaxation. Each start
+/// re-bounds it ([`rebound`](Self::rebound)) and solves it from a fresh
+/// engine's state ([`solve`](Self::solve)); see the module docs.
+struct StartScan {
+    /// The instance of the build: the substrate at full capacity and the
+    /// candidate, pinned to the start last re-bounded.
+    one: Instance,
+    built: BuiltModel,
+    engine: Simplex,
+    blackbox: Option<FlightHandle>,
+}
+
+impl StartScan {
+    fn new(
+        substrate: &Substrate,
+        horizon: f64,
+        request: &Request,
+        mapping: &NodeMapping,
+        opts: &MipOptions,
+    ) -> Self {
+        let mut pinned = request.clone();
+        pinned.latest_end = pinned.earliest_end();
+        let one = Instance::new(
+            substrate.clone(),
+            vec![pinned],
+            horizon,
+            Some(vec![mapping.clone()]),
+        );
+        let mut built = build_model(
+            &one,
+            Formulation::CSigma,
+            Objective::AccessControl,
+            BuildOptions::default_for(Formulation::CSigma),
+        );
+        debug_assert_eq!(built.stats.dynamic_states, 0, "a pinned Σ is static");
+        built.mip.fix_var(built.emb.x_r[0], 1.0);
+        let mut engine = Simplex::new(&built.mip.relaxation_min());
+        engine.set_telemetry(opts.telemetry.clone());
+        engine.set_blackbox(opts.blackbox.clone());
+        Self {
+            one,
+            built,
+            engine,
+            blackbox: opts.blackbox.clone(),
+        }
+    }
+
+    /// Re-bounds the LP for start `s`: `t⁺` and `t⁻` get the window
+    /// `[s, s + d_R]`, and each capacity row the capacity minus its peak
+    /// load on `(s, s + d_R)` under the reservations in `inst`/`sol` (the
+    /// candidate, still rejected there, adds none).
+    fn rebound(&mut self, inst: &Instance, sol: &TemporalSolution, s: f64) {
+        let pinned = &mut self.one.requests[0];
+        pinned.earliest_start = s;
+        pinned.latest_end = s + pinned.duration;
+        let events = &self.built.events;
+        for (v, (lo, up)) in [events.t_plus[0], events.t_minus[0]]
+            .into_iter()
+            .zip(time_bounds(pinned))
+        {
+            self.engine.set_var_bounds(v.0, lo, up);
+        }
+        let times = probe_times(sol, s, pinned.latest_end);
+        let peak = |load: &dyn Fn(f64) -> f64| times.iter().map(|&t| load(t)).fold(0.0, f64::max);
+        let sub = &self.one.substrate;
+        for &(row, resource) in &self.built.loads.capacity_rows {
+            let residual = match resource {
+                Resource::Node(n) => {
+                    let n = NodeId(n);
+                    sub.node_capacity(n) - peak(&|t| node_load_at(inst, sol, n, t))
+                }
+                Resource::Edge(e) => {
+                    let e = EdgeId(e);
+                    sub.edge_capacity(e) - peak(&|t| edge_load_at(inst, sol, e, t))
+                }
+            };
+            let (lo, _) = self.engine.row_bounds(row.0);
+            self.engine.set_row_bounds(row.0, lo, residual.max(0.0));
+        }
+    }
+
+    /// Solves the LP as last re-bounded, from the state a fresh engine starts
+    /// in: the dual simplex, and on `Numerical` or `IterationLimit` one
+    /// primal retry from the slack basis, as a branch-and-bound node does.
+    /// Returns the candidate's embedding, or `None` when the LP is
+    /// infeasible or fails (`time_limit` bounds the solve from now).
+    fn solve(&mut self, time_limit: Option<Duration>) -> Option<Embedding> {
+        // One progress tick per start's LP, the unit a decision's `nodes`
+        // counts: the stall watchdog sees an LP that takes no pivot too.
+        if let Some(bb) = &self.blackbox {
+            bb.pulse().add_nodes(1);
+        }
+        let engine = &mut self.engine;
+        engine.restart();
+        engine.set_deadline(time_limit.map(|tl| Instant::now() + tl));
+        let mut status = engine.solve_warm();
+        if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
+            engine.reset_basis();
+            status = engine.solve();
+        }
+        if status != LpStatus::Optimal {
+            return None;
+        }
+        // Any point the solve returns will do: with `x_R` and the window
+        // fixed, (21) is settled, and it does not rank routings.
+        let x = engine.extract(status).x;
+        self.built
+            .extract_solution(&self.one, &x)
+            .scheduled
+            .pop()?
+            .embedding
     }
 }
 
@@ -628,5 +731,141 @@ mod tests {
         assert_eq!(d2.end, d2r.end);
         assert_eq!(d1.id, 0);
         assert_eq!(d2r.id, d2.id, "id counter continues past restored ids");
+    }
+
+    /// The LP of start `s` as it was built before the scan re-bounded one
+    /// model: the residual substrate, a one-request instance pinned to
+    /// `[s, s + d_R]` and the whole cΣ model with `x_R = 1`, relaxed to
+    /// minimize sense.
+    fn per_start_relaxation(
+        c: &ServiceCore,
+        inst: &Instance,
+        sol: &TemporalSolution,
+        request: &Request,
+        mapping: &NodeMapping,
+        s: f64,
+    ) -> tvnep_lp::LpProblem {
+        let end = s + request.duration;
+        let times = probe_times(sol, s, end);
+        let peak = |load: &dyn Fn(f64) -> f64| times.iter().map(|&t| load(t)).fold(0.0, f64::max);
+        let sub = c.substrate();
+        let node_cap = sub
+            .graph()
+            .nodes()
+            .map(|n| (sub.node_capacity(n) - peak(&|t| node_load_at(inst, sol, n, t))).max(0.0))
+            .collect();
+        let edge_cap = sub
+            .graph()
+            .edge_ids()
+            .map(|e| (sub.edge_capacity(e) - peak(&|t| edge_load_at(inst, sol, e, t))).max(0.0))
+            .collect();
+        let mut pinned = request.clone();
+        pinned.earliest_start = s;
+        pinned.latest_end = end;
+        let one = Instance::new(
+            Substrate::new(sub.graph().clone(), node_cap, edge_cap),
+            vec![pinned],
+            c.horizon(),
+            Some(vec![mapping.clone()]),
+        );
+        let mut built = build_model(
+            &one,
+            Formulation::CSigma,
+            Objective::AccessControl,
+            BuildOptions::default_for(Formulation::CSigma),
+        );
+        built.mip.fix_var(built.emb.x_r[0], 1.0);
+        built.mip.relaxation_min()
+    }
+
+    /// The scan's re-bounded LP equals the per-start build bit for bit at
+    /// every candidate start of the benchmark's two service streams (`tiny`,
+    /// 100 requests, mean inter-arrival 0.125 h, +2 h, seeds 7 and 4): its
+    /// objective and row store, and the engine's column and row bounds. The
+    /// scan's solve then returns what a fresh engine's dual solve of the
+    /// per-start LP returns, and the admission takes the first start where
+    /// that LP is optimal, with its flows.
+    #[test]
+    fn rebound_lp_equals_the_per_start_build_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (seed, want_lps, want_accepted) in [(7, 396, 23), (4, 374, 21)] {
+            let config = tvnep_workloads::WorkloadConfig {
+                num_requests: 100,
+                mean_interarrival: 0.125,
+                ..tvnep_workloads::WorkloadConfig::tiny()
+            };
+            let stream = tvnep_workloads::generate(&config, seed).with_flexibility_after(2.0);
+            let maps = stream
+                .fixed_node_mappings
+                .clone()
+                .expect("mappings are fixed");
+            let opts = ServiceOptions::default();
+            let mut c = ServiceCore::new(stream.substrate.clone(), stream.horizon, opts.clone());
+            let (mut lps, mut accepted) = (0, 0);
+            for (request, mapping) in stream.requests.iter().zip(&maps) {
+                let what = format!("seed {seed}, request {}", request.name);
+                c.advance(request.earliest_start);
+                let (inst, sol) = c.candidate_snapshot(request, mapping);
+                let mut scan = StartScan::new(
+                    c.substrate(),
+                    c.horizon(),
+                    request,
+                    mapping,
+                    &opts.subproblem,
+                );
+                let lp = scan.built.mip.relaxation_min();
+                let mut fit = None;
+                for s in c.candidate_starts(request) {
+                    scan.rebound(&inst, &sol, s);
+                    let reference = per_start_relaxation(&c, &inst, &sol, request, mapping, s);
+                    let what = format!("{what}, start {s}");
+                    assert_eq!(bits(lp.objective()), bits(reference.objective()), "{what}");
+                    assert_eq!(lp.obj_offset().to_bits(), reference.obj_offset().to_bits());
+                    assert_eq!(lp.num_rows(), reference.num_rows(), "{what}");
+                    for i in 0..lp.num_rows() {
+                        let row = |p: &tvnep_lp::LpProblem| {
+                            let terms = p.row(tvnep_lp::RowId(i));
+                            terms
+                                .iter()
+                                .map(|&(j, v)| (j, v.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(row(&lp), row(&reference), "{what}: row {i}");
+                        let (lo, up) = scan.engine.row_bounds(i);
+                        let want = (reference.row_lower()[i], reference.row_upper()[i]);
+                        assert_eq!(bits(&[lo, up]), bits(&[want.0, want.1]), "{what}: row {i}");
+                    }
+                    assert_eq!(lp.num_vars(), reference.num_vars(), "{what}");
+                    for j in 0..lp.num_vars() {
+                        let (lo, up) = scan.engine.var_bounds(j);
+                        let want = (reference.var_lower()[j], reference.var_upper()[j]);
+                        assert_eq!(bits(&[lo, up]), bits(&[want.0, want.1]), "{what}: col {j}");
+                    }
+                    let mut fresh = Simplex::new(&reference);
+                    let status = fresh.solve_warm();
+                    let embedding = scan.solve(None);
+                    let x = scan.engine.extract(status).x;
+                    assert_eq!(bits(&x), bits(&fresh.extract(status).x), "{what}");
+                    assert_eq!(embedding.is_some(), status == LpStatus::Optimal, "{what}");
+                    lps += 1;
+                    if let Some(embedding) = embedding {
+                        fit = Some((s, embedding));
+                        break;
+                    }
+                }
+                let d = c.admit(request.clone(), mapping.clone()).unwrap();
+                assert_eq!(d.accepted, fit.is_some(), "{what}");
+                if let Some((s, embedding)) = fit {
+                    accepted += 1;
+                    assert_eq!(d.start.to_bits(), s.to_bits(), "{what}");
+                    let flows = |e: &Embedding| {
+                        let f = e.edge_flows.iter().flatten();
+                        f.map(|&(e, v)| (e, v.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(flows(&d.embedding.unwrap()), flows(&embedding), "{what}");
+                }
+            }
+            assert_eq!((lps, accepted), (want_lps, want_accepted), "seed {seed}");
+        }
     }
 }

@@ -6,7 +6,9 @@
 
 use crate::embedding::EmbeddingVars;
 use crate::events::{EventVars, SigmaClass};
-use tvnep_graph::{EdgeId, NodeId};
+use crate::explain::Resource;
+use tvnep_graph::EdgeId;
+use tvnep_lp::RowId;
 use tvnep_mip::{MipModel, VarId};
 use tvnep_model::Instance;
 
@@ -17,6 +19,11 @@ pub struct StateLoads {
     /// `node[s][n]` = linear terms of the total allocation on substrate node
     /// `n` during state `s_{s+1}` (0-based storage of 1-based states).
     pub node: Vec<Vec<Vec<(VarId, f64)>>>,
+    /// The capacity rows (9) in the order they were emitted, each with the
+    /// resource whose capacity is its upper bound. Where every Σ is static
+    /// (no `a_R` variable, whose big-M reads the capacity), these bounds are
+    /// the only place a capacity enters the model. The Δ-Model records none.
+    pub capacity_rows: Vec<(RowId, Resource)>,
 }
 
 /// Builds Constraints (7) and (9) over all states, for either the Σ-Model
@@ -33,6 +40,7 @@ pub fn build_state_allocations(
     let num_states = ev.num_states();
     let mut node_loads: Vec<Vec<Vec<(VarId, f64)>>> =
         vec![vec![Vec::new(); sub.num_nodes()]; num_states];
+    let mut capacity_rows = Vec::new();
 
     for i in 1..=num_states {
         // Node resources.
@@ -71,7 +79,7 @@ pub fn build_state_allocations(
             }
             if !row.is_empty() {
                 // (9): total allocation within capacity.
-                m.add_le(&row, cap);
+                capacity_rows.push((m.add_le(&row, cap), Resource::Node(n.0)));
             }
             node_loads[i - 1][n.0] = row;
         }
@@ -110,11 +118,13 @@ pub fn build_state_allocations(
                 }
             }
             if !row.is_empty() {
-                m.add_le(&row, cap);
+                capacity_rows.push((m.add_le(&row, cap), Resource::Edge(e.0)));
             }
         }
     }
 
-    let _ = NodeId(0);
-    StateLoads { node: node_loads }
+    StateLoads {
+        node: node_loads,
+        capacity_rows,
+    }
 }

@@ -1,19 +1,26 @@
 //! End-to-end check that the heap accounting is measurably correct: the
 //! peak reported while building a Δ-Model must cover the model's own
 //! structural size, and the live counter must fall back to (near) the
-//! baseline once the model is dropped.
+//! baseline once the model is dropped. The LP engine's gauge, a warm
+//! re-solve, an admission stream and the node pool are held to their own
+//! allocation accounts.
 //!
 //! Single test function on purpose: the allocation counters are
 //! process-global, and the default test harness runs `#[test]` functions
 //! concurrently. The exact checks read the test thread's own counters, as
 //! the harness's thread allocates while the test runs.
 
-use tvnep_core::{build_model, BuildOptions, Formulation, Objective};
+use tvnep_core::{build_model, BuildOptions, Formulation, Objective, ServiceCore, ServiceOptions};
 use tvnep_telemetry::{alloc, MemProbe};
 use tvnep_workloads::{generate, WorkloadConfig};
 
 #[global_allocator]
 static ALLOC: tvnep_telemetry::CountingAlloc = tvnep_telemetry::CountingAlloc;
+
+/// Allocations of the seed-7 service stream's 100 admissions (below) when
+/// each candidate start rebuilt the single-request model and ran branch and
+/// bound on it.
+const PER_START_BUILD_ALLOCS: u64 = 93_730;
 
 #[test]
 fn allocator_accounts_for_delta_model_build() {
@@ -117,6 +124,38 @@ fn allocator_accounts_for_delta_model_build() {
         );
     }
     drop(simplex);
+
+    // An admission builds its LP once and only re-bounds it at each
+    // candidate start. The 100 admissions of the benchmark's seed-7 service
+    // stream (`tiny`, 100 requests, mean inter-arrival 0.125 h, +2 h) must
+    // allocate at most half of what a per-start build took.
+    let config = WorkloadConfig {
+        num_requests: 100,
+        mean_interarrival: 0.125,
+        ..WorkloadConfig::tiny()
+    };
+    let stream = generate(&config, 7).with_flexibility_after(2.0);
+    let maps = stream
+        .fixed_node_mappings
+        .clone()
+        .expect("mappings are fixed");
+    let mut core = ServiceCore::new(
+        stream.substrate.clone(),
+        stream.horizon,
+        ServiceOptions::default(),
+    );
+    let allocs = alloc::thread_stats().allocs;
+    let mut lps = 0;
+    for (request, mapping) in stream.requests.iter().zip(&maps) {
+        lps += core.admit(request.clone(), mapping.clone()).unwrap().nodes;
+    }
+    let allocs = alloc::thread_stats().allocs - allocs;
+    assert_eq!(lps, 396, "the stream's admissions solve 396 LPs");
+    assert!(
+        allocs <= PER_START_BUILD_ALLOCS / 2,
+        "100 admissions allocated {allocs} times, more than half of {PER_START_BUILD_ALLOCS}"
+    );
+    drop(core);
 
     // With counting off the probe reports 0 — callers need no branching.
     alloc::set_counting(false);

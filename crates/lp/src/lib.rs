@@ -7,8 +7,9 @@
 //!
 //! * [`problem::LpProblem`] — `min c'x, rlo ≤ Ax ≤ rup, l ≤ x ≤ u`;
 //! * [`simplex::Simplex`] — revised primal simplex with variable bounds,
-//!   composite phase 1, devex pricing, periodic refactorization and warm
-//!   starts from recorded bases;
+//!   composite phase 1, devex pricing, periodic refactorization, warm
+//!   starts from recorded bases, and restarts of a re-bounded engine
+//!   ([`Simplex::restart`]) that solve as a fresh engine does;
 //! * [`factor`] — the sparse basis kernel: Markowitz LU factorization with
 //!   threshold partial pivoting, hypersparse triangular solves, and
 //!   product-form eta updates between refactorizations;

@@ -536,6 +536,35 @@ impl Simplex {
         (self.lo[j], self.up[j])
     }
 
+    /// Changes the activity bounds of row `i` (the bounds of its slack).
+    /// The basis is kept, as by [`set_var_bounds`](Self::set_var_bounds).
+    pub fn set_row_bounds(&mut self, i: usize, lo: f64, up: f64) {
+        assert!(i < self.m && lo <= up);
+        self.lo[self.n_struct + i] = lo;
+        self.up[self.n_struct + i] = up;
+    }
+
+    /// Current activity bounds of row `i`.
+    pub fn row_bounds(&self, i: usize) -> (f64, f64) {
+        (self.lo[self.n_struct + i], self.up[self.n_struct + i])
+    }
+
+    /// Puts the engine in the state [`Simplex::new`] leaves on the problem
+    /// with the current bounds: the all-slack basis with statuses from those
+    /// bounds and stale factors, the pricing cursor at column 0 and the
+    /// iteration count at 0 (the dual simplex seeds its anti-stall choice
+    /// from it, and the deadline check and the flight recorder's milestones
+    /// read it). The next solve then takes the pivots, and returns the
+    /// status, iteration count and bits, of a fresh engine's first solve.
+    /// The limits, the telemetry and flight-recorder handles and the
+    /// cumulative [`stats`](Self::stats) are kept, and so are the buffers,
+    /// which the restarted solve reuses.
+    pub fn restart(&mut self) {
+        self.install_slack_basis();
+        self.iterations = 0;
+        self.pricing_cursor = 0;
+    }
+
     /// Records the current basis for later [`load_basis`](Self::load_basis).
     pub fn save_basis(&self) -> Basis {
         Basis::pack(&self.status)

@@ -149,18 +149,6 @@ impl CscMatrix {
             out[r] += scale * v;
         }
     }
-
-    /// Dense `A x` product (used by tests and the solution checker).
-    pub fn mul_dense(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols);
-        let mut out = vec![0.0; self.nrows];
-        for (c, &xc) in x.iter().enumerate() {
-            if xc != 0.0 {
-                self.axpy_column(c, xc, &mut out);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -215,16 +203,6 @@ mod tests {
         let y = [1.0, 10.0, 100.0];
         assert_eq!(m.column_dot(0, &y), 301.0);
         assert_eq!(m.column_dot(1, &y), -20.0);
-    }
-
-    #[test]
-    fn mul_dense_matches_manual() {
-        let mut m = CscMatrix::empty(2);
-        m.push_column(&[(0, 1.0)]);
-        m.push_column(&[(1, 3.0)]);
-        m.push_column(&[(0, 2.0)]);
-        assert_eq!(m.mul_dense(&[1.0, 1.0, 1.0]), vec![3.0, 3.0]);
-        assert_eq!(m.mul_dense(&[0.0, 2.0, -1.0]), vec![-2.0, 6.0]);
     }
 
     #[test]
