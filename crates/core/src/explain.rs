@@ -14,7 +14,7 @@
 //! solution alone and asserts they match.
 
 use tvnep_graph::{EdgeId, NodeId};
-use tvnep_model::{tol, Instance, TemporalSolution};
+use tvnep_model::{tol, Instance, NodeMapping, Request, TemporalSolution};
 use tvnep_telemetry::Json;
 
 /// A substrate resource: one an explanation names, or the one a capacity
@@ -149,6 +149,17 @@ pub(crate) fn probe_times(solution: &TemporalSolution, lo: f64, hi: f64) -> Vec<
     pts.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
 }
 
+/// The demand request `r` pins under `map`, summed by substrate node in
+/// virtual-node order: the coefficient of `x_R` in the node's capacity
+/// row (9) of a model with that pinned mapping, bit for bit.
+pub(crate) fn pinned_demand(r: &Request, map: &NodeMapping, num_nodes: usize) -> Vec<f64> {
+    let mut demand = vec![0.0f64; num_nodes];
+    for (v, &host) in map.iter().enumerate() {
+        demand[host.0] += r.node_demand(NodeId(v));
+    }
+    demand
+}
+
 fn explain_accepted(
     instance: &Instance,
     solution: &TemporalSolution,
@@ -238,11 +249,7 @@ fn explain_rejected(instance: &Instance, solution: &TemporalSolution, i: usize) 
         };
     };
 
-    // The request's pinned demand aggregated by substrate node.
-    let mut demand = vec![0.0f64; instance.substrate.num_nodes()];
-    for (v, &host) in map.iter().enumerate() {
-        demand[host.0] += r.node_demand(NodeId(v));
-    }
+    let demand = pinned_demand(r, map, instance.substrate.num_nodes());
 
     // Candidate starts: release, every accepted end inside the window, and
     // the latest start (the event points of Section III-A).

@@ -16,14 +16,23 @@
 //! with a solution is accepted at exactly `s`; a candidate with none is
 //! rejected. DESIGN §11.1 has the equivalence argument.
 //!
-//! An admission builds that LP once, with one engine over it. With one
-//! pinned request every Σ is statically one, so a start enters the model
-//! only through the bounds of `t⁺` and `t⁻` and the residual capacities only
-//! through the upper bounds of the capacity rows (9): each start overwrites
-//! those bounds and restarts the engine from the all-slack basis, which
-//! gives the LP, the pivots and the point of a fresh build on the residual
-//! substrate, bit for bit. No branch and bound runs; the harness's
-//! `online_consistency` oracle checks the scan against it.
+//! Most starts need no LP. With the node mapping pinned and `x_R = 1`
+//! fixed, a node's capacity row (9) holds only `x_R`, so it is the constant
+//! check `demand_n ≤ residual_n(s)`: its slack stays basic at exactly the
+//! demand whatever the engine pivots, and where the demand exceeds the
+//! residual by more than the `100 · FEAS_TOL` of bound violation the engine
+//! tolerates in an `Optimal` point, the LP cannot be optimal. Such a start
+//! is skipped without an LP; a start within that margin still gets one.
+//!
+//! An admission builds its LP at the first start that passes this check,
+//! with one engine over it, and a candidate none of whose starts pass
+//! builds nothing. With one pinned request every Σ is statically one, so a
+//! start enters the model only through the bounds of `t⁺` and `t⁻` and the
+//! residual capacities only through the upper bounds of the capacity rows
+//! (9): each start overwrites those bounds and restarts the engine from the
+//! all-slack basis, which gives the LP, the pivots and the point of a fresh
+//! build on the residual substrate, bit for bit. No branch and bound runs;
+//! the harness's `online_consistency` oracle checks the scan against it.
 //!
 //! Reservations whose end lies at or before the admission **water mark** (a
 //! monotone lower bound on every future candidate's earliest start, i.e. the
@@ -42,12 +51,14 @@ use std::time::{Duration, Instant};
 
 use crate::events::time_bounds;
 use crate::explain::{
-    edge_load_at, explain_request, node_load_at, probe_times, RequestExplanation, Resource,
+    edge_load_at, explain_request, node_load_at, pinned_demand, probe_times, RequestExplanation,
+    Resource,
 };
 use crate::formulation::{build_model, BuildOptions, BuiltModel, Formulation, Objective};
 use tvnep_graph::{EdgeId, NodeId};
 use tvnep_lp::{LpStatus, Simplex};
 use tvnep_mip::MipOptions;
+use tvnep_model::tol::FEAS_TOL;
 use tvnep_model::{
     check_mapping, check_window, Embedding, Instance, NodeMapping, Request, ScheduledRequest,
     Substrate, TemporalSolution,
@@ -107,7 +118,8 @@ pub struct AdmitDecision {
     /// state (the `explain` subsystem run on the reservations plus the
     /// decided candidate).
     pub explain: Option<RequestExplanation>,
-    /// LP solves spent on the decision: one per tried start.
+    /// LP solves spent on the decision: one per candidate start that the
+    /// pinned node capacities do not rule out (see the module docs).
     pub nodes: u64,
     /// Wall-clock time of the admission (scan + extraction + explain).
     pub runtime: Duration,
@@ -269,17 +281,25 @@ impl ServiceCore {
 
         let (inst, mut sol) = self.candidate_snapshot(&request, &mapping);
         let k = inst.num_requests() - 1;
-        let mut scan = StartScan::new(
-            &self.substrate,
-            self.horizon,
-            &request,
-            &mapping,
-            &self.opts.subproblem,
-        );
-        let mut tried = 0u64;
+        let demand = pinned_demand(&request, &mapping, self.substrate.num_nodes());
+        let mut scan: Option<StartScan> = None;
+        let mut lps = 0u64;
         for s in self.candidate_starts(&request) {
-            tried += 1;
-            scan.rebound(&inst, &sol, s);
+            let residuals = Residuals::at(&inst, &sol, s, s + request.duration);
+            if residuals.rule_out(&demand) {
+                continue;
+            }
+            let scan = scan.get_or_insert_with(|| {
+                StartScan::new(
+                    &self.substrate,
+                    self.horizon,
+                    &request,
+                    &mapping,
+                    &self.opts.subproblem,
+                )
+            });
+            lps += 1;
+            scan.rebound(&residuals, s);
             if let Some(embedding) = scan.solve(self.opts.subproblem.time_limit) {
                 sol.scheduled[k] = ScheduledRequest {
                     accepted: true,
@@ -290,7 +310,9 @@ impl ServiceCore {
                 break;
             }
         }
-        scan.engine.stats.flush_into(telemetry);
+        if let Some(scan) = &scan {
+            scan.engine.stats.flush_into(telemetry);
+        }
 
         self.next_id = self.next_id.max(id + 1);
         let explain = explain_request(&inst, &sol, k);
@@ -320,8 +342,8 @@ impl ServiceCore {
             }
         }
 
-        // Black-box record of the decision (each start's LP already
-        // recorded its events through the same handle).
+        // Black-box record of the decision (each LP already recorded its
+        // events through the same handle).
         if let Some(bb) = &self.opts.subproblem.blackbox {
             bb.record(tvnep_telemetry::EventKind::Admit, id, u64::from(accept));
         }
@@ -334,7 +356,7 @@ impl ServiceCore {
             end: decided.end,
             embedding: decided.embedding,
             explain: Some(explain),
-            nodes: tried,
+            nodes: lps,
             runtime: clock.elapsed(),
         })
     }
@@ -410,10 +432,57 @@ impl ServiceCore {
     }
 }
 
+/// The residual capacities at one candidate start `s`: each capacity minus
+/// its peak load on `(s, s + d_R)` under the reservations of a candidate
+/// snapshot (the candidate, still rejected there, adds none), at least 0.
+/// The node check and the LP's capacity rows both read them.
+struct Residuals<'a> {
+    inst: &'a Instance,
+    sol: &'a TemporalSolution,
+    times: Vec<f64>,
+}
+
+impl<'a> Residuals<'a> {
+    fn at(inst: &'a Instance, sol: &'a TemporalSolution, s: f64, end: f64) -> Self {
+        let times = probe_times(sol, s, end);
+        Self { inst, sol, times }
+    }
+
+    fn of(&self, resource: Resource) -> f64 {
+        let (inst, sol) = (self.inst, self.sol);
+        let peak =
+            |load: &dyn Fn(f64) -> f64| self.times.iter().map(|&t| load(t)).fold(0.0, f64::max);
+        let sub = &inst.substrate;
+        let residual = match resource {
+            Resource::Node(n) => {
+                let n = NodeId(n);
+                sub.node_capacity(n) - peak(&|t| node_load_at(inst, sol, n, t))
+            }
+            Resource::Edge(e) => {
+                let e = EdgeId(e);
+                sub.edge_capacity(e) - peak(&|t| edge_load_at(inst, sol, e, t))
+            }
+        };
+        residual.max(0.0)
+    }
+
+    /// Whether a pinned node capacity rules the start out: some node's
+    /// `demand` (its row's coefficient of the fixed `x_R`) exceeds its
+    /// residual by more than the `100 · FEAS_TOL` of violation that
+    /// `solve_warm` and `solve` allow an `Optimal` point (module docs).
+    fn rule_out(&self, demand: &[f64]) -> bool {
+        demand
+            .iter()
+            .enumerate()
+            .any(|(n, &d)| d > 0.0 && d - self.of(Resource::Node(n)) > FEAS_TOL * 100.0)
+    }
+}
+
 /// One admission's LP: the candidate alone as a cΣ model, window pinned and
-/// `x_R = 1`, built once, and one engine over its relaxation. Each start
-/// re-bounds it ([`rebound`](Self::rebound)) and solves it from a fresh
-/// engine's state ([`solve`](Self::solve)); see the module docs.
+/// `x_R = 1`, built at the first start that passes the node check, and one
+/// engine over its relaxation. Each start that passes re-bounds it
+/// ([`rebound`](Self::rebound)) and solves it from a fresh engine's state
+/// ([`solve`](Self::solve)); see the module docs.
 struct StartScan {
     /// The instance of the build: the substrate at full capacity and the
     /// candidate, pinned to the start last re-bounded.
@@ -459,10 +528,8 @@ impl StartScan {
     }
 
     /// Re-bounds the LP for start `s`: `t⁺` and `t⁻` get the window
-    /// `[s, s + d_R]`, and each capacity row the capacity minus its peak
-    /// load on `(s, s + d_R)` under the reservations in `inst`/`sol` (the
-    /// candidate, still rejected there, adds none).
-    fn rebound(&mut self, inst: &Instance, sol: &TemporalSolution, s: f64) {
+    /// `[s, s + d_R]`, and each capacity row its resource's residual.
+    fn rebound(&mut self, residuals: &Residuals, s: f64) {
         let pinned = &mut self.one.requests[0];
         pinned.earliest_start = s;
         pinned.latest_end = s + pinned.duration;
@@ -473,22 +540,10 @@ impl StartScan {
         {
             self.engine.set_var_bounds(v.0, lo, up);
         }
-        let times = probe_times(sol, s, pinned.latest_end);
-        let peak = |load: &dyn Fn(f64) -> f64| times.iter().map(|&t| load(t)).fold(0.0, f64::max);
-        let sub = &self.one.substrate;
         for &(row, resource) in &self.built.loads.capacity_rows {
-            let residual = match resource {
-                Resource::Node(n) => {
-                    let n = NodeId(n);
-                    sub.node_capacity(n) - peak(&|t| node_load_at(inst, sol, n, t))
-                }
-                Resource::Edge(e) => {
-                    let e = EdgeId(e);
-                    sub.edge_capacity(e) - peak(&|t| edge_load_at(inst, sol, e, t))
-                }
-            };
             let (lo, _) = self.engine.row_bounds(row.0);
-            self.engine.set_row_bounds(row.0, lo, residual.max(0.0));
+            self.engine
+                .set_row_bounds(row.0, lo, residuals.of(resource));
         }
     }
 
@@ -498,8 +553,9 @@ impl StartScan {
     /// Returns the candidate's embedding, or `None` when the LP is
     /// infeasible or fails (`time_limit` bounds the solve from now).
     fn solve(&mut self, time_limit: Option<Duration>) -> Option<Embedding> {
-        // One progress tick per start's LP, the unit a decision's `nodes`
-        // counts: the stall watchdog sees an LP that takes no pivot too.
+        // One progress tick per LP, the unit a decision's `nodes` counts:
+        // the stall watchdog sees an LP that takes no pivot too. A start the
+        // node check rules out runs no LP and ticks nothing.
         if let Some(bb) = &self.blackbox {
             bb.pulse().add_nodes(1);
         }
@@ -563,12 +619,14 @@ mod tests {
         let d2 = c.admit(r2, m2).unwrap();
         assert!(d2.accepted);
         assert_eq!(d2.start, 2.0, "the end of 'a', bit for bit");
+        assert_eq!(d2.nodes, 1, "node 0 rules out start 0 without an LP");
 
         // A rigid request colliding with both reservations is rejected, and
         // the explain narrative names the exhausted node.
         let (r3, m3) = tight("c", 1.0, 3.0, 2.0);
         let d3 = c.admit(r3, m3).unwrap();
         assert!(!d3.accepted);
+        assert_eq!(d3.nodes, 0, "its one start is ruled out by node 0");
         let ex = d3.explain.expect("explanation attached");
         match ex.fate {
             crate::explain::Fate::Rejected { ref blockers, .. } => {
@@ -784,11 +842,15 @@ mod tests {
     /// objective and row store, and the engine's column and row bounds. The
     /// scan's solve then returns what a fresh engine's dual solve of the
     /// per-start LP returns, and the admission takes the first start where
-    /// that LP is optimal, with its flows.
+    /// that LP is optimal, with its flows. At every start the node check
+    /// rules out, that LP is not optimal, and a decision's `nodes` counts the
+    /// starts the check lets through.
     #[test]
     fn rebound_lp_equals_the_per_start_build_bit_for_bit() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (seed, want_lps, want_accepted) in [(7, 396, 23), (4, 374, 21)] {
+        for (seed, want_starts, want_ruled_out, want_accepted) in
+            [(7, 396, 373, 23), (4, 374, 353, 21)]
+        {
             let config = tvnep_workloads::WorkloadConfig {
                 num_requests: 100,
                 mean_interarrival: 0.125,
@@ -801,7 +863,7 @@ mod tests {
                 .expect("mappings are fixed");
             let opts = ServiceOptions::default();
             let mut c = ServiceCore::new(stream.substrate.clone(), stream.horizon, opts.clone());
-            let (mut lps, mut accepted) = (0, 0);
+            let (mut starts, mut ruled_out, mut lps, mut accepted) = (0, 0, 0, 0);
             for (request, mapping) in stream.requests.iter().zip(&maps) {
                 let what = format!("seed {seed}, request {}", request.name);
                 c.advance(request.earliest_start);
@@ -814,9 +876,12 @@ mod tests {
                     &opts.subproblem,
                 );
                 let lp = scan.built.mip.relaxation_min();
-                let mut fit = None;
+                let demand = pinned_demand(request, mapping, c.substrate().num_nodes());
+                let (mut fit, mut passed) = (None, 0);
                 for s in c.candidate_starts(request) {
-                    scan.rebound(&inst, &sol, s);
+                    let residuals = Residuals::at(&inst, &sol, s, s + request.duration);
+                    let rule_out = residuals.rule_out(&demand);
+                    scan.rebound(&residuals, s);
                     let reference = per_start_relaxation(&c, &inst, &sol, request, mapping, s);
                     let what = format!("{what}, start {s}");
                     assert_eq!(bits(lp.objective()), bits(reference.objective()), "{what}");
@@ -847,7 +912,13 @@ mod tests {
                     let x = scan.engine.extract(status).x;
                     assert_eq!(bits(&x), bits(&fresh.extract(status).x), "{what}");
                     assert_eq!(embedding.is_some(), status == LpStatus::Optimal, "{what}");
-                    lps += 1;
+                    starts += 1;
+                    if rule_out {
+                        ruled_out += 1;
+                        assert_ne!(status, LpStatus::Optimal, "{what}: ruled out, yet optimal");
+                    } else {
+                        passed += 1;
+                    }
                     if let Some(embedding) = embedding {
                         fit = Some((s, embedding));
                         break;
@@ -855,6 +926,8 @@ mod tests {
                 }
                 let d = c.admit(request.clone(), mapping.clone()).unwrap();
                 assert_eq!(d.accepted, fit.is_some(), "{what}");
+                assert_eq!(d.nodes, passed, "{what}: one LP per start the check passes");
+                lps += d.nodes;
                 if let Some((s, embedding)) = fit {
                     accepted += 1;
                     assert_eq!(d.start.to_bits(), s.to_bits(), "{what}");
@@ -865,7 +938,12 @@ mod tests {
                     assert_eq!(flows(&d.embedding.unwrap()), flows(&embedding), "{what}");
                 }
             }
-            assert_eq!((lps, accepted), (want_lps, want_accepted), "seed {seed}");
+            assert_eq!(
+                (starts, ruled_out, accepted),
+                (want_starts, want_ruled_out, want_accepted),
+                "seed {seed}"
+            );
+            assert_eq!(lps, starts - ruled_out, "seed {seed}");
         }
     }
 }

@@ -2,7 +2,8 @@
 //! have room but whose only substrate link does not. On a 1×2 grid the
 //! virtual link 0 → 1 can only use substrate link 0 → 1, so a reservation
 //! holding that link blocks every overlapping candidate while both nodes
-//! stay nearly empty.
+//! stay nearly empty. Such a start passes the scan's node check, so it
+//! costs an LP, and the LP rejects it: a decision's `nodes` counts it.
 
 use tvnep_core::{Fate, ServiceCore, ServiceOptions};
 use tvnep_graph::{grid, star, NodeId, StarDirection};
@@ -33,14 +34,14 @@ fn flexible_candidate_moves_to_the_end_of_the_link_reservation() {
     assert_eq!(da.start, 0.0);
     let held_until = c.reservations()[0].end;
 
-    // Its release fits every node but not the link: the scan tries it,
-    // then takes the end of 'a' exactly.
+    // Its release fits every node but not the link: the scan's LP rejects
+    // it, and a second LP takes the end of 'a' exactly.
     let (b, mb) = link_heavy("b", 0.0, 6.0, 2.0);
     let db = c.admit(b, mb).unwrap();
     assert!(db.accepted);
     assert_eq!(db.start, held_until);
     assert_eq!(db.end, held_until + 2.0);
-    assert_eq!(db.nodes, 2, "one LP per tried start");
+    assert_eq!(db.nodes, 2, "both starts pass the node check");
     let Some(Fate::Accepted { event_point, .. }) = db.explain.map(|e| e.fate) else {
         panic!("accepted narrative expected");
     };
@@ -60,7 +61,7 @@ fn rigid_twin_is_refused_by_link_capacity_alone() {
     let d = c.admit(twin, mt).unwrap();
     assert!(!d.accepted);
     assert_eq!(d.start, 0.0, "rejected at its release");
-    assert_eq!(d.nodes, 1, "a rigid window has one start");
+    assert_eq!(d.nodes, 1, "its one start reaches the LP, which rejects it");
     assert_eq!(c.reservations().len(), 1);
     match d.explain.map(|e| e.fate) {
         Some(Fate::Rejected { blockers, note }) => {

@@ -8,7 +8,8 @@
 //!   decides them through a [`tvnep_core::ServiceCore`] (the greedy cΣᴳ_A
 //!   per-iteration step with previously accepted schedules fixed as
 //!   substrate-capacity reservations, solved as a scan over the candidate's
-//!   possible starts with one LP per start), journaling every decision to a
+//!   possible starts with one LP per start that the pinned node capacities
+//!   do not rule out), journaling every decision to a
 //!   **write-ahead log** before it is emitted;
 //! * [`recover`](EpochRunner::recover) — rebuilds the exact reservation
 //!   state from the WAL after a crash, so the continued decision log is
@@ -49,8 +50,9 @@ use tvnep_telemetry::{prom, Json, LogHistogram};
 /// Configuration of the epoch runner.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Admission options; each tried start is one LP solved under
-    /// `service.subproblem`, and every decision is deterministic.
+    /// Admission options; each candidate start that passes the node check
+    /// is one LP solved under `service.subproblem`, and every decision is
+    /// deterministic.
     pub service: ServiceOptions,
     /// Close an epoch automatically once this many submissions are pending
     /// (`0` = epochs close only on explicit `tick`/EOF/shutdown).
@@ -188,8 +190,9 @@ pub struct ServeStats {
     pub shed: u64,
     pub epochs: u64,
     pub overruns: u64,
-    /// LP solves spent across all decisions, one per tried start
-    /// (deterministic effort; the funnel budgets against it).
+    /// LP solves spent across all decisions, one per candidate start that
+    /// passes the node check (`AdmitDecision::nodes`; deterministic effort,
+    /// the funnel budgets against it).
     pub nodes_spent: u64,
     pub last_epoch_wall: Duration,
 }

@@ -101,8 +101,8 @@ pub struct LoadReport {
     pub acceptance_ratio: f64,
     /// Definition-2.1 violations across all accepted schedules (must be 0).
     pub violations: usize,
-    /// Total LP solves across all admissions, one per tried start
-    /// (deterministic).
+    /// Total LP solves across all admissions, one per candidate start that
+    /// passes the node check (`AdmitDecision::nodes`; deterministic).
     pub total_nodes: u64,
     pub epochs: u64,
     pub overruns: u64,

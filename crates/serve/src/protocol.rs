@@ -136,8 +136,9 @@ pub fn bye_event(decided: u64, accepted: u64) -> Json {
 }
 
 /// A solver-made `decision` event. Deterministic fields only: no wall-clock
-/// quantities (`nodes` counts the admission's LP solves, one per tried
-/// start, a pure function of the reservation state).
+/// quantities (`nodes` counts the admission's LP solves, one per candidate
+/// start that passes the node check, a pure function of the reservation
+/// state).
 pub fn decision_event(d: &AdmitDecision) -> Json {
     let mut fields = vec![
         ("event".into(), Json::from("decision")),
