@@ -21,6 +21,8 @@ use tvnep_telemetry::Json;
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
+    /// The record being written with its newline, reused across writes.
+    buf: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -44,17 +46,28 @@ impl JournalWriter {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { file })
+        Ok(Self {
+            file,
+            buf: Vec::new(),
+        })
     }
 
     /// Appends one event as a single line and makes it durable (`fsync`)
     /// before returning. A crash between cells therefore never loses a
     /// completed cell, only (at most) the line being written.
     pub fn write(&mut self, event: &Json) -> io::Result<()> {
-        let mut line = event.to_string();
+        self.write_line(&event.to_string())
+    }
+
+    /// Appends one serialized event (`event.to_string()`, without its
+    /// newline) as [`write`](Self::write) does, for a caller that also
+    /// keeps the line.
+    pub fn write_line(&mut self, line: &str) -> io::Result<()> {
         debug_assert!(!line.contains('\n'), "journal events must be single-line");
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.buf.clear();
+        self.buf.extend_from_slice(line.as_bytes());
+        self.buf.push(b'\n');
+        self.file.write_all(&self.buf)?;
         self.file.sync_data()
     }
 }

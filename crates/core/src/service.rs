@@ -34,6 +34,19 @@
 //! build on the residual substrate, bit for bit. No branch and bound runs;
 //! the harness's `online_consistency` oracle checks the scan against it.
 //!
+//! The core keeps its live reservations as the one instance and the one
+//! solution every reader takes, entry for entry in admission order: the
+//! substrate and the horizon with each reservation's pinned request and
+//! mapping, and each one's schedule and embedding
+//! ([`reservation_snapshot`](ServiceCore::reservation_snapshot) lends them
+//! out). An admission moves its candidate into them as the last entry,
+//! rejected at its release; the scan's residual loads and the explain
+//! narrative read it there, and it is then pinned in place (accepted) or
+//! removed (rejected). Reading them copies nothing: no admission clones a
+//! reservation, and only the single-request LP below, built for a
+//! candidate with a start that passes the node check, copies the
+//! substrate.
+//!
 //! Reservations whose end lies at or before the admission **water mark** (a
 //! monotone lower bound on every future candidate's earliest start, i.e. the
 //! arrival clock) can never overlap a future candidate and are garbage
@@ -81,7 +94,8 @@ pub struct ServiceOptions {
 }
 
 /// An admitted request holding substrate capacity: the pinned schedule and
-/// embedding every later admission treats as immovable.
+/// embedding every later admission treats as immovable, as
+/// [`restore`](ServiceCore::restore) installs it.
 #[derive(Debug, Clone)]
 pub struct Reservation {
     /// Service-assigned admission id (monotone in decision order).
@@ -96,6 +110,24 @@ pub struct Reservation {
     pub end: f64,
     /// The link embedding chosen at admission time.
     pub embedding: Embedding,
+}
+
+/// A live reservation borrowed from the core's books: the fields of a
+/// [`Reservation`], read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct ReservationRef<'a> {
+    /// Service-assigned admission id.
+    pub id: u64,
+    /// The request, window collapsed to the reserved `[start, end]`.
+    pub request: &'a Request,
+    /// Pinned virtual-node → substrate-node mapping.
+    pub mapping: &'a NodeMapping,
+    /// Reserved start `t⁺`.
+    pub start: f64,
+    /// Reserved end `t⁻ = t⁺ + d`.
+    pub end: f64,
+    /// The link embedding chosen at admission time.
+    pub embedding: &'a Embedding,
 }
 
 /// One admission decision.
@@ -145,10 +177,15 @@ impl std::fmt::Display for AdmitError {
 /// The long-lived admission core (see the module docs).
 #[derive(Debug)]
 pub struct ServiceCore {
-    substrate: Substrate,
-    horizon: f64,
     opts: ServiceOptions,
-    reservations: Vec<Reservation>,
+    /// The books: the substrate, the horizon and each live reservation's
+    /// pinned request and mapping, in admission order (and, during an
+    /// admission, the candidate last).
+    books: Instance,
+    /// Each entry's schedule and embedding, entry for entry.
+    schedule: TemporalSolution,
+    /// Each entry's admission id, entry for entry.
+    ids: Vec<u64>,
     /// Monotone lower bound on every future candidate's earliest start.
     water_mark: f64,
     next_id: u64,
@@ -164,10 +201,13 @@ impl ServiceCore {
             "horizon must be positive"
         );
         Self {
-            substrate,
-            horizon,
             opts,
-            reservations: Vec::new(),
+            books: Instance::new(substrate, Vec::new(), horizon, Some(Vec::new())),
+            schedule: TemporalSolution {
+                scheduled: Vec::new(),
+                reported_objective: None,
+            },
+            ids: Vec::new(),
             water_mark: 0.0,
             next_id: 0,
             accepted_total: 0,
@@ -177,17 +217,30 @@ impl ServiceCore {
 
     /// The substrate this core allocates on.
     pub fn substrate(&self) -> &Substrate {
-        &self.substrate
+        &self.books.substrate
     }
 
     /// The time horizon `T` of every admission.
     pub fn horizon(&self) -> f64 {
-        self.horizon
+        self.books.horizon
     }
 
-    /// Live reservations, in admission order.
-    pub fn reservations(&self) -> &[Reservation] {
-        &self.reservations
+    /// The live reservations in admission order, read in place from the
+    /// books ([`len`](ExactSizeIterator::len) is O(1)).
+    pub fn reservations(&self) -> impl ExactSizeIterator<Item = ReservationRef<'_>> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.books.requests)
+            .zip(self.mappings())
+            .zip(&self.schedule.scheduled)
+            .map(|(((&id, request), mapping), s)| ReservationRef {
+                id,
+                request,
+                mapping,
+                start: s.start,
+                end: s.end,
+                embedding: s.embedding.as_ref().expect("a reservation is accepted"),
+            })
     }
 
     /// Total accepted over the core's lifetime (including collected ones).
@@ -213,10 +266,24 @@ impl ServiceCore {
         if now > self.water_mark {
             self.water_mark = now;
         }
-        let before = self.reservations.len();
+        let before = self.ids.len();
         let mark = self.water_mark;
-        self.reservations.retain(|r| r.end > mark + 1e-12);
-        let dropped = before - self.reservations.len();
+        // Compact the live entries to the front, in order, then cut the rest.
+        let mut kept = 0;
+        for i in 0..before {
+            if self.schedule.scheduled[i].end > mark + 1e-12 {
+                self.ids.swap(kept, i);
+                self.books.requests.swap(kept, i);
+                self.mappings_mut().swap(kept, i);
+                self.schedule.scheduled.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.books.requests.truncate(kept);
+        self.mappings_mut().truncate(kept);
+        self.schedule.scheduled.truncate(kept);
+        let dropped = before - kept;
         self.collected_total += dropped as u64;
         dropped
     }
@@ -227,7 +294,17 @@ impl ServiceCore {
     pub fn restore(&mut self, res: Reservation) {
         self.next_id = self.next_id.max(res.id + 1);
         self.accepted_total += 1;
-        self.reservations.push(res);
+        self.push(
+            res.id,
+            res.request,
+            res.mapping,
+            ScheduledRequest {
+                accepted: true,
+                start: res.start,
+                end: res.end,
+                embedding: Some(res.embedding),
+            },
+        );
     }
 
     /// Restores a rejected decision's id (WAL replay bookkeeping only).
@@ -242,8 +319,8 @@ impl ServiceCore {
     /// [`admit_with_id`](Self::admit_with_id) checks it when the candidate is
     /// decided.
     pub fn validate(&self, request: &Request, mapping: &NodeMapping) -> Result<(), AdmitError> {
-        check_window(request, self.horizon).map_err(AdmitError::WindowOutOfRange)?;
-        check_mapping(request, mapping, &self.substrate).map_err(AdmitError::BadMapping)
+        check_window(request, self.books.horizon).map_err(AdmitError::WindowOutOfRange)?;
+        check_mapping(request, mapping, &self.books.substrate).map_err(AdmitError::BadMapping)
     }
 
     /// Decides one candidate against the current reservations (see the
@@ -276,71 +353,94 @@ impl ServiceCore {
         }
         let clock = Instant::now();
         self.advance(request.earliest_start);
-        let telemetry = &self.opts.subproblem.telemetry;
-        let _span = telemetry.span("serve.admit").arg("id", id as f64);
+        let _span = self
+            .opts
+            .subproblem
+            .telemetry
+            .span("serve.admit")
+            .arg("id", id as f64);
 
-        let (inst, mut sol) = self.candidate_snapshot(&request, &mapping);
-        let k = inst.num_requests() - 1;
-        let demand = pinned_demand(&request, &mapping, self.substrate.num_nodes());
+        let starts = self.candidate_starts(&request);
+        let demand = pinned_demand(&request, &mapping, self.books.substrate.num_nodes());
+        let (release, duration) = (request.earliest_start, request.duration);
+        // The candidate joins the books last, rejected at its release until
+        // a start fits: the residual loads and the explain narrative read it
+        // there.
+        let k = self.ids.len();
+        self.push(
+            id,
+            request,
+            mapping,
+            ScheduledRequest {
+                accepted: false,
+                start: release,
+                end: release + duration,
+                embedding: None,
+            },
+        );
         let mut scan: Option<StartScan> = None;
         let mut lps = 0u64;
-        for s in self.candidate_starts(&request) {
-            let residuals = Residuals::at(&inst, &sol, s, s + request.duration);
+        for s in starts {
+            let residuals = Residuals::at(&self.books, &self.schedule, s, s + duration);
             if residuals.rule_out(&demand) {
                 continue;
             }
             let scan = scan.get_or_insert_with(|| {
                 StartScan::new(
-                    &self.substrate,
-                    self.horizon,
-                    &request,
-                    &mapping,
+                    &self.books.substrate,
+                    self.books.horizon,
+                    &self.books.requests[k],
+                    &self.mappings()[k],
                     &self.opts.subproblem,
                 )
             });
             lps += 1;
             scan.rebound(&residuals, s);
             if let Some(embedding) = scan.solve(self.opts.subproblem.time_limit) {
-                sol.scheduled[k] = ScheduledRequest {
+                self.schedule.scheduled[k] = ScheduledRequest {
                     accepted: true,
                     start: s,
-                    end: s + request.duration,
+                    end: s + duration,
                     embedding: Some(embedding),
                 };
                 break;
             }
         }
         if let Some(scan) = &scan {
-            scan.engine.stats.flush_into(telemetry);
+            scan.engine
+                .stats
+                .flush_into(&self.opts.subproblem.telemetry);
         }
 
         self.next_id = self.next_id.max(id + 1);
-        let explain = explain_request(&inst, &sol, k);
-        let decided = sol.scheduled.swap_remove(k);
-        let accept = decided.accepted;
+        let explain = explain_request(&self.books, &self.schedule, k);
+        let ScheduledRequest {
+            accepted: accept,
+            start,
+            end,
+            ..
+        } = self.schedule.scheduled[k];
         if accept {
             self.accepted_total += 1;
-            let leak = self
+        }
+        let leak = accept
+            && self
                 .opts
                 .leak_every
-                .is_some_and(|k| k > 0 && self.accepted_total.is_multiple_of(k as u64));
-            if !leak {
-                let mut pinned = request.clone();
-                pinned.earliest_start = decided.start;
-                pinned.latest_end = decided.end;
-                self.reservations.push(Reservation {
-                    id,
-                    request: pinned,
-                    mapping,
-                    start: decided.start,
-                    end: decided.end,
-                    embedding: decided
-                        .embedding
-                        .clone()
-                        .expect("accepted implies embedding"),
-                });
-            }
-        }
+                .is_some_and(|n| n > 0 && self.accepted_total.is_multiple_of(n as u64));
+        let (name, embedding) = if accept && !leak {
+            // Pinned in place: the window collapses to the reserved interval.
+            let pinned = &mut self.books.requests[k];
+            pinned.earliest_start = start;
+            pinned.latest_end = end;
+            (
+                pinned.name.clone(),
+                self.schedule.scheduled[k].embedding.clone(),
+            )
+        } else {
+            let (request, decided) = self.pop();
+            (request.name, decided.embedding)
+        };
 
         // Black-box record of the decision (each LP already recorded its
         // events through the same handle).
@@ -350,44 +450,53 @@ impl ServiceCore {
 
         Ok(AdmitDecision {
             id,
-            name: request.name,
+            name,
             accepted: accept,
-            start: decided.start,
-            end: decided.end,
-            embedding: decided.embedding,
+            start,
+            end,
+            embedding,
             explain: Some(explain),
             nodes: lps,
             runtime: clock.elapsed(),
         })
     }
 
-    /// The live reservations plus the candidate, last and rejected at its
-    /// release until a start fits: the residual loads and the explain
-    /// narrative both read this one snapshot.
-    fn candidate_snapshot(
-        &self,
-        request: &Request,
-        mapping: &NodeMapping,
-    ) -> (Instance, TemporalSolution) {
-        let (mut inst, mut sol) = self.reservation_snapshot();
-        inst.requests.push(request.clone());
-        if let Some(maps) = &mut inst.fixed_node_mappings {
-            maps.push(mapping.clone());
-        }
-        sol.scheduled.push(ScheduledRequest {
-            accepted: false,
-            start: request.earliest_start,
-            end: request.earliest_start + request.duration,
-            embedding: None,
-        });
-        (inst, sol)
+    /// Each entry's pinned mapping, entry for entry.
+    fn mappings(&self) -> &[NodeMapping] {
+        self.books
+            .fixed_node_mappings
+            .as_deref()
+            .unwrap_or_default()
+    }
+
+    fn mappings_mut(&mut self) -> &mut Vec<NodeMapping> {
+        self.books.fixed_node_mappings.get_or_insert_with(Vec::new)
+    }
+
+    /// Appends an entry to the books.
+    fn push(&mut self, id: u64, request: Request, mapping: NodeMapping, entry: ScheduledRequest) {
+        self.ids.push(id);
+        self.books.requests.push(request);
+        self.mappings_mut().push(mapping);
+        self.schedule.scheduled.push(entry);
+    }
+
+    /// Removes the last entry of the books (a candidate that does not stay)
+    /// and returns its request and schedule.
+    fn pop(&mut self) -> (Request, ScheduledRequest) {
+        self.ids.pop();
+        self.mappings_mut().pop();
+        let request = self.books.requests.pop().expect("an entry to remove");
+        let decided = self.schedule.scheduled.pop().expect("an entry to remove");
+        (request, decided)
     }
 
     /// Candidate starts, ascending: the release, then every live
     /// reservation end inside the window.
     fn candidate_starts(&self, request: &Request) -> Vec<f64> {
         let mut starts: Vec<f64> = self
-            .reservations
+            .schedule
+            .scheduled
             .iter()
             .map(|r| r.end)
             .filter(|&t| t > request.earliest_start && t <= request.latest_start())
@@ -398,43 +507,19 @@ impl ServiceCore {
         starts
     }
 
-    /// The live reservation state as a standalone solution over a synthetic
-    /// instance (one pinned request per reservation) — lets the independent
-    /// Definition-2.1 verifier audit the core's books at any time.
-    pub fn reservation_snapshot(&self) -> (Instance, TemporalSolution) {
-        let requests: Vec<Request> = self
-            .reservations
-            .iter()
-            .map(|r| r.request.clone())
-            .collect();
-        let maps: Vec<NodeMapping> = self
-            .reservations
-            .iter()
-            .map(|r| r.mapping.clone())
-            .collect();
-        let scheduled: Vec<ScheduledRequest> = self
-            .reservations
-            .iter()
-            .map(|r| ScheduledRequest {
-                accepted: true,
-                start: r.start,
-                end: r.end,
-                embedding: Some(r.embedding.clone()),
-            })
-            .collect();
-        (
-            Instance::new(self.substrate.clone(), requests, self.horizon, Some(maps)),
-            TemporalSolution {
-                scheduled,
-                reported_objective: None,
-            },
-        )
+    /// The live reservations as the books hold them: an instance (one
+    /// pinned request per reservation, with its mapping) and its solution,
+    /// in admission order. The independent Definition-2.1 verifier audits
+    /// the core's books on them at any time; a caller that extends them
+    /// clones them first.
+    pub fn reservation_snapshot(&self) -> (&Instance, &TemporalSolution) {
+        (&self.books, &self.schedule)
     }
 }
 
 /// The residual capacities at one candidate start `s`: each capacity minus
-/// its peak load on `(s, s + d_R)` under the reservations of a candidate
-/// snapshot (the candidate, still rejected there, adds none), at least 0.
+/// its peak load on `(s, s + d_R)` under the reservations of the books (the
+/// candidate, still rejected there, adds none), at least 0.
 /// The node check and the LP's capacity rows both read them.
 struct Residuals<'a> {
     inst: &'a Instance,
@@ -637,7 +722,7 @@ mod tests {
 
         // The books verify under Definition 2.1.
         let (inst, sol) = c.reservation_snapshot();
-        assert!(verify_with_tol(&inst, &sol, VERIFY_TOL).is_empty());
+        assert!(verify_with_tol(inst, sol, VERIFY_TOL).is_empty());
     }
 
     #[test]
@@ -651,16 +736,62 @@ mod tests {
         assert!(c.admit(r2, m2).unwrap().accepted);
         assert_eq!(c.reservations().len(), 1);
         assert_eq!(c.collected_total(), 1);
-        assert_eq!(c.reservations()[0].request.name, "b");
+        assert_eq!(c.reservations().next().unwrap().request.name, "b");
 
         // 'b' runs [2, 4]; an explicit advance past its end collects it too.
         assert_eq!(c.advance(5.0), 1);
-        assert!(c.reservations().is_empty());
+        assert_eq!(c.reservations().len(), 0);
         assert_eq!(c.collected_total(), 2);
 
         // The freed capacity is genuinely available again.
         let (r3, m3) = tight("c", 6.0, 10.0, 2.0);
         assert!(c.admit(r3, m3).unwrap().accepted);
+        assert_books_aligned(&c, &[(2, "c", 0, 6.0, 8.0)]);
+
+        // Four reservations on four nodes, released together; a collection
+        // out of admission order keeps the survivors' ids, requests,
+        // mappings and schedules together, in admission order.
+        let mut c = core();
+        for (name, host, d) in [("p", 0, 2.0), ("q", 1, 6.0), ("r", 2, 3.0), ("s", 3, 8.0)] {
+            let (r, _) = tight(name, 0.0, d, d);
+            let m = vec![NodeId(host), NodeId((host + 1) % 4)];
+            assert!(c.admit(r, m).unwrap().accepted, "{name}");
+        }
+        assert_eq!(c.advance(3.5), 2, "'p' and 'r' end by 3.5");
+        assert_books_aligned(&c, &[(1, "q", 1, 0.0, 6.0), (3, "s", 3, 0.0, 8.0)]);
+        let (r, m) = tight("t", 4.0, 9.0, 3.0);
+        assert!(c.admit(r, m).unwrap().accepted);
+        assert_eq!(c.advance(6.5), 1, "'q' ends at 6");
+        assert_books_aligned(&c, &[(3, "s", 3, 0.0, 8.0), (4, "t", 0, 4.0, 7.0)]);
+    }
+
+    /// The books hold exactly `want`, `(id, name, host of virtual node 0,
+    /// start, end)` per live reservation in admission order, every entry's
+    /// request pinned to its schedule and its embedding on its mapping.
+    fn assert_books_aligned(c: &ServiceCore, want: &[(u64, &str, usize, f64, f64)]) {
+        let (inst, sol) = c.reservation_snapshot();
+        let maps = inst
+            .fixed_node_mappings
+            .as_ref()
+            .expect("mappings are pinned");
+        assert_eq!(c.reservations().len(), want.len());
+        assert_eq!(inst.requests.len(), want.len());
+        assert_eq!(maps.len(), want.len());
+        assert_eq!(sol.scheduled.len(), want.len());
+        for (i, (r, &(id, name, host, start, end))) in c.reservations().zip(want).enumerate() {
+            assert_eq!((r.id, r.request.name.as_str()), (id, name), "entry {i}");
+            assert_eq!(r.mapping[0], NodeId(host), "entry {i}");
+            assert_eq!((r.start, r.end), (start, end), "entry {i}");
+            assert_eq!(
+                (r.request.earliest_start, r.request.latest_end),
+                (start, end)
+            );
+            assert_eq!(&r.embedding.node_map, r.mapping, "entry {i}");
+            assert!(std::ptr::eq(r.request, &inst.requests[i]), "entry {i}");
+            assert!(std::ptr::eq(r.mapping, &maps[i]), "entry {i}");
+            assert!(sol.scheduled[i].accepted, "entry {i}");
+        }
+        assert!(verify_with_tol(inst, sol, VERIFY_TOL).is_empty());
     }
 
     #[test]
@@ -708,7 +839,7 @@ mod tests {
         let (r1, m1) = tight("a", 0.0, 2.5, 2.0);
         let d1 = c.admit(r1, m1).unwrap();
         assert!(d1.accepted);
-        assert!(c.reservations().is_empty(), "reservation leaked by fault");
+        assert_eq!(c.reservations().len(), 0, "reservation leaked by fault");
         // The rigid twin is admitted into the same slot: double booking.
         let (r2, m2) = tight("b", 0.0, 2.5, 2.0);
         let d2 = c.admit(r2, m2).unwrap();
@@ -721,7 +852,7 @@ mod tests {
     fn assert_util_matches_verifier(c: &ServiceCore) {
         let (inst, sol) = c.reservation_snapshot();
         let times = sol.critical_times();
-        let points = util_points(&inst, &sol);
+        let points = util_points(inst, sol);
         assert_eq!(points.len(), times.len());
         for (p, &t) in points.iter().zip(&times) {
             assert_eq!(p.t, t, "probe times must match bitwise");
@@ -764,7 +895,7 @@ mod tests {
         // 'b' runs [2, 4] and 'd' [4, 8], each saturating node 0; the first
         // point past the water mark (3, d's release) is d's interval.
         let (inst, sol) = c.reservation_snapshot();
-        let summary = util_summary(c.substrate(), &util_points(&inst, &sol), c.water_mark());
+        let summary = util_summary(c.substrate(), &util_points(inst, sol), c.water_mark());
         assert_eq!((summary.points, summary.node_max), (2, 1.0));
         assert_eq!(summary.headroom_next, 0.0);
         c.advance(11.0);
@@ -781,7 +912,15 @@ mod tests {
         let d2 = full.admit(r2.clone(), m2.clone()).unwrap();
 
         let mut recovered = core();
-        recovered.restore(full.reservations()[0].clone());
+        let r = full.reservations().next().unwrap();
+        recovered.restore(Reservation {
+            id: r.id,
+            request: r.request.clone(),
+            mapping: r.mapping.clone(),
+            start: r.start,
+            end: r.end,
+            embedding: r.embedding.clone(),
+        });
         // Re-decide 'b' only: identical schedule.
         let d2r = recovered.admit(r2, m2).unwrap();
         assert_eq!(d2.accepted, d2r.accepted);
@@ -789,6 +928,124 @@ mod tests {
         assert_eq!(d2.end, d2r.end);
         assert_eq!(d1.id, 0);
         assert_eq!(d2r.id, d2.id, "id counter continues past restored ids");
+    }
+
+    /// The snapshot an admission read before the books were kept in place:
+    /// a clone of the live reservations plus the candidate, last and
+    /// rejected at its release.
+    fn snapshot_with(
+        c: &ServiceCore,
+        request: &Request,
+        mapping: &NodeMapping,
+    ) -> (Instance, TemporalSolution) {
+        let (inst, sol) = c.reservation_snapshot();
+        let (mut inst, mut sol) = (inst.clone(), sol.clone());
+        inst.requests.push(request.clone());
+        if let Some(maps) = &mut inst.fixed_node_mappings {
+            maps.push(mapping.clone());
+        }
+        sol.scheduled.push(ScheduledRequest {
+            accepted: false,
+            start: request.earliest_start,
+            end: request.earliest_start + request.duration,
+            embedding: None,
+        });
+        (inst, sol)
+    }
+
+    /// The admission of `request` as it was decided on a cloned snapshot
+    /// ([`snapshot_with`]): the same start scan over that snapshot, then
+    /// the explain narrative on it with the candidate's schedule in place.
+    fn snapshot_decision(
+        c: &ServiceCore,
+        request: &Request,
+        mapping: &NodeMapping,
+    ) -> (ScheduledRequest, RequestExplanation) {
+        let (inst, mut sol) = snapshot_with(c, request, mapping);
+        let k = inst.num_requests() - 1;
+        let demand = pinned_demand(request, mapping, c.substrate().num_nodes());
+        let mut scan: Option<StartScan> = None;
+        for s in c.candidate_starts(request) {
+            let residuals = Residuals::at(&inst, &sol, s, s + request.duration);
+            if residuals.rule_out(&demand) {
+                continue;
+            }
+            let scan = scan.get_or_insert_with(|| {
+                StartScan::new(
+                    c.substrate(),
+                    c.horizon(),
+                    request,
+                    mapping,
+                    &c.opts.subproblem,
+                )
+            });
+            scan.rebound(&residuals, s);
+            if let Some(embedding) = scan.solve(None) {
+                sol.scheduled[k] = ScheduledRequest {
+                    accepted: true,
+                    start: s,
+                    end: s + request.duration,
+                    embedding: Some(embedding),
+                };
+                break;
+            }
+        }
+        let explain = explain_request(&inst, &sol, k);
+        (sol.scheduled.swap_remove(k), explain)
+    }
+
+    /// Deciding in place decides what the cloned snapshot decided, bit for
+    /// bit: on the benchmark's two service streams (`tiny`, 100 requests,
+    /// mean inter-arrival 0.125 h, +2 h, seeds 7 and 4) and on a looser one
+    /// (seed 13, 80 requests, +4 h), every decision's verdict, start, end,
+    /// flows and explain narrative equal those of [`snapshot_decision`] on
+    /// the reservations it was decided against.
+    #[test]
+    fn in_place_books_decide_as_the_cloned_snapshot() {
+        let bits = |e: &Option<Embedding>| {
+            e.iter()
+                .flat_map(|e| e.edge_flows.iter().flatten())
+                .map(|&(e, v)| (e, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (seed, requests, flex, want_accepted) in
+            [(7, 100, 2.0, 23), (4, 100, 2.0, 21), (13, 80, 4.0, 19)]
+        {
+            let config = tvnep_workloads::WorkloadConfig {
+                num_requests: requests,
+                mean_interarrival: 0.125,
+                ..tvnep_workloads::WorkloadConfig::tiny()
+            };
+            let stream = tvnep_workloads::generate(&config, seed).with_flexibility_after(flex);
+            let maps = stream
+                .fixed_node_mappings
+                .clone()
+                .expect("mappings are fixed");
+            let opts = ServiceOptions::default();
+            let mut c = ServiceCore::new(stream.substrate.clone(), stream.horizon, opts);
+            let mut accepted = 0;
+            for (request, mapping) in stream.requests.iter().zip(&maps) {
+                let what = format!("seed {seed}, request {}", request.name);
+                c.advance(request.earliest_start);
+                let (want, explain) = snapshot_decision(&c, request, mapping);
+                let d = c.admit(request.clone(), mapping.clone()).unwrap();
+                assert_eq!(d.accepted, want.accepted, "{what}");
+                assert_eq!(d.start.to_bits(), want.start.to_bits(), "{what}");
+                assert_eq!(d.end.to_bits(), want.end.to_bits(), "{what}");
+                assert_eq!(d.embedding.is_some(), want.embedding.is_some(), "{what}");
+                assert_eq!(bits(&d.embedding), bits(&want.embedding), "{what}");
+                assert_eq!(
+                    d.explain
+                        .expect("explanation attached")
+                        .to_json()
+                        .to_string(),
+                    explain.to_json().to_string(),
+                    "{what}"
+                );
+                accepted += u64::from(d.accepted);
+            }
+            assert_eq!(accepted, want_accepted, "seed {seed}");
+        }
     }
 
     /// The LP of start `s` as it was built before the scan re-bounded one
@@ -867,7 +1124,7 @@ mod tests {
             for (request, mapping) in stream.requests.iter().zip(&maps) {
                 let what = format!("seed {seed}, request {}", request.name);
                 c.advance(request.earliest_start);
-                let (inst, sol) = c.candidate_snapshot(request, mapping);
+                let (inst, sol) = snapshot_with(&c, request, mapping);
                 let mut scan = StartScan::new(
                     c.substrate(),
                     c.horizon(),

@@ -32,7 +32,7 @@ fn flexible_candidate_moves_to_the_end_of_the_link_reservation() {
     let da = c.admit(a, ma).unwrap();
     assert!(da.accepted);
     assert_eq!(da.start, 0.0);
-    let held_until = c.reservations()[0].end;
+    let held_until = c.reservations().next().unwrap().end;
 
     // Its release fits every node but not the link: the scan's LP rejects
     // it, and a second LP takes the end of 'a' exactly.
@@ -48,7 +48,7 @@ fn flexible_candidate_moves_to_the_end_of_the_link_reservation() {
     assert!(event_point.contains("'a'"), "{event_point}");
 
     let (inst, sol) = c.reservation_snapshot();
-    assert!(verify_with_tol(&inst, &sol, VERIFY_TOL).is_empty());
+    assert!(verify_with_tol(inst, sol, VERIFY_TOL).is_empty());
 }
 
 #[test]

@@ -335,7 +335,7 @@ fn load_at(instance: &Instance, solution: &TemporalSolution, res: Resource, t: f
 fn util_mismatch(core: &ServiceCore) -> Option<String> {
     let (inst, sol) = core.reservation_snapshot();
     let times = sol.critical_times();
-    let points = util_points(&inst, &sol);
+    let points = util_points(inst, sol);
     if points.len() != times.len() {
         return Some(format!(
             "util timeline has {} probe points, verifier recomputation has {}",
@@ -348,7 +348,7 @@ fn util_mismatch(core: &ServiceCore) -> Option<String> {
             return Some(format!("util probe time {} != verifier time {t}", p.t));
         }
         for n in 0..inst.substrate.num_nodes() {
-            let want = load_at(&inst, &sol, Resource::Node(n), t);
+            let want = load_at(inst, sol, Resource::Node(n), t);
             if p.node_load[n] != want {
                 return Some(format!(
                     "util node {n} load {} != verifier load {want} at t={t}",
@@ -357,7 +357,7 @@ fn util_mismatch(core: &ServiceCore) -> Option<String> {
             }
         }
         for e in 0..inst.substrate.num_edges() {
-            let want = load_at(&inst, &sol, Resource::Edge(e), t);
+            let want = load_at(inst, sol, Resource::Edge(e), t);
             if p.edge_load[e] != want {
                 return Some(format!(
                     "util edge {e} load {} != verifier load {want} at t={t}",
@@ -380,7 +380,7 @@ fn reference_admission(
     mapping: &NodeMapping,
     mip_opts: &MipOptions,
 ) -> Result<(bool, f64), String> {
-    let (mut sub, _) = core.reservation_snapshot();
+    let mut sub = core.reservation_snapshot().0.clone();
     let k = sub.num_requests();
     sub.requests.push(request.clone());
     if let Some(maps) = &mut sub.fixed_node_mappings {
@@ -392,7 +392,7 @@ fn reference_admission(
         Objective::AccessControl,
         BuildOptions::default_for(Formulation::CSigma),
     );
-    for (r, res) in core.reservations().iter().enumerate() {
+    for (r, res) in core.reservations().enumerate() {
         built.mip.set_obj(built.emb.x_r[r], 0.0);
         built.mip.fix_var(built.emb.x_r[r], 1.0);
         // Free reservation flows would let the MIP re-route a live
