@@ -43,7 +43,10 @@
 
 use std::time::{Duration, Instant};
 
-use tvnep_core::{solve_tvnep, BuildOptions, Formulation, Objective, ServiceCore, ServiceOptions};
+use tvnep_core::{
+    solve_tvnep, BuildOptions, Formulation, Objective, ServiceCore, ServiceOptions,
+    SubproblemHandles,
+};
 use tvnep_graph::{grid, star, NodeId, StarDirection};
 use tvnep_lp::sparse::CscMatrix;
 use tvnep_lp::BasisFactor;
@@ -512,9 +515,9 @@ fn serve_overhead(budget: Duration, tolerance_pct: f64, assert_budget: bool) -> 
         label,
         counting: false,
         prepare: Box::new(move || ServiceOptions {
-            subproblem: MipOptions {
+            subproblem: SubproblemHandles {
                 telemetry: telemetry(),
-                ..MipOptions::default()
+                blackbox: None,
             },
             ..ServiceOptions::default()
         }),

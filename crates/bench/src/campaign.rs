@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use tvnep_core::{Formulation, Objective};
 use tvnep_telemetry::{alloc, Json};
 
-use crate::journal::{read_journal, JournalWriter};
+use crate::journal;
 use crate::{run_formulation_cell, run_greedy_cell, run_objective_cell, HarnessConfig, CSV_HEADER};
 
 /// What a cell runs.
@@ -504,45 +504,42 @@ pub fn run_campaign(opts: &CampaignOptions) -> io::Result<CampaignSummary> {
 
     // Replay the journal: finished records by cell id, and whether the
     // campaign already ran to completion.
-    let events = read_journal(&opts.journal_path)?;
+    let mut started = false;
     let mut finished: Vec<(String, CellRecord)> = Vec::new();
     let mut was_complete = false;
-    if let Some(first) = events.first() {
-        if first.get("event").and_then(Json::as_str) != Some("campaign_started") {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a campaign journal", opts.journal_path.display()),
-            ));
-        }
-        let recorded = first.get("config").cloned().unwrap_or(Json::Null);
-        if recorded != config {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: journal was recorded with a different campaign config; \
+    let refuse = |why: &str| {
+        let msg = format!("{}: {why}", opts.journal_path.display());
+        Err(io::Error::new(io::ErrorKind::InvalidData, msg))
+    };
+    let mut journal = journal::open(&opts.journal_path, |ev| {
+        if !started {
+            started = true;
+            if ev.get("event").and_then(Json::as_str) != Some("campaign_started") {
+                return refuse("not a campaign journal");
+            }
+            if ev.get("config").unwrap_or(&Json::Null) != &config {
+                return refuse(
+                    "journal was recorded with a different campaign config; \
                      use a fresh journal path or rerun with the original grid",
-                    opts.journal_path.display()
-                ),
-            ));
+                );
+            }
+            return Ok(());
         }
-        for ev in &events[1..] {
-            match ev.get("event").and_then(Json::as_str) {
-                Some("cell_finished") => {
-                    if let Some(rec) = ev.get("record").and_then(CellRecord::from_json) {
-                        let id = rec.cell_id();
-                        if !finished.iter().any(|(i, _)| *i == id) {
-                            finished.push((id, rec));
-                        }
+        match ev.get("event").and_then(Json::as_str) {
+            Some("cell_finished") => {
+                if let Some(rec) = ev.get("record").and_then(CellRecord::from_json) {
+                    let id = rec.cell_id();
+                    if !finished.iter().any(|(i, _)| *i == id) {
+                        finished.push((id, rec));
                     }
                 }
-                Some("campaign_finished") => was_complete = true,
-                _ => {}
             }
+            Some("campaign_finished") => was_complete = true,
+            _ => {}
         }
-    }
-
-    let mut journal = JournalWriter::open_append(&opts.journal_path)?;
-    if events.is_empty() {
+        Ok(())
+    })?;
+    if !started {
         journal.write(&Json::Obj(vec![
             ("event".into(), Json::from("campaign_started")),
             ("version".into(), Json::from(1u64)),

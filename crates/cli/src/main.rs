@@ -12,7 +12,8 @@
 //! Exit codes: 0 success / verified; 1 usage error; 2 infeasible,
 //! verification failure, or a flag the subcommand does not read.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,17 +124,21 @@ fn usage() -> ExitCode {
     ExitCode::from(1)
 }
 
-fn read_instance(path: &str) -> Result<Instance, String> {
+/// Reads the JSON document at `path`.
+fn read_json(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let doc = InstanceDoc::from_json(&json).map_err(|e| format!("parse {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
+}
+
+fn read_instance(path: &str) -> Result<Instance, String> {
+    let doc =
+        InstanceDoc::from_json(&read_json(path)?).map_err(|e| format!("parse {path}: {e}"))?;
     doc.into_instance().map_err(|e| e.to_string())
 }
 
 fn read_solution(path: &str) -> Result<TemporalSolution, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let doc = SolutionDoc::from_json(&json).map_err(|e| format!("parse {path}: {e}"))?;
+    let doc =
+        SolutionDoc::from_json(&read_json(path)?).map_err(|e| format!("parse {path}: {e}"))?;
     Ok(doc.into_solution())
 }
 
@@ -151,6 +156,19 @@ fn write_or_print(value: &Json, out: Option<&str>) -> Result<(), String> {
 struct Args {
     positional: Vec<String>,
     flags: std::collections::HashMap<String, String>,
+}
+
+impl Args {
+    /// The value of `--key` parsed as a `T`, if the flag is given.
+    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.flags
+            .get(key)
+            .map(|s| s.parse().map_err(|e| format!("--{key}: {e}")))
+            .transpose()
+    }
 }
 
 fn parse_args(raw: &[String]) -> Args {
@@ -188,11 +206,7 @@ fn parse_args(raw: &[String]) -> Args {
 /// `--threads N` (0 = all cores). The CLI defaults to all available
 /// parallelism; the library default stays 1 (deterministic sequential).
 fn threads_for(args: &Args) -> Result<usize, String> {
-    args.flags
-        .get("threads")
-        .map(|s| s.parse().map_err(|e| format!("--threads: {e}")))
-        .transpose()
-        .map(|t| t.unwrap_or(0))
+    Ok(args.parsed("threads")?.unwrap_or(0))
 }
 
 /// `--preset tiny|small|medium|paper`, or `default` when the flag is
@@ -283,18 +297,13 @@ fn blackbox_for(args: &Args, telemetry: &Telemetry) -> Result<Option<BlackboxRig
     tvnep_telemetry::blackbox::install_current(&rec);
     tvnep_telemetry::blackbox::install_panic_hook();
     tvnep_telemetry::blackbox::sigterm::install();
-    let watchdog = args
-        .flags
-        .get("watchdog-ms")
-        .map(|s| s.parse::<u64>().map_err(|e| format!("--watchdog-ms: {e}")))
-        .transpose()?
-        .map(|ms| {
-            tvnep_telemetry::Watchdog::spawn(
-                Arc::clone(&rec),
-                Duration::from_millis(ms.max(1)),
-                telemetry.clone(),
-            )
-        });
+    let watchdog = args.parsed::<u64>("watchdog-ms")?.map(|ms| {
+        tvnep_telemetry::Watchdog::spawn(
+            Arc::clone(&rec),
+            Duration::from_millis(ms.max(1)),
+            telemetry.clone(),
+        )
+    });
     let handle = rec.handle(0);
     Ok(Some(BlackboxRig {
         rec,
@@ -549,18 +558,8 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
     match cmd {
         "generate" => {
             let (_, cfg) = preset_for(args, "small")?;
-            let seed: u64 = args
-                .flags
-                .get("seed")
-                .map(|s| s.parse().map_err(|e| format!("--seed: {e}")))
-                .transpose()?
-                .unwrap_or(1);
-            let flex: f64 = args
-                .flags
-                .get("flex")
-                .map(|s| s.parse().map_err(|e| format!("--flex: {e}")))
-                .transpose()?
-                .unwrap_or(0.0);
+            let seed: u64 = args.parsed("seed")?.unwrap_or(1);
+            let flex: f64 = args.parsed("flex")?.unwrap_or(0.0);
             let inst = generate(&cfg, seed).with_flexibility_after(flex);
             write_or_print(
                 &InstanceDoc::from_instance(&inst).to_json(),
@@ -575,20 +574,14 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             let formulation = match args
                 .flags
                 .get("formulation")
-                .map(String::as_str)
-                .unwrap_or("csigma")
+                .map_or("csigma", String::as_str)
             {
                 "delta" => Formulation::Delta,
                 "sigma" => Formulation::Sigma,
                 "csigma" => Formulation::CSigma,
                 other => return Err(format!("unknown formulation {other}")),
             };
-            let objective = match args
-                .flags
-                .get("objective")
-                .map(String::as_str)
-                .unwrap_or("access")
-            {
+            let objective = match args.flags.get("objective").map_or("access", String::as_str) {
                 "access" => Objective::AccessControl,
                 "earliness" => Objective::MaxEarliness,
                 "load" => Objective::BalanceNodeLoad { fraction: 0.5 },
@@ -596,12 +589,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                 "makespan" => Objective::MinMakespan,
                 other => return Err(format!("unknown objective {other}")),
             };
-            let secs: u64 = args
-                .flags
-                .get("time-limit")
-                .map(|s| s.parse().map_err(|e| format!("--time-limit: {e}")))
-                .transpose()?
-                .unwrap_or(60);
+            let secs: u64 = args.parsed("time-limit")?.unwrap_or(60);
             let telemetry = telemetry_for(args);
             let mut mip_opts = MipOptions::with_time_limit(Duration::from_secs(secs));
             mip_opts.telemetry = telemetry.clone();
@@ -706,12 +694,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             enable_alloc_if_requested(args);
             let path = args.positional.first().ok_or("missing INSTANCE path")?;
             let inst = read_instance(path)?;
-            let secs: u64 = args
-                .flags
-                .get("time-limit")
-                .map(|s| s.parse().map_err(|e| format!("--time-limit: {e}")))
-                .transpose()?
-                .unwrap_or(30);
+            let secs: u64 = args.parsed("time-limit")?.unwrap_or(30);
             let telemetry = telemetry_for(args);
             let mut subproblem = MipOptions::with_time_limit(Duration::from_secs(secs));
             subproblem.telemetry = telemetry.clone();
@@ -861,8 +844,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                 workload: preset_for(args, "small")?.1,
                 ..HarnessConfig::default()
             };
-            if let Some(n) = args.flags.get("seeds") {
-                let n: u64 = n.parse().map_err(|e| format!("--seeds: {e}"))?;
+            if let Some(n) = args.parsed::<u64>("seeds")? {
                 cfg.seeds = (1..=n).collect();
             }
             if let Some(list) = args.flags.get("flexes") {
@@ -871,8 +853,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                     .map(|s| s.trim().parse().map_err(|e| format!("--flexes: {e}")))
                     .collect::<Result<Vec<f64>, String>>()?;
             }
-            if let Some(s) = args.flags.get("time-limit") {
-                let secs: u64 = s.parse().map_err(|e| format!("--time-limit: {e}"))?;
+            if let Some(secs) = args.parsed("time-limit")? {
                 cfg.time_limit = Duration::from_secs(secs);
             }
             cfg.threads = threads_for(args)?;
@@ -920,29 +901,16 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
         "bench-compare" => {
             let bpath = args.positional.first().ok_or("missing BASELINE path")?;
             let cpath = args.positional.get(1).ok_or("missing CANDIDATE path")?;
-            let read_doc = |path: &str| -> Result<Json, String> {
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-                Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
+            let baseline = read_json(bpath)?;
+            let candidate = read_json(cpath)?;
+            let d = Tolerances::default();
+            let tol = Tolerances {
+                wall_pct: args.parsed("wall-tol-pct")?.unwrap_or(d.wall_pct),
+                mem_pct: args.parsed("mem-tol-pct")?.unwrap_or(d.mem_pct),
+                ttfi_pct: args.parsed("ttfi-tol-pct")?.unwrap_or(d.ttfi_pct),
+                pi_pct: args.parsed("pi-tol-pct")?.unwrap_or(d.pi_pct),
+                p99_pct: args.parsed("p99-tol-pct")?.unwrap_or(d.p99_pct),
             };
-            let baseline = read_doc(bpath)?;
-            let candidate = read_doc(cpath)?;
-            let mut tol = Tolerances::default();
-            if let Some(p) = args.flags.get("wall-tol-pct") {
-                tol.wall_pct = p.parse().map_err(|e| format!("--wall-tol-pct: {e}"))?;
-            }
-            if let Some(p) = args.flags.get("mem-tol-pct") {
-                tol.mem_pct = p.parse().map_err(|e| format!("--mem-tol-pct: {e}"))?;
-            }
-            if let Some(p) = args.flags.get("ttfi-tol-pct") {
-                tol.ttfi_pct = p.parse().map_err(|e| format!("--ttfi-tol-pct: {e}"))?;
-            }
-            if let Some(p) = args.flags.get("pi-tol-pct") {
-                tol.pi_pct = p.parse().map_err(|e| format!("--pi-tol-pct: {e}"))?;
-            }
-            if let Some(p) = args.flags.get("p99-tol-pct") {
-                tol.p99_pct = p.parse().map_err(|e| format!("--p99-tol-pct: {e}"))?;
-            }
             let report = compare_docs(&baseline, &candidate, &tol)?;
             print!("{}", render_report(&report, &tol));
             if report.is_regression() {
@@ -952,86 +920,71 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             }
         }
         "serve" => {
-            let get_usize = |key: &str, default: usize| -> Result<usize, String> {
-                args.flags
-                    .get(key)
-                    .map(|s| s.parse().map_err(|e| format!("--{key}: {e}")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
             let slo = args
                 .flags
                 .get("slo")
                 .map(|path| -> Result<tvnep_serve::SloDoc, String> {
-                    let text =
-                        std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-                    let json = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-                    tvnep_serve::SloDoc::from_json(&json).map_err(|e| format!("{path}: {e}"))
+                    tvnep_serve::SloDoc::from_json(&read_json(path)?)
+                        .map_err(|e| format!("{path}: {e}"))
                 })
                 .transpose()?;
             let blackbox = blackbox_for(args, &Telemetry::disabled())?;
-            let fault_panic_epoch = args
-                .flags
-                .get("fault-panic-epoch")
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|e| format!("--fault-panic-epoch: {e}"))
-                })
-                .transpose()?;
+            let fault_panic_epoch = args.parsed("fault-panic-epoch")?;
             let opts = ServeOptions {
                 service: tvnep_core::ServiceOptions {
-                    subproblem: MipOptions {
+                    subproblem: tvnep_core::SubproblemHandles {
                         blackbox: blackbox.as_ref().map(|b| b.handle.clone()),
-                        ..MipOptions::default()
+                        ..Default::default()
                     },
                     leak_every: None,
                 },
-                epoch_size: get_usize("epoch", 4)?,
-                max_pending: get_usize("max-pending", 1024)?,
+                epoch_size: args.parsed("epoch")?.unwrap_or(4),
+                max_pending: args.parsed("max-pending")?.unwrap_or(1024),
                 keep_log: false,
                 slo,
                 fault_panic_epoch,
             };
-            let wal = args.flags.get("wal").map(PathBuf::from);
-            // A WAL with events means a previous incarnation: recover from
-            // it instead of starting fresh (the instance file is not needed
-            // — the WAL header is self-contained).
-            let has_history = match &wal {
-                Some(p) => !tvnep_bench::journal::read_journal(p)
-                    .map_err(|e| format!("read WAL: {e}"))?
-                    .is_empty(),
-                None => false,
-            };
-            let mut runner = if has_history {
-                let path = wal.as_deref().expect("has_history implies wal");
-                let (runner, report) = EpochRunner::recover(path, opts)
-                    .map_err(|e| format!("recover from {}: {e}", path.display()))?;
-                eprintln!(
-                    "tvnep-serve: recovered from {} — {} decision(s) replayed, \
-                     {} reservation(s) restored, {} submission(s) re-queued",
-                    path.display(),
-                    report.decisions_replayed,
-                    report.reservations_restored,
-                    report.requeued
-                );
-                runner
-            } else {
+            let fresh = || {
                 let ipath = args
                     .flags
                     .get("instance")
                     .ok_or("--instance FILE required to start a fresh service")?;
-                let inst = read_instance(ipath)?;
-                EpochRunner::new(inst.substrate, inst.horizon, opts, wal.as_deref())
-                    .map_err(|e| format!("serve: {e}"))?
+                read_instance(ipath)
+            };
+            let mut runner = match args.flags.get("wal") {
+                // A WAL with records means a previous incarnation: recover
+                // from it instead of starting fresh (the instance file is not
+                // needed — the WAL header is self-contained). The one pass
+                // over the WAL tells which.
+                Some(path) => {
+                    let path = Path::new(path);
+                    let (runner, report) = EpochRunner::open(path, opts, || {
+                        fresh()
+                            .map(|inst| (inst.substrate, inst.horizon))
+                            .map_err(io::Error::other)
+                    })
+                    .map_err(|e| format!("serve: {e}"))?;
+                    if let Some(report) = report {
+                        eprintln!(
+                            "tvnep-serve: recovered from {} — {} decision(s) replayed, \
+                             {} reservation(s) restored, {} submission(s) re-queued",
+                            path.display(),
+                            report.decisions_replayed,
+                            report.reservations_restored,
+                            report.requeued
+                        );
+                    }
+                    runner
+                }
+                None => {
+                    let inst = fresh()?;
+                    EpochRunner::new(inst.substrate, inst.horizon, opts, None)
+                        .map_err(|e| format!("serve: {e}"))?
+                }
             };
             match args.flags.get("listen") {
                 Some(addr) => {
-                    let tick_ms: u64 = args
-                        .flags
-                        .get("tick-ms")
-                        .map(|s| s.parse().map_err(|e| format!("--tick-ms: {e}")))
-                        .transpose()?
-                        .unwrap_or(1000);
+                    let tick_ms: u64 = args.parsed("tick-ms")?.unwrap_or(1000);
                     tvnep_serve::server::run_tcp(&mut runner, addr, Duration::from_millis(tick_ms))
                         .map_err(|e| format!("serve: {e}"))?;
                 }
@@ -1048,45 +1001,18 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "load" => {
-            let get_f64 = |key: &str, default: f64| -> Result<f64, String> {
-                args.flags
-                    .get(key)
-                    .map(|s| s.parse().map_err(|e| format!("--{key}: {e}")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
             let (preset, workload) = preset_for(args, "tiny")?;
             let defaults = LoadConfig::slo_default();
             let cfg = LoadConfig {
-                seed: args
-                    .flags
-                    .get("seed")
-                    .map(|s| s.parse().map_err(|e| format!("--seed: {e}")))
-                    .transpose()?
-                    .unwrap_or(defaults.seed),
-                rate: get_f64("rate", defaults.rate)?,
-                duration: get_f64("duration", defaults.duration)?,
-                flex: get_f64("flex", defaults.flex)?,
+                seed: args.parsed("seed")?.unwrap_or(defaults.seed),
+                rate: args.parsed("rate")?.unwrap_or(defaults.rate),
+                duration: args.parsed("duration")?.unwrap_or(defaults.duration),
+                flex: args.parsed("flex")?.unwrap_or(defaults.flex),
                 workload,
                 preset: preset.to_string(),
-                epoch_size: args
-                    .flags
-                    .get("epoch")
-                    .map(|s| s.parse().map_err(|e| format!("--epoch: {e}")))
-                    .transpose()?
-                    .unwrap_or(defaults.epoch_size),
-                tick_budget_ms: args
-                    .flags
-                    .get("tick-budget-ms")
-                    .map(|s| s.parse().map_err(|e| format!("--tick-budget-ms: {e}")))
-                    .transpose()?
-                    .or(defaults.tick_budget_ms),
-                max_pending: args
-                    .flags
-                    .get("max-pending")
-                    .map(|s| s.parse().map_err(|e| format!("--max-pending: {e}")))
-                    .transpose()?
-                    .unwrap_or(defaults.max_pending),
+                epoch_size: args.parsed("epoch")?.unwrap_or(defaults.epoch_size),
+                tick_budget_ms: args.parsed("tick-budget-ms")?.or(defaults.tick_budget_ms),
+                max_pending: args.parsed("max-pending")?.unwrap_or(defaults.max_pending),
                 wal: args.flags.get("wal").map(PathBuf::from),
                 util_out: args.flags.get("util-out").map(PathBuf::from),
                 telemetry: telemetry_for(args),
@@ -1126,18 +1052,8 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
                 .positional
                 .first()
                 .ok_or("top ADDR required (the --listen address of a live serve)")?;
-            let interval = args
-                .flags
-                .get("interval-ms")
-                .map(|s| s.parse::<u64>().map_err(|e| format!("--interval-ms: {e}")))
-                .transpose()?
-                .unwrap_or(1000);
-            let frames: u64 = args
-                .flags
-                .get("frames")
-                .map(|s| s.parse().map_err(|e| format!("--frames: {e}")))
-                .transpose()?
-                .unwrap_or(0);
+            let interval = args.parsed::<u64>("interval-ms")?.unwrap_or(1000);
+            let frames: u64 = args.parsed("frames")?.unwrap_or(0);
             run_top(
                 addr,
                 Duration::from_millis(interval),
@@ -1147,22 +1063,10 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "fuzz" => {
-            let get_u64 = |key: &str, default: u64| -> Result<u64, String> {
-                args.flags
-                    .get(key)
-                    .map(|s| s.parse().map_err(|e| format!("--{key}: {e}")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let seed = get_u64("seed", 0)?;
-            let cases = get_u64("cases", 20)?;
-            let time_cap = args
-                .flags
-                .get("time-cap")
-                .map(|s| s.parse::<u64>().map_err(|e| format!("--time-cap: {e}")))
-                .transpose()?
-                .map(Duration::from_secs);
-            let solve_limit = get_u64("solve-time-limit", 10)?;
+            let seed = args.parsed::<u64>("seed")?.unwrap_or(0);
+            let cases = args.parsed::<u64>("cases")?.unwrap_or(20);
+            let time_cap = args.parsed("time-cap")?.map(Duration::from_secs);
+            let solve_limit = args.parsed::<u64>("solve-time-limit")?.unwrap_or(10);
             let threads = threads_for(args)?;
             let corpus_dir = args
                 .flags
@@ -1204,8 +1108,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
         }
         "postmortem" => {
             let path = args.positional.first().ok_or("missing DUMP path")?;
-            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let dump = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+            let dump = read_json(path)?;
             let schema = dump.get("schema").and_then(Json::as_str).unwrap_or("");
             if !schema.starts_with("tvnep.blackbox") {
                 return Err(format!("{path}: not a black-box dump (schema '{schema}')"));

@@ -296,6 +296,12 @@ fn recovery_refuses_wal_records_that_break_the_model() {
             format!("{}\n{ok}\n{ok}", header(&config)),
             "submitted #0 twice",
         ),
+        // Terminated, so not a torn write: would hide every record after it.
+        (
+            "line_not_json",
+            format!("{}\nnot json\n{ok}", header(&config)),
+            "line 2 is not JSON",
+        ),
     ] {
         let path = write(&dir.join(format!("{name}.wal")), &format!("{wal}\n"));
         assert_refused(&run(&["serve", "--wal", &path], &later), needle);

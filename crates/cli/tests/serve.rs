@@ -166,3 +166,59 @@ fn pipe_session_decides_verifies_and_replays_byte_identical() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A WAL belongs to one service: a second `load --wal` on a WAL that holds
+/// records is refused, naming it, and leaves it byte for byte as the first
+/// run wrote it, which `serve --wal` then recovers in full.
+#[test]
+fn a_second_load_on_a_wal_is_refused_and_the_first_recovers() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("tvnep-serve-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("load.wal");
+    let wal_arg = wal.display().to_string();
+    let load = || {
+        Command::new(bin())
+            .args(["load", "--seed", "7", "--wal", &wal_arg, "-o"])
+            .arg(dir.join("slo.json"))
+            .output()
+            .expect("spawn tvnep-cli load")
+    };
+    assert!(load().status.success());
+    let first = std::fs::read(&wal).unwrap();
+
+    let again = load();
+    let err = String::from_utf8_lossy(&again.stderr);
+    assert!(!again.status.success(), "{err}");
+    assert!(err.contains(&wal_arg), "the refusal names the WAL: {err}");
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        first,
+        "the WAL is left as it was"
+    );
+
+    let mut child = Command::new(bin())
+        .args(["serve", "--wal", &wal_arg])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tvnep-cli serve");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    writeln!(stdin, "{{\"op\":\"shutdown\"}}").unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().expect("serve session");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("53 decision(s) replayed"), "{err}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let bye = Json::parse(stdout.lines().last().expect("a bye event")).unwrap();
+    assert_eq!(bye.get("decided").and_then(Json::as_u64), Some(53));
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        first,
+        "recovery wrote nothing"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

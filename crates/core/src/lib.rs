@@ -44,6 +44,7 @@ pub use greedy::{greedy_csigma, GreedyIterationRecord, GreedyOptions, GreedyOutc
 pub use mapping::{greedy_with_lp_mappings, lp_rounding_mappings, random_mappings};
 pub use service::{
     AdmitDecision, AdmitError, Reservation, ReservationRef, ServiceCore, ServiceOptions,
+    SubproblemHandles,
 };
 pub use states::{build_state_allocations, StateLoads};
 pub use util::{node_peaks, util_jsonl, util_points, util_summary, UtilPoint, UtilSummary};

@@ -70,27 +70,35 @@ use crate::explain::{
 use crate::formulation::{build_model, BuildOptions, BuiltModel, Formulation, Objective};
 use tvnep_graph::{EdgeId, NodeId};
 use tvnep_lp::{LpStatus, Simplex};
-use tvnep_mip::MipOptions;
 use tvnep_model::tol::FEAS_TOL;
 use tvnep_model::{
     check_mapping, check_window, Embedding, Instance, NodeMapping, Request, ScheduledRequest,
     Substrate, TemporalSolution,
 };
-use tvnep_telemetry::FlightHandle;
+use tvnep_telemetry::{FlightHandle, Telemetry};
 
 /// Options of the admission core.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
-    /// What each candidate start's LP reads of these: `telemetry`,
-    /// `blackbox` and `time_limit`, a deadline for each start's LP from the
-    /// moment it is solved, and nothing else (no branch and bound runs). An
-    /// LP that fails leaves its start untaken.
-    pub subproblem: MipOptions,
+    /// Where each candidate start's LP reports.
+    pub subproblem: SubproblemHandles,
     /// **Fault injection for the harness only**: when `Some(k)`, every k-th
     /// accepted reservation is silently dropped instead of recorded — the
     /// observable effect of a reservation leak (capacity double-booking).
     /// The `online_consistency` oracle must catch this.
     pub leak_every: Option<usize>,
+}
+
+/// The observability handles each candidate start's LP reports to. They
+/// watch the scan and steer nothing: no budget and no deadline reach a
+/// decision.
+#[derive(Debug, Clone, Default)]
+pub struct SubproblemHandles {
+    /// Solver metrics and spans (the `serve.admit` span, the LP counters).
+    pub telemetry: Telemetry,
+    /// Flight recorder: one progress tick per LP, and the LP's and the
+    /// decision's events.
+    pub blackbox: Option<FlightHandle>,
 }
 
 /// An admitted request holding substrate capacity: the pinned schedule and
@@ -149,7 +157,7 @@ pub struct AdmitDecision {
     /// Explain narrative for this request, recomputable from the decision
     /// state (the `explain` subsystem run on the reservations plus the
     /// decided candidate).
-    pub explain: Option<RequestExplanation>,
+    pub explain: RequestExplanation,
     /// LP solves spent on the decision: one per candidate start that the
     /// pinned node capacities do not rule out (see the module docs).
     pub nodes: u64,
@@ -396,7 +404,7 @@ impl ServiceCore {
             });
             lps += 1;
             scan.rebound(&residuals, s);
-            if let Some(embedding) = scan.solve(self.opts.subproblem.time_limit) {
+            if let Some(embedding) = scan.solve() {
                 self.schedule.scheduled[k] = ScheduledRequest {
                     accepted: true,
                     start: s,
@@ -455,7 +463,7 @@ impl ServiceCore {
             start,
             end,
             embedding,
-            explain: Some(explain),
+            explain,
             nodes: lps,
             runtime: clock.elapsed(),
         })
@@ -583,7 +591,7 @@ impl StartScan {
         horizon: f64,
         request: &Request,
         mapping: &NodeMapping,
-        opts: &MipOptions,
+        opts: &SubproblemHandles,
     ) -> Self {
         let mut pinned = request.clone();
         pinned.latest_end = pinned.earliest_end();
@@ -636,8 +644,8 @@ impl StartScan {
     /// in: the dual simplex, and on `Numerical` or `IterationLimit` one
     /// primal retry from the slack basis, as a branch-and-bound node does.
     /// Returns the candidate's embedding, or `None` when the LP is
-    /// infeasible or fails (`time_limit` bounds the solve from now).
-    fn solve(&mut self, time_limit: Option<Duration>) -> Option<Embedding> {
+    /// infeasible or fails.
+    fn solve(&mut self) -> Option<Embedding> {
         // One progress tick per LP, the unit a decision's `nodes` counts:
         // the stall watchdog sees an LP that takes no pivot too. A start the
         // node check rules out runs no LP and ticks nothing.
@@ -646,7 +654,6 @@ impl StartScan {
         }
         let engine = &mut self.engine;
         engine.restart();
-        engine.set_deadline(time_limit.map(|tl| Instant::now() + tl));
         let mut status = engine.solve_warm();
         if matches!(status, LpStatus::Numerical | LpStatus::IterationLimit) {
             engine.reset_basis();
@@ -712,8 +719,7 @@ mod tests {
         let d3 = c.admit(r3, m3).unwrap();
         assert!(!d3.accepted);
         assert_eq!(d3.nodes, 0, "its one start is ruled out by node 0");
-        let ex = d3.explain.expect("explanation attached");
-        match ex.fate {
+        match d3.explain.fate {
             crate::explain::Fate::Rejected { ref blockers, .. } => {
                 assert!(blockers.iter().any(|b| b.node == 0), "{blockers:?}");
             }
@@ -980,7 +986,7 @@ mod tests {
                 )
             });
             scan.rebound(&residuals, s);
-            if let Some(embedding) = scan.solve(None) {
+            if let Some(embedding) = scan.solve() {
                 sol.scheduled[k] = ScheduledRequest {
                     accepted: true,
                     start: s,
@@ -1035,10 +1041,7 @@ mod tests {
                 assert_eq!(d.embedding.is_some(), want.embedding.is_some(), "{what}");
                 assert_eq!(bits(&d.embedding), bits(&want.embedding), "{what}");
                 assert_eq!(
-                    d.explain
-                        .expect("explanation attached")
-                        .to_json()
-                        .to_string(),
+                    d.explain.to_json().to_string(),
                     explain.to_json().to_string(),
                     "{what}"
                 );
@@ -1165,7 +1168,7 @@ mod tests {
                     }
                     let mut fresh = Simplex::new(&reference);
                     let status = fresh.solve_warm();
-                    let embedding = scan.solve(None);
+                    let embedding = scan.solve();
                     let x = scan.engine.extract(status).x;
                     assert_eq!(bits(&x), bits(&fresh.extract(status).x), "{what}");
                     assert_eq!(embedding.is_some(), status == LpStatus::Optimal, "{what}");

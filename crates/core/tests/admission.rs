@@ -42,7 +42,7 @@ fn flexible_candidate_moves_to_the_end_of_the_link_reservation() {
     assert_eq!(db.start, held_until);
     assert_eq!(db.end, held_until + 2.0);
     assert_eq!(db.nodes, 2, "both starts pass the node check");
-    let Some(Fate::Accepted { event_point, .. }) = db.explain.map(|e| e.fate) else {
+    let Fate::Accepted { event_point, .. } = db.explain.fate else {
         panic!("accepted narrative expected");
     };
     assert!(event_point.contains("'a'"), "{event_point}");
@@ -63,8 +63,8 @@ fn rigid_twin_is_refused_by_link_capacity_alone() {
     assert_eq!(d.start, 0.0, "rejected at its release");
     assert_eq!(d.nodes, 1, "its one start reaches the LP, which rejects it");
     assert_eq!(c.reservations().len(), 1);
-    match d.explain.map(|e| e.fate) {
-        Some(Fate::Rejected { blockers, note }) => {
+    match d.explain.fate {
+        Fate::Rejected { blockers, note } => {
             assert!(blockers.is_empty(), "no node runs out: {blockers:?}");
             let note = note.expect("an unblocked start carries a note");
             assert!(note.contains("link capacity"), "{note}");

@@ -35,7 +35,7 @@ use std::time::Duration;
 use tvnep_core::{
     build_model, explain_solution, greedy_csigma, solve_discrete, solve_tvnep, util_points,
     BuildOptions, Fate, Formulation, GreedyOptions, Objective, Resource, ServiceCore,
-    ServiceOptions, TvnepOutcome,
+    ServiceOptions, SubproblemHandles, TvnepOutcome,
 };
 use tvnep_graph::{EdgeId, NodeId};
 use tvnep_lp::{LpStatus, Simplex};
@@ -989,7 +989,10 @@ pub fn check_instance(instance: &Instance, opts: &OracleOptions) -> CaseReport {
                     instance.substrate.clone(),
                     instance.horizon,
                     ServiceOptions {
-                        subproblem: opts.mip_opts(1),
+                        subproblem: SubproblemHandles {
+                            blackbox: opts.blackbox.clone(),
+                            ..SubproblemHandles::default()
+                        },
                         leak_every: leak,
                     },
                 );

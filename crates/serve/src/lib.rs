@@ -26,18 +26,19 @@
 //! processing order). A reservation is an accepted request with its window
 //! collapsed to the scheduled `[t⁺, t⁻]` — Constraints (24)/(25). The WAL
 //! reuses the campaign journal format (`tvnep-bench`): append-only JSONL,
-//! fsync per record, torn tails tolerated on replay.
+//! fsync per record, read in one pass that cuts a torn last record and
+//! refuses any other line that is not JSON; only recovery continues a WAL.
 
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use tvnep_bench::journal::{read_journal, JournalWriter};
+use tvnep_bench::journal::{self, JournalWriter};
 use tvnep_core::{node_peaks, util_points, util_summary, Reservation, ServiceCore, ServiceOptions};
 use tvnep_graph::NodeId;
 use tvnep_harness::format::{embedding_from_json, InstanceDoc, RequestDoc};
@@ -220,90 +221,90 @@ pub struct EpochRunner {
 }
 
 impl EpochRunner {
-    /// Creates a runner over `substrate`/`horizon`. When `wal` is given the
-    /// file is opened for appending and, if it holds no events yet, a
-    /// `serve_config` header (full substrate + horizon, self-contained) is
-    /// written so a later [`recover`](Self::recover) needs nothing else.
+    /// Creates a runner over `substrate`/`horizon`. When `wal` is given it
+    /// must hold no record: the runner writes a `serve_config` header (full
+    /// substrate + horizon, self-contained) there, so a later
+    /// [`recover`](Self::recover) needs nothing else, and journals to it. A
+    /// WAL that already holds a record belongs to a service only
+    /// [`recover`](Self::recover) may continue: it is refused, unchanged.
     pub fn new(
         substrate: Substrate,
         horizon: f64,
         opts: ServeOptions,
         wal: Option<&Path>,
     ) -> io::Result<Self> {
-        let mut wal_records = 0u64;
-        let wal = match wal {
-            Some(path) => {
-                let existing = read_journal(path)?.len();
-                let mut w = JournalWriter::open_append(path)?;
-                wal_records = existing as u64;
-                if existing == 0 {
-                    w.write(&config_header(&substrate, horizon))?;
-                    wal_records += 1;
-                }
-                Some(w)
-            }
-            None => None,
+        let held = |path: &Path| {
+            let msg = format!(
+                "{}: the WAL already holds records; recover it",
+                path.display()
+            );
+            io::Error::new(io::ErrorKind::AlreadyExists, msg)
         };
-        Ok(Self {
-            core: ServiceCore::new(substrate, horizon, opts.service.clone()),
-            opts,
-            pending: Vec::new(),
-            wal,
-            next_id: 0,
-            stats: ServeStats::default(),
-            log: Vec::new(),
-            admit_hist: LogHistogram::new(),
-            window: VecDeque::new(),
-            wal_records,
-            tick_budget: None,
-        })
+        let wal = wal.map(|path| journal::open(path, |_| Err(held(path))));
+        let core = ServiceCore::new(substrate, horizon, opts.service.clone());
+        Self::fresh(core, opts, wal.transpose()?)
     }
 
-    /// Rebuilds a runner from a write-ahead log: the `serve_config` header
-    /// yields the substrate, accepted `decision` records are re-installed as
-    /// reservations (windows pinned, embeddings restored), the water mark is
-    /// re-advanced in decision order, and journaled-but-undecided
-    /// submissions are re-queued. The WAL stays open for appending, so the
-    /// continued decision log is the same file. A record the live service
-    /// never writes (a second `submitted` or `decision` for an id, or a
-    /// `decision` without `accepted` or accepted with a `reason`) is
-    /// refused, naming the record.
+    /// Rebuilds a runner from a write-ahead log: [`open`](Self::open) on a
+    /// WAL that must hold a record.
     pub fn recover(wal_path: &Path, opts: ServeOptions) -> io::Result<(Self, RecoveryReport)> {
-        let events = read_journal(wal_path)?;
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let header = events
-            .first()
-            .ok_or_else(|| bad("WAL is empty; nothing to recover".into()))?;
-        if header.get("event").and_then(Json::as_str) != Some("serve_config") {
-            return Err(bad("WAL does not start with a serve_config header".into()));
-        }
-        let inst_doc = InstanceDoc::from_json(
-            header
-                .get("instance")
-                .ok_or_else(|| bad("serve_config without instance".into()))?,
-        )
-        .map_err(|e| bad(format!("serve_config: {e}")))?;
-        let inst = inst_doc
-            .into_instance()
-            .map_err(|e| bad(format!("serve_config: {e}")))?;
-        let (substrate, horizon) = (inst.substrate, inst.horizon);
+        let (runner, report) = Self::open(wal_path, opts, || {
+            let msg = format!("{}: WAL is empty; nothing to recover", wal_path.display());
+            Err(io::Error::new(io::ErrorKind::InvalidData, msg))
+        })?;
+        Ok((runner, report.expect("a WAL with records is recovered")))
+    }
 
-        let mut submissions: Vec<PendingSubmission> = Vec::new();
-        // Each submission's position in `submissions`, by id.
-        let mut submitted: HashMap<u64, usize> = HashMap::new();
-        let mut decided: BTreeSet<u64> = BTreeSet::new();
-        let mut core = ServiceCore::new(substrate.clone(), horizon, opts.service.clone());
+    /// Starts a service on `wal_path` in one streaming pass over it, as
+    /// `tvnep-cli serve --wal` does: a WAL that holds no record starts the
+    /// runner [`new`](Self::new) would, on the substrate and horizon `fresh`
+    /// gives, and any other is recovered (with its report). Recovery builds
+    /// the books from the `serve_config` header and the accepted `decision`
+    /// records (windows pinned, embeddings restored, the water mark
+    /// re-advanced in decision order), re-queues the undecided submissions,
+    /// the only ones it holds, and appends right after the last intact
+    /// record. A record the live service never writes (a second `submitted`
+    /// or `decision` for an id, or a `decision` without `accepted` or
+    /// accepted with a `reason`) is refused, naming the WAL and the record.
+    pub fn open(
+        wal_path: &Path,
+        opts: ServeOptions,
+        fresh: impl FnOnce() -> io::Result<(Substrate, f64)>,
+    ) -> io::Result<(Self, Option<RecoveryReport>)> {
+        let bad = |msg: String| {
+            let msg = format!("{}: {msg}", wal_path.display());
+            io::Error::new(io::ErrorKind::InvalidData, msg)
+        };
+        // The books, made from the header, and the submissions not decided
+        // yet, by id.
+        let mut books: Option<ServiceCore> = None;
+        let mut undecided: BTreeMap<u64, PendingSubmission> = BTreeMap::new();
+        let mut submitted: HashSet<u64> = HashSet::new();
         let mut report = RecoveryReport::default();
-        let mut next_id = 0u64;
-
-        for ev in &events[1..] {
+        let (mut next_id, mut records) = (0u64, 0u64);
+        let wal = journal::open(wal_path, |ev| {
+            records += 1;
+            let Some(core) = books.as_mut() else {
+                if ev.get("event").and_then(Json::as_str) != Some("serve_config") {
+                    return Err(bad("WAL does not start with a serve_config header".into()));
+                }
+                let inst = InstanceDoc::from_json(
+                    ev.get("instance")
+                        .ok_or_else(|| bad("serve_config without instance".into()))?,
+                )
+                .and_then(InstanceDoc::into_instance)
+                .map_err(|e| bad(format!("serve_config: {e}")))?;
+                let core = ServiceCore::new(inst.substrate, inst.horizon, opts.service.clone());
+                books = Some(core);
+                return Ok(());
+            };
             match ev.get("event").and_then(Json::as_str) {
                 Some("submitted") => {
                     let id = ev
                         .get("id")
                         .and_then(Json::as_u64)
                         .ok_or_else(|| bad("submitted without id".into()))?;
-                    if submitted.contains_key(&id) {
+                    if !submitted.insert(id) {
                         return Err(bad(format!("submitted #{id} twice")));
                     }
                     let request = RequestDoc::from_json(
@@ -323,25 +324,25 @@ impl EpochRunner {
                     core.validate(&request, &mapping)
                         .map_err(|e| bad(format!("submitted #{id}: {e}")))?;
                     next_id = next_id.max(id + 1);
-                    submitted.insert(id, submissions.len());
-                    submissions.push(PendingSubmission {
+                    let sub = PendingSubmission {
                         id,
                         request,
                         mapping,
-                    });
+                    };
+                    undecided.insert(id, sub);
                 }
                 Some("decision") => {
                     let id = ev
                         .get("id")
                         .and_then(Json::as_u64)
                         .ok_or_else(|| bad("decision without id".into()))?;
-                    let sub = submitted
-                        .get(&id)
-                        .map(|&i| &submissions[i])
-                        .ok_or_else(|| bad(format!("decision #{id} without submission")))?;
-                    if !decided.insert(id) {
-                        return Err(bad(format!("decision #{id} twice")));
-                    }
+                    let sub = match undecided.remove(&id) {
+                        Some(sub) => sub,
+                        None if submitted.contains(&id) => {
+                            return Err(bad(format!("decision #{id} twice")))
+                        }
+                        None => return Err(bad(format!("decision #{id} without submission"))),
+                    };
                     report.decisions_replayed += 1;
                     let accepted = ev
                         .get("accepted")
@@ -354,7 +355,7 @@ impl EpochRunner {
                         // Rejected before the solver ran (stale window): the
                         // live path never advanced the water mark for it.
                         core.restore_rejected(id);
-                        continue;
+                        return Ok(());
                     }
                     // The live admission advanced the water mark to the
                     // candidate's arrival (GC'ing expired reservations)
@@ -369,7 +370,7 @@ impl EpochRunner {
                             .get("end")
                             .and_then(Json::as_f64)
                             .ok_or_else(|| bad("decision without end".into()))?;
-                        let embedding = embedding_from_json(ev)
+                        let embedding = embedding_from_json(&ev)
                             .map_err(|e| bad(format!("decision #{id}: {e}")))?
                             .ok_or_else(|| {
                                 bad(format!("decision #{id}: accepted without embedding"))
@@ -381,9 +382,9 @@ impl EpochRunner {
                         request.earliest_start = start;
                         request.latest_end = end;
                         let alone = Instance::new(
-                            substrate.clone(),
-                            vec![sub.request.clone()],
-                            horizon,
+                            core.substrate().clone(),
+                            vec![sub.request],
+                            core.horizon(),
                             Some(vec![sub.mapping.clone()]),
                         );
                         let schedule = TemporalSolution {
@@ -398,14 +399,14 @@ impl EpochRunner {
                         let fault = verify(&alone, &schedule)
                             .first()
                             .map(|v| format!("{v:?}"))
-                            .or_else(|| check_window(&request, horizon).err());
+                            .or_else(|| check_window(&request, core.horizon()).err());
                         if let Some(fault) = fault {
                             return Err(bad(format!("decision #{id}: {fault}")));
                         }
                         core.restore(Reservation {
                             id,
                             request,
-                            mapping: sub.mapping.clone(),
+                            mapping: sub.mapping,
                             start,
                             end,
                             embedding,
@@ -415,40 +416,57 @@ impl EpochRunner {
                         core.restore_rejected(id);
                     }
                 }
-                _ => {} // unknown/torn events are skipped, like the journal reader
+                _ => {} // unknown events are skipped
             }
-        }
+            Ok(())
+        })?;
 
-        let pending: Vec<PendingSubmission> = submissions
-            .into_iter()
-            .filter(|p| !decided.contains(&p.id))
-            .collect();
-        report.requeued = pending.len();
-
-        let stats = ServeStats {
+        let Some(core) = books else {
+            let (substrate, horizon) = fresh()?;
+            let core = ServiceCore::new(substrate, horizon, opts.service.clone());
+            return Ok((Self::fresh(core, opts, Some(wal))?, None));
+        };
+        report.requeued = undecided.len();
+        let mut runner = Self::fresh(core, opts, None)?;
+        runner.stats = ServeStats {
             submitted: next_id,
             decided: report.decisions_replayed as u64,
-            accepted: core.accepted_total(),
+            accepted: runner.core.accepted_total(),
             ..ServeStats::default()
         };
+        runner.pending = undecided.into_values().collect();
+        runner.next_id = next_id;
+        runner.wal = Some(wal);
+        runner.wal_records = records;
+        Ok((runner, Some(report)))
+    }
 
-        let wal = JournalWriter::open_append(wal_path)?;
-        Ok((
-            Self {
-                core,
-                opts,
-                pending,
-                wal: Some(wal),
-                next_id,
-                stats,
-                log: Vec::new(),
-                admit_hist: LogHistogram::new(),
-                window: VecDeque::new(),
-                wal_records: events.len() as u64,
-                tick_budget: None,
-            },
-            report,
-        ))
+    /// A runner over `core`, journaling to `wal` (which holds no record)
+    /// after its `serve_config` header.
+    fn fresh(
+        core: ServiceCore,
+        opts: ServeOptions,
+        wal: Option<JournalWriter>,
+    ) -> io::Result<Self> {
+        let mut runner = Self {
+            core,
+            opts,
+            pending: Vec::new(),
+            wal: None,
+            next_id: 0,
+            stats: ServeStats::default(),
+            log: Vec::new(),
+            admit_hist: LogHistogram::new(),
+            window: VecDeque::new(),
+            wal_records: 0,
+            tick_budget: None,
+        };
+        if let Some(mut wal) = wal {
+            wal.write(&config_header(&runner.core))?;
+            runner.wal = Some(wal);
+            runner.wal_records = 1;
+        }
+        Ok(runner)
     }
 
     /// The underlying admission core (read-only).
@@ -867,8 +885,8 @@ impl EpochRunner {
 
 /// The `serve_config` WAL header: a full, self-contained substrate +
 /// horizon, reusing the instance document format with zero requests.
-fn config_header(substrate: &Substrate, horizon: f64) -> Json {
-    let inst = Instance::new(substrate.clone(), Vec::new(), horizon, None);
+fn config_header(core: &ServiceCore) -> Json {
+    let inst = Instance::new(core.substrate().clone(), Vec::new(), core.horizon(), None);
     Json::Obj(vec![
         ("event".into(), Json::from("serve_config")),
         (
@@ -881,6 +899,7 @@ fn config_header(substrate: &Substrate, horizon: f64) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tvnep_graph::grid;
 
     fn substrate() -> Substrate {
@@ -1084,6 +1103,10 @@ mod tests {
         assert_eq!(runner.stats().submitted, 0);
     }
 
+    /// Recovery rebuilds the books after a crash. A record the crash tore
+    /// (here all of the decision on 'b' but its newline) is cut, so two
+    /// recoveries in a row, with nothing submitted in between, replay the
+    /// same decisions and re-queue the same submission.
     #[test]
     fn wal_replay_reconstructs_reservations_and_pending() {
         let dir = std::env::temp_dir().join(format!("tvnep-serve-wal-{}", std::process::id()));
@@ -1115,6 +1138,26 @@ mod tests {
         assert_eq!(report.reservations_restored, 2);
         assert_eq!(report.requeued, 1);
         assert_eq!(recovered.dump().to_string(), dump_before);
+        drop(recovered);
+
+        // The header, 'a' and 'b' submitted, 'a' decided, then the torn
+        // decision on 'b'.
+        let text = std::fs::read_to_string(&wal).unwrap();
+        let records: Vec<&str> = text.split_inclusive('\n').collect();
+        let intact = records[..4].concat();
+        std::fs::write(&wal, format!("{intact}{}", records[4].trim_end())).unwrap();
+        let recover = || {
+            let (runner, report) = EpochRunner::recover(&wal, ServeOptions::default()).unwrap();
+            let dump = runner.dump().to_string();
+            (report.decisions_replayed, report.requeued, dump)
+        };
+        let first = recover();
+        assert_eq!((first.0, first.1), (1, 1));
+        assert_eq!(std::fs::read_to_string(&wal).unwrap(), intact);
+        assert_eq!(recover(), first);
+        // A fresh runner refuses the WAL and leaves it as it is.
+        assert!(EpochRunner::new(substrate(), 20.0, ServeOptions::default(), Some(&wal)).is_err());
+        assert_eq!(std::fs::read_to_string(&wal).unwrap(), intact);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

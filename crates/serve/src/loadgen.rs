@@ -25,10 +25,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use crate::{EpochRunner, ServeOptions};
-use tvnep_core::{util_jsonl, util_points, ServiceOptions};
+use tvnep_core::{util_jsonl, util_points, ServiceOptions, SubproblemHandles};
 use tvnep_graph::{grid, star, NodeId, StarDirection};
 use tvnep_harness::format::RequestDoc;
-use tvnep_mip::MipOptions;
 use tvnep_model::tol::VERIFY_TOL;
 use tvnep_model::{
     verify_with_tol, Instance, Request, ScheduledRequest, Substrate, TemporalSolution,
@@ -192,17 +191,16 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
 
     let opts = ServeOptions {
         service: ServiceOptions {
-            subproblem: MipOptions {
+            subproblem: SubproblemHandles {
                 telemetry: cfg.telemetry.clone(),
-                ..MipOptions::default()
+                blackbox: None,
             },
-            leak_every: None,
+            ..ServiceOptions::default()
         },
         epoch_size: cfg.epoch_size,
         max_pending: cfg.max_pending,
         keep_log: true,
-        slo: None,
-        fault_panic_epoch: None,
+        ..ServeOptions::default()
     };
     let mut runner = EpochRunner::new(substrate.clone(), horizon, opts, cfg.wal.as_deref())?;
     runner.tick_budget = cfg.tick_budget_ms.map(Duration::from_millis);
@@ -410,7 +408,6 @@ mod tests {
 
     #[test]
     fn util_out_writes_consistent_timeline() {
-        use tvnep_bench::journal::read_journal;
         use tvnep_harness::format::embedding_from_json;
 
         let dir = std::env::temp_dir().join(format!("tvnep-loadgen-util-{}", std::process::id()));
@@ -428,7 +425,7 @@ mod tests {
         // The run's audit, rebuilt from its WAL: every submitted request
         // with its decided schedule, in id order.
         let (mut requests, mut scheduled) = (Vec::new(), Vec::new());
-        for ev in read_journal(&wal).unwrap() {
+        tvnep_bench::journal::open(&wal, |ev| {
             let id = ev.get("id").and_then(Json::as_u64);
             match ev.get("event").and_then(Json::as_str) {
                 Some("submitted") => {
@@ -446,7 +443,9 @@ mod tests {
                 )),
                 _ => {}
             }
-        }
+            Ok(())
+        })
+        .unwrap();
         requests.sort_by_key(|(id, _)| *id);
         scheduled.sort_by_key(|(id, _)| *id);
         assert_eq!(requests.len() as u64, r.decisions);

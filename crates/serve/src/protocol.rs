@@ -152,9 +152,7 @@ pub fn decision_event(d: &AdmitDecision) -> Json {
     if let Some(emb) = &d.embedding {
         fields.extend(embedding_to_json(emb));
     }
-    if let Some(ex) = &d.explain {
-        fields.push(("explain".into(), ex.to_json()));
-    }
+    fields.push(("explain".into(), d.explain.to_json()));
     Json::Obj(fields)
 }
 
@@ -183,6 +181,7 @@ pub fn rejected_decision_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvnep_core::{Fate, RequestExplanation};
     use tvnep_graph::{EdgeId, NodeId};
     use tvnep_harness::format::embedding_from_json;
     use tvnep_model::Embedding;
@@ -289,7 +288,18 @@ mod tests {
             start: 1.5,
             end: 3.5,
             embedding: Some(emb.clone()),
-            explain: None,
+            explain: RequestExplanation {
+                request: 0,
+                name: "r".into(),
+                window: (1.5, 1.5),
+                fate: Fate::Accepted {
+                    start: 1.5,
+                    end: 3.5,
+                    event_point: "its release".into(),
+                    start_slack: 0.0,
+                    binding: Vec::new(),
+                },
+            },
             nodes: 12,
             runtime: std::time::Duration::from_millis(2),
         };
