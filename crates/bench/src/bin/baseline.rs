@@ -1,7 +1,7 @@
 //! Parallel-solver baseline: wall-clock and LP-iteration comparison of the
 //! branch-and-bound driver at 1, 2 and 4 worker threads on a fixed-seed
 //! cΣ scenario. Writes `BENCH_parallel.json` so speedups are tracked in-repo
-//! alongside the figures CSVs.
+//! alongside the campaign results.
 //!
 //! ```text
 //! baseline [--smoke] [--out FILE] [--seed N] [--time-limit SECS]

@@ -48,8 +48,6 @@ use tvnep_core::{
     SubproblemHandles,
 };
 use tvnep_graph::{grid, star, NodeId, StarDirection};
-use tvnep_lp::sparse::CscMatrix;
-use tvnep_lp::BasisFactor;
 use tvnep_mip::MipOptions;
 use tvnep_model::{Request, Substrate};
 use tvnep_telemetry::{alloc, FlightRecorder, Json, Telemetry};
@@ -164,308 +162,6 @@ fn alloc_ns_per_op() -> f64 {
         std::hint::black_box(vec![(i & 0xff) as u8; 64]);
     }
     t0.elapsed().as_nanos() as f64 / OPS as f64
-}
-
-/// The fastest of 5 repetitions of `iters` calls of `body`, in ns per call.
-fn time_min_ns(iters: usize, mut body: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            body();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// A basis shaped like the TVNEP ones, as `slack_heavy_basis` in
-/// `crates/lp/tests/common` builds it: `−e_i` slack columns on four fifths of
-/// the rows; on the rest, diagonally dominant structural columns that touch
-/// their neighbours and two random slack rows, and one dense 4 × 4 block.
-/// Most elimination steps pivot on a column singleton, and `L` stays
-/// nearly empty, so FTRAN takes the hypersparse walk.
-fn slack_heavy_basis(m: usize, next_u64: &mut impl FnMut() -> u64) -> (CscMatrix, Vec<usize>) {
-    const VALS: [f64; 6] = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0];
-    const DIAG: [f64; 3] = [4.0, -4.0, 8.0];
-    let mut range = |n: usize| (next_u64() % n as u64) as usize;
-    let first = m - m / 5;
-    let mut cols = CscMatrix::empty(m);
-    for i in 0..first {
-        cols.push_column(&[(i, -1.0)]);
-    }
-    for row in first..m {
-        let mut col = vec![(row, DIAG[range(3)])];
-        if row > first {
-            col.push((row - 1, VALS[range(4)]));
-        }
-        if row % 7 == 3 && row + 1 < m {
-            col.push((row + 1, VALS[range(4)]));
-        }
-        if row + 4 >= m {
-            col.extend((m - 4..m).map(|r| (r, VALS[range(4)])));
-        }
-        for _ in 0..2 {
-            col.push((range(first), VALS[range(6)]));
-        }
-        col.sort_unstable_by_key(|&(r, _)| r);
-        col.dedup_by_key(|e| e.0);
-        cols.push_column(&col);
-    }
-    (cols, (0..m).collect())
-}
-
-/// Kernel microbench: ns per FTRAN on a fixed-seed sparse basis, through the
-/// entry point the simplex engine uses ([`BasisFactor::ftran_sparse`], which
-/// sweeps this basis's dense `L` whole), versus the retired dense-inverse
-/// algorithm (rebuilt here as the comparator); ns per factorization of that
-/// basis; and ns per factorization and per FTRAN of an m = 620 slack-heavy
-/// basis, the shape of the TVNEP bases, whose FTRAN takes the hypersparse
-/// walk. Returns a JSON object for the bench document.
-fn kernel_microbench(seed: u64) -> Json {
-    const M: usize = 200;
-    const OFF_DIAG: usize = 3 * M;
-    // splitmix64 — the repo-wide deterministic stream.
-    let mut state = seed;
-    let mut next_u64 = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut unit = move || (next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-
-    // Random sparse basis: dominant diagonal plus ~3m off-diagonal entries —
-    // the density regime of a warm simplex basis (slacks + a structural
-    // minority).
-    let mut entries: Vec<Vec<(usize, f64)>> =
-        (0..M).map(|c| vec![(c, 1.0 + 2.0 * unit())]).collect();
-    for _ in 0..OFF_DIAG {
-        let c = (unit() * M as f64) as usize % M;
-        let r = (unit() * M as f64) as usize % M;
-        let v = unit() - 0.5;
-        if v != 0.0 && !entries[c].iter().any(|&(rr, _)| rr == r) {
-            entries[c].push((r, v));
-        }
-    }
-    let mut cols = CscMatrix::empty(M);
-    for col in &mut entries {
-        col.sort_unstable_by_key(|&(r, _)| r);
-        cols.push_column(col);
-    }
-    let basis: Vec<usize> = (0..M).collect();
-
-    let mut factor = BasisFactor::default();
-    assert!(factor.factorize(&cols, &basis), "bench basis singular");
-
-    // Dense comparator: Gauss–Jordan inverse (the old kernel's refactorize),
-    // FTRAN as the old row-scaled accumulation — O(m²) per solve.
-    let mut bmat = vec![0.0; M * M];
-    let mut inv = vec![0.0; M * M];
-    for (c, &j) in basis.iter().enumerate() {
-        let (rows, vals) = cols.column(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            bmat[r * M + c] = v;
-        }
-    }
-    for i in 0..M {
-        inv[i * M + i] = 1.0;
-    }
-    for col in 0..M {
-        let piv = (col..M)
-            .max_by(|&a, &b| {
-                bmat[a * M + col]
-                    .abs()
-                    .partial_cmp(&bmat[b * M + col].abs())
-                    .expect("finite")
-            })
-            .expect("nonempty");
-        if piv != col {
-            for k in 0..M {
-                bmat.swap(col * M + k, piv * M + k);
-                inv.swap(col * M + k, piv * M + k);
-            }
-        }
-        let inv_piv = 1.0 / bmat[col * M + col];
-        for k in 0..M {
-            bmat[col * M + k] *= inv_piv;
-            inv[col * M + k] *= inv_piv;
-        }
-        for r in 0..M {
-            if r != col {
-                let f = bmat[r * M + col];
-                if f != 0.0 {
-                    for k in 0..M {
-                        bmat[r * M + k] -= f * bmat[col * M + k];
-                        inv[r * M + k] -= f * inv[col * M + k];
-                    }
-                }
-            }
-        }
-    }
-    // binv[j*M + i] = (B⁻¹)_{i,j}: column-major, as the old kernel stored it.
-    let mut binv = vec![0.0; M * M];
-    for i in 0..M {
-        for j in 0..M {
-            binv[j * M + i] = inv[i * M + j];
-        }
-    }
-
-    // A sparse right-hand side — the FTRAN spike of an entering column.
-    let mut rhs = vec![0.0; M];
-    for _ in 0..4 {
-        rhs[(unit() * M as f64) as usize % M] = 2.0 * unit() - 1.0;
-    }
-    let rhs_rows: Vec<usize> = (0..M).filter(|&r| rhs[r] != 0.0).collect();
-
-    const ITERS: usize = 2_000;
-    const FACTOR_ITERS: usize = 200;
-
-    let mut x = vec![0.0; M];
-    let mut support = Vec::new();
-    let sparse_ns = time_min_ns(ITERS, || {
-        x.copy_from_slice(&rhs);
-        factor.ftran_sparse(&mut x, &rhs_rows, &mut support);
-        std::hint::black_box(&x);
-    });
-    let mut xd = vec![0.0; M];
-    let dense_ftran = |xd: &mut [f64], binv: &[f64]| {
-        xd.iter_mut().for_each(|v| *v = 0.0);
-        for (r, &v) in rhs.iter().enumerate() {
-            if v != 0.0 {
-                let col = &binv[r * M..(r + 1) * M];
-                for (xi, &bi) in xd.iter_mut().zip(col) {
-                    *xi += v * bi;
-                }
-            }
-        }
-    };
-    let dense_ns = time_min_ns(ITERS, || {
-        dense_ftran(&mut xd, &binv);
-        std::hint::black_box(&xd);
-    });
-
-    // Cross-check while we are here: both kernels must agree on the solve.
-    x.copy_from_slice(&rhs);
-    factor.ftran_sparse(&mut x, &rhs_rows, &mut support);
-    dense_ftran(&mut xd, &binv);
-    for (i, (s, d)) in x.iter().zip(&xd).enumerate() {
-        assert!(
-            (s - d).abs() <= 1e-8 * (1.0 + s.abs().max(d.abs())),
-            "kernel microbench: sparse/dense FTRAN diverge at {i}: {s} vs {d}"
-        );
-    }
-
-    // Basis-update cost: what one pivot adds beyond its FTRAN. The sparse
-    // kernel appends a product-form eta over the FTRAN's support (O(spike
-    // nnz), as the simplex engine pushes it); the dense kernel
-    // rank-one-updated all m columns of B⁻¹ (O(m²)) — the term that made
-    // paper-scale pivots quadratic. Updates are measured on clones so the
-    // factors used above stay pristine.
-    let spike = x.clone(); // FTRAN of the entering column = the update spike
-    let pivot_row = spike
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("finite"))
-        .map(|(i, _)| i)
-        .expect("nonempty spike");
-    let mut factor_upd = factor.clone();
-    let sparse_update_ns = time_min_ns(ITERS, || {
-        std::hint::black_box(factor_upd.push_eta_sparse(pivot_row, &spike, &support));
-    });
-    // The eta file grew during timing; drop the clone immediately after.
-    drop(factor_upd);
-    let mut binv_upd = binv.clone();
-    let inv_piv = 1.0 / spike[pivot_row];
-    let dense_update_ns = time_min_ns(ITERS, || {
-        for c in 0..M {
-            let col = &mut binv_upd[c * M..(c + 1) * M];
-            let t = col[pivot_row] * inv_piv;
-            if t != 0.0 {
-                for (i, (ci, &wi)) in col.iter_mut().zip(&spike).enumerate() {
-                    if i != pivot_row {
-                        *ci -= wi * t;
-                    }
-                }
-                col[pivot_row] = t;
-            }
-        }
-        std::hint::black_box(&binv_upd);
-    });
-
-    let pivot_sparse_ns = sparse_ns + sparse_update_ns;
-    let pivot_dense_ns = dense_ns + dense_update_ns;
-
-    // Refactorization cost, on this basis and on a slack-heavy one, each
-    // through a factor that keeps its workspace between calls as the
-    // simplex engine's does.
-    let mut refactor = BasisFactor::default();
-    let factorize_ns = time_min_ns(FACTOR_ITERS, || {
-        assert!(refactor.factorize(&cols, &basis));
-    });
-    const SLACK_HEAVY_M: usize = 620;
-    let (sh_cols, sh_basis) = slack_heavy_basis(SLACK_HEAVY_M, &mut next_u64);
-    let mut sh_factor = BasisFactor::default();
-    let factorize_slack_heavy_ns = time_min_ns(FACTOR_ITERS, || {
-        assert!(sh_factor.factorize(&sh_cols, &sh_basis));
-    });
-    let mut sh_rhs = vec![0.0; SLACK_HEAVY_M];
-    for _ in 0..4 {
-        sh_rhs[(unit() * SLACK_HEAVY_M as f64) as usize % SLACK_HEAVY_M] = 2.0 * unit() - 1.0;
-    }
-    let sh_rhs_rows: Vec<usize> = (0..SLACK_HEAVY_M).filter(|&r| sh_rhs[r] != 0.0).collect();
-    let mut sh_x = vec![0.0; SLACK_HEAVY_M];
-    let mut sh_support = Vec::new();
-    let ftran_sparse_slack_heavy_ns = time_min_ns(ITERS, || {
-        // Clear the previous result through its support, as the simplex
-        // engine does.
-        for &i in &sh_support {
-            sh_x[i] = 0.0;
-        }
-        for &r in &sh_rhs_rows {
-            sh_x[r] = sh_rhs[r];
-        }
-        sh_factor.ftran_sparse(&mut sh_x, &sh_rhs_rows, &mut sh_support);
-        std::hint::black_box(&sh_x);
-    });
-    eprintln!(
-        "[introspection] kernel m={M} lu_nnz={}: ftran {sparse_ns:.0} vs {dense_ns:.0} ns, \
-         update {sparse_update_ns:.0} vs {dense_update_ns:.0} ns, \
-         pivot cycle {pivot_sparse_ns:.0} vs {pivot_dense_ns:.0} ns \
-         ({:.1}× speedup), factorize {factorize_ns:.0} ns; slack-heavy \
-         m={SLACK_HEAVY_M} lu_nnz={}: factorize {factorize_slack_heavy_ns:.0} ns, \
-         ftran {ftran_sparse_slack_heavy_ns:.0} ns",
-        factor.lu_nnz(),
-        pivot_dense_ns / pivot_sparse_ns,
-        sh_factor.lu_nnz(),
-    );
-    Json::Obj(vec![
-        ("m".into(), Json::from(M)),
-        ("basis_nnz".into(), Json::from(cols.nnz())),
-        ("lu_nnz".into(), Json::from(factor.lu_nnz())),
-        ("ftran_sparse_ns".into(), Json::from(sparse_ns)),
-        ("ftran_dense_ns".into(), Json::from(dense_ns)),
-        ("update_sparse_ns".into(), Json::from(sparse_update_ns)),
-        ("update_dense_ns".into(), Json::from(dense_update_ns)),
-        ("pivot_sparse_ns".into(), Json::from(pivot_sparse_ns)),
-        ("pivot_dense_ns".into(), Json::from(pivot_dense_ns)),
-        (
-            "pivot_speedup".into(),
-            Json::from(pivot_dense_ns / pivot_sparse_ns),
-        ),
-        ("factorize_ns".into(), Json::from(factorize_ns)),
-        ("slack_heavy_m".into(), Json::from(SLACK_HEAVY_M)),
-        ("slack_heavy_lu_nnz".into(), Json::from(sh_factor.lu_nnz())),
-        (
-            "factorize_slack_heavy_ns".into(),
-            Json::from(factorize_slack_heavy_ns),
-        ),
-        (
-            "ftran_sparse_slack_heavy_ns".into(),
-            Json::from(ftran_sparse_slack_heavy_ns),
-        ),
-    ])
 }
 
 /// Service-observability ladder: the same deterministic admission stream
@@ -762,7 +458,6 @@ fn main() {
         ("alloc_ns_per_op_off".into(), Json::from(alloc_ns_off)),
         ("alloc_ns_per_op_on".into(), Json::from(alloc_ns_on)),
         ("tolerance_pct".into(), Json::from(tolerance_pct)),
-        ("kernel".into(), kernel_microbench(seed)),
         (
             "serve".into(),
             serve_overhead(budget, tolerance_pct, assert_budget),

@@ -47,8 +47,7 @@ pub enum CellKind {
     PaperScale,
 }
 
-/// Canonical cell labels in output order — the same series (and order) the
-/// `figures` binary has always printed.
+/// Canonical cell labels in output order.
 pub const LABELS: &[&str] = &[
     "csigma_access",
     "sigma_access",
@@ -81,28 +80,43 @@ pub fn kind_for(label: &str) -> Option<CellKind> {
 /// CLI) because one cell costs what a whole tiny-preset campaign does.
 pub const PAPER_SCALE_LABEL: &str = "paper_scale";
 
+/// The selector that asks for the ablation tables ([`crate::ablation_csv`]).
+/// It names no cells, so a campaign of `ablation` alone runs none and
+/// writes no journal.
+pub const ABLATION: &str = "ablation";
+
+/// Whether a selector names [`ABLATION`].
+pub fn selects_ablation(spec: &str) -> bool {
+    spec.split(',').any(|p| p.trim() == ABLATION)
+}
+
 /// Expands a comma-separated selector into canonical labels (in canonical
 /// order, deduplicated). Accepts exact labels plus the groups `all`,
 /// `formulations` (the three access-control series), `objectives` (the four
-/// fixed-set series), `csigma`, `sigma`, `delta`, and `greedy`.
+/// fixed-set series), `csigma`, `sigma`, `delta`, and `greedy`; the figure
+/// targets `fig3`/`fig4` (= `formulations`), `fig5`/`fig6` (= `objectives`),
+/// `fig7` (= `csigma,greedy`) and `fig8`/`fig9` (= `csigma`); and
+/// [`ABLATION`], which adds no label.
 pub fn expand_labels(spec: &str) -> Result<Vec<String>, String> {
     let mut wanted: Vec<&str> = Vec::new();
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         match part {
             "all" => wanted.extend_from_slice(LABELS),
-            "formulations" => {
+            "formulations" | "fig3" | "fig4" => {
                 wanted.extend_from_slice(&["csigma_access", "sigma_access", "delta_access"])
             }
-            "objectives" => wanted.extend_from_slice(&[
+            "objectives" | "fig5" | "fig6" => wanted.extend_from_slice(&[
                 "csigma_earliness",
                 "csigma_nodeload",
                 "csigma_disable",
                 "csigma_makespan",
             ]),
-            "csigma" => wanted.push("csigma_access"),
+            "fig7" => wanted.extend_from_slice(&["csigma_access", "greedy_access"]),
+            "csigma" | "fig8" | "fig9" => wanted.push("csigma_access"),
             "sigma" => wanted.push("sigma_access"),
             "delta" => wanted.push("delta_access"),
             "greedy" => wanted.push("greedy_access"),
+            ABLATION => {}
             // Opt-in only: deliberately not part of `all`.
             PAPER_SCALE_LABEL => wanted.push(PAPER_SCALE_LABEL),
             other if kind_for(other).is_some() => wanted.push(
@@ -114,7 +128,8 @@ pub fn expand_labels(spec: &str) -> Result<Vec<String>, String> {
             other => {
                 return Err(format!(
                     "unknown cell selector '{other}' (labels: {}, {PAPER_SCALE_LABEL}; groups: \
-                     all, formulations, objectives, csigma, sigma, delta, greedy)",
+                     all, formulations, objectives, csigma, sigma, delta, greedy; figures: \
+                     fig3 to fig9, {ABLATION})",
                     LABELS.join(", ")
                 ))
             }
@@ -130,7 +145,7 @@ pub fn expand_labels(spec: &str) -> Result<Vec<String>, String> {
     if wanted.contains(&PAPER_SCALE_LABEL) {
         out.push(PAPER_SCALE_LABEL.to_string());
     }
-    if out.is_empty() {
+    if out.is_empty() && !selects_ablation(spec) {
         return Err("empty cell selection".into());
     }
     Ok(out)
@@ -152,7 +167,7 @@ impl PlannedCell {
 }
 
 /// The full deterministic execution plan: label-major, then seed, then
-/// flexibility — the order the figures CSV has always used.
+/// flexibility — the row order of `results.csv`.
 pub fn plan(labels: &[String], cfg: &HarnessConfig) -> Vec<PlannedCell> {
     let mut cells = Vec::new();
     for label in labels {
@@ -342,6 +357,59 @@ pub fn csv_from_records(records: &[CellRecord]) -> String {
         }
     }
     out
+}
+
+/// The finished records of `label`, in plan order.
+fn series<'a>(records: &'a [CellRecord], label: &'a str) -> impl Iterator<Item = &'a CellRecord> {
+    records
+        .iter()
+        .filter(move |r| r.label == label && !r.skipped)
+}
+
+/// Fig 7's table: the greedy cΣᴳ_A revenue relative to the exact cΣ one,
+/// `1 − greedy/exact`, per (seed, flexibility) cell where the exact revenue
+/// is positive. `None` unless the records hold both series.
+pub fn fig7_csv(records: &[CellRecord]) -> Option<String> {
+    series(records, "csigma_access").next()?;
+    series(records, "greedy_access").next()?;
+    let mut out =
+        String::from("# fig7_relative: label,seed,flex_h,greedy_rev,exact_rev,shortfall\n");
+    for g in series(records, "greedy_access") {
+        let exact = series(records, "csigma_access").find(|e| e.seed == g.seed && e.flex == g.flex);
+        if let (Some(gr), Some(er)) = (g.objective, exact.and_then(|e| e.objective)) {
+            if er > 1e-9 {
+                out += &format!(
+                    "fig7,{},{},{gr:.4},{er:.4},{:.4}\n",
+                    g.seed,
+                    g.flex,
+                    1.0 - gr / er
+                );
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Fig 9's table: the exact cΣ access-control revenue relative to the same
+/// seed's at zero flexibility. `None` unless the records hold that series.
+pub fn fig9_csv(records: &[CellRecord]) -> Option<String> {
+    series(records, "csigma_access").next()?;
+    let mut out =
+        String::from("# fig9_relative: label,seed,flex_h,objective,improvement_vs_flex0\n");
+    for r in series(records, "csigma_access") {
+        let base = series(records, "csigma_access")
+            .find(|b| b.seed == r.seed && b.flex == 0.0)
+            .and_then(|b| b.objective);
+        if let (Some(base), Some(o)) = (base, r.objective) {
+            let improvement = if base > 1e-9 {
+                o / base - 1.0
+            } else {
+                f64::NAN
+            };
+            out += &format!("fig9,{},{},{o:.4},{improvement:.4}\n", r.seed, r.flex);
+        }
+    }
+    Some(out)
 }
 
 /// Campaign invocation.
@@ -660,6 +728,34 @@ mod tests {
         assert_eq!(expand_labels("objectives").unwrap().len(), 4);
         assert!(expand_labels("bogus").is_err());
         assert!(expand_labels("").is_err());
+
+        // Each figure target names the series its figure plots.
+        let formulations = ["csigma_access", "sigma_access", "delta_access"];
+        let objectives = [
+            "csigma_earliness",
+            "csigma_nodeload",
+            "csigma_disable",
+            "csigma_makespan",
+        ];
+        for (target, labels) in [
+            ("fig3", &formulations[..]),
+            ("fig4", &formulations[..]),
+            ("fig5", &objectives[..]),
+            ("fig6", &objectives[..]),
+            ("fig7", &["csigma_access", "greedy_access"][..]),
+            ("fig8", &["csigma_access"][..]),
+            ("fig9", &["csigma_access"][..]),
+        ] {
+            assert_eq!(expand_labels(target).unwrap(), labels, "{target}");
+        }
+        // `ablation` names no cell, alone or next to a figure.
+        assert_eq!(expand_labels("ablation").unwrap(), Vec::<String>::new());
+        assert_eq!(
+            expand_labels("fig7,ablation").unwrap(),
+            expand_labels("fig7").unwrap()
+        );
+        assert!(selects_ablation("fig7, ablation"));
+        assert!(!selects_ablation("all"));
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! # tvnep-bench — evaluation harness
 //!
 //! Regenerates every figure of the paper's Section VI (see DESIGN.md §4 for
-//! the experiment index). The `figures` binary drives the per-cell runners
-//! below through the resumable [`campaign`] layer and prints one CSV row per
-//! (scenario, flexibility) cell, mirroring the quantities the paper plots:
+//! the experiment index). `tvnep-cli campaign` drives the per-cell runners
+//! below through the resumable [`campaign`] layer and writes one CSV row
+//! per (scenario, flexibility) cell, mirroring the quantities the paper
+//! plots:
 //!
 //! * Fig 3 — runtime per formulation (time-limit-capped);
 //! * Fig 4 — objective gap per formulation (∞ when no solution was found);
 //! * Fig 5/6 — runtime/gap of the cΣ-Model under the non-access-control
 //!   objectives;
-//! * Fig 7 — greedy cΣᴳ_A revenue relative to the cΣ-Model's;
+//! * Fig 7 — greedy cΣᴳ_A revenue relative to the cΣ-Model's
+//!   ([`campaign::fig7_csv`]);
 //! * Fig 8 — number of requests embedded by the cΣ-Model;
-//! * Fig 9 — access-control objective relative to zero flexibility.
+//! * Fig 9 — access-control objective relative to zero flexibility
+//!   ([`campaign::fig9_csv`]).
+//!
+//! [`ablation_csv`] adds the discretization and cut ablations.
 //!
 //! The unit of work is one *cell* — a `(label, seed, flexibility)` triple —
 //! so the [`campaign`] journal can checkpoint after every solve and a killed
@@ -28,8 +33,11 @@ pub mod journal;
 use std::time::{Duration, Instant};
 
 use campaign::{CellRecord, PlannedCell};
-use tvnep_core::{greedy_csigma, solve_tvnep, BuildOptions, Formulation, GreedyOptions, Objective};
-use tvnep_mip::{MipOptions, MipStatus, ProgressRecorder};
+use tvnep_core::{
+    build_discrete, build_model, discretization_gap, greedy_csigma, solve_tvnep, BuildOptions,
+    EventOptions, Formulation, GreedyOptions, Objective,
+};
+use tvnep_mip::{solve_with, MipOptions, MipStatus, ProgressRecorder};
 use tvnep_model::{is_feasible, Instance};
 use tvnep_telemetry::{MemProbe, Telemetry};
 use tvnep_workloads::{generate, WorkloadConfig};
@@ -64,18 +72,6 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// The paper's exact §VI configuration (very slow with this solver —
-    /// hours per cell; provided for completeness).
-    pub fn paper_scale() -> Self {
-        Self {
-            workload: WorkloadConfig::paper(),
-            seeds: (1..=24).collect(),
-            flexibilities: tvnep_workloads::paper_flexibilities(),
-            time_limit: Duration::from_secs(3600),
-            threads: 1,
-        }
-    }
-
     /// Worker threads actually used per solve (resolves `threads = 0`).
     pub fn effective_threads(&self) -> usize {
         MipOptions {
@@ -272,10 +268,73 @@ pub fn run_greedy_cell(cfg: &HarnessConfig, cell: &PlannedCell) -> CellRecord {
     }
 }
 
-/// Prints the full CSV (header plus one row per non-skipped record) to
-/// stdout.
-pub fn csv_from_records_stdout(records: &[campaign::CellRecord]) {
-    print!("{}", campaign::csv_from_records(records));
+/// The two ablation tables behind DESIGN.md's design choices, as CSV with a
+/// `#` header line each: (a) `ablation_discrete`, the discretization gap of
+/// a time-slotted baseline against the continuous cΣ-Model (Section III's
+/// motivation), and (b) `ablation_cuts`, the effect of the Section IV-C
+/// cuts on the cΣ solve. Both run on the first two of `cfg`'s seeds, at a
+/// flexibility of 2 h and 1 h.
+pub fn ablation_csv(cfg: &HarnessConfig) -> String {
+    let mut out =
+        String::from("# ablation_discrete: seed,slots,disc_rows,csigma_rows,gap,peak_bytes\n");
+    let opts = MipOptions::with_time_limit(cfg.time_limit);
+    for &seed in cfg.seeds.iter().take(2) {
+        let inst = instance_for(cfg, seed, 2.0);
+        let csigma = build_model(
+            &inst,
+            Formulation::CSigma,
+            Objective::AccessControl,
+            BuildOptions::default_for(Formulation::CSigma),
+        );
+        for slots in [8usize, 16, 32] {
+            let probe = MemProbe::start();
+            let disc = build_discrete(&inst, slots);
+            let gap = discretization_gap(&inst, slots, &opts);
+            out += &format!(
+                "ablation_discrete,{seed},{slots},{},{},{},{}\n",
+                disc.mip.num_rows(),
+                csigma.mip.num_rows(),
+                gap.map_or("NA".into(), |g| format!("{g:.4}")),
+                probe.finish(),
+            );
+        }
+    }
+    out += "# ablation_cuts: seed,config,rows,ints,runtime_s,status,peak_bytes\n";
+    let event_options = |ranges, cuts| EventOptions {
+        dependency_ranges: ranges,
+        pairwise_cuts: cuts,
+        ordering_cuts: cuts,
+    };
+    for &seed in cfg.seeds.iter().take(2) {
+        let inst = instance_for(cfg, seed, 1.0);
+        for (name, event) in [
+            ("full_cuts", event_options(true, true)),
+            ("ranges_only", event_options(true, false)),
+            ("plain", event_options(false, false)),
+        ] {
+            let probe = MemProbe::start();
+            let t0 = Instant::now();
+            let built = build_model(
+                &inst,
+                Formulation::CSigma,
+                Objective::AccessControl,
+                BuildOptions {
+                    event,
+                    flow_mode: Default::default(),
+                },
+            );
+            let run = solve_with(&built.mip, &opts);
+            out += &format!(
+                "ablation_cuts,{seed},{name},{},{},{:.3},{:?},{}\n",
+                built.mip.num_rows(),
+                built.mip.num_integers(),
+                t0.elapsed().as_secs_f64(),
+                run.status,
+                probe.finish(),
+            );
+        }
+    }
+    out
 }
 
 /// CSV header of [`campaign::CellRecord::csv_row`].

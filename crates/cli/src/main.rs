@@ -19,10 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tvnep_bench::campaign::{
-    bench_doc, csv_from_records, expand_labels, run_campaign, CampaignOptions, PAPER_SCALE_LABEL,
+    bench_doc, csv_from_records, expand_labels, fig7_csv, fig9_csv, run_campaign, selects_ablation,
+    CampaignOptions, PAPER_SCALE_LABEL,
 };
 use tvnep_bench::compare::{compare_docs, render_report, Tolerances};
-use tvnep_bench::HarnessConfig;
+use tvnep_bench::{ablation_csv, HarnessConfig};
 use tvnep_core::{
     explain_solution, greedy_csigma, solve_tvnep, BuildOptions, Formulation, GreedyOptions,
     GreedyOutcome, Objective,
@@ -201,6 +202,21 @@ fn parse_args(raw: &[String]) -> Args {
         }
     }
     Args { positional, flags }
+}
+
+/// `value`, given as `--key`, if the model accepts it: finite, and above 0
+/// when `positive`, at least 0 otherwise.
+fn in_range(key: &str, value: f64, positive: bool) -> Result<f64, String> {
+    let (ok, bound) = if positive {
+        (value > 0.0, "> 0")
+    } else {
+        (value >= 0.0, ">= 0")
+    };
+    if ok && value.is_finite() {
+        Ok(value)
+    } else {
+        Err(format!("--{key}: {value} is not a finite number {bound}"))
+    }
 }
 
 /// `--threads N` (0 = all cores). The CLI defaults to all available
@@ -559,7 +575,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
         "generate" => {
             let (_, cfg) = preset_for(args, "small")?;
             let seed: u64 = args.parsed("seed")?.unwrap_or(1);
-            let flex: f64 = args.parsed("flex")?.unwrap_or(0.0);
+            let flex = in_range("flex", args.parsed("flex")?.unwrap_or(0.0), false)?;
             let inst = generate(&cfg, seed).with_flexibility_after(flex);
             write_or_print(
                 &InstanceDoc::from_instance(&inst).to_json(),
@@ -850,7 +866,10 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             if let Some(list) = args.flags.get("flexes") {
                 cfg.flexibilities = list
                     .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("--flexes: {e}")))
+                    .map(|s| {
+                        let flex = s.trim().parse().map_err(|e| format!("--flexes: {e}"))?;
+                        in_range("flexes", flex, false)
+                    })
                     .collect::<Result<Vec<f64>, String>>()?;
             }
             if let Some(secs) = args.parsed("time-limit")? {
@@ -865,36 +884,60 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             );
             std::fs::create_dir_all(&out_dir)
                 .map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-            let journal_path = out_dir.join("journal.jsonl");
-            if args.flags.contains_key("fresh") {
-                let _ = std::fs::remove_file(&journal_path);
-            }
+            let write = |name: &str, text: &str| {
+                let path = out_dir.join(name);
+                std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))
+            };
             tvnep_telemetry::alloc::set_counting(true);
             let opts = CampaignOptions {
                 cfg,
                 labels,
-                journal_path,
+                journal_path: out_dir.join("journal.jsonl"),
                 quiet: args.flags.contains_key("quiet"),
             };
-            let summary = run_campaign(&opts).map_err(|e| format!("campaign: {e}"))?;
-            let csv_path = out_dir.join("results.csv");
-            std::fs::write(&csv_path, csv_from_records(&summary.records))
-                .map_err(|e| format!("write {}: {e}", csv_path.display()))?;
-            let bench_path = args
-                .flags
-                .get("bench-out")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| out_dir.join("BENCH_campaign.json"));
-            std::fs::write(&bench_path, bench_doc(&summary, &opts).pretty())
-                .map_err(|e| format!("write {}: {e}", bench_path.display()))?;
+            let mut written = Vec::new();
+            // `ablation` alone runs no cells and leaves the journal alone.
+            if !opts.labels.is_empty() {
+                if args.flags.contains_key("fresh") {
+                    let _ = std::fs::remove_file(&opts.journal_path);
+                }
+                let summary = run_campaign(&opts).map_err(|e| format!("campaign: {e}"))?;
+                let records = &summary.records;
+                write("results.csv", &csv_from_records(records))?;
+                written.push("results.csv");
+                for (name, table) in [
+                    ("fig7.csv", fig7_csv(records)),
+                    ("fig9.csv", fig9_csv(records)),
+                ] {
+                    if let Some(table) = table {
+                        write(name, &table)?;
+                        written.push(name);
+                    }
+                }
+                let bench_path = args
+                    .flags
+                    .get("bench-out")
+                    .map(PathBuf::from)
+                    .unwrap_or_else(|| out_dir.join("BENCH_campaign.json"));
+                std::fs::write(&bench_path, bench_doc(&summary, &opts).pretty())
+                    .map_err(|e| format!("write {}: {e}", bench_path.display()))?;
+                eprintln!(
+                    "campaign: {} cells ({} resumed, {} run) in {:.1}s -> {}",
+                    records.len(),
+                    summary.resumed,
+                    summary.ran,
+                    summary.wall.as_secs_f64(),
+                    bench_path.display()
+                );
+            }
+            if selects_ablation(selector) {
+                write("ablation.csv", &ablation_csv(&opts.cfg))?;
+                written.push("ablation.csv");
+            }
             eprintln!(
-                "campaign: {} cells ({} resumed, {} run) in {:.1}s -> {} + {}",
-                summary.records.len(),
-                summary.resumed,
-                summary.ran,
-                summary.wall.as_secs_f64(),
-                csv_path.display(),
-                bench_path.display()
+                "campaign: wrote {} in {}",
+                written.join(", "),
+                out_dir.display()
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -1005,9 +1048,13 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             let defaults = LoadConfig::slo_default();
             let cfg = LoadConfig {
                 seed: args.parsed("seed")?.unwrap_or(defaults.seed),
-                rate: args.parsed("rate")?.unwrap_or(defaults.rate),
-                duration: args.parsed("duration")?.unwrap_or(defaults.duration),
-                flex: args.parsed("flex")?.unwrap_or(defaults.flex),
+                rate: in_range("rate", args.parsed("rate")?.unwrap_or(defaults.rate), true)?,
+                duration: in_range(
+                    "duration",
+                    args.parsed("duration")?.unwrap_or(defaults.duration),
+                    true,
+                )?,
+                flex: in_range("flex", args.parsed("flex")?.unwrap_or(defaults.flex), false)?,
                 workload,
                 preset: preset.to_string(),
                 epoch_size: args.parsed("epoch")?.unwrap_or(defaults.epoch_size),

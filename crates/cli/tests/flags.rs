@@ -97,3 +97,48 @@ fn a_flag_the_subcommand_reads_is_accepted() {
     assert!(metrics.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A numeric value the model rules out exits 1 naming the flag, before any
+/// work: flexibilities must be finite and at least 0, a load's rate and
+/// duration finite and above 0.
+#[test]
+fn numeric_values_the_model_rules_out_are_refused() {
+    let dir = std::env::temp_dir().join(format!("tvnep-flags-range-{}", std::process::id()));
+    let out_dir = dir.display().to_string();
+    let campaign = |flexes: &'static str| {
+        vec![
+            "campaign",
+            "csigma",
+            "--preset",
+            "tiny",
+            "--seeds",
+            "1",
+            "--flexes",
+            flexes,
+            "--out-dir",
+            out_dir.as_str(),
+        ]
+    };
+    let rows: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["generate", "--flex", "-1"], "--flex"),
+        (vec!["generate", "--flex", "nan"], "--flex"),
+        (campaign("-1"), "--flexes"),
+        (campaign("0,nan"), "--flexes"),
+        (vec!["load", "--flex", "-1"], "--flex"),
+        (vec!["load", "--flex", "nan"], "--flex"),
+        (vec!["load", "--rate", "0"], "--rate"),
+        (vec!["load", "--rate", "nan"], "--rate"),
+        (vec!["load", "--duration", "-1"], "--duration"),
+    ];
+    for (args, flag) in rows {
+        let out = Command::new(bin()).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    assert!(
+        !dir.join("journal.jsonl").exists(),
+        "a refused campaign ran"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,10 +1,10 @@
 //! Deterministic Poisson load generator for the embedding service.
 //!
-//! Drives an in-process [`EpochRunner`] with the same arrival process as
-//! the paper's workload generator (§VI-A: Poisson arrivals, Weibull
-//! durations, star requests with uniform demands and a-priori random
-//! mappings), streamed instead of batched: requests arrive until the
-//! configured duration elapses, epochs close every `epoch_size`
+//! Drives an in-process [`EpochRunner`] with the paper's workload generator
+//! ([`Arrivals`], §VI-A: Poisson arrivals, Weibull durations, star requests
+//! with uniform demands and a-priori random mappings), streamed instead of
+//! batched: requests arrive at the configured rate until the configured
+//! duration elapses, epochs close every `epoch_size`
 //! submissions, and each decision's latency is recorded.
 //!
 //! The run is a pure function of the seed and configuration — each
@@ -26,14 +26,14 @@ use std::time::{Duration, Instant};
 
 use crate::{EpochRunner, ServeOptions};
 use tvnep_core::{util_jsonl, util_points, ServiceOptions, SubproblemHandles};
-use tvnep_graph::{grid, star, NodeId, StarDirection};
+use tvnep_graph::{grid, NodeId};
 use tvnep_harness::format::RequestDoc;
 use tvnep_model::tol::VERIFY_TOL;
 use tvnep_model::{
     verify_with_tol, Instance, Request, ScheduledRequest, Substrate, TemporalSolution,
 };
 use tvnep_telemetry::{Json, Telemetry};
-use tvnep_workloads::{rng::Rng, WorkloadConfig};
+use tvnep_workloads::{Arrivals, RequestDraw, WorkloadConfig};
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ pub struct LoadConfig {
     /// Temporal flexibility added to each request's window, hours.
     pub flex: f64,
     /// Substrate and request shapes (grid size, star leaves, demands,
-    /// Weibull duration parameters).
+    /// Weibull duration parameters); `rate` replaces its mean gap.
     pub workload: WorkloadConfig,
     /// Name of the workload preset, used in the benchmark cell id.
     pub preset: String,
@@ -113,49 +113,28 @@ pub struct LoadReport {
 }
 
 /// One synthetic arrival: the request document plus its a-priori mapping.
-fn synth_request(
-    i: usize,
-    arrival: f64,
-    cfg: &LoadConfig,
-    rng: &mut Rng,
-    num_substrate_nodes: usize,
-) -> (RequestDoc, Vec<usize>) {
-    let w = &cfg.workload;
-    let duration = rng.weibull(w.weibull_scale, w.weibull_shape).max(0.25);
-    let direction = if rng.chance(0.5) {
-        StarDirection::TowardsCenter
-    } else {
-        StarDirection::AwayFromCenter
-    };
-    let graph = star(w.star_leaves, direction);
-    let node_demands: Vec<f64> = (0..graph.num_nodes())
-        .map(|_| rng.range_f64(w.demand_range.0, w.demand_range.1))
-        .collect();
-    let edge_demands: Vec<f64> = (0..graph.num_edges())
-        .map(|_| rng.range_f64(w.demand_range.0, w.demand_range.1))
-        .collect();
-    let mapping: Vec<usize> = (0..graph.num_nodes())
-        .map(|_| rng.below(num_substrate_nodes))
-        .collect();
-    let edges = graph
+/// Its window opens at the arrival and closes `flex` after the duration.
+fn request_doc(i: usize, d: RequestDraw, flex: f64) -> (RequestDoc, Vec<usize>) {
+    let edges = d
+        .graph
         .edge_ids()
         .map(|e| {
-            let (a, b) = graph.endpoints(e);
+            let (a, b) = d.graph.endpoints(e);
             [a.0, b.0]
         })
         .collect();
     (
         RequestDoc {
             name: format!("L{i}"),
-            num_nodes: graph.num_nodes(),
+            num_nodes: d.graph.num_nodes(),
             edges,
-            node_demands,
-            edge_demands,
-            earliest_start: arrival,
-            latest_end: arrival + duration + cfg.flex,
-            duration,
+            node_demands: d.node_demand,
+            edge_demands: d.edge_demand,
+            earliest_start: d.arrival,
+            latest_end: d.arrival + d.duration + flex,
+            duration: d.duration,
         },
-        mapping,
+        d.mapping.iter().map(|n| n.0).collect(),
     )
 }
 
@@ -163,10 +142,13 @@ fn synth_request(
 /// verify every accepted schedule, aggregate the SLO metrics.
 pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
     assert!(
-        cfg.rate > 0.0 && cfg.duration > 0.0,
-        "rate and duration must be positive"
+        cfg.rate > 0.0 && cfg.rate.is_finite() && cfg.duration > 0.0 && cfg.duration.is_finite(),
+        "rate and duration must be finite and positive"
     );
-    let mut rng = Rng::new(cfg.seed);
+    assert!(
+        cfg.flex >= 0.0 && cfg.flex.is_finite(),
+        "flex must be finite and at least 0"
+    );
     let substrate = Substrate::uniform(
         grid(cfg.workload.grid_rows, cfg.workload.grid_cols),
         cfg.workload.node_capacity,
@@ -175,14 +157,15 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
 
     // Synthesize the full arrival stream first so the horizon is a pure
     // function of the seed (the runner needs it up front).
-    let mut stream: Vec<(RequestDoc, Vec<usize>)> = Vec::new();
-    let mean_interarrival = 1.0 / cfg.rate;
-    let mut arrival = rng.exp(mean_interarrival);
-    while arrival <= cfg.duration {
-        let item = synth_request(stream.len(), arrival, cfg, &mut rng, substrate.num_nodes());
-        stream.push(item);
-        arrival += rng.exp(mean_interarrival);
-    }
+    let workload = WorkloadConfig {
+        mean_interarrival: 1.0 / cfg.rate,
+        ..cfg.workload.clone()
+    };
+    let stream: Vec<(RequestDoc, Vec<usize>)> = Arrivals::new(&workload, cfg.seed)
+        .take_while(|d| d.arrival <= cfg.duration)
+        .enumerate()
+        .map(|(i, d)| request_doc(i, d, cfg.flex))
+        .collect();
     let horizon = stream
         .iter()
         .map(|(d, _)| d.latest_end)

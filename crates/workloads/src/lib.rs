@@ -19,7 +19,7 @@
 //! scaled-down default this reproduction evaluates with (our simplex-based
 //! solver is orders of magnitude slower than Gurobi — see DESIGN.md §2).
 
-use tvnep_graph::{grid, star, NodeId, StarDirection};
+use tvnep_graph::{grid, star, DiGraph, NodeId, StarDirection};
 use tvnep_model::{Instance, Request, Substrate};
 
 pub mod patterns;
@@ -116,24 +116,55 @@ impl WorkloadConfig {
     }
 }
 
-/// Generates one scenario deterministically from `seed`. Requests initially
-/// have zero flexibility (`t^e = t^s + d`); widen with
-/// [`Instance::with_flexibility_after`].
-pub fn generate(config: &WorkloadConfig, seed: u64) -> Instance {
-    let mut rng = Rng::new(seed);
-    let substrate = Substrate::uniform(
-        grid(config.grid_rows, config.grid_cols),
-        config.node_capacity,
-        config.edge_capacity,
-    );
-    let num_substrate_nodes = substrate.num_nodes();
+/// One request as the arrival process draws it, before a window is set
+/// around it: its arrival time, duration, star, demands and a-priori node
+/// mapping.
+#[derive(Debug, Clone)]
+pub struct RequestDraw {
+    /// Arrival time: the previous arrival plus an exponential gap (hours).
+    pub arrival: f64,
+    /// Weibull duration, floored at 0.25 h (hours).
+    pub duration: f64,
+    /// The star, its links all towards or all away from its center.
+    pub graph: DiGraph,
+    /// Demand of each virtual node.
+    pub node_demand: Vec<f64>,
+    /// Demand of each virtual link.
+    pub edge_demand: Vec<f64>,
+    /// Substrate node of each virtual node.
+    pub mapping: Vec<NodeId>,
+}
 
-    let mut requests = Vec::with_capacity(config.num_requests);
-    let mut mappings = Vec::with_capacity(config.num_requests);
-    let mut arrival = 0.0f64;
-    let mut latest_end = 0.0f64;
-    for i in 0..config.num_requests {
-        arrival += rng.exp(config.mean_interarrival);
+/// The §VI-A arrival process, one [`RequestDraw`] per item. Each item
+/// draws, in this order, an exponential gap (mean `mean_interarrival`), a
+/// Weibull duration, the star's direction, its node demands, its link
+/// demands and its node mapping. [`generate`] takes the first
+/// `num_requests` items; the service's load generator takes the items that
+/// arrive within its run.
+#[derive(Debug, Clone)]
+pub struct Arrivals<'a> {
+    config: &'a WorkloadConfig,
+    rng: Rng,
+    arrival: f64,
+}
+
+impl<'a> Arrivals<'a> {
+    /// The arrivals of `config`'s workload, seeded from `seed`.
+    pub fn new(config: &'a WorkloadConfig, seed: u64) -> Self {
+        Self {
+            config,
+            rng: Rng::new(seed),
+            arrival: 0.0,
+        }
+    }
+}
+
+impl Iterator for Arrivals<'_> {
+    type Item = RequestDraw;
+
+    fn next(&mut self) -> Option<RequestDraw> {
+        let (config, rng) = (self.config, &mut self.rng);
+        self.arrival += rng.exp(config.mean_interarrival);
         // Durations below a small floor make no sense operationally.
         let duration = rng
             .weibull(config.weibull_scale, config.weibull_shape)
@@ -150,20 +181,48 @@ pub fn generate(config: &WorkloadConfig, seed: u64) -> Instance {
         let edge_demand: Vec<f64> = (0..graph.num_edges())
             .map(|_| rng.range_f64(config.demand_range.0, config.demand_range.1))
             .collect();
+        let num_substrate_nodes = config.grid_rows * config.grid_cols;
         let mapping: Vec<NodeId> = (0..graph.num_nodes())
             .map(|_| NodeId(rng.below(num_substrate_nodes)))
             .collect();
-        latest_end = latest_end.max(arrival + duration);
-        requests.push(Request::new(
-            format!("R{i}"),
+        Some(RequestDraw {
+            arrival: self.arrival,
+            duration,
             graph,
             node_demand,
             edge_demand,
-            arrival,
-            arrival + duration,
-            duration,
+            mapping,
+        })
+    }
+}
+
+/// Generates one scenario deterministically from `seed`. Requests initially
+/// have zero flexibility (`t^e = t^s + d`); widen with
+/// [`Instance::with_flexibility_after`].
+pub fn generate(config: &WorkloadConfig, seed: u64) -> Instance {
+    let substrate = Substrate::uniform(
+        grid(config.grid_rows, config.grid_cols),
+        config.node_capacity,
+        config.edge_capacity,
+    );
+    let mut requests = Vec::with_capacity(config.num_requests);
+    let mut mappings = Vec::with_capacity(config.num_requests);
+    let mut latest_end = 0.0f64;
+    for (i, d) in Arrivals::new(config, seed)
+        .take(config.num_requests)
+        .enumerate()
+    {
+        latest_end = latest_end.max(d.arrival + d.duration);
+        requests.push(Request::new(
+            format!("R{i}"),
+            d.graph,
+            d.node_demand,
+            d.edge_demand,
+            d.arrival,
+            d.arrival + d.duration,
+            d.duration,
         ));
-        mappings.push(mapping);
+        mappings.push(d.mapping);
     }
     let horizon = latest_end + config.max_flexibility + 1.0;
     Instance::new(substrate, requests, horizon, Some(mappings))
